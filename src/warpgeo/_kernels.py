@@ -25,11 +25,6 @@ _DISABLED = os.environ.get("WARPGEO_DISABLE_NUMBA", "") not in ("", "0")
 USING_NUMBA = HAS_NUMBA and not _DISABLED
 
 
-def _rhs(n, eps, rho, p, d):
-    # second-order structural equation, solved for phi''
-    return -((n - 3.0) * (d * d - eps) + rho * p * p) / (2.0 * p)
-
-
 def _rk4_warp_py(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
     """Fixed-step RK4 on (phi, phi'). Returns arrays plus halt info.
 

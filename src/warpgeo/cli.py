@@ -35,7 +35,7 @@ TOLERANCES = {
     "tol_identity": 1e-9,
     "tol_einstein": 5e-5,
     "tol_ricci_sym": 1e-6,
-    "tol_spread_flat": 1e-4,
+    "tol_spread_flat": geometry.TOL_SPREAD_FLAT,
     "tol_fnb": 1e-6,
     "tol_umbilical": 1e-6,
     "tol_gauss": 1e-4,
@@ -55,8 +55,6 @@ _CONFIG_ERRORS = (
     WrongFamily,
     WrongRegime,
 )
-
-_WARP_FAMILIES = ("schwarzschild", "sin", "linear", "extra-codim")
 
 
 # -- config plumbing ---------------------------------------------------------------
@@ -126,6 +124,15 @@ def _exit_code(payload):
     return 0 if payload["overall"] == "pass" else 1
 
 
+def _member(cfg):
+    """m, rho and perturb of a --family selection, typed; None when unset."""
+    out = {"m": None if cfg["m"] is None else int(cfg["m"]),
+           "rho": None if cfg["rho"] is None else float(cfg["rho"])}
+    if "perturb" in cfg:
+        out["perturb"] = float(cfg["perturb"])
+    return out
+
+
 # -- warp ---------------------------------------------------------------------------
 
 _WARP_DEFAULTS = {
@@ -159,18 +166,13 @@ def _warp_params(cfg):
             dphi0=float(cfg["dphi0"]),
             c=None if cfg["c"] is None else float(cfg["c"]),
         )
-    if family not in _WARP_FAMILIES:
-        raise ConfigError("unknown warp family %r" % family)
+    warps = {k: row.warp for k, row in geometry.FAMILIES.items() if row.warp}
+    if family not in warps:
+        raise ConfigError("unknown warp family %r; families with a warp: %s"
+                          % (family, ", ".join(warps)))
     if cfg["n"] is None:
         raise ConfigError("family %r needs --n" % family)
-    n = int(cfg["n"])
-    if family == "schwarzschild":
-        return warpfunc.schwarzschild_params(n)
-    if family == "sin":
-        return warpfunc.sin_params(n)
-    if family == "linear":
-        return warpfunc.linear_params(n)
-    return geometry.extra_codim_params(n)
+    return warps[family](int(cfg["n"]))
 
 
 def cmd_warp(args):
@@ -234,32 +236,12 @@ _INTRINSIC_DEFAULTS = {
 }
 
 
-def _perturbed_clifford_chart(n, rho, perturb):
-    r1, r2 = geometry.clifford_radii(n, rho)
-    fiber = geometry.FiberSpec(dims=(2, n - 2), radii=(r1, r2 * (1.0 + perturb)))
-    return geometry.ProductChart(fiber, label="clifford-n%d-perturbed" % n)
-
-
-def _intrinsic_chart(cfg):
-    family = cfg["family"]
-    if family is None or cfg["n"] is None:
-        raise ConfigError("verify-intrinsic needs --family and --n")
-    n = int(cfg["n"])
-    rho = None if cfg["rho"] is None else float(cfg["rho"])
-    perturb = float(cfg["perturb"])
-    if perturb != 0.0:
-        if family != "clifford":
-            raise ConfigError("--perturb applies to the clifford family only")
-        if rho is None:
-            raise ConfigError("clifford needs --rho")
-        return _perturbed_clifford_chart(n, rho, perturb), rho
-    m = None if cfg["m"] is None else int(cfg["m"])
-    return geometry.chart_for_family(family, n, m=m, rho=rho)
-
-
 def cmd_verify_intrinsic(args):
     cfg = _merge(args, _INTRINSIC_DEFAULTS)
-    chart, rho = _intrinsic_chart(cfg)
+    if cfg["family"] is None or cfg["n"] is None:
+        raise ConfigError("verify-intrinsic needs --family and --n")
+    chart, rho = geometry.chart_for_family(cfg["family"], int(cfg["n"]),
+                                           **_member(cfg))
     rep = geometry.verify_einstein(
         chart, rho, n_points=int(cfg["points"]), h=float(cfg["h"]),
         tol=float(cfg["tol_einstein"]), seed=int(cfg["seed"]),
@@ -340,11 +322,8 @@ def cmd_build(args):
     cfg = _merge(args, _BUILD_DEFAULTS)
     if cfg["family"] is None or cfg["n"] is None:
         raise ConfigError("build needs --family and --n")
-    imm = immersions.build_immersion(
-        cfg["family"], int(cfg["n"]),
-        m=None if cfg["m"] is None else int(cfg["m"]),
-        rho=None if cfg["rho"] is None else float(cfg["rho"]),
-    )
+    imm = immersions.build_immersion(cfg["family"], int(cfg["n"]),
+                                     **_member(cfg))
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, imm.label)
@@ -383,33 +362,12 @@ _EXTRINSIC_DEFAULTS = {
 }
 
 
-def _extrinsic_immersion(cfg):
-    family = cfg["family"]
-    if family is None or cfg["n"] is None:
-        raise ConfigError("verify-extrinsic needs --family and --n")
-    n = int(cfg["n"])
-    perturb = float(cfg["perturb"])
-    if perturb != 0.0:
-        if family != "clifford":
-            raise ConfigError("--perturb applies to the clifford family only")
-        if cfg["rho"] is None:
-            raise ConfigError("clifford needs --rho")
-        rho = float(cfg["rho"])
-        r1, r2 = geometry.clifford_radii(n, rho)
-        fiber = geometry.FiberSpec(dims=(2, n - 2),
-                                   radii=(r1, r2 * (1.0 + perturb)))
-        return immersions.immersion_from_fiber(
-            fiber, "clifford-n%d-perturbed" % n, rho)
-    return immersions.build_immersion(
-        family, n,
-        m=None if cfg["m"] is None else int(cfg["m"]),
-        rho=None if cfg["rho"] is None else float(cfg["rho"]),
-    )
-
-
 def cmd_verify_extrinsic(args):
     cfg = _merge(args, _EXTRINSIC_DEFAULTS)
-    imm = _extrinsic_immersion(cfg)
+    if cfg["family"] is None or cfg["n"] is None:
+        raise ConfigError("verify-extrinsic needs --family and --n")
+    member = _member(cfg)
+    imm = immersions.build_immersion(cfg["family"], int(cfg["n"]), **member)
     rep = extrinsic.extrinsic_scan(imm, n_points=int(cfg["points"]),
                                    seed=int(cfg["seed"]), h=float(cfg["h"]))
     checks = [
@@ -419,14 +377,16 @@ def cmd_verify_extrinsic(args):
                "finite-difference"),
         _check("codazzi", rep.codazzi_max, cfg["tol_codazzi"],
                "finite-difference"),
-        _check("umbilical-residuals", rep.umbilical_residual_max,
-               cfg["tol_umbilical"], "frame-algebra"),
-        _check("dupin-leaf", rep.dupin_max, cfg["tol_dupin"],
-               "frame-algebra"),
     ]
+    # residuals and Dupin exist only where U has a 2-dimensional complement
+    if rep.umbilical_points > 0:
+        checks.append(_check("umbilical-residuals", rep.umbilical_residual_max,
+                             cfg["tol_umbilical"], "frame-algebra"))
+        checks.append(_check("dupin-leaf", rep.dupin_max, cfg["tol_dupin"],
+                             "frame-algebra"))
     expect_u = cfg["expect_u_dim"]
-    if expect_u is None and cfg["family"] in ("schwarzschild", "clifford") \
-            and float(cfg["perturb"]) == 0.0:
+    if expect_u is None and geometry.FAMILIES[cfg["family"]].u_dim_codim2 \
+            and member["perturb"] == 0.0:
         expect_u = imm.dim - 2
     if expect_u is not None:
         match = 0.0 if rep.u_dim_mode == int(expect_u) else 1.0
@@ -458,23 +418,16 @@ _CLASSIFY_DEFAULTS = {
 
 def cmd_classify_appendix(args):
     cfg = _merge(args, _CLASSIFY_DEFAULTS)
-    imm = immersions.build_immersion(
-        cfg["family"], int(cfg["n"]),
-        m=None if cfg["m"] is None else int(cfg["m"]),
-        rho=None if cfg["rho"] is None else float(cfg["rho"]),
-    )
+    imm = immersions.build_immersion(cfg["family"], int(cfg["n"]),
+                                     **_member(cfg))
     chart = geometry.PullbackChart(imm, label=imm.label)
     pts = geometry.sample_points(chart, int(cfg["points"]),
                                  seed=int(cfg["seed"]))
-    kinds = []
-    eps_vals = set()
-    worst = 0.0
-    for x in pts:
-        form = extrinsic.classify_at(imm, x, tol=float(cfg["tol_form"]))
-        kinds.append(form.kind)
-        if form.kind == "epsilon":
-            eps_vals.add(form.eps)
-        worst = max(worst, form.residual)
+    forms = [extrinsic.classify_at(imm, x, tol=float(cfg["tol_form"]))
+             for x in pts]
+    kinds = [form.kind for form in forms]
+    eps_vals = {form.eps for form in forms if form.kind == "epsilon"}
+    worst = float(np.max([form.residual for form in forms]))
     uniform = 0.0 if (set(kinds) == {"epsilon"} and len(eps_vals) == 1) else 1.0
     checks = [
         _check("epsilon-form-everywhere", uniform, 0.5, "frame-algebra"),
@@ -522,7 +475,8 @@ def _suite_warp(checks):
         if n in (4, 5, 6):
             checks.append(_check("identity-n%d" % n, float(np.max(np.abs(ident))),
                                  TOLERANCES["tol_identity"], "closed-form-oracle"))
-    sol5 = warpfunc.integrate(warpfunc.schwarzschild_params(5), 5.0, 1e-3)
+        if n == 5:
+            sol5 = sol
     phi, dphi, _, _ = warpfunc.closed_form_n5(-1.0, sol5.t)
     err = max(float(np.max(np.abs(phi - sol5.phi))),
               float(np.max(np.abs(dphi - sol5.dphi))))
@@ -530,45 +484,26 @@ def _suite_warp(checks):
                          TOLERANCES["tol_closed_form"], "closed-form-oracle"))
 
 
-_EINSTEIN_FIXTURES = (
-    ("clifford", 5, None, 1.0),
-    ("clifford", 6, None, 2.0),
-    ("schwarzschild", 5, None, None),
-    ("schwarzschild", 6, None, None),
-    ("round", 5, None, None),
-    ("flat", 5, None, None),
-    ("flat-torus-composite", 7, 2, None),
-    ("extra-codim", 7, 2, None),
-)
-
-_DEFECT_FIXTURES = (
-    ("round-torus-composite", 7, 2, None, 0.2),
-    ("cylinder-torus-composite", 7, 2, None, 0.05),
-)
-
-
 def _suite_intrinsic(checks, seed, points):
-    for family, n, m, rho in _EINSTEIN_FIXTURES:
-        chart, rho_val = geometry.chart_for_family(family, n, m=m, rho=rho)
-        rep = geometry.verify_einstein(chart, rho_val, n_points=points,
-                                       seed=seed)
-        checks.append(_check("einstein-%s" % rep.label, rep.einstein_max,
-                             TOLERANCES["tol_einstein"], "finite-difference"))
-        if family in ("round", "flat"):
-            checks.append(_check("spread-%s" % rep.label, rep.sectional_spread,
-                                 TOLERANCES["tol_spread_flat"],
-                                 "finite-difference"))
-        if family == "schwarzschild":
-            checks.append(_check("spread-%s" % rep.label, rep.sectional_spread,
-                                 1e-2, "finite-difference", mode="min"))
-    for family, n, m, rho, floor in _DEFECT_FIXTURES:
-        chart, rho_val = geometry.chart_for_family(family, n, m=m, rho=rho)
-        rep = geometry.verify_einstein(chart, rho_val, n_points=points,
-                                       seed=seed)
-        checks.append(_check("defect-%s" % rep.label, rep.einstein_max,
-                             floor, "finite-difference", mode="min"))
-    pert = _perturbed_clifford_chart(5, 1.0, 0.05)
-    rep = geometry.verify_einstein(pert, 1.0, n_points=points, seed=seed)
+    for family, row in geometry.FAMILIES.items():
+        for n, m, rho in row.report:
+            chart, rho_val = geometry.chart_for_family(family, n, m=m, rho=rho)
+            rep = geometry.verify_einstein(chart, rho_val, n_points=points,
+                                           seed=seed)
+            if row.defect_floor is not None:
+                checks.append(_check("defect-%s" % rep.label, rep.einstein_max,
+                                     row.defect_floor, "finite-difference",
+                                     mode="min"))
+                continue
+            checks.append(_check("einstein-%s" % rep.label, rep.einstein_max,
+                                 TOLERANCES["tol_einstein"], "finite-difference"))
+            if row.spread is not None:
+                mode, bound = row.spread
+                checks.append(_check("spread-%s" % rep.label,
+                                     rep.sectional_spread, bound,
+                                     "finite-difference", mode=mode))
+    pert, rho = geometry.chart_for_family("clifford", 5, rho=1.0, perturb=0.05)
+    rep = geometry.verify_einstein(pert, rho, n_points=points, seed=seed)
     checks.append(_check("defect-%s" % pert.label, rep.einstein_max, 1e-3,
                          "finite-difference", mode="min"))
 
@@ -601,12 +536,9 @@ def _suite_appendix(checks, seed):
     imm = immersions.schwarzschild_immersion(4)
     chart = geometry.PullbackChart(imm, label=imm.label)
     pts = geometry.sample_points(chart, 10, seed=seed)
-    worst = 0.0
-    ok = True
-    for x in pts:
-        form = extrinsic.classify_at(imm, x)
-        ok = ok and form.kind == "epsilon" and form.eps == 1
-        worst = max(worst, form.residual)
+    forms = [extrinsic.classify_at(imm, x) for x in pts]
+    ok = all(form.kind == "epsilon" and form.eps == 1 for form in forms)
+    worst = float(np.max([form.residual for form in forms]))
     checks.append(_check("appendix-epsilon-form", 0.0 if ok else 1.0, 0.5,
                          "frame-algebra"))
     checks.append(_check("appendix-residual", worst, TOLERANCES["tol_form"],

@@ -50,10 +50,6 @@ class WrongRegime(WarpgeoError):
     """Operation requires a specific (eps, rho) regime."""
 
 
-class MarginViolated(WarpgeoError):
-    """Profile embeddability margin 1 - phi'^2 - phi''^2 went negative."""
-
-
 # -- charts and sampling -----------------------------------------------------
 
 class SingularChartPoint(WarpgeoError):

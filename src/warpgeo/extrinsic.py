@@ -113,12 +113,9 @@ def flat_normal_residual(alpha):
     operators commute, so this is the full flatness test.
     """
     c = alpha.shape[0]
-    worst = 0.0
-    for a in range(c):
-        for b in range(a + 1, c):
-            comm = alpha[a] @ alpha[b] - alpha[b] @ alpha[a]
-            worst = max(worst, float(np.max(np.abs(comm))))
-    return worst
+    comms = [np.max(np.abs(alpha[a] @ alpha[b] - alpha[b] @ alpha[a]))
+             for a in range(c) for b in range(a + 1, c)]
+    return float(np.max(comms, initial=0.0))
 
 
 # -- simultaneous diagonalization ------------------------------------------------
@@ -609,6 +606,7 @@ class ExtrinsicReport:
     gauss_max: float
     codazzi_max: float
     u_dim_mode: int
+    umbilical_points: int
     umbilical_residual_max: float
     dupin_max: float
     profile_max: float
@@ -624,6 +622,7 @@ class ExtrinsicReport:
             "gauss_max": self.gauss_max,
             "codazzi_max": self.codazzi_max,
             "u_dim_mode": self.u_dim_mode,
+            "umbilical_points": self.umbilical_points,
             "umbilical_residual_max": self.umbilical_residual_max,
             "dupin_max": self.dupin_max,
             "profile_max": self.profile_max,
@@ -632,34 +631,36 @@ class ExtrinsicReport:
 
 
 def extrinsic_scan(imm, n_points=8, seed=0, h=1e-3):
-    """Run every applicable extrinsic check over a quasi-random sample."""
+    """Run every applicable extrinsic check over a quasi-random sample.
+
+    The umbilical residuals and Dupin are evaluated only at points where
+    the largest umbilical group leaves a 2-dimensional complement; their
+    maxima are NaN when no point does (umbilical_points == 0). Every
+    maximum propagates NaN.
+    """
     chart = geometry.PullbackChart(imm, label=imm.label)
     pts = geometry.sample_points(chart, n_points, seed=seed, h=h)
-    flat_max = 0.0
-    gauss_max = 0.0
-    codazzi_max = 0.0
-    umb_max = 0.0
-    dupin_max = 0.0
-    profile_max = 0.0
-    u_dims = []
+    flat, gauss, codazzi, umb, dupin, profile, u_dims = ([] for _ in range(7))
     rotational = imm.meta.get("kind") == "rotational"
     for x in pts:
         pe = extrinsics_at(imm, x)
-        flat_max = max(flat_max, flat_normal_residual(pe.alpha))
-        gauss_max = max(gauss_max, gauss_ricci_residual(imm, x, h=h))
-        codazzi_max = max(codazzi_max, codazzi_residual(imm, x))
+        flat.append(flat_normal_residual(pe.alpha))
+        gauss.append(gauss_ricci_residual(imm, x, h=h))
+        codazzi.append(codazzi_residual(imm, x))
         um = umbilical_structure(pe.alpha, rho=imm.rho)
         u_dims.append(um.u_dim)
         if um.residuals is not None:
-            umb_max = max(umb_max, max(abs(v) for v in um.residuals.values()))
-            dupin_max = max(dupin_max, dupin_residual(imm, x, rho=imm.rho))
+            umb.append(np.max(np.abs(list(um.residuals.values()))))
+            dupin.append(dupin_residual(imm, x, rho=imm.rho))
         if rotational:
-            profile_max = max(profile_max, profile_normal_shape_residual(imm, x))
-    u_mode = int(np.bincount(np.asarray(u_dims)).argmax()) if u_dims else 0
+            profile.append(profile_normal_shape_residual(imm, x))
     return ExtrinsicReport(
         label=imm.label, dim=imm.dim, codim=imm.ambient_dim - imm.dim,
-        n_points=len(pts), flat_normal_max=flat_max, gauss_max=gauss_max,
-        codazzi_max=codazzi_max, u_dim_mode=u_mode,
-        umbilical_residual_max=umb_max, dupin_max=dupin_max,
-        profile_max=profile_max,
+        n_points=len(pts), flat_normal_max=float(np.max(flat)),
+        gauss_max=float(np.max(gauss)), codazzi_max=float(np.max(codazzi)),
+        u_dim_mode=int(np.bincount(u_dims).argmax()),
+        umbilical_points=len(umb),
+        umbilical_residual_max=float(np.max(umb)) if umb else math.nan,
+        dupin_max=float(np.max(dupin)) if dupin else math.nan,
+        profile_max=float(np.max(profile, initial=0.0)),
     )

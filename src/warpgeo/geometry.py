@@ -7,10 +7,15 @@ rotational base, and pullbacks of explicit immersions. The finite-difference
 engine differentiates the metric twice with central stencils and assembles
 Christoffel symbols, the curvature tensor, Ricci, and sectional curvatures,
 so every chart gets Einstein verification through one code path.
+
+FAMILIES is the family table: one row per model geometry, from which every
+chart and immersion, every command-line --family choice and every `report`
+fixture is built.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -397,151 +402,153 @@ def fiber_constant_residual(params, sample, fiber):
     return mu - k
 
 
-# -- chart builders -----------------------------------------------------------
+# -- the family table ----------------------------------------------------------
 
-def product_chart(n, rho):
-    """S^2 x S^{n-2} with both factors tuned to Ricci constant rho."""
-    r1, r2 = clifford_radii(n, rho)
-    fiber = FiberSpec(dims=(2, n - 2), radii=(r1, r2))
-    return ProductChart(fiber=fiber, label="clifford-n%d" % n)
+def clifford_fiber(n, rho):
+    """S^2(r1) x S^{n-2}(r2) with both factors tuned to Ricci constant rho."""
+    return FiberSpec(dims=(2, n - 2), radii=clifford_radii(n, rho))
 
 
-def schwarzschild_chart(n, t_range=(0.35, 1.6), step=1e-3):
-    sol = warpfunc.integrate(
-        warpfunc.schwarzschild_params(n), t_range[1] + 0.2, step=step
-    )
-    return WarpedChart(warp=sol, fiber=round_fiber(n - 2),
-                       t_range=t_range, label="schwarzschild-n%d" % n)
+@dataclass(frozen=True)
+class Family:
+    """One row of FAMILIES: everything the program builds for one family.
 
-
-def round_chart(n, t_range=(0.25, 1.3), step=1e-3):
-    """Round n-sphere presented as a warped product with phi = sin t."""
-    sol = warpfunc.integrate(
-        warpfunc.WarpParams(n=n, eps=1.0, rho=float(n - 1), t0=0.15,
-                            phi0=math.sin(0.15), dphi0=math.cos(0.15)),
-        t_range[1] + 0.15, step=step,
-    )
-    return WarpedChart(warp=sol, fiber=round_fiber(n - 2),
-                       t_range=t_range, label="round-n%d" % n)
-
-
-def flat_chart(n, t_range=(0.5, 2.5), step=1e-3):
-    """Flat R^n presented as a warped product with phi = t."""
-    sol = warpfunc.integrate(
-        warpfunc.linear_params(n, t0=0.3), t_range[1] + 0.2, step=step
-    )
-    return WarpedChart(warp=sol, fiber=round_fiber(n - 2),
-                       t_range=t_range, label="flat-n%d" % n)
-
-
-def flat_torus_composite_chart(n, m, t_range=(0.5, 2.5), step=1e-3):
-    """phi = t over a flat base with the offset torus fiber; Ricci-flat."""
-    sol = warpfunc.integrate(
-        warpfunc.linear_params(n, t0=0.3), t_range[1] + 0.2, step=step
-    )
-    return WarpedChart(warp=sol, fiber=offset_torus_fiber(n, m),
-                       t_range=t_range,
-                       label="flat-torus-composite-n%d-m%d" % (n, m))
-
-
-def round_torus_composite_chart(n, m, t_range=(0.25, 1.3), step=1e-3):
-    """phi = sin t with the unit-sum torus fiber.
-
-    The fiber's Ricci constant is n-4 where the warp requires n-3, so this
-    chart is a genuine immersed submanifold that fails the Einstein property
-    with fiber-direction defect exactly -g/sin^2 t. Kept as the standing
-    counterexample fixture.
+    fiber(n, m, rho) is the fiber. A row with warp(n) is charted as the
+    warped product over t_range, its warp integrated from warp(n).t0 to
+    t_end, a little past t_range so stencils stay inside the solution; a
+    row without one is charted as the fiber itself. base names the
+    immersion: "rotational" (the warp's profile curve), a composite base of
+    immersions._BASES, "product" (the fiber's own embedding), or None.
+    rho(n) is the Einstein constant; None means the caller supplies it.
+    The fields from perturbable on serve the command line and `report`.
     """
-    sol = warpfunc.integrate(
-        warpfunc.WarpParams(n=n, eps=1.0, rho=float(n - 1), t0=0.15,
-                            phi0=math.sin(0.15), dphi0=math.cos(0.15)),
-        t_range[1] + 0.15, step=step,
-    )
-    return WarpedChart(warp=sol, fiber=unit_torus_fiber(n, m),
-                       t_range=t_range,
-                       label="round-torus-composite-n%d-m%d" % (n, m))
+
+    fiber: object
+    rho: object = None
+    warp: object = None
+    t_range: tuple = None
+    t_end: float = None
+    base: str = None
+    needs_m: bool = False
+    perturbable: bool = False     # --perturb scales the last fiber radius
+    defect_floor: float = None    # not Einstein: residual must reach this
+    spread: tuple = None          # ("max" or "min", bound) on sectional spread
+    u_dim_codim2: bool = False    # umbilical group of dimension n-2 expected
+    report: tuple = ()            # (n, m, rho) members `report` checks
 
 
-def cylinder_torus_composite_chart(n, m, t_range=(0.5, 2.5), step=1e-3):
-    """phi = t with the unit-sum torus fiber.
+# sectional spread the round and flat space forms may show at h = 1e-3
+TOL_SPREAD_FLAT = 1e-4
 
-    Flat-base sibling of round_torus_composite_chart with the same fiber
-    mismatch (constant n-4 against required n-3), so it fails the Einstein
-    property with fiber-direction defect -g/t^2. Counterexample fixture.
-    """
-    sol = warpfunc.integrate(
-        warpfunc.linear_params(n, t0=0.3), t_range[1] + 0.2, step=step
-    )
-    return WarpedChart(warp=sol, fiber=unit_torus_fiber(n, m),
-                       t_range=t_range,
-                       label="cylinder-torus-composite-n%d-m%d" % (n, m))
+# warp presets shared by several rows: params of n, chart t-range, t_end
+_SIN = dict(warp=lambda n: warpfunc.sin_params(n, t0=0.15),
+            t_range=(0.25, 1.3), t_end=1.3 + 0.15)
+_LINEAR = dict(warp=lambda n: warpfunc.linear_params(n, t0=0.3),
+               t_range=(0.5, 2.5), t_end=2.5 + 0.2)
 
 
-def extra_codim_params(n):
-    """Warp family matched to the unit-sum torus fiber: eps = (n-4)/(n-3).
-
-    phi0 = (n-4)/2 makes phi''(0) = 1 exactly, the smoothness condition at
-    the rotational pole of the base.
-    """
-    if n < 6:
-        raise BadDimension("matched family needs n >= 6")
-    eps = (n - 4.0) / (n - 3.0)
-    phi0 = (n - 4.0) / 2.0
-    return warpfunc.WarpParams(n=n, eps=eps, rho=0.0, t0=0.0,
-                               phi0=phi0, dphi0=0.0)
+def _zero(n):
+    return 0.0
 
 
-def extra_codim_chart(n, m, t_range=(0.35, 1.6), step=1e-3):
-    """Warped chart pairing the eps-matched warp with the unit-sum torus."""
-    sol = warpfunc.integrate(extra_codim_params(n), t_range[1] + 0.2, step=step)
-    return WarpedChart(warp=sol, fiber=unit_torus_fiber(n, m),
-                       t_range=t_range,
-                       label="extra-codim-n%d-m%d" % (n, m))
+def _n_minus_1(n):
+    return float(n - 1)
 
 
-_FAMILY_RHO = {
-    "schwarzschild": lambda n, m, rho: 0.0,
-    "round": lambda n, m, rho: float(n - 1),
-    "flat": lambda n, m, rho: 0.0,
-    "clifford": lambda n, m, rho: rho,
-    "flat-torus-composite": lambda n, m, rho: 0.0,
-    "round-torus-composite": lambda n, m, rho: float(n - 1),
-    "cylinder-torus-composite": lambda n, m, rho: 0.0,
-    "extra-codim": lambda n, m, rho: 0.0,
+# `report` checks the rows in this order, Einstein rows before defect rows
+FAMILIES = {
+    # S^2 x S^{n-2}, Einstein with any rho > 0
+    "clifford": Family(
+        fiber=lambda n, m, rho: clifford_fiber(n, rho), base="product",
+        perturbable=True, u_dim_codim2=True,
+        report=((5, None, 1.0), (6, None, 2.0))),
+    # Ricci-flat rotational immersion in codimension 2
+    "schwarzschild": Family(
+        warp=warpfunc.schwarzschild_params, t_range=(0.35, 1.6),
+        t_end=1.6 + 0.2, fiber=lambda n, m, rho: round_fiber(n - 2),
+        rho=_zero, base="rotational", spread=("min", 1e-2), u_dim_codim2=True,
+        report=((5, None, None), (6, None, None))),
+    # round n-sphere as a warped product, phi = sin t
+    "round": Family(
+        **_SIN, fiber=lambda n, m, rho: round_fiber(n - 2), rho=_n_minus_1,
+        spread=("max", TOL_SPREAD_FLAT), report=((5, None, None),)),
+    # flat R^n as a warped product, phi = t
+    "flat": Family(
+        **_LINEAR, fiber=lambda n, m, rho: round_fiber(n - 2), rho=_zero,
+        spread=("max", TOL_SPREAD_FLAT), report=((5, None, None),)),
+    # phi = t over a flat base with the offset torus; Ricci-flat
+    "flat-torus-composite": Family(
+        **_LINEAR, fiber=lambda n, m, rho: offset_torus_fiber(n, m),
+        rho=_zero, base="flat", needs_m=True, report=((7, 2, None),)),
+    # the eps-matched warp over the unit-sum torus, codimension 3
+    "extra-codim": Family(
+        warp=warpfunc.extra_codim_params, t_range=(0.35, 1.6),
+        t_end=1.6 + 0.2, fiber=lambda n, m, rho: unit_torus_fiber(n, m),
+        rho=_zero, base="rotational", needs_m=True, report=((7, 2, None),)),
+    # unit-sum torus fibers: Ricci constant n-4 where the warp needs n-3,
+    # so these are immersed warped products that are not Einstein
+    "round-torus-composite": Family(
+        **_SIN, fiber=lambda n, m, rho: unit_torus_fiber(n, m),
+        rho=_n_minus_1, base="sphere", needs_m=True, defect_floor=0.2,
+        report=((7, 2, None),)),
+    "cylinder-torus-composite": Family(
+        **_LINEAR, fiber=lambda n, m, rho: unit_torus_fiber(n, m),
+        rho=_zero, base="cylinder", needs_m=True, defect_floor=0.05,
+        report=((7, 2, None),)),
+    # round S^n in R^{n+1}, the totally umbilical control case
+    "sphere": Family(
+        fiber=lambda n, m, rho: round_fiber(n), rho=_n_minus_1,
+        base="product"),
 }
 
 
-def chart_for_family(family, n, m=None, rho=None):
+@functools.lru_cache(maxsize=32)
+def _shared_warp(params, t_end, step):
+    sol = warpfunc.integrate(params, t_end, step=step)
+    for arr in (sol.t, sol.phi, sol.dphi, sol.d2phi, sol.d3phi, sol.drift):
+        arr.flags.writeable = False
+    return sol
+
+
+def family_warp(row, n):
+    """The row's warp solution for dimension n, integrated once per
+    (params, t_end, step) and shared by every chart and immersion built
+    from it; its arrays are read-only."""
+    return _shared_warp(row.warp(n), row.t_end, 1e-3)
+
+
+def family_member(family, n, m=None, rho=None, perturb=0.0):
+    """Row, label, fiber and Einstein constant of one member of a family."""
+    row = FAMILIES.get(family)
+    if row is None:
+        raise BadRange("unknown family %r; known families: %s"
+                       % (family, ", ".join(FAMILIES)))
+    if row.needs_m and m is None:
+        raise BadRange("%s needs m" % family)
+    if row.rho is not None:
+        rho = row.rho(n)
+    elif rho is None:
+        raise BadRange("%s needs rho" % family)
+    label = "%s-n%d" % (family, n) + ("-m%d" % m if row.needs_m else "")
+    fiber = row.fiber(n, m, rho)
+    if perturb:
+        if not row.perturbable:
+            raise BadRange("perturb applies to %s only" % ", ".join(
+                k for k, r in FAMILIES.items() if r.perturbable))
+        radii = fiber.radii[:-1] + (fiber.radii[-1] * (1.0 + perturb),)
+        fiber = replace(fiber, radii=radii)
+        label += "-perturbed"
+    return row, label, fiber, rho
+
+
+def chart_for_family(family, n, m=None, rho=None, perturb=0.0):
     """Build the named chart and return it with its target Einstein constant."""
-    if family == "schwarzschild":
-        chart = schwarzschild_chart(n)
-    elif family == "round":
-        chart = round_chart(n)
-    elif family == "flat":
-        chart = flat_chart(n)
-    elif family == "clifford":
-        if rho is None:
-            raise BadRange("clifford needs rho")
-        chart = product_chart(n, rho)
-    elif family == "flat-torus-composite":
-        if m is None:
-            raise BadRange("torus composites need m")
-        chart = flat_torus_composite_chart(n, m)
-    elif family == "round-torus-composite":
-        if m is None:
-            raise BadRange("torus composites need m")
-        chart = round_torus_composite_chart(n, m)
-    elif family == "cylinder-torus-composite":
-        if m is None:
-            raise BadRange("torus composites need m")
-        chart = cylinder_torus_composite_chart(n, m)
-    elif family == "extra-codim":
-        if m is None:
-            raise BadRange("extra-codim needs m")
-        chart = extra_codim_chart(n, m)
-    else:
-        raise BadRange("unknown family %r" % family)
-    return chart, _FAMILY_RHO[family](n, m, rho)
+    row, label, fiber, rho = family_member(family, n, m, rho, perturb)
+    if row.warp is None:
+        return ProductChart(fiber=fiber, label=label), rho
+    chart = WarpedChart(warp=family_warp(row, n), fiber=fiber,
+                        t_range=row.t_range, label=label)
+    return chart, rho
 
 
 # -- verification driver -------------------------------------------------------
@@ -596,6 +603,15 @@ def einstein_residual_at(chart, x, rho, h=1e-3):
 
 
 def sample_points(chart, n_points, seed=0, margin=None, h=1e-3):
+    """n_points quasi-random chart points, a stencil margin inside the box.
+
+    Rejects an empty sample and a step h that is not finite and positive,
+    so no check downstream can pass on evidence it never collected.
+    """
+    if not n_points >= 1:
+        raise BadRange("need at least one sample point, got %r" % (n_points,))
+    if not (math.isfinite(h) and h > 0.0):
+        raise BadRange("step h must be finite and positive, got %r" % (h,))
     box = np.array(chart.sample_box, dtype=float)
     if margin is None:
         margin = 3.0 * h
@@ -621,26 +637,21 @@ def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
         sel = np.random.default_rng(seed).choice(len(pairs), max_planes,
                                                  replace=False)
         pairs = [pairs[int(k)] for k in sel]
-    e_max = 0.0
-    sym_max = 0.0
-    rich_max = 0.0
-    s_min = math.inf
-    s_max = -math.inf
+    resids, syms, secs, rich = [], [], [], []
     for x in pts:
         resid, pc = einstein_residual_at(chart, x, rho, h=h)
-        e_max = max(e_max, resid)
-        sym_max = max(sym_max, pc.ricci_sym_defect)
-        for (i, j) in pairs:
-            k = pc.sectional(i, j)
-            s_min = min(s_min, k)
-            s_max = max(s_max, k)
+        resids.append(resid)
+        syms.append(pc.ricci_sym_defect)
+        secs.extend(pc.sectional(i, j) for (i, j) in pairs)
         if richardson:
             pc2 = curvature_fd(chart, x, h=h / 2.0)
-            rich_max = max(rich_max, float(np.max(np.abs(pc.ricci - pc2.ricci))))
+            rich.append(float(np.max(np.abs(pc.ricci - pc2.ricci))))
+    # numpy reductions propagate NaN, where max(0.0, nan) would drop it
     return CurvatureReport(
         label=getattr(chart, "label", chart.__class__.__name__),
         dim=d, rho=rho, h=h, n_points=len(pts),
-        einstein_max=e_max, ricci_sym_max=sym_max,
-        richardson_max=rich_max if richardson else float("nan"),
-        sectional_min=s_min, sectional_max=s_max, tol=tol,
+        einstein_max=float(np.max(resids)), ricci_sym_max=float(np.max(syms)),
+        richardson_max=float(np.max(rich)) if richardson else float("nan"),
+        sectional_min=float(np.min(secs, initial=math.inf)),
+        sectional_max=float(np.max(secs, initial=-math.inf)), tol=tol,
     )

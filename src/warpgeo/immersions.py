@@ -17,15 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sampling, serialize, warpfunc
-from .geometry import (
-    FiberSpec,
-    clifford_radii,
-    extra_codim_params,
-    offset_torus_fiber,
-    round_fiber,
-    unit_torus_fiber,
-)
+from . import geometry, sampling, serialize
 from .errors import BadDimension, BadRange, SingularChartPoint
 
 _TOL_TURNING = 1e-6
@@ -261,28 +253,14 @@ def rotational_immersion(sol, fiber, t_range, label, rho):
     )
 
 
-def schwarzschild_immersion(n, t_range=(0.35, 1.6), step=1e-3):
+def schwarzschild_immersion(n):
     """Ricci-flat rotational immersion of the Schwarzschild family, codim 2."""
-    sol = warpfunc.integrate(
-        warpfunc.schwarzschild_params(n), t_range[1] + 0.2, step=step
-    )
-    return rotational_immersion(
-        sol, round_fiber(n - 2), t_range,
-        label="schwarzschild-n%d" % n, rho=0.0,
-    )
+    return build_immersion("schwarzschild", n)
 
 
-def extra_codim_immersion(n, m, t_range=(0.35, 1.6), step=1e-3):
-    """Ricci-flat rotational immersion over the unit-sum torus, codim 3.
-
-    The fiber's Ricci constant n-4 fixes eps = (n-4)/(n-3) for the warp;
-    with phi0 = (n-4)/2 the profile closes smoothly at its pole.
-    """
-    sol = warpfunc.integrate(extra_codim_params(n), t_range[1] + 0.2, step=step)
-    return rotational_immersion(
-        sol, unit_torus_fiber(n, m), t_range,
-        label="extra-codim-n%d-m%d" % (n, m), rho=0.0,
-    )
+def extra_codim_immersion(n, m):
+    """Ricci-flat rotational immersion over the unit-sum torus, codim 3."""
+    return build_immersion("extra-codim", n, m=m)
 
 
 # -- product immersions ----------------------------------------------------------
@@ -304,17 +282,7 @@ def immersion_from_fiber(fiber, label, rho):
 
 def clifford_immersion(n, rho):
     """S^2(r1) x S^{n-2}(r2) in R^{n+2}, Einstein with constant rho."""
-    r1, r2 = clifford_radii(n, rho)
-    fiber = FiberSpec(dims=(2, n - 2), radii=(r1, r2))
-    return immersion_from_fiber(fiber, label="clifford-n%d" % n, rho=rho)
-
-
-def unit_sphere_immersion(n, r=1.0):
-    """Round S^n(r) in R^{n+1}; the totally umbilical control case."""
-    return immersion_from_fiber(
-        round_fiber(n, r), label="sphere-n%d" % n,
-        rho=float(n - 1) / (r * r),
-    )
+    return build_immersion("clifford", n, rho=rho)
 
 
 # -- warped composites -----------------------------------------------------------
@@ -430,34 +398,7 @@ def warped_composite(base_kind, fiber, s=None, label=None, rho=0.0):
 
 def flat_base_composite(n, m):
     """Warp phi = t over a flat base with the offset torus; Ricci-flat."""
-    return warped_composite(
-        "flat", offset_torus_fiber(n, m),
-        label="flat-torus-composite-n%d-m%d" % (n, m), rho=0.0,
-    )
-
-
-def sphere_base_composite(n, m):
-    """Warp phi = sin t over the round base with the unit-sum torus.
-
-    A genuine immersed submanifold whose fiber carries Ricci constant n-4
-    where the warp needs n-3; it fails the Einstein property and is kept as
-    the standing counterexample.
-    """
-    return warped_composite(
-        "sphere", unit_torus_fiber(n, m),
-        label="round-torus-composite-n%d-m%d" % (n, m), rho=float(n - 1),
-    )
-
-
-def cylinder_base_composite(n, m):
-    """Warp phi = t over the flat cylinder with the unit-sum torus.
-
-    Same fiber mismatch as sphere_base_composite; not Einstein.
-    """
-    return warped_composite(
-        "cylinder", unit_torus_fiber(n, m),
-        label="cylinder-torus-composite-n%d-m%d" % (n, m), rho=0.0,
-    )
+    return build_immersion("flat-torus-composite", n, m=m)
 
 
 # -- mesh export -----------------------------------------------------------------
@@ -513,23 +454,14 @@ def export_surface_obj(imm, path, coords=(0, 1), axes=(0, 1, 2), res=32):
     return res * res
 
 
-_BUILDERS = {
-    "schwarzschild": lambda n, m, rho: schwarzschild_immersion(n),
-    "clifford": lambda n, m, rho: clifford_immersion(n, rho),
-    "sphere": lambda n, m, rho: unit_sphere_immersion(n),
-    "flat-torus-composite": lambda n, m, rho: flat_base_composite(n, m),
-    "round-torus-composite": lambda n, m, rho: sphere_base_composite(n, m),
-    "cylinder-torus-composite": lambda n, m, rho: cylinder_base_composite(n, m),
-    "extra-codim": lambda n, m, rho: extra_codim_immersion(n, m),
-}
-
-
-def build_immersion(family, n, m=None, rho=None):
-    if family not in _BUILDERS:
-        raise BadRange("unknown immersion family %r" % family)
-    if family == "clifford" and rho is None:
-        raise BadRange("clifford needs rho")
-    if family.endswith("composite") or family == "extra-codim":
-        if m is None:
-            raise BadRange("%s needs m" % family)
-    return _BUILDERS[family](n, m, rho)
+def build_immersion(family, n, m=None, rho=None, perturb=0.0):
+    """The immersion of one member of a family in geometry.FAMILIES."""
+    row, label, fiber, rho = geometry.family_member(family, n, m, rho, perturb)
+    if row.base == "product":
+        return immersion_from_fiber(fiber, label, rho)
+    if row.base == "rotational":
+        return rotational_immersion(geometry.family_warp(row, n), fiber,
+                                    row.t_range, label, rho)
+    if row.base in _BASES:
+        return warped_composite(row.base, fiber, label=label, rho=rho)
+    raise BadRange("family %r has a chart but no immersion" % family)

@@ -306,6 +306,19 @@ def linear_params(n, t0=1.0):
     return WarpParams(n=n, eps=1.0, rho=0.0, t0=t0, phi0=t0, dphi0=1.0)
 
 
+def extra_codim_params(n):
+    """Warp family matched to the unit-sum torus fiber: eps = (n-4)/(n-3).
+
+    phi0 = (n-4)/2 makes phi''(0) = 1 exactly, the smoothness condition at
+    the rotational pole of the base.
+    """
+    if n < 6:
+        raise BadDimension("matched family needs n >= 6")
+    eps = (n - 4.0) / (n - 3.0)
+    phi0 = (n - 4.0) / 2.0
+    return WarpParams(n=n, eps=eps, rho=0.0, t0=0.0, phi0=phi0, dphi0=0.0)
+
+
 def closed_form_n5(c, t):
     """Exact n=5 Ricci-flat solution phi = sqrt(t^2 - c) with derivatives.
 

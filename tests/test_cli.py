@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -100,6 +101,23 @@ class TestVerifyIntrinsic:
             assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-intrinsic", "--family", "clifford", "--n", "5", "--rho", "1",
+     "--h", "0"],
+    ["verify-intrinsic", "--family", "round", "--n", "5", "--h", "nan"],
+    ["verify-intrinsic", "--family", "round", "--n", "5", "--points", "0"],
+    ["verify-extrinsic", "--family", "schwarzschild", "--n", "5", "--h", "0"],
+    ["verify-extrinsic", "--family", "schwarzschild", "--n", "5",
+     "--points", "0"],
+    ["classify-appendix", "--points", "0"],
+    ["report", "--points", "0"],
+])
+def test_no_evidence_is_config_error(capsys, argv):
+    # a zero or NaN step gives NaN residuals, zero points give no residuals
+    code, _ = run(capsys, *argv)
+    assert code == 3
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -190,6 +208,16 @@ class TestVerifyExtrinsic:
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["umbilical-residuals"]["status"] == "fail"
         assert by_name["flat-normal-bundle"]["status"] == "pass"
+
+    def test_no_umbilical_pass_without_evidence(self, capsys):
+        code, doc = run(capsys, "verify-extrinsic", "--family",
+                        "flat-torus-composite", "--n", "7", "--m", "2",
+                        "--points", "4")
+        names = {c["name"] for c in doc["checks"]}
+        assert not {"umbilical-residuals", "dupin-leaf"} & names
+        assert doc["scan"]["umbilical_points"] == 0
+        assert math.isnan(doc["scan"]["umbilical_residual_max"])
+        assert math.isnan(doc["scan"]["dupin_max"])
 
     def test_composite_with_expected_split(self, capsys):
         code, doc = run(capsys, "verify-extrinsic", "--family",

@@ -47,7 +47,7 @@ class TestFrames:
         assert np.max(np.abs(pe.alpha - np.transpose(pe.alpha, (0, 2, 1)))) < 1e-13
 
     def test_rank_deficient_at_polar_degeneracy(self):
-        imm = immersions.unit_sphere_immersion(3)
+        imm = immersions.build_immersion("sphere", 3)
         with pytest.raises(RankDeficient):
             extrinsic.extrinsics_at(imm, np.array([1e-13, 1.0, 1.0]))
 
@@ -341,6 +341,7 @@ class TestScan:
         assert rep.umbilical_residual_max < 1e-8
         assert rep.dupin_max < 1e-6
         assert rep.profile_max < 1e-10
+        assert rep.umbilical_points == 4
         d = rep.as_dict()
         assert d["label"] == "schwarzschild-n5"
         assert d["codim"] == 2
@@ -353,3 +354,8 @@ class TestScan:
         assert rep.u_dim_mode != imm.dim - 2
         assert rep.flat_normal_max < 1e-12
         assert rep.gauss_max < 5e-5
+
+    def test_nan_commutator_propagates(self):
+        alpha = np.zeros((2, 3, 3))
+        alpha[1, 0, 0] = np.nan
+        assert math.isnan(extrinsic.flat_normal_residual(alpha))

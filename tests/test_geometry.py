@@ -23,6 +23,10 @@ from warpgeo.errors import (
 TOL_EINSTEIN = 5e-5
 
 
+def family_chart(family, n, **member):
+    return gm.chart_for_family(family, n, **member)[0]
+
+
 class TestFiberSpec:
     def test_round_metric_diag(self):
         fib = gm.round_fiber(2)
@@ -100,7 +104,9 @@ class TestFiberSpec:
 class TestChristoffelOracle:
     def test_warped_chart_closed_form(self):
         # n=4 chart (t, theta, y1, y2), metric diag(1, phi'^2, phi^2, phi^2 sin^2 y1)
-        chart = gm.schwarzschild_chart(4, t_range=(0.4, 1.4))
+        family = family_chart("schwarzschild", 4)
+        chart = gm.WarpedChart(warp=family.warp, fiber=family.fiber,
+                               t_range=(0.4, 1.4))
         x = np.array([0.8, 1.3, 1.1, 2.0])
         gam = gm.christoffel_fd(chart, x, h=1e-3)
         s = chart.warp.sample_at(0.8)
@@ -148,7 +154,7 @@ class TestCurvatureEngine:
         assert pc.scalar == pytest.approx(3.0 * 2.0 * 0.25, abs=1e-4)
 
     def test_plane_invariance_under_span_change(self, rng):
-        chart = gm.schwarzschild_chart(5)
+        chart = family_chart("schwarzschild", 5)
         pc = gm.curvature_fd(chart, np.array([0.9, 1.0, 1.2, 0.9, 2.2]))
         u = np.zeros(5)
         v = np.zeros(5)
@@ -161,7 +167,7 @@ class TestCurvatureEngine:
         assert pc.sectional_plane(a, b) == pytest.approx(k0, rel=1e-9)
 
     def test_ricci_symmetry_defect_small(self):
-        chart = gm.round_chart(5)
+        chart = family_chart("round", 5)
         pc = gm.curvature_fd(chart, np.array([0.7, 1.0, 1.1, 0.9, 2.0]))
         assert pc.ricci_sym_defect < 1e-7
 
@@ -174,21 +180,21 @@ class TestCurvatureEngine:
 class TestSpaceFormCharts:
     def test_round_chart_is_einstein(self):
         for n in (5, 6):
-            rep = gm.verify_einstein(gm.round_chart(n), rho=float(n - 1),
-                                     n_points=10)
+            rep = gm.verify_einstein(family_chart("round", n),
+                                     rho=float(n - 1), n_points=10)
             assert rep.einstein_max < TOL_EINSTEIN
             assert rep.passed
             assert rep.sectional_min > 1.0 - 1e-3
             assert rep.sectional_max < 1.0 + 1e-3
 
     def test_flat_chart_is_ricci_flat_and_flat(self):
-        rep = gm.verify_einstein(gm.flat_chart(6), rho=0.0, n_points=10)
+        rep = gm.verify_einstein(family_chart("flat", 6), rho=0.0, n_points=10)
         assert rep.einstein_max < TOL_EINSTEIN
         assert abs(rep.sectional_min) < 1e-4
         assert abs(rep.sectional_max) < 1e-4
 
     def test_richardson_estimate_tracks_fd_error(self):
-        rep = gm.verify_einstein(gm.round_chart(5), rho=4.0, n_points=6,
+        rep = gm.verify_einstein(family_chart("round", 5), rho=4.0, n_points=6,
                                  richardson=True)
         assert rep.richardson_max < 1e-3
         assert rep.richardson_max > 0.0
@@ -197,15 +203,15 @@ class TestSpaceFormCharts:
 class TestEinsteinCharts:
     def test_clifford_products(self):
         for n, rho in ((5, 1.0), (6, 2.0)):
-            rep = gm.verify_einstein(gm.product_chart(n, rho), rho=rho,
-                                     n_points=10)
+            rep = gm.verify_einstein(family_chart("clifford", n, rho=rho),
+                                     rho=rho, n_points=10)
             assert rep.einstein_max < TOL_EINSTEIN
             # Einstein but nowhere near constant curvature: mixed planes are flat
             assert rep.sectional_spread > 0.3
 
     def test_schwarzschild_charts(self):
         for n in (5, 6):
-            rep = gm.verify_einstein(gm.schwarzschild_chart(n), rho=0.0,
+            rep = gm.verify_einstein(family_chart("schwarzschild", n), rho=0.0,
                                      n_points=10)
             assert rep.einstein_max < TOL_EINSTEIN
             assert rep.sectional_spread > 1e-2
@@ -215,7 +221,7 @@ class TestEinsteinCharts:
         # base plane -(n-2)(n-3)c/(2 phi^{n-1}), mixed (n-3)c/(2 phi^{n-1}),
         # fiber-fiber -c/phi^{n-1}
         n = 5
-        chart = gm.schwarzschild_chart(n)
+        chart = family_chart("schwarzschild", n)
         x = np.array([0.9, 1.0, 1.2, 0.9, 2.2])
         pc = gm.curvature_fd(chart, x)
         phi = chart.warp.sample_at(x[0]).phi
@@ -231,7 +237,7 @@ class TestEinsteinCharts:
         assert base + (n - 2.0) * mixed == pytest.approx(0.0, abs=1e-12)
 
     def test_base_plane_matches_ode_curvature(self):
-        chart = gm.schwarzschild_chart(6)
+        chart = family_chart("schwarzschild", 6)
         x = np.array([1.1, 0.8, 1.3, 1.0, 0.8, 2.0])
         pc = gm.curvature_fd(chart, x)
         s = chart.warp.sample_at(x[0])
@@ -239,32 +245,32 @@ class TestEinsteinCharts:
         assert pc.sectional(0, 1) == pytest.approx(k_ode, rel=1e-4)
 
     def test_flat_torus_composite_is_einstein_not_flat(self):
-        rep = gm.verify_einstein(gm.flat_torus_composite_chart(7, 2), rho=0.0,
-                                 n_points=8)
+        rep = gm.verify_einstein(
+            family_chart("flat-torus-composite", 7, m=2), rho=0.0, n_points=8)
         assert rep.einstein_max < TOL_EINSTEIN
         assert rep.sectional_spread > 1e-2
 
     def test_extra_codim_charts_are_einstein(self):
         for n, m in ((7, 2), (8, 3)):
-            rep = gm.verify_einstein(gm.extra_codim_chart(n, m), rho=0.0,
-                                     n_points=8)
+            rep = gm.verify_einstein(family_chart("extra-codim", n, m=m),
+                                     rho=0.0, n_points=8)
             assert rep.einstein_max < TOL_EINSTEIN
             assert rep.sectional_spread > 1e-2
 
     def test_extra_codim_params_structure(self):
-        p = gm.extra_codim_params(7)
+        p = wf.extra_codim_params(7)
         assert p.eps == pytest.approx(3.0 / 4.0)
         assert p.phi0 == 1.5
         # smooth pole: phi''(0) = 1 exactly
         assert wf.rhs_second_order(p.n, p.eps, p.rho, p.phi0, p.dphi0) == 1.0
         assert p.c == pytest.approx(-p.eps * p.phi0 ** 4)
         with pytest.raises(BadDimension):
-            gm.extra_codim_params(5)
+            wf.extra_codim_params(5)
 
 
 class TestMismatchedFiberCharts:
     def test_round_torus_composite_fails_einstein(self):
-        rep = gm.verify_einstein(gm.round_torus_composite_chart(7, 2),
+        rep = gm.verify_einstein(family_chart("round-torus-composite", 7, m=2),
                                  rho=6.0, n_points=8)
         # fiber defect is -g_F per fiber direction; normalized residual
         # peaks at max(r1^2, r2^2)/2 = 1/3 for n=7, m=2
@@ -272,8 +278,9 @@ class TestMismatchedFiberCharts:
         assert rep.einstein_max < 1.0 / 3.0 + 1e-3
 
     def test_cylinder_torus_composite_fails_einstein(self):
-        rep = gm.verify_einstein(gm.cylinder_torus_composite_chart(7, 2),
-                                 rho=0.0, n_points=8)
+        rep = gm.verify_einstein(
+            family_chart("cylinder-torus-composite", 7, m=2), rho=0.0,
+            n_points=8)
         assert rep.einstein_max > 0.05
 
     def test_fiber_constant_residual_is_exactly_one(self):
@@ -295,7 +302,7 @@ class TestMismatchedFiberCharts:
         assert gm.fiber_constant_residual(lin, sol.sample_at(1.0), fib) == pytest.approx(
             0.0, abs=1e-10
         )
-        pex = gm.extra_codim_params(n)
+        pex = wf.extra_codim_params(n)
         solex = wf.integrate(pex, 1.5, step=1e-3)
         fibu = gm.unit_torus_fiber(n, 2)
         assert gm.fiber_constant_residual(
@@ -341,14 +348,27 @@ class TestScalarConditions:
 
 class TestChartGuards:
     def test_warped_chart_turning_point(self):
-        chart = gm.schwarzschild_chart(5)
+        chart = family_chart("schwarzschild", 5)
         with pytest.raises(SingularChartPoint):
             chart.metric_batch(np.array([[1e-7, 1.0, 1.2, 0.9, 2.0]]))
 
     def test_sample_box_margin_collapse(self):
-        chart = gm.schwarzschild_chart(5, t_range=(0.5, 0.501))
+        family = family_chart("schwarzschild", 5)
+        chart = gm.WarpedChart(warp=family.warp, fiber=family.fiber,
+                               t_range=(0.5, 0.501))
         with pytest.raises(OutsideDomain):
             gm.sample_points(chart, 4)
+
+    def test_nan_metric_fails_closed(self):
+        class NaNChart(gm.ProductChart):
+            def metric_batch(self, X):
+                return np.full_like(super().metric_batch(X), np.nan)
+
+        rep = gm.verify_einstein(NaNChart(gm.round_fiber(2)), rho=1.0,
+                                 n_points=3)
+        assert math.isnan(rep.einstein_max)
+        assert math.isnan(rep.sectional_spread)
+        assert not rep.passed
 
     def test_chart_for_family_dispatch(self):
         chart, rho = gm.chart_for_family("clifford", 5, rho=1.0)

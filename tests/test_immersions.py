@@ -19,6 +19,10 @@ from warpgeo.errors import BadDimension, BadRange, SingularChartPoint
 TOL_EINSTEIN = 5e-5
 
 
+def family_chart(family, n, **member):
+    return gm.chart_for_family(family, n, **member)[0]
+
+
 def fd_jacobian(fn, X, eps=1e-6):
     base = fn(X)
     out = np.zeros(base.shape + (X.shape[1],))
@@ -130,7 +134,7 @@ class TestRotationalImmersions:
     def test_pullback_equals_chart_metric(self):
         for n in (4, 5, 6):
             immr = im.schwarzschild_immersion(n)
-            chart = gm.schwarzschild_chart(n)
+            chart = family_chart("schwarzschild", n)
             X = gm.sample_points(chart, 5, seed=1)
             dev = np.max(np.abs(immr.pullback_batch(X) - chart.metric_batch(X)))
             assert dev < 1e-12
@@ -138,7 +142,7 @@ class TestRotationalImmersions:
     def test_extra_codim_pullback(self):
         for n, m in ((7, 2), (8, 3)):
             immr = im.extra_codim_immersion(n, m)
-            chart = gm.extra_codim_chart(n, m)
+            chart = family_chart("extra-codim", n, m=m)
             X = gm.sample_points(chart, 5, seed=2)
             dev = np.max(np.abs(immr.pullback_batch(X) - chart.metric_batch(X)))
             assert dev < 1e-12
@@ -151,7 +155,7 @@ class TestRotationalImmersions:
 
     def test_axis_distance_invariant(self, rng):
         immr = im.schwarzschild_immersion(5)
-        X = gm.sample_points(gm.schwarzschild_chart(5), 6, seed=4)
+        X = gm.sample_points(family_chart("schwarzschild", 5), 6, seed=4)
         V = immr.value_batch(X)
         phi = immr.meta["warp"].samples_at(X[:, 0])[0]
         dphi = immr.meta["warp"].samples_at(X[:, 0])[1]
@@ -161,7 +165,7 @@ class TestRotationalImmersions:
 
     def test_jet_consistency(self):
         immr = im.extra_codim_immersion(7, 2)
-        X = gm.sample_points(gm.extra_codim_chart(7, 2), 3, seed=5)
+        X = gm.sample_points(family_chart("extra-codim", 7, m=2), 3, seed=5)
         v, j, h = immr.jet(X)
         fdj = fd_jacobian(lambda q: immr.jet(q)[0], X)
         fdh = fd_jacobian(lambda q: immr.jet(q)[1], X)
@@ -193,7 +197,7 @@ class TestRotationalImmersions:
 class TestProductImmersions:
     def test_clifford_pullback_matches_chart(self):
         immr = im.clifford_immersion(5, 1.0)
-        chart = gm.product_chart(5, 1.0)
+        chart = family_chart("clifford", 5, rho=1.0)
         X = gm.sample_points(chart, 6, seed=3)
         dev = np.max(np.abs(immr.pullback_batch(X) - chart.metric_batch(X)))
         assert dev < 1e-13
@@ -205,7 +209,7 @@ class TestProductImmersions:
             assert rep.einstein_max < TOL_EINSTEIN
 
     def test_unit_sphere_control(self):
-        immr = im.unit_sphere_immersion(4)
+        immr = im.build_immersion("sphere", 4)
         chart = gm.PullbackChart(immr, label="pb")
         rep = gm.verify_einstein(chart, rho=3.0, n_points=8)
         assert rep.einstein_max < TOL_EINSTEIN
@@ -216,10 +220,9 @@ class TestProductImmersions:
 class TestComposites:
     def test_pullbacks_match_charts(self):
         cases = [
-            (im.flat_base_composite(7, 2), gm.flat_torus_composite_chart(7, 2)),
-            (im.sphere_base_composite(7, 2), gm.round_torus_composite_chart(7, 2)),
-            (im.cylinder_base_composite(7, 2),
-             gm.cylinder_torus_composite_chart(7, 2)),
+            (im.build_immersion(family, 7, m=2), family_chart(family, 7, m=2))
+            for family in ("flat-torus-composite", "round-torus-composite",
+                           "cylinder-torus-composite")
         ]
         for immc, chart in cases:
             X = gm.sample_points(chart, 5, seed=6)
@@ -239,10 +242,12 @@ class TestComposites:
         assert rep.sectional_spread > 1e-2
 
     def test_mismatched_composites_fail_einstein(self):
-        sphere = gm.PullbackChart(im.sphere_base_composite(7, 2), label="pb")
+        sphere = gm.PullbackChart(
+            im.build_immersion("round-torus-composite", 7, m=2), label="pb")
         rep = gm.verify_einstein(sphere, rho=6.0, n_points=6)
         assert rep.einstein_max > 0.2
-        cyl = gm.PullbackChart(im.cylinder_base_composite(7, 2), label="pb")
+        cyl = gm.PullbackChart(
+            im.build_immersion("cylinder-torus-composite", 7, m=2), label="pb")
         rep2 = gm.verify_einstein(cyl, rho=0.0, n_points=6)
         assert rep2.einstein_max > 0.05
 
@@ -259,8 +264,8 @@ class TestComposites:
         assert rep.einstein_max > 1e-3
 
     def test_jet_consistency(self):
-        immc = im.sphere_base_composite(7, 2)
-        chart = gm.round_torus_composite_chart(7, 2)
+        immc = im.build_immersion("round-torus-composite", 7, m=2)
+        chart = family_chart("round-torus-composite", 7, m=2)
         X = gm.sample_points(chart, 3, seed=7)
         v, j, h = immc.jet(X)
         fdj = fd_jacobian(lambda q: immc.jet(q)[0], X)
