@@ -1,31 +1,15 @@
-"""Hot numeric kernels, written once and compiled twice.
+"""Hot numeric kernels of the warp solver.
 
-The RK4 warp integrator and the quintic Hermite dense-output evaluator are
-sequential scalar loops, so they benefit from numba. Each kernel exists as a
-plain Python function (the ``*_py`` name) and, when numba is importable and
-``WARPGEO_DISABLE_NUMBA`` is unset, an ``njit``-compiled twin. Both twins are
-the same function object pre-compilation, so results agree bit for bit.
-
-Callers import ``rk4_warp`` and ``hermite_eval``; the module-level selection
-happens once at import time. ``USING_NUMBA`` records which path is live.
+``rk4_warp`` is the fixed-step RK4 integrator, a sequential scalar loop.
+``hermite_eval`` is the quintic Hermite dense-output evaluator, written as
+array code: every query point goes through the same formulas, in the same
+order of operations, in one numpy pass.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_DISABLED = os.environ.get("WARPGEO_DISABLE_NUMBA", "") not in ("", "0")
-USING_NUMBA = HAS_NUMBA and not _DISABLED
-
-
-def _rk4_warp_py(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
+def rk4_warp(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
     """Fixed-step RK4 on (phi, phi'). Returns arrays plus halt info.
 
     Arrays are preallocated to n_steps + 1 and the used count is returned;
@@ -82,7 +66,7 @@ def _rk4_warp_py(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
     return ts, ps, ds, count, hit_floor
 
 
-def _hermite_eval_py(t, t_lo, step, phi, dphi, d2phi, query):
+def hermite_eval(t, t_lo, step, phi, dphi, d2phi, query):
     """Quintic Hermite interpolation of (phi, phi') at query points.
 
     Nodes carry value, first and second derivative on a uniform grid
@@ -90,56 +74,37 @@ def _hermite_eval_py(t, t_lo, step, phi, dphi, d2phi, query):
     its length). Query points must lie within [t[0], t[-1]]. Returns
     (phi_q, dphi_q).
     """
-    m = query.shape[0]
-    out_p = np.empty(m)
-    out_d = np.empty(m)
-    n_nodes = t.shape[0]
-    for k in range(m):
-        x = query[k]
-        idx = int((x - t_lo) / step)
-        if idx < 0:
-            idx = 0
-        if idx > n_nodes - 2:
-            idx = n_nodes - 2
-        tau = (x - (t_lo + idx * step)) / step
-        p0 = phi[idx]
-        p1 = phi[idx + 1]
-        v0 = dphi[idx] * step
-        v1 = dphi[idx + 1] * step
-        a0 = d2phi[idx] * step * step
-        a1 = d2phi[idx + 1] * step * step
+    idx = ((query - t_lo) / step).astype(np.int64)
+    np.clip(idx, 0, t.shape[0] - 2, out=idx)
+    tau = (query - (t_lo + idx * step)) / step
+    p0 = phi[idx]
+    p1 = phi[idx + 1]
+    v0 = dphi[idx] * step
+    v1 = dphi[idx + 1] * step
+    a0 = d2phi[idx] * step * step
+    a1 = d2phi[idx + 1] * step * step
 
-        t2 = tau * tau
-        t3 = t2 * tau
-        t4 = t3 * tau
-        t5 = t4 * tau
+    t2 = tau * tau
+    t3 = t2 * tau
+    t4 = t3 * tau
+    t5 = t4 * tau
 
-        h0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-        h1 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-        h2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-        h3 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-        h4 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-        h5 = 0.5 * t3 - t4 + 0.5 * t5
+    h0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
+    h1 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
+    h2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
+    h3 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
+    h4 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
+    h5 = 0.5 * t3 - t4 + 0.5 * t5
 
-        dh0 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
-        dh1 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
-        dh2 = tau - 4.5 * t2 + 6.0 * t3 - 2.5 * t4
-        dh3 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
-        dh4 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
-        dh5 = 1.5 * t2 - 4.0 * t3 + 2.5 * t4
+    dh0 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
+    dh1 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
+    dh2 = tau - 4.5 * t2 + 6.0 * t3 - 2.5 * t4
+    dh3 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
+    dh4 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
+    dh5 = 1.5 * t2 - 4.0 * t3 + 2.5 * t4
 
-        out_p[k] = (
-            h0 * p0 + h1 * v0 + h2 * a0 + h3 * p1 + h4 * v1 + h5 * a1
-        )
-        out_d[k] = (
-            dh0 * p0 + dh1 * v0 + dh2 * a0 + dh3 * p1 + dh4 * v1 + dh5 * a1
-        ) / step
+    out_p = h0 * p0 + h1 * v0 + h2 * a0 + h3 * p1 + h4 * v1 + h5 * a1
+    out_d = (
+        dh0 * p0 + dh1 * v0 + dh2 * a0 + dh3 * p1 + dh4 * v1 + dh5 * a1
+    ) / step
     return out_p, out_d
-
-
-if USING_NUMBA:
-    rk4_warp = njit(cache=True)(_rk4_warp_py)
-    hermite_eval = njit(cache=True)(_hermite_eval_py)
-else:
-    rk4_warp = _rk4_warp_py
-    hermite_eval = _hermite_eval_py

@@ -157,7 +157,13 @@ class ProfileTable:
             )
         return np.sqrt(np.clip(m, 0.0, None))
 
-    def psi_at(self, ts):
+    def query(self, ts):
+        """Warp samples for psi at ts, from one samples_at call.
+
+        Returns the grid index at or below each point, the offset from that
+        node, and the four samples_at columns at the points, at their nodes
+        and at the Simpson midpoints between the two.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         sol = self.sol
         idx = np.clip(
@@ -165,20 +171,24 @@ class ProfileTable:
         )
         t_node = sol.t[idx]
         delta = ts - t_node
-        pn, dn, d2n, _ = sol.samples_at(t_node)
-        pm, dm, d2m, _ = sol.samples_at(t_node + 0.5 * delta)
-        pe, de, d2e, _ = sol.samples_at(ts)
+        cols = sol.samples_at(np.concatenate([ts, t_node, t_node + 0.5 * delta]))
+        end, node, mid = zip(*(np.split(col, 3) for col in cols))
+        return idx, delta, end, node, mid
+
+    def psi_at(self, ts, query=None):
+        """psi at ts; a given query, self.query(ts), is reused."""
+        idx, delta, end, node, mid = self.query(ts) if query is None else query
         inc = (delta / 6.0) * (
-            self._dpsi_arrays(pn, dn, d2n)
-            + 4.0 * self._dpsi_arrays(pm, dm, d2m)
-            + self._dpsi_arrays(pe, de, d2e)
+            self._dpsi_arrays(*node[:3])
+            + 4.0 * self._dpsi_arrays(*mid[:3])
+            + self._dpsi_arrays(*end[:3])
         )
         return self.psi[idx] + inc
 
-    def jet_at(self, ts):
+    def jet_at(self, ts, query=None):
         """(psi, psi', psi'') at query points; needs margin bounded away from 0."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        phi, dphi, d2phi, d3phi = self.sol.samples_at(ts)
+        query = self.query(ts) if query is None else query
+        phi, dphi, d2phi, d3phi = query[2]
         m = self._margin(dphi, d2phi)
         if np.any(m < _TOL_MARGIN):
             raise SingularChartPoint(
@@ -186,7 +196,7 @@ class ProfileTable:
             )
         dpsi = np.sqrt(m)
         d2psi = -d2phi * (dphi + d3phi) / dpsi
-        return self.psi_at(ts), dpsi, d2psi
+        return self.psi_at(ts, query), dpsi, d2psi
 
 
 # -- rotational immersions ------------------------------------------------------
@@ -207,10 +217,11 @@ def rotational_immersion(sol, fiber, t_range, label, rho):
     def jet_fn(X):
         nrow = X.shape[0]
         t, th = X[:, 0], X[:, 1]
-        phi, dphi, d2phi, d3phi = sol.samples_at(t)
+        query = table.query(t)
+        phi, dphi, d2phi, d3phi = query[2]
         if np.any(np.abs(dphi) < _TOL_TURNING):
             raise SingularChartPoint("profile radius phi' vanishes")
-        psi, dpsi, d2psi = table.jet_at(t)
+        psi, dpsi, d2psi = table.jet_at(t, query)
         vf, jf, hf = fiber_jet(fiber, X[:, 2:])
         st, ct = np.sin(th), np.cos(th)
 

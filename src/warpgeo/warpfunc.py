@@ -84,6 +84,7 @@ class WarpParams:
 
     c is derived from the initial state when omitted; when supplied it must
     agree with the state to within 1e-12 (1 + |c|) or the pair is rejected.
+    A parameter that is not finite is rejected with BadRange.
     """
 
     n: int
@@ -98,6 +99,10 @@ class WarpParams:
         if int(self.n) != self.n or self.n < 4:
             raise BadDimension("n must be an integer >= 4, got %r" % (self.n,))
         object.__setattr__(self, "n", int(self.n))
+        for name in ("eps", "rho", "t0", "phi0", "dphi0", "c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise BadRange("%s must be finite, got %r" % (name, value))
         if not self.phi0 > 0.0:
             raise NonPositiveWarp("phi0 must be positive, got %r" % (self.phi0,))
         derived = c_from_state(self.n, self.eps, self.rho, self.phi0, self.dphi0)
@@ -178,12 +183,13 @@ class WarpSolution:
         Interpolation is quintic Hermite on the stored grid; the second and
         third derivatives are then recomputed from the structural equation
         rather than differentiated numerically, so they inherit the accuracy
-        of (phi, phi').
+        of (phi, phi'). A query outside the interval, or not finite, raises
+        OutOfDomain.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         lo, hi = self.t_min, self.t_max
         pad = 1e-12 * (1.0 + abs(hi - lo))
-        if np.any(ts < lo - pad) or np.any(ts > hi + pad):
+        if not np.all((ts >= lo - pad) & (ts <= hi + pad)):
             raise OutOfDomain(
                 "query outside solved interval [%g, %g]" % (lo, hi)
             )
@@ -194,7 +200,7 @@ class WarpSolution:
         pp = self.params
         d2 = rhs_second_order(pp.n, pp.eps, pp.rho, p, d)
         d3 = third_derivative(pp.n, pp.rho, p, d, d2)
-        return np.asarray(p), np.asarray(d), np.atleast_1d(d2), np.atleast_1d(d3)
+        return p, d, d2, d3
 
     def sample_at(self, t):
         p, d, d2, d3 = self.samples_at([t])
@@ -223,8 +229,8 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8, phi_floor=1e-8,
         raise BadRange("on_floor must be 'truncate' or 'raise'")
     if not step > 0.0:
         raise BadRange("step must be positive")
-    if t_end == params.t0:
-        raise BadRange("t_end must differ from t0")
+    if not math.isfinite(t_end) or t_end == params.t0:
+        raise BadRange("t_end must be finite and differ from t0")
     if params.phi0 <= phi_floor:
         raise DomainExhausted(
             "initial phi0=%g is at or below phi_floor=%g"

@@ -111,9 +111,17 @@ class TestVerifyIntrinsic:
      "--points", "0"],
     ["classify-appendix", "--points", "0"],
     ["report", "--points", "0"],
+    ["warp", "--n", "5", "--eps", "nan"],
+    ["warp", "--n", "5", "--c", "nan"],
+    ["warp", "--n", "5", "--t0", "nan"],
+    ["warp", "--n", "5", "--phi0", "inf"],
+    ["warp", "--n", "5", "--t-end", "nan"],
+    ["warp", "--n", "5", "--rho", "inf"],
+    ["warp", "--n", "5", "--dphi0", "nan"],
 ])
 def test_no_evidence_is_config_error(capsys, argv):
-    # a zero or NaN step gives NaN residuals, zero points give no residuals
+    # a zero or NaN step gives NaN residuals, zero points give no residuals,
+    # a non-finite warp parameter gives a NaN or collapsing trajectory
     code, _ = run(capsys, *argv)
     assert code == 3
 

@@ -119,6 +119,38 @@ class TestProfileTable:
         with pytest.raises(SingularChartPoint):
             table.jet_at(np.array([3e-6]))
 
+    def test_one_dense_output_call_per_jet(self, monkeypatch):
+        from warpgeo import warpfunc as wf
+
+        immr = im.schwarzschild_immersion(5)
+        table = immr.meta["profile"]
+        sol = immr.meta["warp"]
+        X = immr.sample_box.mean(axis=1) + np.zeros((3, immr.dim))
+        X[:, 0] = (0.5, 0.9, 1.4)
+        t = X[:, 0]
+        phi, dphi, d2phi, d3phi = sol.samples_at(t)
+        psi = table.psi_at(t)
+        _, dpsi, d2psi = table.jet_at(t)
+        calls = []
+        samples_at = wf.WarpSolution.samples_at
+
+        def counted(self, ts):
+            calls.append(len(np.atleast_1d(ts)))
+            return samples_at(self, ts)
+
+        monkeypatch.setattr(wf.WarpSolution, "samples_at", counted)
+        v, j, h = immr.jet(X)
+        assert calls == [9]
+        st = np.sin(X[:, 1])
+        vf = im.fiber_jet(immr.meta["fiber"], X[:, 2:])[0]
+        assert np.array_equal(v[:, 0], psi)
+        assert np.array_equal(v[:, 1], dphi * st)
+        assert np.array_equal(v[:, 3:], phi[:, None] * vf)
+        assert np.array_equal(j[:, 0, 0], dpsi)
+        assert np.array_equal(j[:, 1, 0], d2phi * st)
+        assert np.array_equal(h[:, 0, 0, 0], d2psi)
+        assert np.array_equal(h[:, 1, 0, 0], d3phi * st)
+
     def test_negative_margin_rejected(self):
         # the sin family has margin identically zero; any numerical dip
         # below is clipped, but a genuinely infeasible family must raise

@@ -242,6 +242,9 @@ class TestDenseOutput:
             sol.sample_at(2.5)
         with pytest.raises(OutOfDomain):
             sol.sample_at(-0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfDomain):
+                sol.samples_at([1.0, bad])
 
     def test_third_derivative_consistent_with_difference_quotient(self):
         # independent route: finite difference of d2phi along the solution
