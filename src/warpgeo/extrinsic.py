@@ -8,7 +8,9 @@ must leave residuals, group sizes, and normal forms unchanged.
 The checks split into pointwise algebra (flat normal bundle, umbilical
 substructure, normal forms of shape-operator pairs) and differential
 identities (Gauss against intrinsic curvature, Codazzi, parallelism of the
-umbilical normal along its leaves).
+umbilical normal along its leaves). Every differential check reads one
+point evaluation, the PointExtrinsics of extrinsics_at, and evaluates the
+immersion again only at the points its own stencil adds.
 """
 
 import itertools
@@ -17,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, warpfunc
+from . import geometry
 from .errors import (
     BadDimension,
     BadRange,
     DegenerateDelta,
-    FrameMismatch,
     NotFlatNormal,
     NotNormalForm,
     RankDeficient,
@@ -58,11 +59,14 @@ class PointExtrinsics:
     alpha has shape (codim, d, d): symmetric shape-operator matrices in the
     orthonormal tangent frame, one per normal frame vector. Q holds the
     tangent frame in ambient coordinates, N the normal frame, B the change
-    of basis from frame to chart indices.
+    of basis from frame to chart indices; v, J, H is the immersion's jet at
+    x, which the differential checks reuse.
     """
 
     x: np.ndarray
-    g: np.ndarray
+    v: np.ndarray
+    J: np.ndarray
+    H: np.ndarray
     Q: np.ndarray
     N: np.ndarray
     B: np.ndarray
@@ -80,16 +84,11 @@ class PointExtrinsics:
     def shape_operators(self):
         return [self.alpha[k] for k in range(self.codim)]
 
-    @property
-    def mean_curvature(self):
-        """Mean curvature vector in normal-frame components."""
-        return np.einsum("cpp->c", self.alpha) / self.dim
-
 
 def extrinsics_at(imm, x):
     x = np.asarray(x, dtype=float)
     v, J, H = imm.jet(x[None])
-    J, H = J[0], H[0]
+    v, J, H = v[0], J[0], H[0]
     Q, R = np.linalg.qr(J)
     s = np.sign(np.diag(R))
     s[s == 0.0] = 1.0
@@ -103,7 +102,7 @@ def extrinsics_at(imm, x):
     a_chart = np.einsum("ca,aij->cij", N, H)
     alpha = np.einsum("ip,jq,cij->cpq", B, B, a_chart)
     alpha = 0.5 * (alpha + np.transpose(alpha, (0, 2, 1)))
-    return PointExtrinsics(x=x, g=J.T @ J, Q=Q, N=N, B=B, alpha=alpha)
+    return PointExtrinsics(x=x, v=v, J=J, H=H, Q=Q, N=N, B=B, alpha=alpha)
 
 
 def flat_normal_residual(alpha):
@@ -177,10 +176,6 @@ class UmbilicalStructure:
     def u_dim(self):
         return len(self.u_indices)
 
-    @property
-    def eta_norm(self):
-        return float(np.linalg.norm(self.eta))
-
 
 def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
     """Group tangent directions by principal curvature vector.
@@ -249,18 +244,7 @@ def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
     )
 
 
-def umbilical_normal_ambient(pe, rho=None):
-    """eta as an ambient vector; frame-independent by construction."""
-    um = umbilical_structure(pe.alpha, rho=rho)
-    return um.eta @ pe.N, um
-
-
 # -- Gauss equation ----------------------------------------------------------------
-
-def gauss_sectional(alpha, p, q):
-    """Sectional curvature of the frame plane (p, q) from the Gauss equation."""
-    return float(alpha[:, p, p] @ alpha[:, q, q] - alpha[:, p, q] @ alpha[:, p, q])
-
 
 def gauss_ricci(alpha):
     """Ricci tensor in the orthonormal frame, flat ambient Gauss equation."""
@@ -270,56 +254,56 @@ def gauss_ricci(alpha):
     )
 
 
-def gauss_ricci_residual(imm, x, h=1e-3):
-    """Extrinsic Ricci against finite-difference intrinsic Ricci.
+def gauss_ricci_residual(imm, pe, h=1e-3):
+    """Extrinsic Ricci against finite-difference intrinsic Ricci at pe.x.
 
     Independent routes: the left side never differentiates anything (exact
     jets and frame algebra), the right side never sees the ambient space
     (metric stencils on the pullback chart).
     """
-    pe = extrinsics_at(imm, x)
     ric_ext = gauss_ricci(pe.alpha)
     chart = geometry.PullbackChart(imm, label="pullback")
-    pc = geometry.curvature_fd(chart, x, h=h)
+    pc = geometry.curvature_fd(chart, pe.x, h=h)
     ric_int = np.einsum("ip,jq,ij->pq", pe.B, pe.B, pc.ricci)
     return float(np.max(np.abs(ric_ext - ric_int)))
 
 
 # -- Codazzi -------------------------------------------------------------------------
 
-def _alpha_ambient(imm, x):
-    """Ambient-valued second fundamental form in chart indices at x."""
-    v, J, H = imm.jet(np.atleast_2d(x))
-    J, H = J[0], H[0]
+def _alpha_chart(J, H):
+    """Ambient-valued second fundamental form in chart indices, with the
+    Christoffel symbols Gamma^d_ij and the inverse of the pullback metric
+    J^T J, all read off the jet."""
     G = J.T @ J
     Gi = np.linalg.inv(G)
-    # subtract the tangential part J Gamma^d_ij with Gamma from the jets
+    # subtract the tangential part J Gamma^d_ij
     gam = np.einsum("de,ae,aij->dij", Gi, J, H)
-    return H - np.einsum("ad,dij->aij", J, gam), J, gam
+    return H - np.einsum("ad,dij->aij", J, gam), gam, Gi
 
 
-def codazzi_residual(imm, x, h=1e-4):
-    """Antisymmetry defect of the covariant derivative of alpha.
+def codazzi_residual(imm, pe, h=1e-4):
+    """Antisymmetry defect of the covariant derivative of alpha at pe.x.
 
     (nabla_a alpha)(b, c) is computed as the normal projection of the
     coordinate derivative of the ambient-valued alpha minus the two
     Christoffel corrections; Codazzi in flat ambient space demands symmetry
-    in (a, b), so the a-b antisymmetrization is pure error.
+    in (a, b), so the a-b antisymmetrization is pure error. The 2 dim
+    displaced points are evaluated in one jet call.
     """
-    x = np.asarray(x, dtype=float)
     d = imm.dim
-    a0, J, gam = _alpha_ambient(imm, x)
+    a0, gam, Gi = _alpha_chart(pe.J, pe.H)
     amb = a0.shape[0]
-    G = J.T @ J
-    Gi = np.linalg.inv(G)
-    PiN = np.eye(amb) - J @ Gi @ J.T
+    PiN = np.eye(amb) - pe.J @ Gi @ pe.J.T
+    # rows 2a and 2a + 1 are pe.x displaced by +h and -h along axis a
+    axes = np.arange(d)
+    X = np.repeat(pe.x[None], 2 * d, axis=0)
+    X[2 * axes, axes] += h
+    X[2 * axes + 1, axes] -= h
+    _, Js, Hs = imm.jet(X)
     da = np.empty((d, amb, d, d))
     for a in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[a] += h
-        xm[a] -= h
-        ap, _, _ = _alpha_ambient(imm, xp)
-        am, _, _ = _alpha_ambient(imm, xm)
+        ap = _alpha_chart(Js[2 * a], Hs[2 * a])[0]
+        am = _alpha_chart(Js[2 * a + 1], Hs[2 * a + 1])[0]
         da[a] = (ap - am) / (2.0 * h)
     # (nabla_a alpha)_bc = PiN d_a alpha_bc - Gamma^d_ab alpha_dc - Gamma^d_ac alpha_bd
     nab = np.einsum("xy,aybc->axbc", PiN, da)
@@ -329,58 +313,16 @@ def codazzi_residual(imm, x, h=1e-4):
     return float(np.max(np.abs(defect)))
 
 
-def codazzi_field_residual(field_fn, x, h=1e-4):
-    """Codazzi defect of a prescribed shape-operator field over a flat chart.
-
-    field_fn(x) returns a list of symmetric matrices; the chart metric is
-    the identity, so the covariant derivative is the plain derivative and
-    the defect is max_c |d_a A^c_bc - d_b A^c_ac|. A nonzero limit under
-    h-refinement certifies that no immersion realizes the field.
-    """
-    x = np.asarray(x, dtype=float)
-    mats0 = field_fn(x)
-    c = len(mats0)
-    d = mats0[0].shape[0]
-    if x.shape != (d,):
-        raise FrameMismatch(
-            "field point must have one coordinate per tangent direction"
-        )
-    dA = np.empty((d, c, d, d))
-    for a in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[a] += h
-        xm[a] -= h
-        mp, mm = field_fn(xp), field_fn(xm)
-        for k in range(c):
-            dA[a, k] = (mp[k] - mm[k]) / (2.0 * h)
-    defect = dA - np.transpose(dA, (2, 1, 0, 3))
-    return float(np.max(np.abs(defect)))
-
-
-def synthetic_shape_field(x):
-    """Commuting shape-operator pair that satisfies the pointwise normal form
-    with opposite-sign pairing but violates Codazzi.
-
-    a and b vary over the chart; p = b - a and q = b + a keep the relation
-    pq = b^2 - a^2 exact at every point, yet the field is not realizable.
-    """
-    a = 1.0 + 0.3 * math.sin(x[0]) * math.cos(x[1])
-    b = 0.5 + 0.2 * math.cos(x[2])
-    A1 = np.diag([a, -a, b, -b])
-    A2 = np.diag([0.0, 0.0, b - a, b + a])
-    return [A1, A2]
-
-
 # -- rotational profile normal --------------------------------------------------------
 
-def profile_delta(sol, t):
-    """Coefficients (a, b, c) of the distinguished rotational normal.
+def profile_delta(s):
+    """Coefficients (a, b, c) of the distinguished rotational normal at the
+    warp sample s.
 
     delta = (a, b sin theta, b cos theta, c F(y)) with a = -phi' psi',
     b = -phi' phi'', c = 1 - phi'^2; |delta|^2 = 1 - phi'^2. Degenerates
     when phi' approaches 1.
     """
-    s = sol.sample_at(t)
     w2 = 1.0 - s.dphi ** 2
     if w2 <= 1e-8:
         raise DegenerateDelta("profile normal degenerates as phi' -> 1")
@@ -391,7 +333,7 @@ def profile_delta(sol, t):
     return -s.dphi * dpsi, -s.dphi * s.d2phi, w2
 
 
-def profile_normal_shape_residual(imm, x):
+def profile_normal_shape_residual(imm, pe):
     """Deviation of A_delta from its block form phi'' I_2 (+) -(w^2/phi) I.
 
     Exact identity for every rotational immersion here, independent of the
@@ -399,20 +341,16 @@ def profile_normal_shape_residual(imm, x):
     """
     if imm.meta.get("kind") != "rotational":
         raise BadRange("profile normal exists only for rotational immersions")
-    sol = imm.meta["warp"]
-    x = np.asarray(x, dtype=float)
-    t, th = x[0], x[1]
-    s = sol.sample_at(t)
-    a, b, c = profile_delta(sol, t)
-    v, J, H = imm.jet(x[None])
-    v, J, H = v[0], J[0], H[0]
+    t, th = pe.x[0], pe.x[1]
+    s = imm.meta["warp"].sample_at(t)
+    a, b, c = profile_delta(s)
     delta = np.zeros(imm.ambient_dim)
     delta[0] = a
     delta[1] = b * math.sin(th)
     delta[2] = b * math.cos(th)
-    delta[3:] = c * v[3:] / s.phi
-    M = np.einsum("x,xij->ij", delta, H)
-    G = J.T @ J
+    delta[3:] = c * pe.v[3:] / s.phi
+    M = np.einsum("x,xij->ij", delta, pe.H)
+    G = pe.J.T @ pe.J
     S = np.linalg.solve(G, M)
     d = imm.dim
     want = np.zeros((d, d))
@@ -425,25 +363,24 @@ def profile_normal_shape_residual(imm, x):
 
 # -- Dupin condition -----------------------------------------------------------------
 
-def dupin_residual(imm, x, rho=None, h=1e-4, leaf_axis=None):
-    """Normal-space velocity of eta along a U-leaf direction.
+def dupin_residual(imm, pe, h=1e-4, leaf_axis=None):
+    """Normal-space velocity of eta along a U-leaf direction at pe.x.
 
-    eta is recomputed at the two displaced points (it is frame-independent,
-    so normal-frame jumps between neighboring points cannot pollute the
-    difference quotient) and differentiated centrally; parallelism in the
-    normal connection means the normal projection of the derivative
-    vanishes.
+    eta is recomputed as an ambient vector at the two displaced points (it
+    is frame-independent, so normal-frame jumps between neighboring points
+    cannot pollute the difference quotient) and differentiated centrally;
+    parallelism in the normal connection means the normal projection of
+    the derivative vanishes.
     """
-    x = np.asarray(x, dtype=float)
     if leaf_axis is None:
         leaf_axis = imm.dim - 1
-    pe = extrinsics_at(imm, x)
-    xp, xm = x.copy(), x.copy()
-    xp[leaf_axis] += h
-    xm[leaf_axis] -= h
-    ep, _ = umbilical_normal_ambient(extrinsics_at(imm, xp), rho=rho)
-    em, _ = umbilical_normal_ambient(extrinsics_at(imm, xm), rho=rho)
-    vel = (ep - em) / (2.0 * h)
+    eta = []
+    for sign in (1.0, -1.0):
+        y = pe.x.copy()
+        y[leaf_axis] += sign * h
+        pe_y = extrinsics_at(imm, y)
+        eta.append(umbilical_structure(pe_y.alpha).eta @ pe_y.N)
+    vel = (eta[0] - eta[1]) / (2.0 * h)
     return float(np.linalg.norm(pe.N @ vel))
 
 
@@ -645,15 +582,15 @@ def extrinsic_scan(imm, n_points=8, seed=0, h=1e-3):
     for x in pts:
         pe = extrinsics_at(imm, x)
         flat.append(flat_normal_residual(pe.alpha))
-        gauss.append(gauss_ricci_residual(imm, x, h=h))
-        codazzi.append(codazzi_residual(imm, x))
+        gauss.append(gauss_ricci_residual(imm, pe, h=h))
+        codazzi.append(codazzi_residual(imm, pe))
         um = umbilical_structure(pe.alpha, rho=imm.rho)
         u_dims.append(um.u_dim)
         if um.residuals is not None:
             umb.append(np.max(np.abs(list(um.residuals.values()))))
-            dupin.append(dupin_residual(imm, x, rho=imm.rho))
+            dupin.append(dupin_residual(imm, pe))
         if rotational:
-            profile.append(profile_normal_shape_residual(imm, x))
+            profile.append(profile_normal_shape_residual(imm, pe))
     return ExtrinsicReport(
         label=imm.label, dim=imm.dim, codim=imm.ambient_dim - imm.dim,
         n_points=len(pts), flat_normal_max=float(np.max(flat)),

@@ -3,10 +3,11 @@
 A chart is anything with a dim, a sample_box of shape (dim, 2), and a
 metric_batch taking (N, dim) points to (N, dim, dim) metric matrices. Three
 implementations live here: products of round spheres, warped products over a
-rotational base, and pullbacks of explicit immersions. The finite-difference
-engine differentiates the metric twice with central stencils and assembles
-Christoffel symbols, the curvature tensor, Ricci, and sectional curvatures,
-so every chart gets Einstein verification through one code path.
+rotational base, and pullbacks of explicit immersions. curvature_fd
+differentiates the metric twice with central stencils and assembles the
+Christoffel symbols, the curvature tensor and Ricci in one place; the
+sectional curvatures of a point read its Riemann tensor, lowered once. Every
+chart gets Einstein verification through this one code path.
 
 FAMILIES is the family table: one row per model geometry, from which every
 chart and immersion, every command-line --family choice and every `report`
@@ -47,8 +48,10 @@ class FiberSpec:
             raise BadDimension("dims and radii must be equal-length, nonempty")
         if any(d < 1 for d in self.dims):
             raise BadDimension("sphere factors must have dimension >= 1")
-        if any(r <= 0 for r in self.radii):
-            raise BadRange("radii must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in self.radii):
+            raise BadRange("radii must be finite and positive")
+        if not math.isfinite(self.offset):
+            raise BadRange("offset must be finite")
 
     @property
     def dim(self):
@@ -66,13 +69,6 @@ class FiberSpec:
         if max(ks) - min(ks) <= 1e-12 * (1.0 + max(abs(k) for k in ks)):
             return ks[0]
         return None
-
-    def normalized_eps(self, n):
-        """eps with which this fiber fits an n-dim warped product, or None."""
-        k = self.einstein_constant
-        if k is None or self.dim != n - 2:
-            return None
-        return k / (n - 3.0)
 
     def ambient_radius(self):
         """Distance of the image from the origin of the flat ambient."""
@@ -286,21 +282,6 @@ def metric_jet_fd(chart, x, h=1e-3):
     return g, dg, d2g
 
 
-def christoffel_from_jet(g, dg):
-    """Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
-    ginv = np.linalg.inv(g)
-    # bracket[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-    bracket = (np.transpose(dg, (2, 0, 1))
-               + np.transpose(dg, (2, 1, 0))
-               - dg)
-    return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
-
-
-def christoffel_fd(chart, x, h=1e-3):
-    g, dg, _ = metric_jet_fd(chart, x, h=h)
-    return christoffel_from_jet(g, dg)
-
-
 @dataclass
 class PointCurvature:
     """Curvature data of one chart point, all indices coordinate-frame."""
@@ -311,25 +292,16 @@ class PointCurvature:
     ricci: np.ndarray     # symmetrized
     ricci_sym_defect: float
 
+    @functools.cached_property
+    def riemann_low(self):
+        """R_{abcd}, lowered once per point for every sectional call."""
+        return np.einsum("ae,ebcd->abcd", self.g, self.riemann)
+
     def sectional(self, i, j):
         """Curvature of the coordinate plane (i, j)."""
-        r_low = np.einsum("ae,ebcd->abcd", self.g, self.riemann)
-        num = r_low[i, j, i, j]
+        num = self.riemann_low[i, j, i, j]
         den = self.g[i, i] * self.g[j, j] - self.g[i, j] ** 2
         return float(num / den)
-
-    def sectional_plane(self, u, v):
-        """Curvature of the plane spanned by arbitrary vectors u, v."""
-        r_low = np.einsum("ae,ebcd->abcd", self.g, self.riemann)
-        num = np.einsum("abcd,a,b,c,d->", r_low, u, v, u, v)
-        gu = self.g @ u
-        gv = self.g @ v
-        den = (u @ gu) * (v @ gv) - (u @ gv) ** 2
-        return float(num / den)
-
-    @property
-    def scalar(self):
-        return float(np.einsum("ab,ab->", np.linalg.inv(self.g), self.ricci))
 
 
 def curvature_fd(chart, x, h=1e-3):
@@ -595,13 +567,6 @@ class CurvatureReport:
         }
 
 
-def einstein_residual_at(chart, x, rho, h=1e-3):
-    """max |Ric - rho g| / (1 + max |g|) at one point."""
-    pc = curvature_fd(chart, x, h=h)
-    dev = np.max(np.abs(pc.ricci - rho * pc.g))
-    return float(dev / (1.0 + np.max(np.abs(pc.g)))), pc
-
-
 def sample_points(chart, n_points, seed=0, margin=None, h=1e-3):
     """n_points quasi-random chart points, a stencil margin inside the box.
 
@@ -626,6 +591,7 @@ def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
                     richardson=False, max_planes=10):
     """Sample the chart and bound the Einstein defect pointwise.
 
+    The defect at a point is max |Ric - rho g| / (1 + max |g|).
     richardson=True recomputes each point at h/2 and reports the largest
     Ricci shift between the two resolutions, an empirical error estimate
     for the finite differences themselves.
@@ -639,8 +605,9 @@ def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
         pairs = [pairs[int(k)] for k in sel]
     resids, syms, secs, rich = [], [], [], []
     for x in pts:
-        resid, pc = einstein_residual_at(chart, x, rho, h=h)
-        resids.append(resid)
+        pc = curvature_fd(chart, x, h=h)
+        dev = np.max(np.abs(pc.ricci - rho * pc.g))
+        resids.append(float(dev / (1.0 + np.max(np.abs(pc.g)))))
         syms.append(pc.ricci_sym_defect)
         secs.extend(pc.sectional(i, j) for (i, j) in pairs)
         if richardson:

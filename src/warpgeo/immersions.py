@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, sampling, serialize
-from .errors import BadDimension, BadRange, SingularChartPoint
+from .errors import BadDimension, BadRange, OutOfDomain, SingularChartPoint
 
 _TOL_TURNING = 1e-6
 _TOL_MARGIN = 1e-10
@@ -118,10 +118,6 @@ class Immersion:
     def jacobian_batch(self, X):
         return self.jet(X)[1]
 
-    def pullback_batch(self, X):
-        J = self.jacobian_batch(X)
-        return np.einsum("nai,naj->nij", J, J)
-
 
 # -- profile curve -------------------------------------------------------------
 
@@ -165,10 +161,13 @@ class ProfileTable:
         and at the Simpson midpoints between the two.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if not np.all(np.isfinite(ts)):
+            raise OutOfDomain("profile query t must be finite")
         sol = self.sol
+        # clipped before the cast, so a far-off t cannot overflow it
         idx = np.clip(
-            ((ts - sol.t[0]) / sol.step).astype(int), 0, len(sol.t) - 1
-        )
+            (ts - sol.t[0]) / sol.step, 0, len(sol.t) - 1
+        ).astype(int)
         t_node = sol.t[idx]
         delta = ts - t_node
         cols = sol.samples_at(np.concatenate([ts, t_node, t_node + 0.5 * delta]))

@@ -118,10 +118,19 @@ class TestVerifyIntrinsic:
     ["warp", "--n", "5", "--t-end", "nan"],
     ["warp", "--n", "5", "--rho", "inf"],
     ["warp", "--n", "5", "--dphi0", "nan"],
+    ["verify-intrinsic", "--family", "clifford", "--n", "5", "--rho", "1",
+     "--perturb", "nan"],
+    ["verify-intrinsic", "--family", "clifford", "--n", "5", "--rho", "1",
+     "--perturb", "inf"],
+    ["verify-extrinsic", "--family", "clifford", "--n", "5", "--rho", "1",
+     "--perturb", "nan"],
+    ["verify-extrinsic", "--family", "clifford", "--n", "5", "--rho", "1",
+     "--perturb", "inf"],
 ])
 def test_no_evidence_is_config_error(capsys, argv):
     # a zero or NaN step gives NaN residuals, zero points give no residuals,
-    # a non-finite warp parameter gives a NaN or collapsing trajectory
+    # a non-finite warp parameter gives a NaN or collapsing trajectory, a
+    # non-finite --perturb a non-finite fiber radius
     code, _ = run(capsys, *argv)
     assert code == 3
 

@@ -26,6 +26,70 @@ def schw_point(n):
     return imm, x
 
 
+def at(imm, x):
+    return extrinsic.extrinsics_at(imm, x)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name with a counter; returns a one-entry list."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def gauss_sectional(alpha, p, q):
+    """Sectional curvature of the frame plane (p, q) from the Gauss equation."""
+    return float(alpha[:, p, p] @ alpha[:, q, q] - alpha[:, p, q] @ alpha[:, p, q])
+
+
+def codazzi_field_residual(field_fn, x, h=1e-4):
+    """Codazzi defect of a prescribed shape-operator field over a flat chart.
+
+    field_fn(x) returns a list of symmetric matrices; the chart metric is
+    the identity, so the covariant derivative is the plain derivative and
+    the defect is max_c |d_a A^c_bc - d_b A^c_ac|. A nonzero limit under
+    h-refinement certifies that no immersion realizes the field.
+    """
+    x = np.asarray(x, dtype=float)
+    mats0 = field_fn(x)
+    c = len(mats0)
+    d = mats0[0].shape[0]
+    if x.shape != (d,):
+        raise FrameMismatch(
+            "field point must have one coordinate per tangent direction"
+        )
+    dA = np.empty((d, c, d, d))
+    for a in range(d):
+        xp, xm = x.copy(), x.copy()
+        xp[a] += h
+        xm[a] -= h
+        mp, mm = field_fn(xp), field_fn(xm)
+        for k in range(c):
+            dA[a, k] = (mp[k] - mm[k]) / (2.0 * h)
+    defect = dA - np.transpose(dA, (2, 1, 0, 3))
+    return float(np.max(np.abs(defect)))
+
+
+def synthetic_shape_field(x):
+    """Commuting shape-operator pair that satisfies the pointwise normal form
+    with opposite-sign pairing but violates Codazzi.
+
+    a and b vary over the chart; p = b - a and q = b + a keep the relation
+    pq = b^2 - a^2 exact at every point, yet the field is not realizable.
+    """
+    a = 1.0 + 0.3 * math.sin(x[0]) * math.cos(x[1])
+    b = 0.5 + 0.2 * math.cos(x[2])
+    A1 = np.diag([a, -a, b, -b])
+    A2 = np.diag([0.0, 0.0, b - a, b + a])
+    return [A1, A2]
+
+
 class TestFrames:
     def test_orthonormal_and_complementary(self):
         imm, x = schw_point(5)
@@ -63,7 +127,7 @@ class TestFrames:
             rot = np.einsum("pi,mpq,qj->mij", ot, rot, ot)
             um = extrinsic.umbilical_structure(rot, rho=imm.rho)
             assert um.group_sizes == um0.group_sizes
-            assert abs(um.eta_norm - um0.eta_norm) < 1e-10
+            assert abs(np.linalg.norm(um.eta) - np.linalg.norm(um0.eta)) < 1e-10
             assert extrinsic.flat_normal_residual(rot) < flat0 + 1e-12
             for key, val in um0.residuals.items():
                 assert abs(um.residuals[key] - val) < 1e-9
@@ -73,17 +137,17 @@ class TestProfileNormal:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_block_form_is_exact(self, n):
         imm, x = schw_point(n)
-        assert extrinsic.profile_normal_shape_residual(imm, x) < 1e-12
+        assert extrinsic.profile_normal_shape_residual(imm, at(imm, x)) < 1e-12
 
     def test_extra_codim_block_form(self):
         imm = immersions.extra_codim_immersion(7, 2)
         x = np.array([0.9, 1.0, 0.9, 1.1, 0.8, 1.2, 2.0])
-        assert extrinsic.profile_normal_shape_residual(imm, x) < 1e-12
+        assert extrinsic.profile_normal_shape_residual(imm, at(imm, x)) < 1e-12
 
     def test_delta_norm_matches_turning_margin(self):
         sol = warpfunc.integrate(warpfunc.schwarzschild_params(5), 1.6, 1e-3)
-        a, b, c = extrinsic.profile_delta(sol, 0.9)
         s = sol.sample_at(0.9)
+        a, b, c = extrinsic.profile_delta(s)
         w2 = 1.0 - s.dphi ** 2
         norm2 = a * a + b * b + c * c * 1.0
         # |delta|^2 = a^2 + b^2 + c^2 with |F| = 1, and it equals w^2
@@ -92,12 +156,13 @@ class TestProfileNormal:
     def test_degenerate_when_slope_reaches_one(self):
         sol = warpfunc.integrate(warpfunc.linear_params(6), 2.0, 1e-3)
         with pytest.raises(DegenerateDelta):
-            extrinsic.profile_delta(sol, 1.5)
+            extrinsic.profile_delta(sol.sample_at(1.5))
 
     def test_rejects_non_rotational(self):
         imm = immersions.clifford_immersion(5, 1.0)
+        pe = at(imm, np.zeros(5) + 0.9)
         with pytest.raises(BadRange):
-            extrinsic.profile_normal_shape_residual(imm, np.zeros(5) + 0.9)
+            extrinsic.profile_normal_shape_residual(imm, pe)
 
 
 class TestUmbilicalStructure:
@@ -111,7 +176,7 @@ class TestUmbilicalStructure:
         sol = imm.meta["warp"]
         s = sol.sample_at(x[0])
         w = math.sqrt(1.0 - s.dphi ** 2)
-        assert abs(um.eta_norm - w / s.phi) < 1e-10
+        assert abs(np.linalg.norm(um.eta) - w / s.phi) < 1e-10
         for val in um.residuals.values():
             assert abs(val) < 1e-10
 
@@ -124,7 +189,7 @@ class TestUmbilicalStructure:
         um = extrinsic.umbilical_structure(pe.alpha, rho=rho)
         assert um.u_dim == n - 2
         assert um.group_sizes == (n - 2, 2)
-        assert abs(um.eta_norm - expect) < 1e-12
+        assert abs(np.linalg.norm(um.eta) - expect) < 1e-12
         for val in um.residuals.values():
             assert abs(val) < 1e-12
 
@@ -187,29 +252,29 @@ class TestGaussEquation:
     def test_extrinsic_ricci_matches_intrinsic(self, make):
         imm = make()
         x = np.full(imm.dim, 0.9) + 0.05 * np.arange(imm.dim)
-        assert extrinsic.gauss_ricci_residual(imm, x) < 5e-5
+        assert extrinsic.gauss_ricci_residual(imm, at(imm, x)) < 5e-5
 
     def test_sectional_of_product_planes(self):
         # the frame aligns with coordinates because the pullback is diagonal
         imm = immersions.clifford_immersion(5, 1.0)
         x = np.full(5, 0.9) + 0.1 * np.arange(5)
         pe = extrinsic.extrinsics_at(imm, x)
-        assert abs(extrinsic.gauss_sectional(pe.alpha, 0, 1) - 1.0) < 1e-12
-        assert abs(extrinsic.gauss_sectional(pe.alpha, 0, 2)) < 1e-12
-        assert abs(extrinsic.gauss_sectional(pe.alpha, 2, 3) - 0.5) < 1e-12
+        assert abs(gauss_sectional(pe.alpha, 0, 1) - 1.0) < 1e-12
+        assert abs(gauss_sectional(pe.alpha, 0, 2)) < 1e-12
+        assert abs(gauss_sectional(pe.alpha, 2, 3) - 0.5) < 1e-12
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_sectional_of_rotational_planes(self, n):
         imm, x = schw_point(n)
         pe = extrinsic.extrinsics_at(imm, x)
         s = imm.meta["warp"].sample_at(x[0])
-        base = extrinsic.gauss_sectional(pe.alpha, 0, 1)
+        base = gauss_sectional(pe.alpha, 0, 1)
         assert abs(base - (n - 2.0) * s.d2phi / s.phi) < 1e-11
-        mixed = extrinsic.gauss_sectional(pe.alpha, 0, 2)
+        mixed = gauss_sectional(pe.alpha, 0, 2)
         assert abs(mixed - (-s.d2phi / s.phi)) < 1e-12
         if n > 4:
             c = imm.meta["warp"].params.c
-            fib = extrinsic.gauss_sectional(pe.alpha, 2, 3)
+            fib = gauss_sectional(pe.alpha, 2, 3)
             assert abs(fib - (-c / s.phi ** (n - 1.0))) < 1e-12
 
     def test_ricci_from_alpha_closed_form(self):
@@ -221,6 +286,13 @@ class TestGaussEquation:
 
 
 class TestCodazzi:
+    def test_one_jet_call(self, monkeypatch):
+        imm, x = schw_point(5)
+        pe = at(imm, x)
+        jets = count_calls(monkeypatch, immersions.Immersion, "jet")
+        extrinsic.codazzi_residual(imm, pe)
+        assert jets == [1]
+
     @pytest.mark.parametrize("make", [
         lambda: immersions.schwarzschild_immersion(5),
         lambda: immersions.flat_base_composite(7, 2),
@@ -228,19 +300,19 @@ class TestCodazzi:
     def test_immersions_satisfy_codazzi(self, make):
         imm = make()
         x = np.full(imm.dim, 0.9) + 0.05 * np.arange(imm.dim)
-        assert extrinsic.codazzi_residual(imm, x) < 1e-6
+        assert extrinsic.codazzi_residual(imm, at(imm, x)) < 1e-6
 
     def test_synthetic_field_fails_codazzi(self):
         y = np.array([0.7, 1.2, 0.5, 0.0])
-        r1 = extrinsic.codazzi_field_residual(extrinsic.synthetic_shape_field, y, h=1e-4)
-        r2 = extrinsic.codazzi_field_residual(extrinsic.synthetic_shape_field, y, h=5e-5)
+        r1 = codazzi_field_residual(synthetic_shape_field, y, h=1e-4)
+        r2 = codazzi_field_residual(synthetic_shape_field, y, h=5e-5)
         assert r1 > 0.05 and r2 > 0.05
         # converges to a nonzero limit instead of decaying with h
         assert abs(r1 - r2) < 1e-6
 
     def test_synthetic_field_still_has_pointwise_form(self):
         y = np.array([0.7, 1.2, 0.5, 0.0])
-        a1, a2 = extrinsic.synthetic_shape_field(y)
+        a1, a2 = synthetic_shape_field(y)
         form = extrinsic.shape_operator_normal_form(a1, a2)
         assert form.kind == "epsilon"
         assert form.eps == -1
@@ -248,8 +320,8 @@ class TestCodazzi:
 
     def test_field_point_width_guard(self):
         with pytest.raises(FrameMismatch):
-            extrinsic.codazzi_field_residual(
-                extrinsic.synthetic_shape_field, np.zeros(3)
+            codazzi_field_residual(
+                synthetic_shape_field, np.zeros(3)
             )
 
 
@@ -322,12 +394,12 @@ class TestNormalForms:
 class TestDupin:
     def test_rotational_eta_parallel_along_leaf(self):
         imm, x = schw_point(5)
-        assert extrinsic.dupin_residual(imm, x, rho=0.0) < 1e-6
+        assert extrinsic.dupin_residual(imm, at(imm, x)) < 1e-6
 
     def test_product_eta_parallel_along_leaf(self):
         imm = immersions.clifford_immersion(5, 1.0)
         x = np.full(5, 0.9) + 0.1 * np.arange(5)
-        assert extrinsic.dupin_residual(imm, x, rho=1.0) < 1e-8
+        assert extrinsic.dupin_residual(imm, at(imm, x)) < 1e-8
 
 
 class TestScan:
@@ -354,6 +426,23 @@ class TestScan:
         assert rep.u_dim_mode != imm.dim - 2
         assert rep.flat_normal_max < 1e-12
         assert rep.gauss_max < 5e-5
+
+    @pytest.mark.parametrize("family,n,m,n_extrinsics,n_jets", [
+        ("schwarzschild", 5, None, 36, 60),
+        ("flat-torus-composite", 7, 2, 12, 36),
+    ])
+    def test_one_evaluation_per_point(self, monkeypatch, family, n, m,
+                                      n_extrinsics, n_jets):
+        # a point's own evaluation, its Gauss stencil and its Codazzi
+        # displacements are one jet call each; Dupin evaluates the two leaf
+        # neighbours of every point where it runs
+        imm = immersions.build_immersion(family, n, m=m)
+        pes = count_calls(monkeypatch, extrinsic, "extrinsics_at")
+        jets = count_calls(monkeypatch, immersions.Immersion, "jet")
+        rep = extrinsic.extrinsic_scan(imm, n_points=12)
+        u = rep.umbilical_points
+        assert pes == [12 + 2 * u] == [n_extrinsics]
+        assert jets == [3 * 12 + 2 * u] == [n_jets]
 
     def test_nan_commutator_propagates(self):
         alpha = np.zeros((2, 3, 3))

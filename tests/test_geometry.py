@@ -51,6 +51,13 @@ class TestFiberSpec:
         # the final angle is an azimuth; zero is fine there
         fib.metric_diag(np.array([[1.0, 1.0, 0.0]]))
 
+    def test_rejects_non_finite_radius_and_offset(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(BadRange):
+                gm.FiberSpec(dims=(2, 3), radii=(1.0, bad))
+            with pytest.raises(BadRange):
+                gm.FiberSpec(dims=(2,), radii=(1.0,), offset=bad)
+
     def test_einstein_constant_round(self):
         # S^d(r) has Ricci constant (d-1)/r^2
         assert gm.round_fiber(4, 2.0).einstein_constant == pytest.approx(3.0 / 4.0)
@@ -77,14 +84,18 @@ class TestFiberSpec:
             fib = gm.offset_torus_fiber(n, m)
             assert fib.ambient_radius() == pytest.approx(1.0, abs=1e-14)
             assert fib.einstein_constant == pytest.approx(n - 3.0, abs=1e-12)
-            assert fib.normalized_eps(n) == pytest.approx(1.0, abs=1e-13)
+            # fits an n-dim warped product with eps = 1
+            assert fib.dim == n - 2
+            assert fib.einstein_constant / (n - 3.0) == pytest.approx(
+                1.0, abs=1e-13)
 
     def test_unit_torus_constant_is_shifted(self):
         for n, m in ((6, 2), (7, 2), (8, 4)):
             fib = gm.unit_torus_fiber(n, m)
             assert fib.ambient_radius() == pytest.approx(1.0, abs=1e-14)
             assert fib.einstein_constant == pytest.approx(n - 4.0, abs=1e-12)
-            assert fib.normalized_eps(n) == pytest.approx(
+            assert fib.dim == n - 2
+            assert fib.einstein_constant / (n - 3.0) == pytest.approx(
                 (n - 4.0) / (n - 3.0), abs=1e-13
             )
 
@@ -108,7 +119,7 @@ class TestChristoffelOracle:
         chart = gm.WarpedChart(warp=family.warp, fiber=family.fiber,
                                t_range=(0.4, 1.4))
         x = np.array([0.8, 1.3, 1.1, 2.0])
-        gam = gm.christoffel_fd(chart, x, h=1e-3)
+        gam = gm.curvature_fd(chart, x, h=1e-3).gamma
         s = chart.warp.sample_at(0.8)
         p, dp, d2p = s.phi, s.dphi, s.d2phi
         y1 = x[2]
@@ -132,9 +143,17 @@ class TestChristoffelOracle:
     def test_sphere_fiber_closed_form(self):
         chart = gm.ProductChart(gm.round_fiber(2), label="s2")
         x = np.array([0.9, 1.7])
-        gam = gm.christoffel_fd(chart, x, h=1e-3)
+        gam = gm.curvature_fd(chart, x, h=1e-3).gamma
         assert gam[0, 1, 1] == pytest.approx(-math.sin(0.9) * math.cos(0.9), abs=1e-6)
         assert gam[1, 0, 1] == pytest.approx(math.cos(0.9) / math.sin(0.9), abs=1e-6)
+
+
+def plane_sectional(pc, u, v):
+    """Curvature of the plane spanned by arbitrary vectors u, v."""
+    num = np.einsum("abcd,a,b,c,d->", pc.riemann_low, u, v, u, v)
+    gu = pc.g @ u
+    gv = pc.g @ v
+    return float(num / ((u @ gu) * (v @ gv) - (u @ gv) ** 2))
 
 
 class TestCurvatureEngine:
@@ -151,7 +170,8 @@ class TestCurvatureEngine:
         assert pc.sectional(0, 1) == pytest.approx(0.25, abs=1e-5)
         assert pc.sectional(1, 2) == pytest.approx(0.25, abs=1e-5)
         assert np.max(np.abs(pc.ricci - 0.5 * pc.g)) < 2e-5
-        assert pc.scalar == pytest.approx(3.0 * 2.0 * 0.25, abs=1e-4)
+        scalar = np.einsum("ab,ab->", np.linalg.inv(pc.g), pc.ricci)
+        assert scalar == pytest.approx(3.0 * 2.0 * 0.25, abs=1e-4)
 
     def test_plane_invariance_under_span_change(self, rng):
         chart = family_chart("schwarzschild", 5)
@@ -159,12 +179,12 @@ class TestCurvatureEngine:
         u = np.zeros(5)
         v = np.zeros(5)
         u[0], v[2] = 1.0, 1.0
-        k0 = pc.sectional_plane(u, v)
+        k0 = plane_sectional(pc, u, v)
         assert k0 == pytest.approx(pc.sectional(0, 2), rel=1e-10)
         # same plane, different spanning vectors
         a = 1.7 * u + 0.4 * v
         b = -0.3 * u + 2.2 * v
-        assert pc.sectional_plane(a, b) == pytest.approx(k0, rel=1e-9)
+        assert plane_sectional(pc, a, b) == pytest.approx(k0, rel=1e-9)
 
     def test_ricci_symmetry_defect_small(self):
         chart = family_chart("round", 5)

@@ -8,13 +8,19 @@ metric itself, which exercises the full path from jets to curvature.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from warpgeo import geometry as gm
 from warpgeo import immersions as im
-from warpgeo.errors import BadDimension, BadRange, SingularChartPoint
+from warpgeo.errors import (
+    BadDimension,
+    BadRange,
+    OutOfDomain,
+    SingularChartPoint,
+)
 
 TOL_EINSTEIN = 5e-5
 
@@ -95,6 +101,15 @@ class TestFiberJet:
 
 
 class TestProfileTable:
+    def test_non_finite_query_is_out_of_domain(self):
+        # checked before the grid index is cast, so no RuntimeWarning leaks
+        immr = im.build_immersion("schwarzschild", 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (math.nan, math.inf, -math.inf, 1e300):
+                with pytest.raises(OutOfDomain):
+                    immr.jet(np.array([[t, 1.0, 1.0, 1.0, 1.0]]))
+
     def test_psi_starts_at_zero_and_increases(self):
         immr = im.schwarzschild_immersion(5)
         table = immr.meta["profile"]
@@ -168,7 +183,8 @@ class TestRotationalImmersions:
             immr = im.schwarzschild_immersion(n)
             chart = family_chart("schwarzschild", n)
             X = gm.sample_points(chart, 5, seed=1)
-            dev = np.max(np.abs(immr.pullback_batch(X) - chart.metric_batch(X)))
+            pull = gm.PullbackChart(immr).metric_batch(X)
+            dev = np.max(np.abs(pull - chart.metric_batch(X)))
             assert dev < 1e-12
 
     def test_extra_codim_pullback(self):
@@ -176,7 +192,8 @@ class TestRotationalImmersions:
             immr = im.extra_codim_immersion(n, m)
             chart = family_chart("extra-codim", n, m=m)
             X = gm.sample_points(chart, 5, seed=2)
-            dev = np.max(np.abs(immr.pullback_batch(X) - chart.metric_batch(X)))
+            pull = gm.PullbackChart(immr).metric_batch(X)
+            dev = np.max(np.abs(pull - chart.metric_batch(X)))
             assert dev < 1e-12
 
     def test_ambient_dimensions(self):
@@ -231,7 +248,8 @@ class TestProductImmersions:
         immr = im.clifford_immersion(5, 1.0)
         chart = family_chart("clifford", 5, rho=1.0)
         X = gm.sample_points(chart, 6, seed=3)
-        dev = np.max(np.abs(immr.pullback_batch(X) - chart.metric_batch(X)))
+        pull = gm.PullbackChart(immr).metric_batch(X)
+        dev = np.max(np.abs(pull - chart.metric_batch(X)))
         assert dev < 1e-13
 
     def test_clifford_is_einstein_through_pullback(self):
@@ -258,7 +276,8 @@ class TestComposites:
         ]
         for immc, chart in cases:
             X = gm.sample_points(chart, 5, seed=6)
-            dev = np.max(np.abs(immc.pullback_batch(X) - chart.metric_batch(X)))
+            pull = gm.PullbackChart(immc).metric_batch(X)
+            dev = np.max(np.abs(pull - chart.metric_batch(X)))
             assert dev < 1e-10
 
     def test_calibration_hits_unit_product(self):
