@@ -34,6 +34,7 @@ TOLERANCES = {
     "tol_closed_form": 1e-9,
     "tol_identity": 1e-9,
     "tol_einstein": 5e-5,
+    "tol_fd_gap": 1e-3,
     "tol_ricci_sym": 1e-6,
     "tol_spread_flat": geometry.TOL_SPREAD_FLAT,
     "tol_fnb": 1e-6,
@@ -250,15 +251,15 @@ def cmd_verify_intrinsic(args):
     if cfg["expect_not_einstein"] is not None:
         checks = [
             _check("einstein-defect-detected", rep.einstein_max,
-                   float(cfg["expect_not_einstein"]), "finite-difference",
+                   float(cfg["expect_not_einstein"]), rep.provenance,
                    mode="min"),
         ]
     else:
         checks = [
             _check("einstein-residual", rep.einstein_max,
-                   cfg["tol_einstein"], "finite-difference"),
+                   cfg["tol_einstein"], rep.provenance),
             _check("ricci-symmetry", rep.ricci_sym_max,
-                   cfg["tol_ricci_sym"], "finite-difference"),
+                   cfg["tol_ricci_sym"], rep.provenance),
         ]
         if cfg["richardson"]:
             checks.append(_check("richardson-stability", rep.richardson_max,
@@ -484,6 +485,14 @@ def _suite_warp(checks):
                          TOLERANCES["tol_closed_form"], "closed-form-oracle"))
 
 
+def _fd_gap(checks, chart, seed, points):
+    """The stencil's error against the exact jet, on the chart's own sample."""
+    pts = geometry.sample_points(chart, points, seed=seed)
+    checks.append(_check("fd-gap-%s" % chart.label,
+                         geometry.fd_ricci_gap(chart, pts),
+                         TOLERANCES["tol_fd_gap"], "fd-vs-analytic"))
+
+
 def _suite_intrinsic(checks, seed, points):
     for family, row in geometry.FAMILIES.items():
         for n, m, rho in row.report:
@@ -492,20 +501,23 @@ def _suite_intrinsic(checks, seed, points):
                                            seed=seed)
             if row.defect_floor is not None:
                 checks.append(_check("defect-%s" % rep.label, rep.einstein_max,
-                                     row.defect_floor, "finite-difference",
+                                     row.defect_floor, rep.provenance,
                                      mode="min"))
-                continue
-            checks.append(_check("einstein-%s" % rep.label, rep.einstein_max,
-                                 TOLERANCES["tol_einstein"], "finite-difference"))
-            if row.spread is not None:
-                mode, bound = row.spread
-                checks.append(_check("spread-%s" % rep.label,
-                                     rep.sectional_spread, bound,
-                                     "finite-difference", mode=mode))
+            else:
+                checks.append(_check("einstein-%s" % rep.label,
+                                     rep.einstein_max,
+                                     TOLERANCES["tol_einstein"], rep.provenance))
+                if row.spread is not None:
+                    mode, bound = row.spread
+                    checks.append(_check("spread-%s" % rep.label,
+                                         rep.sectional_spread, bound,
+                                         rep.provenance, mode=mode))
+            _fd_gap(checks, chart, seed, points)
     pert, rho = geometry.chart_for_family("clifford", 5, rho=1.0, perturb=0.05)
     rep = geometry.verify_einstein(pert, rho, n_points=points, seed=seed)
     checks.append(_check("defect-%s" % pert.label, rep.einstein_max, 1e-3,
-                         "finite-difference", mode="min"))
+                         rep.provenance, mode="min"))
+    _fd_gap(checks, pert, seed, points)
 
 
 def _suite_extrinsic(checks, seed):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from warpgeo import geometry as gm
+from warpgeo import immersions
 from warpgeo import warpfunc as wf
 from warpgeo.errors import (
     BadDimension,
@@ -195,6 +196,70 @@ class TestCurvatureEngine:
         chart = gm.ProductChart(gm.round_fiber(2))
         with pytest.raises(BadDimension):
             gm.metric_jet_fd(chart, np.array([1.0, 2.0, 3.0]))
+
+
+def every_family_chart():
+    for family, row in gm.FAMILIES.items():
+        for n, m, rho in row.report or ((4, None, None),):
+            yield family_chart(family, n, m=m, rho=rho)
+
+
+class TestMetricJet:
+    def test_jet_is_the_metric_and_its_stencil_limit(self):
+        for chart in every_family_chart():
+            X = gm.sample_points(chart, 6, seed=1)
+            g, dg, d2g = chart.metric_jet(X)
+            assert np.array_equal(g, chart.metric_batch(X)), chart.label
+            gaps = []
+            for h in (2e-3, 1e-3):
+                _, fdg, fd2g = gm.metric_jet_fd(chart, X, h=h)
+                gaps.append((np.max(np.abs(fdg - dg)),
+                             np.max(np.abs(fd2g - d2g))))
+            assert max(gaps[1]) <= 1e-5, chart.label
+            # the stencils' O(h^2) truncation error; below h = 1e-3 the
+            # warped charts' second differences reach the dense output's
+            # rounding floor instead
+            for coarse, fine in zip(*gaps):
+                assert 3.5 < coarse / fine < 4.5, chart.label
+
+    def test_blocks_match_row_by_row(self):
+        # point counts that are not multiples of the block (26 points at
+        # dim 5 and 6 at dim 7 exact, 2 at dim 5 by finite differences); rho
+        # is off by one so the residual is O(1) and a relative bound means
+        # something
+        cases = ((family_chart("round", 5), 5.0, 27),
+                 (family_chart("extra-codim", 7, m=2), 1.0, 13),
+                 (gm.PullbackChart(immersions.schwarzschild_immersion(5)),
+                  1.0, 5))
+        for chart, rho, n in cases:
+            rep = gm.verify_einstein(chart, rho, n_points=n, seed=3,
+                                     max_planes=100)
+            assert rep.n_points == n
+            d = chart.dim
+            jet = getattr(chart, "metric_jet", None)
+            resids, syms, secs = [], [], []
+            for x in gm.sample_points(chart, n, seed=3):
+                g, dg, d2g = (jet(x[None]) if jet
+                              else gm.metric_jet_fd(chart, x[None]))
+                _, riem, ric, sym = gm.curvature_from_jet(g, dg, d2g)
+                g, riem, ric = g[0], riem[0], ric[0]
+                resids.append(np.max(np.abs(ric - rho * g))
+                              / (1.0 + np.max(np.abs(g))))
+                syms.append(sym[0])
+                secs += [riem[i, j, i, j] / (g[i, i] * g[j, j] - g[i, j] ** 2)
+                         for i in range(d) for j in range(i + 1, d)]
+            assert rep.einstein_max == pytest.approx(max(resids), rel=1e-12)
+            assert rep.sectional_min == pytest.approx(min(secs), rel=1e-12)
+            assert rep.sectional_max == pytest.approx(max(secs), rel=1e-12)
+            assert rep.ricci_sym_max == pytest.approx(max(syms), abs=1e-14)
+
+    def test_fd_gap_is_the_stencil_error(self):
+        chart = family_chart("round", 5)
+        pts = gm.sample_points(chart, 8, seed=2)
+        gap = gm.fd_ricci_gap(chart, pts, h=1e-3)
+        assert 0.0 < gap < 1e-3
+        assert gm.fd_ricci_gap(chart, pts, h=2e-3) == pytest.approx(
+            4.0 * gap, rel=0.1)
 
 
 class TestSpaceFormCharts:
@@ -384,11 +449,29 @@ class TestChartGuards:
             def metric_batch(self, X):
                 return np.full_like(super().metric_batch(X), np.nan)
 
-        rep = gm.verify_einstein(NaNChart(gm.round_fiber(2)), rho=1.0,
-                                 n_points=3)
-        assert math.isnan(rep.einstein_max)
-        assert math.isnan(rep.sectional_spread)
-        assert not rep.passed
+        class NaNJetChart(gm.ProductChart):
+            def metric_jet(self, X):
+                return tuple(np.full_like(a, np.nan)
+                             for a in super().metric_jet(X))
+
+        class NaNNoJetChart:
+            # the finite-difference path: a chart with no metric_jet
+            dim = 2
+            label = "nan-no-jet"
+            sample_box = gm.ProductChart(gm.round_fiber(2)).sample_box
+
+            def metric_batch(self, X):
+                return np.full((np.atleast_2d(X).shape[0], 2, 2), np.nan)
+
+        for chart, provenance in (
+                (NaNChart(gm.round_fiber(2)), "analytic-jet"),
+                (NaNJetChart(gm.round_fiber(2)), "analytic-jet"),
+                (NaNNoJetChart(), "finite-difference")):
+            rep = gm.verify_einstein(chart, rho=1.0, n_points=3)
+            assert rep.provenance == provenance
+            assert math.isnan(rep.einstein_max)
+            assert math.isnan(rep.sectional_spread)
+            assert not rep.passed
 
     def test_chart_for_family_dispatch(self):
         chart, rho = gm.chart_for_family("clifford", 5, rho=1.0)
