@@ -8,18 +8,22 @@ must leave residuals, group sizes, and normal forms unchanged.
 The checks split into pointwise algebra (flat normal bundle, umbilical
 substructure, normal forms of shape-operator pairs) and differential
 identities (Gauss against intrinsic curvature, Codazzi, parallelism of the
-umbilical normal along its leaves). Every differential check reads one
-point evaluation, the PointExtrinsics of extrinsics_at, and evaluates the
-immersion again only at the points its own stencil adds.
+umbilical normal along its leaves). Every stage takes the whole sample as
+rows: extrinsics_at evaluates the immersion's jet once for all of them and
+keeps it with the frames and the second fundamental form, and each
+differential check returns one residual per row, evaluating the immersion
+again only at the points its own stencil adds, in blocks within
+geometry's element budget. A single point is a batch of one row.
 """
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, warpfunc
 from .errors import (
     BadDimension,
     BadRange,
@@ -33,34 +37,36 @@ from .errors import (
 # -- frames and second fundamental form ----------------------------------------
 
 def _complete_normals(Q):
-    """Orthonormal basis of the orthogonal complement of span(Q).
+    """Orthonormal bases of the orthogonal complements of span(Q), per row.
 
-    Greedy over standard basis vectors: always take the one with the largest
-    residual after projecting out everything chosen so far. Deterministic,
-    and stable wherever no two residual norms tie.
+    Q has shape (n, ambient, d). Greedy over standard basis vectors, row by
+    row: always take the one with the largest residual after projecting out
+    everything chosen so far. Deterministic, and stable wherever no two
+    residual norms tie.
     """
-    amb, d = Q.shape
-    c = amb - d
-    P = np.eye(amb) - Q @ Q.T
-    out = np.empty((c, amb))
-    for k in range(c):
-        norms = np.linalg.norm(P, axis=0)
-        i = int(np.argmax(norms))
-        v = P[:, i] / norms[i]
-        out[k] = v
-        P -= np.outer(v, v @ P)
+    n, amb, d = Q.shape
+    rows = np.arange(n)
+    P = np.eye(amb) - Q @ np.swapaxes(Q, 1, 2)
+    out = np.empty((n, amb - d, amb))
+    for k in range(amb - d):
+        norms = np.linalg.norm(P, axis=1)
+        i = np.argmax(norms, axis=1)
+        v = P[rows, :, i] / norms[rows, i][:, None]
+        out[:, k] = v
+        P -= v[:, :, None] * (v[:, None, :] @ P)
     return out
 
 
 @dataclass
-class PointExtrinsics:
-    """Frame data and second fundamental form at one chart point.
+class Extrinsics:
+    """Frame data and second fundamental form at rows of chart points.
 
-    alpha has shape (codim, d, d): symmetric shape-operator matrices in the
-    orthonormal tangent frame, one per normal frame vector. Q holds the
-    tangent frame in ambient coordinates, N the normal frame, B the change
-    of basis from frame to chart indices; v, J, H is the immersion's jet at
-    x, which the differential checks reuse.
+    Every field has a leading row axis. alpha has shape (n, codim, d, d):
+    symmetric shape-operator matrices in the orthonormal tangent frame, one
+    per normal frame vector. Q holds the tangent frame in ambient
+    coordinates, N the normal frame, B the change of basis from frame to
+    chart indices; v, J, H is the immersion's jet at x, which the
+    differential checks reuse.
     """
 
     x: np.ndarray
@@ -74,35 +80,43 @@ class PointExtrinsics:
 
     @property
     def dim(self):
-        return self.Q.shape[1]
+        return self.Q.shape[2]
 
     @property
     def codim(self):
-        return self.N.shape[0]
+        return self.N.shape[1]
 
-    @property
-    def shape_operators(self):
-        return [self.alpha[k] for k in range(self.codim)]
+    def rows(self, idx):
+        """The same data at the rows idx."""
+        return Extrinsics(**{f.name: getattr(self, f.name)[idx]
+                             for f in dataclasses.fields(self)})
 
 
-def extrinsics_at(imm, x):
-    x = np.asarray(x, dtype=float)
-    v, J, H = imm.jet(x[None])
-    v, J, H = v[0], J[0], H[0]
+def extrinsics_at(imm, X):
+    """Frames and second fundamental form at the rows of X, one jet call.
+
+    X has shape (n, dim); a point of shape (dim,) is a batch of one row.
+    Raises RankDeficient when the differential is rank-deficient at any
+    row. A row whose jet is not finite comes out NaN, so every check that
+    reads it reports NaN.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    v, J, H = imm.jet(X)
     Q, R = np.linalg.qr(J)
-    s = np.sign(np.diag(R))
+    s = np.sign(np.diagonal(R, axis1=1, axis2=2))
     s[s == 0.0] = 1.0
-    Q = Q * s
-    R = s[:, None] * R
-    scale = float(np.max(np.abs(R)))
-    if np.min(np.abs(np.diag(R))) <= 1e-10 * max(scale, 1.0):
-        raise RankDeficient("differential is rank-deficient at this point")
+    Q = Q * s[:, None, :]
+    R = s[:, :, None] * R
+    scale = np.maximum(np.max(np.abs(R), axis=(1, 2)), 1.0)
+    pivot = np.min(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1)
+    if np.any(pivot <= 1e-10 * scale):
+        raise RankDeficient("differential is rank-deficient at a sample point")
     B = np.linalg.inv(R)
     N = _complete_normals(Q)
-    a_chart = np.einsum("ca,aij->cij", N, H)
-    alpha = np.einsum("ip,jq,cij->cpq", B, B, a_chart)
-    alpha = 0.5 * (alpha + np.transpose(alpha, (0, 2, 1)))
-    return PointExtrinsics(x=x, v=v, J=J, H=H, Q=Q, N=N, B=B, alpha=alpha)
+    a_chart = np.einsum("nca,naij->ncij", N, H)
+    alpha = np.einsum("nip,njq,ncij->ncpq", B, B, a_chart)
+    alpha = 0.5 * (alpha + np.swapaxes(alpha, 2, 3))
+    return Extrinsics(x=X, v=v, J=J, H=H, Q=Q, N=N, B=B, alpha=alpha)
 
 
 def flat_normal_residual(alpha):
@@ -177,6 +191,9 @@ class UmbilicalStructure:
         return len(self.u_indices)
 
 
+_UMBILICAL_RESIDUALS = ("ga1", "eqalpha", "eqalpha2", "eqalpha1")
+
+
 def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
     """Group tangent directions by principal curvature vector.
 
@@ -190,10 +207,19 @@ def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
       eqalpha1: rho - (n-3) |eta|^2 - <alpha_11 + alpha_22, eta>
 
     with indices 1, 2 running over the complement and K(U-perp) computed
-    from the Gauss equation.
+    from the Gauss equation. An alpha that is not finite has no grouping:
+    kappa and eta are NaN, U is empty and, when rho is given, every
+    residual is NaN, so the point fails whatever check reads it.
     """
     alpha = np.asarray(alpha, dtype=float)
     c, d, _ = alpha.shape
+    if not np.all(np.isfinite(alpha)):
+        return UmbilicalStructure(
+            kappa=np.full((d, c), math.nan), group_sizes=(), u_indices=(),
+            eta=np.full(c, math.nan),
+            residuals=None if rho is None
+            else dict.fromkeys(_UMBILICAL_RESIDUALS, math.nan),
+        )
     if n is None:
         n = d
     V = simdiag(list(alpha))
@@ -228,13 +254,12 @@ def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
         a22 = ap[:, j, j]
         a12 = ap[:, i, j]
         k_perp = float(a11 @ a22 - a12 @ a12)
-        residuals = {
-            "ga1": (rho - k_perp) - (n - 2.0) * float(a11 @ eta),
-            "eqalpha": float((a11 - a22) @ eta),
-            "eqalpha2": float(a12 @ eta),
-            "eqalpha1": (rho - (n - 3.0) * float(eta @ eta)
-                         - float((a11 + a22) @ eta)),
-        }
+        residuals = dict(zip(_UMBILICAL_RESIDUALS, (
+            (rho - k_perp) - (n - 2.0) * float(a11 @ eta),
+            float((a11 - a22) @ eta),
+            float(a12 @ eta),
+            rho - (n - 3.0) * float(eta @ eta) - float((a11 + a22) @ eta),
+        )))
     return UmbilicalStructure(
         kappa=kappa,
         group_sizes=tuple(len(g) for g in glist),
@@ -247,25 +272,27 @@ def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
 # -- Gauss equation ----------------------------------------------------------------
 
 def gauss_ricci(alpha):
-    """Ricci tensor in the orthonormal frame, flat ambient Gauss equation."""
-    tr = np.einsum("cpp->c", alpha)
-    return np.einsum("c,cpq->pq", tr, alpha) - np.einsum(
-        "cpr,crq->pq", alpha, alpha
+    """Ricci tensor in the orthonormal frame, flat ambient Gauss equation;
+    alpha may carry leading row axes."""
+    tr = np.einsum("...cpp->...c", alpha)
+    return np.einsum("...c,...cpq->...pq", tr, alpha) - np.einsum(
+        "...cpr,...crq->...pq", alpha, alpha
     )
 
 
 def gauss_ricci_residual(imm, pe, h=1e-3):
-    """Extrinsic Ricci against finite-difference intrinsic Ricci at pe.x.
+    """Extrinsic Ricci against finite-difference intrinsic Ricci, per row.
 
     Independent routes: the left side never differentiates anything (exact
     jets and frame algebra), the right side never sees the ambient space
-    (metric stencils on the pullback chart).
+    (metric stencils on the pullback chart, one metric_jet_fd call per
+    block of geometry._blocks).
     """
-    ric_ext = gauss_ricci(pe.alpha)
     chart = geometry.PullbackChart(imm, label="pullback")
-    pc = geometry.curvature_fd(chart, pe.x, h=h)
-    ric_int = np.einsum("ip,jq,ij->pq", pe.B, pe.B, pc.ricci)
-    return float(np.max(np.abs(ric_ext - ric_int)))
+    ric = np.concatenate([geometry._fd_ricci(chart, X, h)
+                          for X in geometry._blocks(chart, pe.x, fd=True)])
+    ric_int = np.einsum("nip,njq,nij->npq", pe.B, pe.B, ric)
+    return np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
 
 
 # -- Codazzi -------------------------------------------------------------------------
@@ -273,115 +300,120 @@ def gauss_ricci_residual(imm, pe, h=1e-3):
 def _alpha_chart(J, H):
     """Ambient-valued second fundamental form in chart indices, with the
     Christoffel symbols Gamma^d_ij and the inverse of the pullback metric
-    J^T J, all read off the jet."""
-    G = J.T @ J
-    Gi = np.linalg.inv(G)
+    J^T J, all read off the jet rows (J, H)."""
+    Gi = np.linalg.inv(np.swapaxes(J, 1, 2) @ J)
     # subtract the tangential part J Gamma^d_ij
-    gam = np.einsum("de,ae,aij->dij", Gi, J, H)
-    return H - np.einsum("ad,dij->aij", J, gam), gam, Gi
+    gam = np.einsum("nde,nae,naij->ndij", Gi, J, H)
+    return H - np.einsum("nad,ndij->naij", J, gam), gam, Gi
 
 
 def codazzi_residual(imm, pe, h=1e-4):
-    """Antisymmetry defect of the covariant derivative of alpha at pe.x.
+    """Antisymmetry defect of the covariant derivative of alpha, per row.
 
     (nabla_a alpha)(b, c) is computed as the normal projection of the
     coordinate derivative of the ambient-valued alpha minus the two
     Christoffel corrections; Codazzi in flat ambient space demands symmetry
-    in (a, b), so the a-b antisymmetrization is pure error. The 2 dim
-    displaced points are evaluated in one jet call.
+    in (a, b), so the a-b antisymmetrization is pure error. Each row adds
+    2 dim displaced points, and the rows go in blocks within geometry's
+    element budget, one jet call per block.
     """
-    d = imm.dim
-    a0, gam, Gi = _alpha_chart(pe.J, pe.H)
-    amb = a0.shape[0]
-    PiN = np.eye(amb) - pe.J @ Gi @ pe.J.T
-    # rows 2a and 2a + 1 are pe.x displaced by +h and -h along axis a
+    d, amb = imm.dim, imm.ambient_dim
+    # rows 2a and 2a + 1 of a point's stencil displace it by +h and -h
+    # along axis a
     axes = np.arange(d)
-    X = np.repeat(pe.x[None], 2 * d, axis=0)
-    X[2 * axes, axes] += h
-    X[2 * axes + 1, axes] -= h
-    _, Js, Hs = imm.jet(X)
-    da = np.empty((d, amb, d, d))
-    for a in range(d):
-        ap = _alpha_chart(Js[2 * a], Hs[2 * a])[0]
-        am = _alpha_chart(Js[2 * a + 1], Hs[2 * a + 1])[0]
-        da[a] = (ap - am) / (2.0 * h)
-    # (nabla_a alpha)_bc = PiN d_a alpha_bc - Gamma^d_ab alpha_dc - Gamma^d_ac alpha_bd
-    nab = np.einsum("xy,aybc->axbc", PiN, da)
-    nab -= np.einsum("dab,xdc->axbc", gam, a0)
-    nab -= np.einsum("dac,xbd->axbc", gam, a0)
-    defect = nab - np.transpose(nab, (2, 1, 0, 3))
-    return float(np.max(np.abs(defect)))
+    E = np.zeros((2 * d, d))
+    E[2 * axes, axes] = h
+    E[2 * axes + 1, axes] = -h
+    out = []
+    # a block's largest arrays, the displaced Hessians and their alpha,
+    # hold 2 d ambient d d entries per point
+    for rows in geometry._block_slices(len(pe.x), 2 * d * amb * d * d):
+        J = pe.J[rows]
+        a0, gam, Gi = _alpha_chart(J, pe.H[rows])
+        _, Js, Hs = imm.jet((pe.x[rows, None, :] + E).reshape(-1, d))
+        disp = _alpha_chart(Js, Hs)[0].reshape(len(J), d, 2, amb, d, d)
+        da = (disp[:, :, 0] - disp[:, :, 1]) / (2.0 * h)
+        PiN = np.eye(amb) - J @ Gi @ np.swapaxes(J, 1, 2)
+        # (nabla_a alpha)_bc = PiN d_a alpha_bc - Gamma^d_ab alpha_dc
+        #                      - Gamma^d_ac alpha_bd
+        nab = np.einsum("nxy,naybc->naxbc", PiN, da)
+        nab -= np.einsum("ndab,nxdc->naxbc", gam, a0)
+        nab -= np.einsum("ndac,nxbd->naxbc", gam, a0)
+        defect = nab - np.swapaxes(nab, 1, 3)
+        out.append(np.max(np.abs(defect), axis=(1, 2, 3, 4)))
+    return np.concatenate(out)
 
 
 # -- rotational profile normal --------------------------------------------------------
 
 def profile_delta(s):
     """Coefficients (a, b, c) of the distinguished rotational normal at the
-    warp sample s.
+    warp sample s, whose fields may be floats or arrays of rows.
 
     delta = (a, b sin theta, b cos theta, c F(y)) with a = -phi' psi',
     b = -phi' phi'', c = 1 - phi'^2; |delta|^2 = 1 - phi'^2. Degenerates
-    when phi' approaches 1.
+    when phi' approaches 1 at any row.
     """
     w2 = 1.0 - s.dphi ** 2
-    if w2 <= 1e-8:
+    if np.any(w2 <= 1e-8):
         raise DegenerateDelta("profile normal degenerates as phi' -> 1")
     margin = w2 - s.d2phi ** 2
-    if margin < 0.0:
+    if np.any(margin < 0.0):
         raise BadRange("no profile exists where the margin is negative")
-    dpsi = math.sqrt(max(margin, 0.0))
+    dpsi = np.sqrt(np.maximum(margin, 0.0))
     return -s.dphi * dpsi, -s.dphi * s.d2phi, w2
 
 
 def profile_normal_shape_residual(imm, pe):
-    """Deviation of A_delta from its block form phi'' I_2 (+) -(w^2/phi) I.
+    """Deviation of A_delta from its block form phi'' I_2 (+) -(w^2/phi) I,
+    per row, with the warp sampled at every row in one samples_at call.
 
     Exact identity for every rotational immersion here, independent of the
     warp family; the residual is pure roundoff.
     """
     if imm.meta.get("kind") != "rotational":
         raise BadRange("profile normal exists only for rotational immersions")
-    t, th = pe.x[0], pe.x[1]
-    s = imm.meta["warp"].sample_at(t)
+    t, th = pe.x[:, 0], pe.x[:, 1]
+    s = warpfunc.WarpSample(t, *imm.meta["warp"].samples_at(t))
     a, b, c = profile_delta(s)
-    delta = np.zeros(imm.ambient_dim)
-    delta[0] = a
-    delta[1] = b * math.sin(th)
-    delta[2] = b * math.cos(th)
-    delta[3:] = c * pe.v[3:] / s.phi
-    M = np.einsum("x,xij->ij", delta, pe.H)
-    G = pe.J.T @ pe.J
-    S = np.linalg.solve(G, M)
-    d = imm.dim
-    want = np.zeros((d, d))
-    want[0, 0] = want[1, 1] = s.d2phi
-    w2 = 1.0 - s.dphi ** 2
-    for k in range(2, d):
-        want[k, k] = -w2 / s.phi
-    return float(np.max(np.abs(S - want)))
+    delta = np.zeros((len(t), imm.ambient_dim))
+    delta[:, 0] = a
+    delta[:, 1] = b * np.sin(th)
+    delta[:, 2] = b * np.cos(th)
+    delta[:, 3:] = c[:, None] * pe.v[:, 3:] / s.phi[:, None]
+    M = np.einsum("nx,nxij->nij", delta, pe.H)
+    S = np.linalg.solve(np.swapaxes(pe.J, 1, 2) @ pe.J, M)
+    want = np.zeros_like(S)
+    idx = np.arange(imm.dim)
+    want[:, idx, idx] = -(c / s.phi)[:, None]
+    want[:, 0, 0] = want[:, 1, 1] = s.d2phi
+    return np.max(np.abs(S - want), axis=(1, 2))
 
 
 # -- Dupin condition -----------------------------------------------------------------
 
 def dupin_residual(imm, pe, h=1e-4, leaf_axis=None):
-    """Normal-space velocity of eta along a U-leaf direction at pe.x.
+    """Normal-space velocity of eta along a U-leaf direction, per row.
 
-    eta is recomputed as an ambient vector at the two displaced points (it
-    is frame-independent, so normal-frame jumps between neighboring points
-    cannot pollute the difference quotient) and differentiated centrally;
+    eta is recomputed as an ambient vector at the two displaced points of
+    every row, all of them in one extrinsics_at call (it is
+    frame-independent, so normal-frame jumps between neighboring points
+    cannot pollute the difference quotient), and differentiated centrally;
     parallelism in the normal connection means the normal projection of
     the derivative vanishes.
     """
     if leaf_axis is None:
         leaf_axis = imm.dim - 1
-    eta = []
-    for sign in (1.0, -1.0):
-        y = pe.x.copy()
-        y[leaf_axis] += sign * h
-        pe_y = extrinsics_at(imm, y)
-        eta.append(umbilical_structure(pe_y.alpha).eta @ pe_y.N)
-    vel = (eta[0] - eta[1]) / (2.0 * h)
-    return float(np.linalg.norm(pe.N @ vel))
+    n = len(pe.x)
+    Y = np.concatenate([pe.x, pe.x])
+    Y[:n, leaf_axis] += h
+    Y[n:, leaf_axis] -= h
+    nb = extrinsics_at(imm, Y)
+    eta = np.stack([umbilical_structure(a).eta @ N
+                    for a, N in zip(nb.alpha, nb.N)])
+    vel = (eta[:n] - eta[n:]) / (2.0 * h)
+    w = pe.N @ vel[:, :, None]   # normal part of the velocity, a column per row
+    return np.sqrt(np.swapaxes(w, 1, 2) @ w)[:, 0, 0]
 
 
 # -- shape-operator normal forms -------------------------------------------------------
@@ -522,12 +554,14 @@ def solve_normal_form_relations(a, b, c, d):
 def classify_at(imm, x, tol=1e-6):
     """Normal-form classification of a 4-manifold immersion point, codim 2."""
     pe = extrinsics_at(imm, x)
+    if len(pe.x) != 1:
+        raise BadDimension("classify_at takes one point, got %d" % len(pe.x))
     if pe.dim != 4 or pe.codim != 2:
         raise BadDimension(
             "classification needs dimension 4 and codimension 2, got %d/%d"
             % (pe.dim, pe.codim)
         )
-    A1, A2 = pe.shape_operators
+    A1, A2 = pe.alpha[0]
     return shape_operator_normal_form(A1, A2, tol=tol)
 
 
@@ -547,6 +581,8 @@ class ExtrinsicReport:
     umbilical_residual_max: float
     dupin_max: float
     profile_max: float
+    jet_calls: int      # immersion jet calls the scan made
+    jet_rows: int       # rows those calls evaluated
     provenance: str = "frame-algebra"
 
     def as_dict(self):
@@ -563,6 +599,8 @@ class ExtrinsicReport:
             "umbilical_residual_max": self.umbilical_residual_max,
             "dupin_max": self.dupin_max,
             "profile_max": self.profile_max,
+            "jet_calls": self.jet_calls,
+            "jet_rows": self.jet_rows,
             "provenance": self.provenance,
         }
 
@@ -570,34 +608,39 @@ class ExtrinsicReport:
 def extrinsic_scan(imm, n_points=8, seed=0, h=1e-3):
     """Run every applicable extrinsic check over a quasi-random sample.
 
-    The umbilical residuals and Dupin are evaluated only at points where
-    the largest umbilical group leaves a 2-dimensional complement; their
-    maxima are NaN when no point does (umbilical_points == 0). Every
-    maximum propagates NaN.
+    Each stage evaluates the whole sample at once. The umbilical residuals
+    and Dupin are evaluated only at points where the largest umbilical
+    group leaves a 2-dimensional complement; their maxima are NaN when no
+    point does (umbilical_points == 0). Every maximum propagates NaN.
+    jet_calls and jet_rows count the immersion evaluations the scan made.
     """
+    jet_rows = []   # rows of every jet call the scan makes
+
+    def counted(X, jet_fn=imm.jet_fn):
+        jet_rows.append(len(X))
+        return jet_fn(X)
+
+    imm = dataclasses.replace(imm, jet_fn=counted)
     chart = geometry.PullbackChart(imm, label=imm.label)
     pts = geometry.sample_points(chart, n_points, seed=seed, h=h)
-    flat, gauss, codazzi, umb, dupin, profile, u_dims = ([] for _ in range(7))
-    rotational = imm.meta.get("kind") == "rotational"
-    for x in pts:
-        pe = extrinsics_at(imm, x)
-        flat.append(flat_normal_residual(pe.alpha))
-        gauss.append(gauss_ricci_residual(imm, pe, h=h))
-        codazzi.append(codazzi_residual(imm, pe))
-        um = umbilical_structure(pe.alpha, rho=imm.rho)
-        u_dims.append(um.u_dim)
-        if um.residuals is not None:
-            umb.append(np.max(np.abs(list(um.residuals.values()))))
-            dupin.append(dupin_residual(imm, pe))
-        if rotational:
-            profile.append(profile_normal_shape_residual(imm, pe))
+    pe = extrinsics_at(imm, pts)
+    flat = [flat_normal_residual(a) for a in pe.alpha]
+    gauss = gauss_ricci_residual(imm, pe, h=h)
+    codazzi = codazzi_residual(imm, pe)
+    ums = [umbilical_structure(a, rho=imm.rho) for a in pe.alpha]
+    umb = [i for i, um in enumerate(ums) if um.residuals is not None]
+    umb_res = [np.max(np.abs(list(ums[i].residuals.values()))) for i in umb]
+    dupin = dupin_residual(imm, pe.rows(umb)) if umb else []
+    profile = (profile_normal_shape_residual(imm, pe)
+               if imm.meta.get("kind") == "rotational" else [])
     return ExtrinsicReport(
         label=imm.label, dim=imm.dim, codim=imm.ambient_dim - imm.dim,
         n_points=len(pts), flat_normal_max=float(np.max(flat)),
         gauss_max=float(np.max(gauss)), codazzi_max=float(np.max(codazzi)),
-        u_dim_mode=int(np.bincount(u_dims).argmax()),
+        u_dim_mode=int(np.bincount([um.u_dim for um in ums]).argmax()),
         umbilical_points=len(umb),
-        umbilical_residual_max=float(np.max(umb)) if umb else math.nan,
-        dupin_max=float(np.max(dupin)) if dupin else math.nan,
+        umbilical_residual_max=float(np.max(umb_res)) if umb else math.nan,
+        dupin_max=float(np.max(dupin)) if umb else math.nan,
         profile_max=float(np.max(profile, initial=0.0)),
+        jet_calls=len(jet_rows), jet_rows=sum(jet_rows),
     )

@@ -318,6 +318,14 @@ def _on_diagonal(a):
 _BLOCK_ELEMENTS = 2 ** 14
 
 
+def _block_slices(n, per_point):
+    """Slices splitting n points into consecutive blocks whose largest array,
+    per_point entries a point, stays within the element budget; a point
+    that alone exceeds it is a block of its own."""
+    step = max(1, _BLOCK_ELEMENTS // per_point)
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
 def _blocks(chart, pts, fd):
     """pts split into consecutive blocks within the element budget.
 
@@ -330,8 +338,7 @@ def _blocks(chart, pts, fd):
     d = chart.dim
     row = d * d if hasattr(chart, "metric_jet") else d ** 3
     per_point = (2 * d * d + 1) * row if fd else d ** 4
-    step = max(1, _BLOCK_ELEMENTS // per_point)
-    return [pts[k:k + step] for k in range(0, len(pts), step)]
+    return [pts[s] for s in _block_slices(len(pts), per_point)]
 
 
 def _stencil(d, h):

@@ -216,6 +216,8 @@ class TestVerifyExtrinsic:
         assert {"flat-normal-bundle", "gauss-equation", "codazzi",
                 "umbilical-residuals", "dupin-leaf", "umbilical-dimension",
                 "profile-normal-blocks"} <= names
+        # own rows, 2 Gauss blocks, 1 Codazzi block, Dupin's neighbours
+        assert (doc["scan"]["jet_calls"], doc["scan"]["jet_rows"]) == (5, 192)
 
     def test_perturbed_clifford_fails_umbilical(self, capsys):
         code, doc = run(capsys, "verify-extrinsic", "--family", "clifford",

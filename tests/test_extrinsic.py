@@ -1,9 +1,11 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from warpgeo import extrinsic, geometry, immersions, warpfunc
+from warpgeo import cli, extrinsic, geometry, immersions, warpfunc
 from warpgeo.errors import (
     BadDimension,
     BadRange,
@@ -41,6 +43,17 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def poisoned(imm, bad, radius=0.01):
+    """imm with a NaN jet at every row within radius of the point bad."""
+    def jet_fn(X, fn=imm.jet_fn):
+        out = fn(X)
+        hit = np.all(np.abs(X - bad) < radius, axis=1)
+        for a in out:
+            a[hit] = np.nan
+        return out
+    return dataclasses.replace(imm, jet_fn=jet_fn)
 
 
 def gauss_sectional(alpha, p, q):
@@ -94,36 +107,40 @@ class TestFrames:
     def test_orthonormal_and_complementary(self):
         imm, x = schw_point(5)
         pe = extrinsic.extrinsics_at(imm, x)
-        assert np.max(np.abs(pe.Q.T @ pe.Q - np.eye(5))) < 1e-12
-        assert np.max(np.abs(pe.N @ pe.N.T - np.eye(2))) < 1e-12
-        assert np.max(np.abs(pe.N @ pe.Q)) < 1e-12
+        Q, N = pe.Q[0], pe.N[0]
+        assert np.max(np.abs(Q.T @ Q - np.eye(5))) < 1e-12
+        assert np.max(np.abs(N @ N.T - np.eye(2))) < 1e-12
+        assert np.max(np.abs(N @ Q)) < 1e-12
         assert pe.dim == 5 and pe.codim == 2
 
     def test_b_maps_chart_to_frame(self):
         imm, x = schw_point(5)
         pe = extrinsic.extrinsics_at(imm, x)
         _, J, _ = imm.jet(x[None])
-        assert np.max(np.abs(J[0] @ pe.B - pe.Q)) < 1e-12
+        assert np.max(np.abs(J[0] @ pe.B[0] - pe.Q[0])) < 1e-12
 
     def test_alpha_symmetric(self):
         imm, x = schw_point(4)
         pe = extrinsic.extrinsics_at(imm, x)
-        assert np.max(np.abs(pe.alpha - np.transpose(pe.alpha, (0, 2, 1)))) < 1e-13
+        assert np.max(np.abs(pe.alpha - np.swapaxes(pe.alpha, 2, 3))) < 1e-13
 
     def test_rank_deficient_at_polar_degeneracy(self):
         imm = immersions.build_immersion("sphere", 3)
         with pytest.raises(RankDeficient):
             extrinsic.extrinsics_at(imm, np.array([1e-13, 1.0, 1.0]))
+        # one such row fails the whole batch
+        with pytest.raises(RankDeficient):
+            extrinsic.extrinsics_at(imm, [[1.0, 1.0, 1.0], [1e-13, 1.0, 1.0]])
 
     def test_invariants_under_frame_rotations(self, rng):
         imm, x = schw_point(5)
         pe = extrinsic.extrinsics_at(imm, x)
-        um0 = extrinsic.umbilical_structure(pe.alpha, rho=imm.rho)
-        flat0 = extrinsic.flat_normal_residual(pe.alpha)
+        um0 = extrinsic.umbilical_structure(pe.alpha[0], rho=imm.rho)
+        flat0 = extrinsic.flat_normal_residual(pe.alpha[0])
         for _ in range(5):
             oc = random_orthogonal(rng, pe.codim)
             ot = random_orthogonal(rng, pe.dim)
-            rot = np.einsum("mn,npq->mpq", oc, pe.alpha)
+            rot = np.einsum("mn,npq->mpq", oc, pe.alpha[0])
             rot = np.einsum("pi,mpq,qj->mij", ot, rot, ot)
             um = extrinsic.umbilical_structure(rot, rho=imm.rho)
             assert um.group_sizes == um0.group_sizes
@@ -157,6 +174,14 @@ class TestProfileNormal:
         sol = warpfunc.integrate(warpfunc.linear_params(6), 2.0, 1e-3)
         with pytest.raises(DegenerateDelta):
             extrinsic.profile_delta(sol.sample_at(1.5))
+        # arrays of rows degenerate when any one row does
+        ts = np.array([0.9, 1.0, 1.1])
+        fine = warpfunc.integrate(warpfunc.schwarzschild_params(5), 1.6, 1e-3)
+        s = warpfunc.WarpSample(ts, *fine.samples_at(ts))
+        extrinsic.profile_delta(s)
+        s.dphi[1] = 1.0
+        with pytest.raises(DegenerateDelta):
+            extrinsic.profile_delta(s)
 
     def test_rejects_non_rotational(self):
         imm = immersions.clifford_immersion(5, 1.0)
@@ -170,7 +195,7 @@ class TestUmbilicalStructure:
     def test_rotational_substructure(self, n):
         imm, x = schw_point(n)
         pe = extrinsic.extrinsics_at(imm, x)
-        um = extrinsic.umbilical_structure(pe.alpha, rho=0.0)
+        um = extrinsic.umbilical_structure(pe.alpha[0], rho=0.0)
         assert um.u_dim == n - 2
         assert um.group_sizes == (n - 2, 1, 1)
         sol = imm.meta["warp"]
@@ -186,7 +211,7 @@ class TestUmbilicalStructure:
         imm = immersions.clifford_immersion(n, rho)
         x = np.full(n, 0.9) + 0.1 * np.arange(n)
         pe = extrinsic.extrinsics_at(imm, x)
-        um = extrinsic.umbilical_structure(pe.alpha, rho=rho)
+        um = extrinsic.umbilical_structure(pe.alpha[0], rho=rho)
         assert um.u_dim == n - 2
         assert um.group_sizes == (n - 2, 2)
         assert abs(np.linalg.norm(um.eta) - expect) < 1e-12
@@ -199,7 +224,7 @@ class TestUmbilicalStructure:
         imm = immersions.flat_base_composite(7, 2)
         x = np.array([1.3, 0.4, 0.9, 1.1, 0.8, 1.2, 2.0])
         pe = extrinsic.extrinsics_at(imm, x)
-        um = extrinsic.umbilical_structure(pe.alpha, rho=0.0)
+        um = extrinsic.umbilical_structure(pe.alpha[0], rho=0.0)
         assert um.group_sizes == (3, 2, 2)
         assert um.u_dim != imm.dim - 2
         base_rows = um.kappa[np.argsort(np.abs(um.kappa).sum(axis=1))[:2]]
@@ -210,14 +235,14 @@ class TestUmbilicalStructure:
         x = np.array([0.9, 1.0, 0.9, 1.1, 0.8, 1.2, 2.0])
         pe = extrinsic.extrinsics_at(imm, x)
         assert pe.codim == 3
-        assert extrinsic.flat_normal_residual(pe.alpha) < 1e-12
-        um = extrinsic.umbilical_structure(pe.alpha, rho=0.0)
+        assert extrinsic.flat_normal_residual(pe.alpha[0]) < 1e-12
+        um = extrinsic.umbilical_structure(pe.alpha[0], rho=0.0)
         assert um.u_dim != imm.dim - 2
 
     def test_coarse_tolerance_merges_everything(self):
         imm, x = schw_point(5)
         pe = extrinsic.extrinsics_at(imm, x)
-        um = extrinsic.umbilical_structure(pe.alpha, tol_group=1e6)
+        um = extrinsic.umbilical_structure(pe.alpha[0], tol_group=1e6)
         assert um.group_sizes == (5,)
         assert um.residuals is None
 
@@ -259,22 +284,22 @@ class TestGaussEquation:
         imm = immersions.clifford_immersion(5, 1.0)
         x = np.full(5, 0.9) + 0.1 * np.arange(5)
         pe = extrinsic.extrinsics_at(imm, x)
-        assert abs(gauss_sectional(pe.alpha, 0, 1) - 1.0) < 1e-12
-        assert abs(gauss_sectional(pe.alpha, 0, 2)) < 1e-12
-        assert abs(gauss_sectional(pe.alpha, 2, 3) - 0.5) < 1e-12
+        assert abs(gauss_sectional(pe.alpha[0], 0, 1) - 1.0) < 1e-12
+        assert abs(gauss_sectional(pe.alpha[0], 0, 2)) < 1e-12
+        assert abs(gauss_sectional(pe.alpha[0], 2, 3) - 0.5) < 1e-12
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_sectional_of_rotational_planes(self, n):
         imm, x = schw_point(n)
         pe = extrinsic.extrinsics_at(imm, x)
         s = imm.meta["warp"].sample_at(x[0])
-        base = gauss_sectional(pe.alpha, 0, 1)
+        base = gauss_sectional(pe.alpha[0], 0, 1)
         assert abs(base - (n - 2.0) * s.d2phi / s.phi) < 1e-11
-        mixed = gauss_sectional(pe.alpha, 0, 2)
+        mixed = gauss_sectional(pe.alpha[0], 0, 2)
         assert abs(mixed - (-s.d2phi / s.phi)) < 1e-12
         if n > 4:
             c = imm.meta["warp"].params.c
-            fib = gauss_sectional(pe.alpha, 2, 3)
+            fib = gauss_sectional(pe.alpha[0], 2, 3)
             assert abs(fib - (-c / s.phi ** (n - 1.0))) < 1e-12
 
     def test_ricci_from_alpha_closed_form(self):
@@ -287,11 +312,17 @@ class TestGaussEquation:
 
 class TestCodazzi:
     def test_one_jet_call(self, monkeypatch):
+        # one jet call per block: 2 dim 7 ambient dim^2 = 1750 entries a
+        # point at n = 5 puts 9 points in a block of 2**14
         imm, x = schw_point(5)
         pe = at(imm, x)
+        pts = geometry.sample_points(geometry.PullbackChart(imm), 12)
+        batch = at(imm, pts)
         jets = count_calls(monkeypatch, immersions.Immersion, "jet")
         extrinsic.codazzi_residual(imm, pe)
         assert jets == [1]
+        extrinsic.codazzi_residual(imm, batch)
+        assert jets == [1 + 2]
 
     @pytest.mark.parametrize("make", [
         lambda: immersions.schwarzschild_immersion(5),
@@ -428,23 +459,125 @@ class TestScan:
         assert rep.gauss_max < 5e-5
 
     @pytest.mark.parametrize("family,n,m,n_extrinsics,n_jets", [
-        ("schwarzschild", 5, None, 36, 60),
-        ("flat-torus-composite", 7, 2, 12, 36),
+        ("schwarzschild", 5, None, 2, 10),
+        ("flat-torus-composite", 7, 2, 1, 19),
     ])
     def test_one_evaluation_per_point(self, monkeypatch, family, n, m,
                                       n_extrinsics, n_jets):
-        # a point's own evaluation, its Gauss stencil and its Codazzi
-        # displacements are one jet call each; Dupin evaluates the two leaf
-        # neighbours of every point where it runs
+        # the sample's own evaluation is one jet call; Gauss and Codazzi
+        # make one per block; Dupin evaluates the two leaf neighbours of
+        # every umbilical point in one more extrinsics_at call
         imm = immersions.build_immersion(family, n, m=m)
         pes = count_calls(monkeypatch, extrinsic, "extrinsics_at")
         jets = count_calls(monkeypatch, immersions.Immersion, "jet")
         rep = extrinsic.extrinsic_scan(imm, n_points=12)
         u = rep.umbilical_points
-        assert pes == [12 + 2 * u] == [n_extrinsics]
-        assert jets == [3 * 12 + 2 * u] == [n_jets]
+        gauss = len(geometry._blocks(geometry.PullbackChart(imm),
+                                     np.zeros((12, n)), fd=True))
+        codazzi = len(geometry._block_slices(12, 2 * n ** 3 * imm.ambient_dim))
+        dupin = 1 if u else 0
+        assert pes == [1 + dupin] == [n_extrinsics]
+        assert jets == [1 + gauss + codazzi + dupin] == [n_jets]
+        # the same work as one call per point: own row, stencils, neighbours
+        rows = 12 * (1 + (2 * n * n + 1) + 2 * n) + 2 * u
+        d = rep.as_dict()
+        assert (d["jet_calls"], d["jet_rows"]) == (n_jets, rows)
 
     def test_nan_commutator_propagates(self):
         alpha = np.zeros((2, 3, 3))
         alpha[1, 0, 0] = np.nan
         assert math.isnan(extrinsic.flat_normal_residual(alpha))
+
+
+class TestFailClosed:
+    def test_nan_row_stays_in_its_row(self):
+        imm = immersions.clifford_immersion(5, 1.0)
+        X = geometry.sample_points(geometry.PullbackChart(imm), 4, seed=2)
+        X[1] = np.nan
+        pe = extrinsic.extrinsics_at(imm, X)
+        assert np.all(np.isnan(pe.alpha[1]))
+        assert np.all(np.isfinite(np.delete(pe.alpha, 1, axis=0)))
+        for res in (extrinsic.gauss_ricci_residual(imm, pe),
+                    extrinsic.codazzi_residual(imm, pe),
+                    extrinsic.dupin_residual(imm, pe)):
+            assert math.isnan(res[1])
+            assert np.all(np.isfinite(np.delete(res, 1)))
+
+    def poisoned_scan_input(self):
+        imm = immersions.build_immersion("schwarzschild", 5)
+        pts = geometry.sample_points(geometry.PullbackChart(imm), 6, seed=0)
+        bad = pts[2]
+        # no other sample point shares the poisoned neighbourhood
+        assert np.sum(np.all(np.abs(pts - bad) < 0.01, axis=1)) == 1
+        return poisoned(imm, bad)
+
+    def test_nan_row_fails_every_maximum(self):
+        rep = extrinsic.extrinsic_scan(self.poisoned_scan_input(),
+                                       n_points=6, seed=0)
+        assert rep.n_points == 6
+        for key in ("flat_normal_max", "gauss_max", "codazzi_max",
+                    "umbilical_residual_max", "dupin_max", "profile_max"):
+            assert math.isnan(getattr(rep, key)), key
+        assert rep.u_dim_mode == 3
+
+    def test_nan_row_fails_verify_extrinsic(self, monkeypatch, capsys):
+        imm = self.poisoned_scan_input()
+        monkeypatch.setattr(immersions, "build_immersion",
+                            lambda *args, **kwargs: imm)
+        code = cli.main(["verify-extrinsic", "--family", "schwarzschild",
+                         "--n", "5", "--points", "6", "--seed", "0"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        failed = {c["name"] for c in doc["checks"] if c["status"] == "fail"}
+        assert {"flat-normal-bundle", "gauss-equation", "codazzi",
+                "umbilical-residuals", "dupin-leaf",
+                "profile-normal-blocks"} <= failed
+
+
+# (family, n, m): a rotational immersion with umbilical points and Dupin,
+# and a dim-7 composite whose Codazzi blocks hold two points each
+BATCH_CASES = [("schwarzschild", 5, None), ("flat-torus-composite", 7, 2)]
+
+
+class TestBatching:
+    @pytest.mark.parametrize("family,n,m", BATCH_CASES)
+    def test_rows_match_one_row_at_a_time(self, family, n, m):
+        imm = immersions.build_immersion(family, n, m=m)
+        pts = geometry.sample_points(geometry.PullbackChart(imm), 12, seed=5)
+        pe = extrinsic.extrinsics_at(imm, pts)
+        ones = [extrinsic.extrinsics_at(imm, x) for x in pts]
+        alpha = np.concatenate([one.alpha for one in ones])
+        assert np.max(np.abs(pe.alpha - alpha)) <= 1e-12 * np.max(np.abs(alpha))
+        # relative tolerance, absolute tolerance; Gauss's stencil turns an
+        # ulp of the metric into 1/h^2 of it, and Dupin and the profile
+        # check sit at the roundoff floor
+        checks = [(extrinsic.codazzi_residual, 1e-12, 0.0),
+                  (extrinsic.gauss_ricci_residual, 1e-9, 0.0),
+                  (extrinsic.dupin_residual, 0.0, 1e-11)]
+        if imm.meta["kind"] == "rotational":
+            checks.append((extrinsic.profile_normal_shape_residual, 0.0, 1e-11))
+        for fn, rel, tol in checks:
+            batched = fn(imm, pe)
+            rowwise = np.concatenate([fn(imm, one) for one in ones])
+            assert batched.shape == (12,)
+            assert np.all(np.abs(batched - rowwise)
+                          <= rel * np.abs(rowwise) + tol), fn.__name__
+
+    @pytest.mark.parametrize("family,n,m", BATCH_CASES)
+    def test_codazzi_blocks_stay_within_budget(self, monkeypatch, family, n, m):
+        imm = immersions.build_immersion(family, n, m=m)
+        pts = geometry.sample_points(geometry.PullbackChart(imm), 12, seed=5)
+        pe = extrinsic.extrinsics_at(imm, pts)
+        calls = []
+        jet = immersions.Immersion.jet
+
+        def sized(self, X):
+            out = jet(self, X)
+            calls.append((len(X), max(a.size for a in out)))
+            return out
+
+        monkeypatch.setattr(immersions.Immersion, "jet", sized)
+        extrinsic.codazzi_residual(imm, pe)
+        assert sum(rows for rows, _ in calls) == 12 * 2 * n
+        assert len(calls) > 1
+        assert max(size for _, size in calls) <= geometry._BLOCK_ELEMENTS
