@@ -22,7 +22,6 @@ from .errors import (
     InconsistentParams,
     WarpgeoError,
     WrongFamily,
-    WrongRegime,
 )
 
 SCHEMA_VERSION = 1
@@ -54,7 +53,6 @@ _CONFIG_ERRORS = (
     BadDimension,
     InconsistentParams,
     WrongFamily,
-    WrongRegime,
 )
 
 
@@ -485,12 +483,24 @@ def _suite_warp(checks):
                          TOLERANCES["tol_closed_form"], "closed-form-oracle"))
 
 
-def _fd_gap(checks, chart, seed, points):
+def _fd_gap(checks, chart, pts):
     """The stencil's error against the exact jet, on the chart's own sample."""
-    pts = geometry.sample_points(chart, points, seed=seed)
     checks.append(_check("fd-gap-%s" % chart.label,
                          geometry.fd_ricci_gap(chart, pts),
                          TOLERANCES["tol_fd_gap"], "fd-vs-analytic"))
+
+
+def _fiber_constant(checks, chart, pts, floor):
+    """Smallest gap between the fiber's Ricci constant and the (n-3) eps the
+    warp needs, over the chart's own sample from one samples_at call; it
+    reads no curvature."""
+    t = pts[:, 0]
+    sample = warpfunc.WarpSample(t, *chart.warp.samples_at(t))
+    gap = geometry.fiber_constant_residual(chart.warp.params, sample,
+                                           chart.fiber)
+    checks.append(_check("fiber-constant-%s" % chart.label,
+                         float(np.min(np.abs(gap))), floor,
+                         "structural-equation", mode="min"))
 
 
 def _suite_intrinsic(checks, seed, points):
@@ -499,10 +509,12 @@ def _suite_intrinsic(checks, seed, points):
             chart, rho_val = geometry.chart_for_family(family, n, m=m, rho=rho)
             rep = geometry.verify_einstein(chart, rho_val, n_points=points,
                                            seed=seed)
+            pts = geometry.sample_points(chart, points, seed=seed)
             if row.defect_floor is not None:
                 checks.append(_check("defect-%s" % rep.label, rep.einstein_max,
                                      row.defect_floor, rep.provenance,
                                      mode="min"))
+                _fiber_constant(checks, chart, pts, row.defect_floor)
             else:
                 checks.append(_check("einstein-%s" % rep.label,
                                      rep.einstein_max,
@@ -512,12 +524,12 @@ def _suite_intrinsic(checks, seed, points):
                     checks.append(_check("spread-%s" % rep.label,
                                          rep.sectional_spread, bound,
                                          rep.provenance, mode=mode))
-            _fd_gap(checks, chart, seed, points)
+            _fd_gap(checks, chart, pts)
     pert, rho = geometry.chart_for_family("clifford", 5, rho=1.0, perturb=0.05)
     rep = geometry.verify_einstein(pert, rho, n_points=points, seed=seed)
     checks.append(_check("defect-%s" % pert.label, rep.einstein_max, 1e-3,
                          rep.provenance, mode="min"))
-    _fd_gap(checks, pert, seed, points)
+    _fd_gap(checks, pert, geometry.sample_points(pert, points, seed=seed))
 
 
 def _suite_extrinsic(checks, seed):
@@ -533,6 +545,8 @@ def _suite_extrinsic(checks, seed):
         checks.append(_check("udim-%s" % tag, udim, 0.5, "frame-algebra"))
         checks.append(_check("gauss-%s" % tag, rep.gauss_max,
                              TOLERANCES["tol_gauss"], "finite-difference"))
+        checks.append(_check("codazzi-%s" % tag, rep.codazzi_max,
+                             TOLERANCES["tol_codazzi"], "finite-difference"))
         checks.append(_check("dupin-%s" % tag, rep.dupin_max,
                              TOLERANCES["tol_dupin"], "frame-algebra"))
         checks.append(_check("profile-%s" % tag, rep.profile_max,

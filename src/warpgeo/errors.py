@@ -46,10 +46,6 @@ class WrongFamily(WarpgeoError):
     """Operation requires parameters from a specific solution family."""
 
 
-class WrongRegime(WarpgeoError):
-    """Operation requires a specific (eps, rho) regime."""
-
-
 # -- charts and sampling -----------------------------------------------------
 
 class SingularChartPoint(WarpgeoError):
@@ -68,10 +64,6 @@ class OutsideDomain(WarpgeoError):
 
 class RankDeficient(WarpgeoError):
     """Differential does not have full rank at the evaluation point."""
-
-
-class FrameMismatch(WarpgeoError):
-    """Supplied frame does not match the expected dimensions."""
 
 
 class NotFlatNormal(WarpgeoError):

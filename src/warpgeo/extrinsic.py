@@ -33,6 +33,12 @@ from .errors import (
     RankDeficient,
 )
 
+# step of the Codazzi and Dupin central differences
+_STEP = 1e-4
+# commutator and eigenvalue-cluster tolerance of simdiag, relative to the
+# largest matrix entry
+_TOL_SIMDIAG = 1e-7
+
 
 # -- frames and second fundamental form ----------------------------------------
 
@@ -133,13 +139,13 @@ def flat_normal_residual(alpha):
 
 # -- simultaneous diagonalization ------------------------------------------------
 
-def simdiag(mats, tol=1e-7):
+def simdiag(mats):
     """Common orthonormal eigenbasis of commuting symmetric matrices.
 
     Successive refinement: diagonalize the first matrix, split the basis
     into eigenvalue clusters, then diagonalize each following matrix inside
-    every cluster. Raises NotFlatNormal when a pair fails to commute at the
-    given tolerance, since no common basis exists then.
+    every cluster. Raises NotFlatNormal when a pair fails to commute at
+    _TOL_SIMDIAG, since no common basis exists then.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
     d = mats[0].shape[0]
@@ -147,7 +153,7 @@ def simdiag(mats, tol=1e-7):
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
             comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            if np.max(np.abs(comm)) > tol * scale:
+            if np.max(np.abs(comm)) > _TOL_SIMDIAG * scale:
                 raise NotFlatNormal(
                     "shape operators do not commute; no common eigenbasis"
                 )
@@ -161,7 +167,7 @@ def simdiag(mats, tol=1e-7):
             V[:, blk] = V[:, blk] @ U
             start = 0
             for i in range(1, len(blk) + 1):
-                if i == len(blk) or w[i] - w[start] > tol * scale:
+                if i == len(blk) or w[i] - w[start] > _TOL_SIMDIAG * scale:
                     new_blocks.append(blk[start:i])
                     start = i
         blocks = new_blocks
@@ -194,12 +200,13 @@ class UmbilicalStructure:
 _UMBILICAL_RESIDUALS = ("ga1", "eqalpha", "eqalpha2", "eqalpha1")
 
 
-def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
+def umbilical_structure(alpha, rho=None, tol_group=1e-5):
     """Group tangent directions by principal curvature vector.
 
-    alpha is the (codim, d, d) frame array of a point with flat normal
-    bundle. When the largest group leaves a 2-dimensional complement and
-    rho is given, the structural residuals are evaluated:
+    alpha is the (codim, n, n) frame array of a point with flat normal
+    bundle, n the dimension of the immersed manifold. When the largest
+    group leaves a 2-dimensional complement and rho is given, the
+    structural residuals are evaluated:
 
       ga1:      rho - K(U-perp) - (n-2) <alpha_11, eta>
       eqalpha:  <alpha_11 - alpha_22, eta>
@@ -220,8 +227,6 @@ def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
             residuals=None if rho is None
             else dict.fromkeys(_UMBILICAL_RESIDUALS, math.nan),
         )
-    if n is None:
-        n = d
     V = simdiag(list(alpha))
     ap = np.einsum("pi,cpq,qj->cij", V, alpha, V)
     kappa = np.stack([np.diag(ap[k]) for k in range(c)], axis=1)
@@ -255,10 +260,10 @@ def umbilical_structure(alpha, rho=None, n=None, tol_group=1e-5):
         a12 = ap[:, i, j]
         k_perp = float(a11 @ a22 - a12 @ a12)
         residuals = dict(zip(_UMBILICAL_RESIDUALS, (
-            (rho - k_perp) - (n - 2.0) * float(a11 @ eta),
+            (rho - k_perp) - (d - 2.0) * float(a11 @ eta),
             float((a11 - a22) @ eta),
             float(a12 @ eta),
-            rho - (n - 3.0) * float(eta @ eta) - float((a11 + a22) @ eta),
+            rho - (d - 3.0) * float(eta @ eta) - float((a11 + a22) @ eta),
         )))
     return UmbilicalStructure(
         kappa=kappa,
@@ -307,7 +312,7 @@ def _alpha_chart(J, H):
     return H - np.einsum("nad,ndij->naij", J, gam), gam, Gi
 
 
-def codazzi_residual(imm, pe, h=1e-4):
+def codazzi_residual(imm, pe):
     """Antisymmetry defect of the covariant derivative of alpha, per row.
 
     (nabla_a alpha)(b, c) is computed as the normal projection of the
@@ -318,12 +323,12 @@ def codazzi_residual(imm, pe, h=1e-4):
     element budget, one jet call per block.
     """
     d, amb = imm.dim, imm.ambient_dim
-    # rows 2a and 2a + 1 of a point's stencil displace it by +h and -h
-    # along axis a
+    # rows 2a and 2a + 1 of a point's stencil displace it by +_STEP and
+    # -_STEP along axis a
     axes = np.arange(d)
     E = np.zeros((2 * d, d))
-    E[2 * axes, axes] = h
-    E[2 * axes + 1, axes] = -h
+    E[2 * axes, axes] = _STEP
+    E[2 * axes + 1, axes] = -_STEP
     out = []
     # a block's largest arrays, the displaced Hessians and their alpha,
     # hold 2 d ambient d d entries per point
@@ -332,7 +337,7 @@ def codazzi_residual(imm, pe, h=1e-4):
         a0, gam, Gi = _alpha_chart(J, pe.H[rows])
         _, Js, Hs = imm.jet((pe.x[rows, None, :] + E).reshape(-1, d))
         disp = _alpha_chart(Js, Hs)[0].reshape(len(J), d, 2, amb, d, d)
-        da = (disp[:, :, 0] - disp[:, :, 1]) / (2.0 * h)
+        da = (disp[:, :, 0] - disp[:, :, 1]) / (2.0 * _STEP)
         PiN = np.eye(amb) - J @ Gi @ np.swapaxes(J, 1, 2)
         # (nabla_a alpha)_bc = PiN d_a alpha_bc - Gamma^d_ab alpha_dc
         #                      - Gamma^d_ac alpha_bd
@@ -392,9 +397,10 @@ def profile_normal_shape_residual(imm, pe):
 
 # -- Dupin condition -----------------------------------------------------------------
 
-def dupin_residual(imm, pe, h=1e-4, leaf_axis=None):
+def dupin_residual(imm, pe):
     """Normal-space velocity of eta along a U-leaf direction, per row.
 
+    The leaf direction is the last chart axis, the final fiber angle.
     eta is recomputed as an ambient vector at the two displaced points of
     every row, all of them in one extrinsics_at call (it is
     frame-independent, so normal-frame jumps between neighboring points
@@ -402,16 +408,14 @@ def dupin_residual(imm, pe, h=1e-4, leaf_axis=None):
     parallelism in the normal connection means the normal projection of
     the derivative vanishes.
     """
-    if leaf_axis is None:
-        leaf_axis = imm.dim - 1
     n = len(pe.x)
     Y = np.concatenate([pe.x, pe.x])
-    Y[:n, leaf_axis] += h
-    Y[n:, leaf_axis] -= h
+    Y[:n, -1] += _STEP
+    Y[n:, -1] -= _STEP
     nb = extrinsics_at(imm, Y)
     eta = np.stack([umbilical_structure(a).eta @ N
                     for a, N in zip(nb.alpha, nb.N)])
-    vel = (eta[:n] - eta[n:]) / (2.0 * h)
+    vel = (eta[:n] - eta[n:]) / (2.0 * _STEP)
     w = pe.N @ vel[:, :, None]   # normal part of the velocity, a column per row
     return np.sqrt(np.swapaxes(w, 1, 2) @ w)[:, 0, 0]
 
@@ -586,23 +590,7 @@ class ExtrinsicReport:
     provenance: str = "frame-algebra"
 
     def as_dict(self):
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "codim": self.codim,
-            "n_points": self.n_points,
-            "flat_normal_max": self.flat_normal_max,
-            "gauss_max": self.gauss_max,
-            "codazzi_max": self.codazzi_max,
-            "u_dim_mode": self.u_dim_mode,
-            "umbilical_points": self.umbilical_points,
-            "umbilical_residual_max": self.umbilical_residual_max,
-            "dupin_max": self.dupin_max,
-            "profile_max": self.profile_max,
-            "jet_calls": self.jet_calls,
-            "jet_rows": self.jet_rows,
-            "provenance": self.provenance,
-        }
+        return dataclasses.asdict(self)
 
 
 def extrinsic_scan(imm, n_points=8, seed=0, h=1e-3):

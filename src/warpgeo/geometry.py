@@ -20,7 +20,7 @@ fixture is built.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .errors import BadDimension, BadRange, OutsideDomain, SingularChartPoint
 
 _TOL_POLE = 1e-3
 _TOL_WARP_TURNING = 1e-6
+# distance of the sampled non-final fiber angles from their poles
+_ANGLE_PAD = 0.4
 
 
 # -- fibers -------------------------------------------------------------------
@@ -60,6 +62,12 @@ class FiberSpec:
     @property
     def dim(self):
         return int(sum(self.dims))
+
+    @property
+    def ambient_dim(self):
+        """Coordinates of the product embedding: d + 1 per factor S^d, and
+        one more for a nonzero offset."""
+        return sum(d + 1 for d in self.dims) + (1 if self.offset else 0)
 
     @property
     def factor_constants(self):
@@ -126,11 +134,11 @@ class FiberSpec:
         d2f[:, idx, idx, :] = (0.5 * c * c - 2.0)[:, :, None] * carries * f[:, None, :]
         return cf, d2f
 
-    def angle_box(self, pad=0.4):
+    def angle_box(self):
         """Sampling box that keeps every non-final angle away from poles."""
         box = []
         for d in self.dims:
-            box.extend([(pad, math.pi - pad)] * (d - 1))
+            box.extend([(_ANGLE_PAD, math.pi - _ANGLE_PAD)] * (d - 1))
             box.append((0.0, 2.0 * math.pi))
         return box
 
@@ -477,22 +485,7 @@ def fd_ricci_gap(chart, pts, h=1e-3):
     return float(np.max(np.concatenate(gaps)))
 
 
-# -- pointwise scalar conditions ----------------------------------------------
-
-def einstein_conditions_residual(params, sample, K):
-    """The two scalar conditions tying base curvature to the warp.
-
-    r1: K phi = (n-2) phi'' + rho phi (base curvature forced by the warp).
-    r2: the structural equation itself, written homogeneously.
-    Both vanish identically on Einstein warped products.
-    """
-    n, rho, eps = params.n, params.rho, params.eps
-    r1 = (n - 2.0) * sample.d2phi - (K - rho) * sample.phi
-    r2 = (2.0 * sample.d2phi
-          + (n - 3.0) / sample.phi * (sample.dphi ** 2 - eps)
-          + rho * sample.phi)
-    return r1, r2
-
+# -- the fiber constant the warp needs ----------------------------------------
 
 def fiber_constant_residual(params, sample, fiber):
     """Mismatch between the fiber's Ricci constant and what the warp needs.
@@ -689,26 +682,12 @@ class CurvatureReport:
         return self.sectional_max - self.sectional_min
 
     def as_dict(self):
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "rho": self.rho,
-            "h": self.h,
-            "n_points": self.n_points,
-            "einstein_max": self.einstein_max,
-            "ricci_sym_max": self.ricci_sym_max,
-            "richardson_max": self.richardson_max,
-            "sectional_min": self.sectional_min,
-            "sectional_max": self.sectional_max,
-            "sectional_spread": self.sectional_spread,
-            "tol": self.tol,
-            "passed": self.passed,
-            "provenance": self.provenance,
-        }
+        return dict(asdict(self), passed=self.passed,
+                    sectional_spread=self.sectional_spread)
 
 
-def sample_points(chart, n_points, seed=0, margin=None, h=1e-3):
-    """n_points quasi-random chart points, a stencil margin inside the box.
+def sample_points(chart, n_points, seed=0, h=1e-3):
+    """n_points quasi-random chart points, a stencil margin 3 h inside the box.
 
     Rejects an empty sample and a step h that is not finite and positive,
     so no check downstream can pass on evidence it never collected.
@@ -718,10 +697,8 @@ def sample_points(chart, n_points, seed=0, margin=None, h=1e-3):
     if not (math.isfinite(h) and h > 0.0):
         raise BadRange("step h must be finite and positive, got %r" % (h,))
     box = np.array(chart.sample_box, dtype=float)
-    if margin is None:
-        margin = 3.0 * h
-    box[:, 0] += margin
-    box[:, 1] -= margin
+    box[:, 0] += 3.0 * h
+    box[:, 1] -= 3.0 * h
     if np.any(box[:, 1] <= box[:, 0]):
         raise OutsideDomain("sample box collapses under the stencil margin")
     return sampling.box(n_points, box, seed=seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, sampling, serialize
+from . import geometry, sampling, serialize, warpfunc
 from .errors import BadDimension, BadRange, OutOfDomain, SingularChartPoint
 
 _TOL_TURNING = 1e-6
@@ -72,7 +72,7 @@ def fiber_jet(fiber, Y):
     fdim = fiber.dim
     if Y.shape[1] != fdim:
         raise BadDimension("expected %d fiber angles, got %d" % (fdim, Y.shape[1]))
-    amb = sum(d + 1 for d in fiber.dims) + (1 if fiber.offset else 0)
+    amb = fiber.ambient_dim
     v = np.zeros((n, amb))
     j = np.zeros((n, amb, fdim))
     h = np.zeros((n, amb, fdim, fdim))
@@ -141,12 +141,8 @@ class ProfileTable:
         inc = (step / 6.0) * (d1[:-1] + 4.0 * dmid + d1[1:])
         self.psi = np.concatenate([[0.0], np.cumsum(inc)])
 
-    @staticmethod
-    def _margin(dphi, d2phi):
-        return 1.0 - dphi * dphi - d2phi * d2phi
-
     def _dpsi_arrays(self, phi, dphi, d2phi):
-        m = self._margin(dphi, d2phi)
+        m = warpfunc.embeddability_margin(dphi, d2phi)
         if np.any(m < -1e-12):
             raise BadRange(
                 "embeddability margin is negative; no profile closure exists"
@@ -188,7 +184,7 @@ class ProfileTable:
         """(psi, psi', psi'') at query points; needs margin bounded away from 0."""
         query = self.query(ts) if query is None else query
         phi, dphi, d2phi, d3phi = query[2]
-        m = self._margin(dphi, d2phi)
+        m = warpfunc.embeddability_margin(dphi, d2phi)
         if np.any(m < _TOL_MARGIN):
             raise SingularChartPoint(
                 "profile closure degenerates where the margin vanishes"
@@ -211,7 +207,7 @@ def rotational_immersion(sol, fiber, t_range, label, rho):
     table = ProfileTable(sol)
     fdim = fiber.dim
     dim = 2 + fdim
-    amb = 3 + sum(d + 1 for d in fiber.dims) + (1 if fiber.offset else 0)
+    amb = 3 + fiber.ambient_dim
 
     def jet_fn(X):
         nrow = X.shape[0]
@@ -277,7 +273,7 @@ def extra_codim_immersion(n, m):
 
 def immersion_from_fiber(fiber, label, rho):
     """A FiberSpec used directly as an immersed product of spheres."""
-    amb = sum(d + 1 for d in fiber.dims) + (1 if fiber.offset else 0)
+    amb = fiber.ambient_dim
 
     def jet_fn(X):
         return fiber_jet(fiber, X)
@@ -351,25 +347,22 @@ _BASES = {
 }
 
 
-def warped_composite(base_kind, fiber, s=None, label=None, rho=0.0):
+def warped_composite(base_kind, fiber, label=None, rho=0.0):
     """Replace the last base coordinate sigma by s sigma h2(y).
 
     The base surface h1 lands in R^k with distinguished last axis e; the
     composite is (w, s sigma h2) with h1 = (w, sigma). Its pullback is
     g_base + (s^2 R^2 - 1) dsigma^2 + (s sigma)^2 g_F with R the fiber's
     ambient radius, so the warped-product structure appears exactly when
-    s R = 1; passing s=None calibrates that way.
+    s R = 1, which is how s is calibrated.
     """
     if base_kind not in _BASES:
         raise BadRange("unknown base kind %r" % base_kind)
     base_jet, k, t_rng, u_rng, base_k = _BASES[base_kind]
-    radius = fiber.ambient_radius()
-    if s is None:
-        s = 1.0 / radius
+    s = 1.0 / fiber.ambient_radius()
     fdim = fiber.dim
     dim = 2 + fdim
-    famb = sum(d + 1 for d in fiber.dims) + (1 if fiber.offset else 0)
-    amb = (k - 1) + famb
+    amb = (k - 1) + fiber.ambient_dim
 
     def jet_fn(X):
         nrow = X.shape[0]

@@ -10,12 +10,14 @@ disturbing the equidistribution.
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# leading Halton indices left out of every axis
+_HALTON_SKIP = 20
 
 
-def _halton_axis(count, base, skip=20):
+def _halton_axis(count, base):
     out = np.empty(count)
     for i in range(count):
-        k = i + skip
+        k = i + _HALTON_SKIP
         f = 1.0
         r = 0.0
         while k > 0:

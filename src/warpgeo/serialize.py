@@ -13,7 +13,8 @@ import tempfile
 import numpy as np
 
 
-def _fmt_float(x):
+def fmt_float(x):
+    """The float formatter of every writer: '%.17g', NaN and +-Infinity."""
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
@@ -54,7 +55,7 @@ def to_json(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        return fmt_float(float(obj))
     if isinstance(obj, str):
         return '"%s"' % _escape(obj)
     if isinstance(obj, np.ndarray):
@@ -93,8 +94,3 @@ def write_text_atomic(path, text):
 
 def write_json(path, obj):
     write_text_atomic(path, to_json(obj) + "\n")
-
-
-def fmt_float(x):
-    """Public alias for the float formatter used across all writers."""
-    return _fmt_float(x)

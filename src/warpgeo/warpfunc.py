@@ -12,8 +12,9 @@ along base geodesics. That equation has the first integral
 
 whose constant c labels the solution family. This module integrates the
 equation, evaluates the family's closed forms where they exist, and exposes
-the scalar diagnostics (base curvature, embeddability margin, identity
-residuals) that the rest of the package checks numerically.
+the scalar diagnostics (the c = 0 base curvature, the embeddability margin
+and the Schwarzschild identity residual) that the rest of the package
+checks numerically.
 
 eps is kept as a free real number rather than an element of {-1, 0, 1}:
 fibers arising from non-round Einstein manifolds carry other normalized
@@ -21,7 +22,7 @@ constants and the equation is insensitive to the distinction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +37,10 @@ from .errors import (
     OutOfDomain,
     StepTooLarge,
     WrongFamily,
-    WrongRegime,
 )
+
+# the equation divides by phi; integration halts where a stage reaches this
+PHI_FLOOR = 1e-8
 
 
 def rhs_second_order(n, eps, rho, phi, dphi):
@@ -164,19 +167,6 @@ class WarpSolution:
     def t_max(self):
         return float(max(self.t[0], self.t[-1]))
 
-    @property
-    def samples(self):
-        return [
-            WarpSample(
-                float(self.t[i]),
-                float(self.phi[i]),
-                float(self.dphi[i]),
-                float(self.d2phi[i]),
-                float(self.d3phi[i]),
-            )
-            for i in range(len(self.t))
-        ]
-
     def samples_at(self, ts):
         """Interpolate (phi, phi') at arbitrary points inside the interval.
 
@@ -202,13 +192,8 @@ class WarpSolution:
         d3 = third_derivative(pp.n, pp.rho, p, d, d2)
         return p, d, d2, d3
 
-    def sample_at(self, t):
-        p, d, d2, d3 = self.samples_at([t])
-        return WarpSample(float(t), float(p[0]), float(d[0]), float(d2[0]), float(d3[0]))
 
-
-def integrate(params, t_end, step=1e-3, tol_drift=1e-8, phi_floor=1e-8,
-              on_floor="truncate"):
+def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
     """Integrate the structural equation from params.t0 to t_end.
 
     Fixed-step RK4 with the step shrunk so the grid lands on t_end exactly.
@@ -220,21 +205,18 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8, phi_floor=1e-8,
     run the unresolved tail is trimmed off instead.
 
     The equation divides by phi, so the integrator halts when any stage
-    dips to phi_floor. on_floor selects what a mid-run halt does: "truncate"
-    returns the valid prefix with truncated=True, "raise" raises
-    NonPositiveWarp. A floor violation by the initial state itself raises
+    dips to PHI_FLOOR and returns the valid prefix with truncated=True and
+    halt_reason "phi_floor". An initial state at or below the floor raises
     DomainExhausted.
     """
-    if on_floor not in ("truncate", "raise"):
-        raise BadRange("on_floor must be 'truncate' or 'raise'")
     if not step > 0.0:
         raise BadRange("step must be positive")
     if not math.isfinite(t_end) or t_end == params.t0:
         raise BadRange("t_end must be finite and differ from t0")
-    if params.phi0 <= phi_floor:
+    if params.phi0 <= PHI_FLOOR:
         raise DomainExhausted(
             "initial phi0=%g is at or below phi_floor=%g"
-            % (params.phi0, phi_floor)
+            % (params.phi0, PHI_FLOOR)
         )
 
     span = t_end - params.t0
@@ -244,12 +226,8 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8, phi_floor=1e-8,
     ts, ps, ds, count, hit_floor = rk4_warp(
         float(params.n), float(params.eps), float(params.rho),
         float(params.t0), float(params.phi0), float(params.dphi0),
-        float(h), int(n_steps), float(phi_floor),
+        float(h), int(n_steps), PHI_FLOOR,
     )
-    if hit_floor and on_floor == "raise":
-        raise NonPositiveWarp(
-            "phi reached the floor %g near t=%g" % (phi_floor, ts[count - 1])
-        )
     t = np.array(ts[:count])
     phi = np.array(ps[:count])
     dphi = np.array(ds[:count])
@@ -347,21 +325,6 @@ def closed_form_n5(c, t):
 
 # -- scalar diagnostics ------------------------------------------------------
 
-_TOL_TURNING = 1e-6
-
-
-def base_gauss_curvature(params, sample):
-    """Gauss curvature of the 2-dimensional base at a solution sample.
-
-    K = -phi'''/phi' away from turning points of phi. At a turning point the
-    quotient has the removable value ((n-2) phi'' + rho phi) / phi, which is
-    what -phi'''/phi' collapses to identically along exact solutions.
-    """
-    if abs(sample.dphi) < _TOL_TURNING:
-        return ((params.n - 2.0) * sample.d2phi + params.rho * sample.phi) / sample.phi
-    return -sample.d3phi / sample.dphi
-
-
 def constant_curvature_value(params):
     """Base curvature forced by c = 0: K = rho / (n-1), else None."""
     if abs(params.c) <= 1e-12 * (1.0 + abs(params.eps) + abs(params.rho)):
@@ -369,9 +332,12 @@ def constant_curvature_value(params):
     return None
 
 
-def embeddability_margin(sample):
-    """1 - phi'^2 - phi''^2; nonnegative iff the rotational profile exists."""
-    return 1.0 - sample.dphi ** 2 - sample.d2phi ** 2
+def embeddability_margin(dphi, d2phi):
+    """1 - phi'^2 - phi''^2; nonnegative iff the rotational profile exists.
+
+    Takes floats or arrays of rows.
+    """
+    return 1.0 - dphi * dphi - d2phi * d2phi
 
 
 def schwarzschild_identity_residual(params, sample):
@@ -392,28 +358,6 @@ def schwarzschild_identity_residual(params, sample):
     x = b / sample.phi
     rhs = 1.0 - x ** (n - 3.0) + x ** (2.0 * (n - 2.0))
     return sample.dphi ** 2 + sample.d2phi ** 2 - rhs
-
-
-def ricci_flat_diagnostics(params, sample):
-    """Closed-form scalars available in the rho = 0, eps = 1 regime.
-
-    Returns base curvature, Laplacian and Hessian eigenvalue of phi on the
-    base, and the infimum of phi over the family orbit. All are rational in
-    phi because the first integral eliminates phi'.
-    """
-    if params.rho != 0.0 or params.eps != 1.0:
-        raise WrongRegime("diagnostics require rho = 0 and eps = 1")
-    n, c = params.n, params.c
-    phi = sample.phi
-    k = -(n - 2.0) * (n - 3.0) * c / (2.0 * phi ** (n - 1.0))
-    lap = -(n - 3.0) * c / phi ** (n - 2.0)
-    inf_phi = (-c) ** (1.0 / (n - 3.0)) if c < 0.0 else 0.0
-    return {
-        "gauss_curvature": k,
-        "laplacian": lap,
-        "hessian_eigenvalue": lap / 2.0,
-        "inf_phi": inf_phi,
-    }
 
 
 # -- serialization -----------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from warpgeo import cli, extrinsic, geometry, immersions, warpfunc
+from warp_samples import sample_at
 
 SEED = 42
 
@@ -71,7 +72,7 @@ def test_criterion_3_family_identity_and_margin(capsys):
         sol = warpfunc.integrate(warpfunc.schwarzschild_params(n), 5.0, 1e-3)
         ident = warpfunc.schwarzschild_identity_residual(sol.params, sol)
         worst_ident = max(worst_ident, float(np.max(np.abs(ident))))
-        margin = warpfunc.embeddability_margin(sol)
+        margin = warpfunc.embeddability_margin(sol.dphi, sol.d2phi)
         margin_zero = max(margin_zero, abs(float(margin[0])))
         inside = sol.t >= 0.1
         margin_min = min(margin_min, float(np.min(margin[inside])))
@@ -155,7 +156,7 @@ def test_criterion_4_companion_unit_sum_defect_is_structural(capsys):
     params = warpfunc.sin_params(7)
     sol = warpfunc.integrate(params, 2.2, 1e-3)
     fiber = geometry.unit_torus_fiber(7, 2)
-    gap = geometry.fiber_constant_residual(params, sol.sample_at(1.8), fiber)
+    gap = geometry.fiber_constant_residual(params, sample_at(sol, 1.8), fiber)
     assert abs(gap - 1.0) < 1e-9
     announce(capsys, 4, "companion-defect-pinned", True,
              "residuals %.2f / %.2f, fiber gap %.3f"

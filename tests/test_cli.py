@@ -276,6 +276,18 @@ class TestReport:
         names = [c["name"] for c in doc["checks"]]
         assert "defect-round-torus-composite-n7-m2" in names
         assert "udim-schwarzschild-n4" in names
+        checks = {c["name"]: c for c in doc["checks"]}
+        # fiber constant n-4 against the (n-3) eps the warp needs: a gap of 1
+        for label in ("round-torus-composite-n7-m2",
+                      "cylinder-torus-composite-n7-m2"):
+            fiber = checks["fiber-constant-" + label]
+            assert fiber["comparison"] == "min"
+            assert abs(fiber["value"] - 1.0) < 1e-9
+            assert fiber["tolerance"] == checks["defect-" + label]["tolerance"]
+        for n in (4, 5, 6):
+            codazzi = checks["codazzi-schwarzschild-n%d" % n]
+            assert codazzi["tolerance"] == 1e-6
+            assert 0.0 < codazzi["value"] <= 1e-6
 
     @pytest.mark.parametrize("seed", [4, 8, 9, 10, 13, 25])
     def test_passes_at_seeds_the_stencils_failed(self, capsys, seed):

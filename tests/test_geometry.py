@@ -20,6 +20,7 @@ from warpgeo.errors import (
     OutsideDomain,
     SingularChartPoint,
 )
+from warp_samples import base_curvature, sample_at
 
 TOL_EINSTEIN = 5e-5
 
@@ -121,7 +122,7 @@ class TestChristoffelOracle:
                                t_range=(0.4, 1.4))
         x = np.array([0.8, 1.3, 1.1, 2.0])
         gam = gm.curvature_fd(chart, x, h=1e-3).gamma
-        s = chart.warp.sample_at(0.8)
+        s = sample_at(chart.warp, 0.8)
         p, dp, d2p = s.phi, s.dphi, s.d2phi
         y1 = x[2]
         expected = {
@@ -309,7 +310,7 @@ class TestEinsteinCharts:
         chart = family_chart("schwarzschild", n)
         x = np.array([0.9, 1.0, 1.2, 0.9, 2.2])
         pc = gm.curvature_fd(chart, x)
-        phi = chart.warp.sample_at(x[0]).phi
+        phi = sample_at(chart.warp, x[0]).phi
         c = chart.warp.params.c
         base = -(n - 2.0) * (n - 3.0) * c / (2.0 * phi ** (n - 1.0))
         mixed = (n - 3.0) * c / (2.0 * phi ** (n - 1.0))
@@ -325,8 +326,7 @@ class TestEinsteinCharts:
         chart = family_chart("schwarzschild", 6)
         x = np.array([1.1, 0.8, 1.3, 1.0, 0.8, 2.0])
         pc = gm.curvature_fd(chart, x)
-        s = chart.warp.sample_at(x[0])
-        k_ode = wf.base_gauss_curvature(chart.warp.params, s)
+        k_ode = base_curvature(sample_at(chart.warp, x[0]))
         assert pc.sectional(0, 1) == pytest.approx(k_ode, rel=1e-4)
 
     def test_flat_torus_composite_is_einstein_not_flat(self):
@@ -376,7 +376,7 @@ class TestMismatchedFiberCharts:
         sol = wf.integrate(p, 1.5, step=1e-3)
         fib = gm.unit_torus_fiber(n, 2)
         for t in (0.4, 0.8, 1.2):
-            r = gm.fiber_constant_residual(p, sol.sample_at(t), fib)
+            r = gm.fiber_constant_residual(p, sample_at(sol, t), fib)
             assert r == pytest.approx(1.0, abs=1e-9)
 
     def test_matched_fibers_have_zero_residual(self):
@@ -384,14 +384,14 @@ class TestMismatchedFiberCharts:
         lin = wf.linear_params(n, t0=0.3)
         sol = wf.integrate(lin, 2.0, step=1e-3)
         fib = gm.offset_torus_fiber(n, 2)
-        assert gm.fiber_constant_residual(lin, sol.sample_at(1.0), fib) == pytest.approx(
+        assert gm.fiber_constant_residual(lin, sample_at(sol, 1.0), fib) == pytest.approx(
             0.0, abs=1e-10
         )
         pex = wf.extra_codim_params(n)
         solex = wf.integrate(pex, 1.5, step=1e-3)
         fibu = gm.unit_torus_fiber(n, 2)
         assert gm.fiber_constant_residual(
-            pex, solex.sample_at(0.9), fibu
+            pex, sample_at(solex, 0.9), fibu
         ) == pytest.approx(0.0, abs=1e-9)
 
     def test_not_einstein_fiber_rejected(self):
@@ -400,7 +400,7 @@ class TestMismatchedFiberCharts:
         sol = wf.integrate(lin, 2.0, step=1e-3)
         lop = gm.FiberSpec(dims=(2, 3), radii=(1.0, 1.3))
         with pytest.raises(BadRange):
-            gm.fiber_constant_residual(lin, sol.sample_at(1.0), lop)
+            gm.fiber_constant_residual(lin, sample_at(sol, 1.0), lop)
 
     def test_perturbed_clifford_detected(self):
         r1, r2 = gm.clifford_radii(5, 1.0)
@@ -409,26 +409,6 @@ class TestMismatchedFiberCharts:
         )
         rep = gm.verify_einstein(bad, rho=1.0, n_points=8)
         assert rep.einstein_max > 1e-3
-
-
-class TestScalarConditions:
-    def test_conditions_vanish_on_solutions(self):
-        p = wf.schwarzschild_params(6)
-        sol = wf.integrate(p, 2.0, step=1e-3)
-        for t in (0.5, 1.0, 1.7):
-            s = sol.sample_at(t)
-            k = wf.base_gauss_curvature(p, s)
-            r1, r2 = gm.einstein_conditions_residual(p, s, k)
-            assert abs(r1) < 1e-10
-            assert abs(r2) < 1e-10
-
-    def test_conditions_detect_wrong_curvature(self):
-        p = wf.schwarzschild_params(6)
-        sol = wf.integrate(p, 2.0, step=1e-3)
-        s = sol.sample_at(1.0)
-        k = wf.base_gauss_curvature(p, s)
-        r1, _ = gm.einstein_conditions_residual(p, s, k + 0.1)
-        assert abs(r1) == pytest.approx(0.1 * s.phi, rel=1e-12)
 
 
 class TestChartGuards:

@@ -24,8 +24,8 @@ from warpgeo.errors import (
     OutOfDomain,
     StepTooLarge,
     WrongFamily,
-    WrongRegime,
 )
+from warp_samples import base_curvature, node, sample_at
 
 SQ3 = math.sqrt(3.0)
 SQ2 = math.sqrt(2.0)
@@ -198,11 +198,6 @@ class TestIntegrate:
         assert np.max(np.abs(sol.phi - exact)) < 1e-7
         assert np.all(sol.phi > 0.1)
 
-    def test_floor_raise_mode(self):
-        p = wf.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0, phi0=1.0, dphi0=-SQ2)
-        with pytest.raises(NonPositiveWarp):
-            wf.integrate(p, 2.0, step=1e-3, on_floor="raise")
-
     def test_initial_state_below_floor(self):
         p = wf.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0, phi0=1e-9, dphi0=0.0)
         with pytest.raises(DomainExhausted):
@@ -214,8 +209,6 @@ class TestIntegrate:
             wf.integrate(p, 1.0, step=-1e-3)
         with pytest.raises(BadRange):
             wf.integrate(p, 0.0)
-        with pytest.raises(BadRange):
-            wf.integrate(p, 1.0, on_floor="explode")
 
 
 class TestDenseOutput:
@@ -231,7 +224,7 @@ class TestDenseOutput:
 
     def test_single_sample(self):
         sol = wf.integrate(wf.schwarzschild_params(5), 3.0, step=1e-3)
-        s = sol.sample_at(1.0)
+        s = sample_at(sol, 1.0)
         assert s.phi == pytest.approx(SQ2, abs=1e-12)
         assert s.dphi == pytest.approx(1.0 / SQ2, abs=1e-12)
         assert s.d3phi == pytest.approx(-3.0 / (4.0 * SQ2), abs=1e-12)
@@ -239,9 +232,9 @@ class TestDenseOutput:
     def test_out_of_domain(self):
         sol = wf.integrate(wf.schwarzschild_params(5), 2.0, step=1e-3)
         with pytest.raises(OutOfDomain):
-            sol.sample_at(2.5)
+            sol.samples_at([2.5])
         with pytest.raises(OutOfDomain):
-            sol.sample_at(-0.1)
+            sol.samples_at([-0.1])
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(OutOfDomain):
                 sol.samples_at([1.0, bad])
@@ -251,10 +244,16 @@ class TestDenseOutput:
         sol = wf.integrate(wf.schwarzschild_params(6), 2.0, step=1e-3)
         h = 1e-4
         for t in (0.4, 1.1, 1.8):
-            plus = sol.sample_at(t + h)
-            minus = sol.sample_at(t - h)
+            plus = sample_at(sol, t + h)
+            minus = sample_at(sol, t - h)
             fd = (plus.d2phi - minus.d2phi) / (2.0 * h)
-            assert fd == pytest.approx(sol.sample_at(t).d3phi, rel=1e-6, abs=1e-8)
+            assert fd == pytest.approx(sample_at(sol, t).d3phi, rel=1e-6, abs=1e-8)
+
+
+def ricci_flat_base_curvature(n, c, phi):
+    """The same curvature for rho = 0, eps = 1, with phi' eliminated by the
+    first integral: -(n-2)(n-3) c / (2 phi^{n-1})."""
+    return -(n - 2.0) * (n - 3.0) * c / (2.0 * phi ** (n - 1.0))
 
 
 class TestDiagnostics:
@@ -262,19 +261,19 @@ class TestDiagnostics:
         # K = -(n-2)(n-3) c / (2 phi^{n-1}); n=5, c=-1, phi=sqrt(2): K = 3/4
         p = wf.schwarzschild_params(5)
         sol = wf.integrate(p, 2.0, step=1e-3)
-        s = sol.sample_at(1.0)
-        assert wf.base_gauss_curvature(p, s) == pytest.approx(0.75, abs=1e-10)
+        s = sample_at(sol, 1.0)
+        assert base_curvature(s) == pytest.approx(0.75, abs=1e-10)
 
     def test_gauss_curvature_at_turning_point(self):
-        # at the neck phi'=0 the removable form takes over; K there is
-        # (n-2) phi''/phi = (n-2)/b since phi''(0)=1
+        # at the neck phi'=0 the quotient is removable: approaching it, K
+        # tends to (n-2) phi''/phi = (n-2)/b since phi''(0)=1
         for n in (4, 5, 6):
             p = wf.schwarzschild_params(n)
             sol = wf.integrate(p, 1.0, step=1e-3)
-            s = sol.samples[0]
             b = (n - 3.0) / 2.0
-            assert s.dphi == 0.0
-            assert wf.base_gauss_curvature(p, s) == pytest.approx((n - 2.0) / b, abs=1e-12)
+            assert node(sol, 0).dphi == 0.0
+            s = sample_at(sol, 1e-4)
+            assert base_curvature(s) == pytest.approx((n - 2.0) / b, rel=1e-7)
 
     def test_constant_curvature_detection(self):
         assert wf.constant_curvature_value(wf.sin_params(5)) == pytest.approx(1.0)
@@ -283,66 +282,56 @@ class TestDiagnostics:
 
     def test_curvature_constant_along_c_zero_solutions(self):
         sol = wf.integrate(wf.sin_params(7), 2.6, step=1e-3)
-        p = sol.params
-        ks = [wf.base_gauss_curvature(p, s) for s in sol.samples[:: len(sol.t) // 40]]
-        assert np.max(np.abs(np.asarray(ks) - 1.0)) < 1e-9
+        want = wf.constant_curvature_value(sol.params)
+        ks = base_curvature(sol)[:: len(sol.t) // 40]
+        assert want == 1.0
+        assert np.max(np.abs(ks - want)) < 1e-9
 
     def test_margin_zero_at_pole_positive_after(self):
         for n in (4, 5, 6, 7):
             sol = wf.integrate(wf.schwarzschild_params(n), 2.0, step=1e-3)
-            assert wf.embeddability_margin(sol.samples[0]) == 0.0
-            mids = [wf.embeddability_margin(s) for s in sol.samples[10::200]]
-            assert min(mids) > 0.0
+            margin = wf.embeddability_margin(sol.dphi, sol.d2phi)
+            assert margin[0] == 0.0
+            assert min(margin[10::200]) > 0.0
+            s = node(sol, 10)
+            assert wf.embeddability_margin(s.dphi, s.d2phi) == margin[10]
 
     def test_schwarzschild_identity(self):
         for n in (4, 5, 6):
             p = wf.schwarzschild_params(n)
             sol = wf.integrate(p, 2.0, step=1e-3)
-            res = [
-                abs(wf.schwarzschild_identity_residual(p, s))
-                for s in sol.samples[::100]
-            ]
-            assert max(res) < 1e-9
+            res = wf.schwarzschild_identity_residual(p, sol)[::100]
+            assert np.max(np.abs(res)) < 1e-9
 
     def test_identity_guards_family(self):
         p = wf.sin_params(5)
         sol = wf.integrate(p, 2.0, step=1e-3)
         with pytest.raises(WrongFamily):
-            wf.schwarzschild_identity_residual(p, sol.samples[50])
-
-    def test_ricci_flat_diagnostics_hand_values(self):
-        p = wf.schwarzschild_params(5)
-        s = wf.closed_form_n5(-1.0, 1.0)
-        d = wf.ricci_flat_diagnostics(p, s)
-        assert d["gauss_curvature"] == pytest.approx(0.75, abs=1e-15)
-        assert d["laplacian"] == pytest.approx(SQ2 / 2.0, abs=1e-15)
-        assert d["hessian_eigenvalue"] == pytest.approx(SQ2 / 4.0, abs=1e-15)
-        assert d["inf_phi"] == 1.0
+            wf.schwarzschild_identity_residual(p, node(sol, 50))
 
     def test_diagnostics_cross_check_curvature(self):
+        # the closed form eliminates phi' by the first integral; -phi'''/phi'
+        # reads phi''' from the structural equation along the solution
         p = wf.schwarzschild_params(6)
         sol = wf.integrate(p, 2.0, step=1e-3)
-        for s in sol.samples[::250]:
-            d = wf.ricci_flat_diagnostics(p, s)
-            assert d["gauss_curvature"] == pytest.approx(
-                wf.base_gauss_curvature(p, s), rel=1e-8, abs=1e-10
+        for i in range(1, len(sol.t), 250):
+            s = node(sol, i)
+            assert ricci_flat_base_curvature(6, p.c, s.phi) == pytest.approx(
+                base_curvature(s), rel=1e-8, abs=1e-10
             )
-            # Laplacian on the base is 2 phi'' for these profiles
-            assert d["laplacian"] == pytest.approx(2.0 * s.d2phi, rel=1e-9, abs=1e-10)
-
-    def test_diagnostics_regime_guard(self):
-        p = wf.sin_params(5)
-        sol = wf.integrate(p, 2.0, step=1e-3)
-        with pytest.raises(WrongRegime):
-            wf.ricci_flat_diagnostics(p, sol.samples[10])
+            # the Laplacian 2 phi'' of phi on the base, rational in phi too
+            assert -3.0 * p.c / s.phi ** 4 == pytest.approx(
+                2.0 * s.d2phi, rel=1e-9, abs=1e-10)
 
     def test_inf_phi_matches_trajectory(self):
-        # run far along the profile on both sides; phi never dips under inf_phi
+        # run far along the profile on both sides; phi never dips under the
+        # neck (-c)^{1/(n-3)}, where it starts
         p = wf.schwarzschild_params(6)
         sol = wf.integrate(p, 4.0, step=1e-3)
-        d = wf.ricci_flat_diagnostics(p, sol.samples[0])
-        assert d["inf_phi"] == pytest.approx(1.5, abs=1e-15)
-        assert np.min(sol.phi) >= d["inf_phi"] - 1e-12
+        inf_phi = (-p.c) ** (1.0 / 3.0)
+        assert inf_phi == pytest.approx(1.5, abs=1e-15)
+        assert sol.phi[0] == 1.5
+        assert np.min(sol.phi) >= inf_phi - 1e-12
 
 
 class TestClosedForm:
