@@ -7,12 +7,13 @@ must leave residuals, group sizes, and normal forms unchanged.
 
 The checks split into pointwise algebra (flat normal bundle, umbilical
 substructure, normal forms of shape-operator pairs) and differential
-identities (Gauss against intrinsic curvature, Codazzi, parallelism of the
-umbilical normal along its leaves). Every stage takes the whole sample as
-rows: extrinsics_at evaluates the immersion's jet once for all of them and
-keeps it with the frames and the second fundamental form, and each
-differential check returns one residual per row, evaluating the immersion
-again only at the points its own stencil adds, in blocks within
+identities (Gauss against the exact curvature of the chart the immersion
+realizes, Codazzi, parallelism of the umbilical normal along its leaves).
+Every stage takes the whole sample as rows: extrinsics_at evaluates the
+immersion's jet once for all of them and keeps it with the frames and the
+second fundamental form, and each differential check returns one residual
+per row. Codazzi and Dupin evaluate the immersion again only at the points
+their own stencils add, Gauss not at all; each works in blocks within
 geometry's element budget. A single point is a batch of one row.
 """
 
@@ -38,6 +39,8 @@ _STEP = 1e-4
 # commutator and eigenvalue-cluster tolerance of simdiag, relative to the
 # largest matrix entry
 _TOL_SIMDIAG = 1e-7
+# relative gap below which principal curvature vectors share a group
+_TOL_GROUP = 1e-5
 
 
 # -- frames and second fundamental form ----------------------------------------
@@ -200,7 +203,7 @@ class UmbilicalStructure:
 _UMBILICAL_RESIDUALS = ("ga1", "eqalpha", "eqalpha2", "eqalpha1")
 
 
-def umbilical_structure(alpha, rho=None, tol_group=1e-5):
+def umbilical_structure(alpha, rho=None):
     """Group tangent directions by principal curvature vector.
 
     alpha is the (codim, n, n) frame array of a point with flat normal
@@ -242,7 +245,7 @@ def umbilical_structure(alpha, rho=None, tol_group=1e-5):
 
     for i in range(d):
         for j in range(i + 1, d):
-            if np.max(np.abs(kappa[i] - kappa[j])) <= tol_group * scale:
+            if np.max(np.abs(kappa[i] - kappa[j])) <= _TOL_GROUP * scale:
                 parent[find(j)] = find(i)
     groups = {}
     for i in range(d):
@@ -285,17 +288,19 @@ def gauss_ricci(alpha):
     )
 
 
-def gauss_ricci_residual(imm, pe, h=1e-3):
-    """Extrinsic Ricci against finite-difference intrinsic Ricci, per row.
+def gauss_ricci_residual(imm, pe):
+    """Extrinsic Ricci against the intrinsic Ricci of imm.chart, per row.
 
-    Independent routes: the left side never differentiates anything (exact
-    jets and frame algebra), the right side never sees the ambient space
-    (metric stencils on the pullback chart, one metric_jet_fd call per
-    block of geometry._blocks).
+    Independent routes: the left side is the immersion's jets and frame
+    algebra, the right side never sees the ambient space (the chart's
+    exact metric jet through geometry.curvature_from_jet, one metric_jet
+    call per block of geometry._blocks). A chart the immersion does not
+    realize fails here.
     """
-    chart = geometry.PullbackChart(imm, label="pullback")
-    ric = np.concatenate([geometry._fd_ricci(chart, X, h)
-                          for X in geometry._blocks(chart, pe.x, fd=True)])
+    chart = imm.chart
+    ric = np.concatenate([
+        geometry.curvature_from_jet(*chart.metric_jet(X))[2]
+        for X in geometry._blocks(chart, pe.x, fd=False)])
     ric_int = np.einsum("nip,njq,nij->npq", pe.B, pe.B, ric)
     return np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
 
@@ -593,7 +598,7 @@ class ExtrinsicReport:
         return dataclasses.asdict(self)
 
 
-def extrinsic_scan(imm, n_points=8, seed=0, h=1e-3):
+def extrinsic_scan(imm, n_points=8, seed=0):
     """Run every applicable extrinsic check over a quasi-random sample.
 
     Each stage evaluates the whole sample at once. The umbilical residuals
@@ -603,17 +608,17 @@ def extrinsic_scan(imm, n_points=8, seed=0, h=1e-3):
     jet_calls and jet_rows count the immersion evaluations the scan made.
     """
     jet_rows = []   # rows of every jet call the scan makes
+    jet_fn = imm.jet_fn
 
-    def counted(X, jet_fn=imm.jet_fn):
+    def counted(X):
         jet_rows.append(len(X))
         return jet_fn(X)
 
     imm = dataclasses.replace(imm, jet_fn=counted)
-    chart = geometry.PullbackChart(imm, label=imm.label)
-    pts = geometry.sample_points(chart, n_points, seed=seed, h=h)
+    pts = geometry.sample_points(imm, n_points, seed=seed)
     pe = extrinsics_at(imm, pts)
     flat = [flat_normal_residual(a) for a in pe.alpha]
-    gauss = gauss_ricci_residual(imm, pe, h=h)
+    gauss = gauss_ricci_residual(imm, pe)
     codazzi = codazzi_residual(imm, pe)
     ums = [umbilical_structure(a, rho=imm.rho) for a in pe.alpha]
     umb = [i for i, um in enumerate(ums) if um.residuals is not None]

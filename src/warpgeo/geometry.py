@@ -29,6 +29,10 @@ from .errors import BadDimension, BadRange, OutsideDomain, SingularChartPoint
 
 _TOL_POLE = 1e-3
 _TOL_WARP_TURNING = 1e-6
+# step of the finite-difference stencils that only cross-check exact jets
+_FD_STEP = 1e-3
+# coordinate planes whose sectional curvature verify_einstein samples
+_MAX_PLANES = 10
 # distance of the sampled non-final fiber angles from their poles
 _ANGLE_PAD = 0.4
 
@@ -170,8 +174,8 @@ def unit_torus_fiber(n, m):
     return FiberSpec(dims=(m, n - m - 2), radii=(r1, r2))
 
 
-def round_fiber(d, r=1.0):
-    return FiberSpec(dims=(d,), radii=(float(r),))
+def round_fiber(d):
+    return FiberSpec(dims=(d,), radii=(1.0,))
 
 
 def clifford_radii(n, rho):
@@ -306,7 +310,7 @@ class PullbackChart:
 
     def metric_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        J = self.immersion.jacobian_batch(X)
+        J = self.immersion.jet(X)[1]
         return np.einsum("nai,naj->nij", J, J)
 
 
@@ -450,13 +454,13 @@ class PointCurvature:
         return float(_sectionals(self.riemann_low, self.g, i, j))
 
 
-def curvature_fd(chart, x, h=1e-3):
+def curvature_fd(chart, x):
     """Curvature at the one point x from its finite-difference metric jet."""
     x = np.asarray(x, dtype=float)
     if x.shape != (chart.dim,):
         raise BadDimension("point has shape %s, chart dim is %d"
                            % (x.shape, chart.dim))
-    g, dg, d2g = metric_jet_fd(chart, x[None], h=h)
+    g, dg, d2g = metric_jet_fd(chart, x[None], h=_FD_STEP)
     gamma, riem, ric, defect = curvature_from_jet(g, dg, d2g)
     return PointCurvature(g=g[0], gamma=gamma[0], riemann_low=riem[0],
                           ricci=ric[0], ricci_sym_defect=float(defect[0]))
@@ -470,18 +474,19 @@ def _row_max(a):
     return np.max(np.abs(a), axis=(1, 2))
 
 
-def fd_ricci_gap(chart, pts, h=1e-3):
+def fd_ricci_gap(chart, pts):
     """Largest |Ric_FD - Ric_exact| / (1 + max |g|) over the points pts.
 
     The chart needs metric_jet. Both sides go through curvature_from_jet, so
-    the gap is the stencil's own error at step h.
+    the gap is the stencil's own error at step _FD_STEP.
     """
     pts = np.asarray(pts, dtype=float)
     gaps = []
     for X in _blocks(chart, pts, fd=True):
         g, dg, d2g = chart.metric_jet(X)
         exact = curvature_from_jet(g, dg, d2g)[2]
-        gaps.append(_row_max(_fd_ricci(chart, X, h) - exact) / (1.0 + _row_max(g)))
+        gaps.append(_row_max(_fd_ricci(chart, X, _FD_STEP) - exact)
+                    / (1.0 + _row_max(g)))
     return float(np.max(np.concatenate(gaps)))
 
 
@@ -506,11 +511,6 @@ def fiber_constant_residual(params, sample, fiber):
 
 
 # -- the family table ----------------------------------------------------------
-
-def clifford_fiber(n, rho):
-    """S^2(r1) x S^{n-2}(r2) with both factors tuned to Ricci constant rho."""
-    return FiberSpec(dims=(2, n - 2), radii=clifford_radii(n, rho))
-
 
 @dataclass(frozen=True)
 class Family:
@@ -562,9 +562,11 @@ def _n_minus_1(n):
 
 # `report` checks the rows in this order, Einstein rows before defect rows
 FAMILIES = {
-    # S^2 x S^{n-2}, Einstein with any rho > 0
+    # S^2 x S^{n-2}, both factors at Ricci constant rho > 0
     "clifford": Family(
-        fiber=lambda n, m, rho: clifford_fiber(n, rho), base="product",
+        fiber=lambda n, m, rho: FiberSpec(dims=(2, n - 2),
+                                          radii=clifford_radii(n, rho)),
+        base="product",
         perturbable=True, u_dim_codim2=True,
         report=((5, None, 1.0), (6, None, 2.0))),
     # Ricci-flat rotational immersion in codimension 2
@@ -622,8 +624,8 @@ def family_warp(row, n):
     return _shared_warp(row.warp(n), row.t_end, 1e-3)
 
 
-def family_member(family, n, m=None, rho=None, perturb=0.0):
-    """Row, label, fiber and Einstein constant of one member of a family."""
+def chart_for_family(family, n, m=None, rho=None, perturb=0.0):
+    """The chart of one member of a family, with its Einstein constant."""
     row = FAMILIES.get(family)
     if row is None:
         raise BadRange("unknown family %r; known families: %s"
@@ -643,17 +645,10 @@ def family_member(family, n, m=None, rho=None, perturb=0.0):
         radii = fiber.radii[:-1] + (fiber.radii[-1] * (1.0 + perturb),)
         fiber = replace(fiber, radii=radii)
         label += "-perturbed"
-    return row, label, fiber, rho
-
-
-def chart_for_family(family, n, m=None, rho=None, perturb=0.0):
-    """Build the named chart and return it with its target Einstein constant."""
-    row, label, fiber, rho = family_member(family, n, m, rho, perturb)
     if row.warp is None:
         return ProductChart(fiber=fiber, label=label), rho
-    chart = WarpedChart(warp=family_warp(row, n), fiber=fiber,
-                        t_range=row.t_range, label=label)
-    return chart, rho
+    return WarpedChart(warp=family_warp(row, n), fiber=fiber,
+                       t_range=row.t_range, label=label), rho
 
 
 # -- verification driver -------------------------------------------------------
@@ -687,7 +682,8 @@ class CurvatureReport:
 
 
 def sample_points(chart, n_points, seed=0, h=1e-3):
-    """n_points quasi-random chart points, a stencil margin 3 h inside the box.
+    """n_points quasi-random points, a stencil margin 3 h inside the
+    sample_box of chart, which may also be an immersion.
 
     Rejects an empty sample and a step h that is not finite and positive,
     so no check downstream can pass on evidence it never collected.
@@ -705,7 +701,7 @@ def sample_points(chart, n_points, seed=0, h=1e-3):
 
 
 def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
-                    richardson=False, max_planes=10):
+                    richardson=False):
     """Sample the chart and bound the Einstein defect pointwise.
 
     The defect at a point is max |Ric - rho g| / (1 + max |g|). The chart's
@@ -718,8 +714,8 @@ def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
     pts = sample_points(chart, n_points, seed=seed, h=h)
     d = chart.dim
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    if len(pairs) > max_planes:
-        sel = np.random.default_rng(seed).choice(len(pairs), max_planes,
+    if len(pairs) > _MAX_PLANES:
+        sel = np.random.default_rng(seed).choice(len(pairs), _MAX_PLANES,
                                                  replace=False)
         pairs = [pairs[int(k)] for k in sel]
     I = np.array([i for i, _ in pairs], dtype=int)

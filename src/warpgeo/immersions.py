@@ -4,7 +4,8 @@ Every immersion here returns analytic value, Jacobian, and Hessian arrays
 (no finite differences), assembled by the product rule from three bricks:
 polar jets of round spheres, profile curves driven by a warp solution, and
 base surfaces of the composite construction. The 2-jets feed the extrinsic
-stage, where second fundamental forms are read off directly.
+stage, where second fundamental forms are read off directly. Each
+immersion carries the geometry chart it realizes, in the same coordinates.
 
 Ambient layout conventions: rotational maps are (psi, phi' sin theta,
 phi' cos theta, phi * F(y)) with F on the unit sphere; composites are
@@ -94,7 +95,8 @@ def fiber_jet(fiber, Y):
 
 @dataclass
 class Immersion:
-    """Explicit map with exact 2-jets over a rectangular coordinate box."""
+    """Explicit map with exact 2-jets over a rectangular coordinate box; its
+    J^T J is the metric of chart, a geometry chart in the same coordinates."""
 
     label: str
     dim: int
@@ -102,6 +104,7 @@ class Immersion:
     sample_box: np.ndarray
     jet_fn: callable
     rho: float
+    chart: object
     meta: dict = field(default_factory=dict)
 
     def jet(self, X):
@@ -114,9 +117,6 @@ class Immersion:
 
     def value_batch(self, X):
         return self.jet(X)[0]
-
-    def jacobian_batch(self, X):
-        return self.jet(X)[1]
 
 
 # -- profile curve -------------------------------------------------------------
@@ -196,18 +196,18 @@ class ProfileTable:
 
 # -- rotational immersions ------------------------------------------------------
 
-def rotational_immersion(sol, fiber, t_range, label, rho):
+def rotational_immersion(chart, rho):
     """(psi, phi' sin theta, phi' cos theta, phi F(y)) for a unit-sphere F.
 
-    Pulls back to dt^2 + phi'^2 dtheta^2 + phi^2 g_F exactly; valid where
-    the embeddability margin is positive and phi' is bounded away from zero.
+    Realizes the WarpedChart dt^2 + phi'^2 dtheta^2 + phi^2 g_F exactly;
+    valid where the embeddability margin is positive and phi' is bounded
+    away from zero.
     """
+    sol, fiber = chart.warp, chart.fiber
     if abs(fiber.ambient_radius() - 1.0) > 1e-12:
         raise BadRange("rotational construction needs the fiber on the unit sphere")
     table = ProfileTable(sol)
-    fdim = fiber.dim
-    dim = 2 + fdim
-    amb = 3 + fiber.ambient_dim
+    dim, amb = chart.dim, 3 + fiber.ambient_dim
 
     def jet_fn(X):
         nrow = X.shape[0]
@@ -249,11 +249,9 @@ def rotational_immersion(sol, fiber, t_range, label, rho):
         h[:, 3:, 2:, 2:] = phi[:, None, None, None] * hf
         return v, j, h
 
-    box = [tuple(t_range), (0.0, 2.0 * math.pi)]
-    box.extend(fiber.angle_box())
     return Immersion(
-        label=label, dim=dim, ambient_dim=amb,
-        sample_box=np.asarray(box, dtype=float), jet_fn=jet_fn, rho=rho,
+        label=chart.label, dim=dim, ambient_dim=amb,
+        sample_box=chart.sample_box, jet_fn=jet_fn, rho=rho, chart=chart,
         meta={"kind": "rotational", "warp": sol, "fiber": fiber,
               "profile": table},
     )
@@ -272,16 +270,15 @@ def extra_codim_immersion(n, m):
 # -- product immersions ----------------------------------------------------------
 
 def immersion_from_fiber(fiber, label, rho):
-    """A FiberSpec used directly as an immersed product of spheres."""
-    amb = fiber.ambient_dim
+    """A FiberSpec's own embedding, realizing its ProductChart."""
+    chart = geometry.ProductChart(fiber, label=label)
 
     def jet_fn(X):
         return fiber_jet(fiber, X)
 
     return Immersion(
-        label=label, dim=fiber.dim, ambient_dim=amb,
-        sample_box=np.asarray(fiber.angle_box(), dtype=float),
-        jet_fn=jet_fn, rho=rho,
+        label=label, dim=fiber.dim, ambient_dim=fiber.ambient_dim,
+        sample_box=chart.sample_box, jet_fn=jet_fn, rho=rho, chart=chart,
         meta={"kind": "product", "fiber": fiber},
     )
 
@@ -340,29 +337,29 @@ def _cylinder_base_jet(T, U):
 
 
 _BASES = {
-    # jet, base ambient dim, (t, u) sample ranges, base curvature
-    "flat": (_flat_base_jet, 2, (0.5, 2.5), (-3.0, 3.0), 0.0),
-    "sphere": (_sphere_base_jet, 3, (0.25, 1.3), (0.0, 2.0 * math.pi), 1.0),
-    "cylinder": (_cylinder_base_jet, 3, (0.5, 2.5), (0.0, 2.0 * math.pi), 0.0),
+    # jet, base ambient dim, u sample range, base curvature
+    "flat": (_flat_base_jet, 2, (-3.0, 3.0), 0.0),
+    "sphere": (_sphere_base_jet, 3, (0.0, 2.0 * math.pi), 1.0),
+    "cylinder": (_cylinder_base_jet, 3, (0.0, 2.0 * math.pi), 0.0),
 }
 
 
-def warped_composite(base_kind, fiber, label=None, rho=0.0):
+def warped_composite(base_kind, chart, rho):
     """Replace the last base coordinate sigma by s sigma h2(y).
 
     The base surface h1 lands in R^k with distinguished last axis e; the
     composite is (w, s sigma h2) with h1 = (w, sigma). Its pullback is
     g_base + (s^2 R^2 - 1) dsigma^2 + (s sigma)^2 g_F with R the fiber's
     ambient radius, so the warped-product structure appears exactly when
-    s R = 1, which is how s is calibrated.
+    s R = 1, which is how s is calibrated. The realized WarpedChart gives
+    the fiber and t-range; its warp phi is the base's sigma.
     """
     if base_kind not in _BASES:
         raise BadRange("unknown base kind %r" % base_kind)
-    base_jet, k, t_rng, u_rng, base_k = _BASES[base_kind]
+    base_jet, k, u_rng, base_k = _BASES[base_kind]
+    fiber = chart.fiber
     s = 1.0 / fiber.ambient_radius()
-    fdim = fiber.dim
-    dim = 2 + fdim
-    amb = (k - 1) + fiber.ambient_dim
+    dim, amb = chart.dim, (k - 1) + fiber.ambient_dim
 
     def jet_fn(X):
         nrow = X.shape[0]
@@ -389,11 +386,11 @@ def warped_composite(base_kind, fiber, label=None, rho=0.0):
         h[:, k - 1:, 2:, 2:] = s * sig[:, None, None, None] * hf
         return v, j, h
 
-    box = [t_rng, u_rng]
-    box.extend(fiber.angle_box())
+    box = chart.sample_box
+    box[1] = u_rng      # the base's own u range, not the chart's theta range
     return Immersion(
-        label=label or ("composite-%s" % base_kind), dim=dim, ambient_dim=amb,
-        sample_box=np.asarray(box, dtype=float), jet_fn=jet_fn, rho=rho,
+        label=chart.label, dim=dim, ambient_dim=amb, sample_box=box,
+        jet_fn=jet_fn, rho=rho, chart=chart,
         meta={"kind": "composite", "base": base_kind, "fiber": fiber,
               "s": float(s), "base_curvature": base_k},
     )
@@ -420,15 +417,15 @@ def export_points_csv(imm, path, count=512, seed=0):
     return count
 
 
-def export_surface_obj(imm, path, coords=(0, 1), axes=(0, 1, 2), res=32):
-    """Wavefront mesh of a 2-coordinate slice, projected to three ambient axes.
+def export_surface_obj(imm, path, res=32):
+    """Wavefront mesh of the first two coordinates' slice, projected to the
+    first three ambient axes.
 
     The remaining coordinates sit at the middle of the sample box. Meant for
     quick visual inspection, not for analysis; the CSV export keeps full
     precision and all ambient coordinates.
     """
-    if len(coords) != 2 or coords[0] == coords[1]:
-        raise BadRange("coords must be two distinct coordinate indices")
+    coords, axes = (0, 1), (0, 1, 2)
     if any(a >= imm.ambient_dim for a in axes):
         raise BadRange("projection axis outside ambient dimension")
     box = np.asarray(imm.sample_box, dtype=float)
@@ -440,7 +437,7 @@ def export_surface_obj(imm, path, coords=(0, 1), axes=(0, 1, 2), res=32):
     X[:, coords[0]] = uu.ravel()
     X[:, coords[1]] = vv.ravel()
     V = imm.value_batch(X)
-    lines = ["# %s slice coords=%s axes=%s" % (imm.label, coords, tuple(axes))]
+    lines = ["# %s slice coords=%s axes=%s" % (imm.label, coords, axes)]
     for r in range(V.shape[0]):
         lines.append("v %s %s %s" % tuple(
             serialize.fmt_float(float(V[r, a])) for a in axes
@@ -458,13 +455,13 @@ def export_surface_obj(imm, path, coords=(0, 1), axes=(0, 1, 2), res=32):
 
 
 def build_immersion(family, n, m=None, rho=None, perturb=0.0):
-    """The immersion of one member of a family in geometry.FAMILIES."""
-    row, label, fiber, rho = geometry.family_member(family, n, m, rho, perturb)
-    if row.base == "product":
-        return immersion_from_fiber(fiber, label, rho)
-    if row.base == "rotational":
-        return rotational_immersion(geometry.family_warp(row, n), fiber,
-                                    row.t_range, label, rho)
-    if row.base in _BASES:
-        return warped_composite(row.base, fiber, label=label, rho=rho)
+    """The immersion of one member of geometry.FAMILIES, on its chart."""
+    chart, rho = geometry.chart_for_family(family, n, m, rho, perturb)
+    base = geometry.FAMILIES[family].base
+    if base == "product":
+        return immersion_from_fiber(chart.fiber, chart.label, rho)
+    if base == "rotational":
+        return rotational_immersion(chart, rho)
+    if base in _BASES:
+        return warped_composite(base, chart, rho)
     raise BadRange("family %r has a chart but no immersion" % family)

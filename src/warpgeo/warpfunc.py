@@ -193,6 +193,13 @@ class WarpSolution:
         return p, d, d2, d3
 
 
+def relative_drift(params, phi, dphi, drift):
+    """|drift| over 1 + |c|/phi^{n-3} + phi'^2, the size of the terms of
+    the first integral, per node: the scale integrate gates on."""
+    return np.abs(drift) / (
+        1.0 + np.abs(params.c) / phi ** (params.n - 3.0) + dphi * dphi)
+
+
 def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
     """Integrate the structural equation from params.t0 to t_end.
 
@@ -234,8 +241,7 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
     drift = np.atleast_1d(first_integral_residual(
         params.n, params.eps, params.rho, params.c, phi, dphi
     ))
-    scale = 1.0 + np.abs(params.c) / phi ** (params.n - 3.0) + dphi * dphi
-    rel = np.abs(drift) / scale
+    rel = relative_drift(params, phi, dphi, drift)
     if hit_floor:
         bad = np.nonzero(rel > tol_drift)[0]
         keep = int(bad[0]) if bad.size else len(t)
@@ -267,15 +273,15 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
 
 # -- named families ----------------------------------------------------------
 
-def schwarzschild_params(n, t0=0.0):
+def schwarzschild_params(n):
     """Generalized Schwarzschild family: Ricci-flat base product, eps = 1.
 
-    The neck sits at phi = b = (n-3)/2 where phi' = 0, which fixes
-    c = -b^{n-3}; the choice of b makes phi''(t0) = 1 exactly, the condition
+    The neck sits at t = 0, phi = b = (n-3)/2, where phi' = 0, which fixes
+    c = -b^{n-3}; the choice of b makes phi''(0) = 1 exactly, the condition
     for the rotational profile to close smoothly at its pole.
     """
     b = (n - 3.0) / 2.0
-    return WarpParams(n=n, eps=1.0, rho=0.0, t0=t0, phi0=b, dphi0=0.0,
+    return WarpParams(n=n, eps=1.0, rho=0.0, t0=0.0, phi0=b, dphi0=0.0,
                       c=-(b ** (n - 3.0)))
 
 
@@ -321,6 +327,17 @@ def closed_form_n5(c, t):
         return WarpSample(float(t_arr), float(phi), float(dphi),
                           float(d2phi), float(d3phi))
     return phi, dphi, d2phi, d3phi
+
+
+def closed_form_n5_error(sol):
+    """Largest gap in phi or phi' between the grid of sol and the n = 5
+    closed form with the solution's c. Other parameters raise WrongFamily."""
+    pp = sol.params
+    if pp.n != 5 or pp.rho != 0.0 or pp.eps != 1.0:
+        raise WrongFamily("closed-form comparison needs n=5, rho=0, eps=1")
+    phi, dphi, _, _ = closed_form_n5(pp.c, sol.t)
+    return max(float(np.max(np.abs(phi - sol.phi))),
+               float(np.max(np.abs(dphi - sol.dphi))))
 
 
 # -- scalar diagnostics ------------------------------------------------------

@@ -106,7 +106,6 @@ class TestVerifyIntrinsic:
      "--h", "0"],
     ["verify-intrinsic", "--family", "round", "--n", "5", "--h", "nan"],
     ["verify-intrinsic", "--family", "round", "--n", "5", "--points", "0"],
-    ["verify-extrinsic", "--family", "schwarzschild", "--n", "5", "--h", "0"],
     ["verify-extrinsic", "--family", "schwarzschild", "--n", "5",
      "--points", "0"],
     ["classify-appendix", "--points", "0"],
@@ -216,8 +215,19 @@ class TestVerifyExtrinsic:
         assert {"flat-normal-bundle", "gauss-equation", "codazzi",
                 "umbilical-residuals", "dupin-leaf", "umbilical-dimension",
                 "profile-normal-blocks"} <= names
-        # own rows, 2 Gauss blocks, 1 Codazzi block, Dupin's neighbours
-        assert (doc["scan"]["jet_calls"], doc["scan"]["jet_rows"]) == (5, 192)
+        # own rows, 1 Codazzi block, Dupin's neighbours; Gauss reads the
+        # chart, not the immersion
+        assert (doc["scan"]["jet_calls"], doc["scan"]["jet_rows"]) == (3, 39)
+
+    def test_ricci_flat_composite_passes_gauss(self, capsys):
+        # finite-difference Ricci read 1.05e-4 here against the 1e-4 bound
+        code, doc = run(capsys, "verify-extrinsic", "--family",
+                        "flat-torus-composite", "--n", "7", "--m", "2",
+                        "--points", "12", "--seed", "21")
+        assert code == 0
+        gauss = {c["name"]: c for c in doc["checks"]}["gauss-equation"]
+        assert gauss["provenance"] == "analytic-jet"
+        assert gauss["value"] <= 1e-10
 
     def test_perturbed_clifford_fails_umbilical(self, capsys):
         code, doc = run(capsys, "verify-extrinsic", "--family", "clifford",

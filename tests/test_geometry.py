@@ -62,7 +62,8 @@ class TestFiberSpec:
 
     def test_einstein_constant_round(self):
         # S^d(r) has Ricci constant (d-1)/r^2
-        assert gm.round_fiber(4, 2.0).einstein_constant == pytest.approx(3.0 / 4.0)
+        fib = gm.FiberSpec(dims=(4,), radii=(2.0,))
+        assert fib.einstein_constant == pytest.approx(3.0 / 4.0)
 
     def test_einstein_constant_product(self):
         r1, r2 = gm.clifford_radii(6, 2.0)
@@ -121,7 +122,7 @@ class TestChristoffelOracle:
         chart = gm.WarpedChart(warp=family.warp, fiber=family.fiber,
                                t_range=(0.4, 1.4))
         x = np.array([0.8, 1.3, 1.1, 2.0])
-        gam = gm.curvature_fd(chart, x, h=1e-3).gamma
+        gam = gm.curvature_fd(chart, x).gamma
         s = sample_at(chart.warp, 0.8)
         p, dp, d2p = s.phi, s.dphi, s.d2phi
         y1 = x[2]
@@ -145,7 +146,7 @@ class TestChristoffelOracle:
     def test_sphere_fiber_closed_form(self):
         chart = gm.ProductChart(gm.round_fiber(2), label="s2")
         x = np.array([0.9, 1.7])
-        gam = gm.curvature_fd(chart, x, h=1e-3).gamma
+        gam = gm.curvature_fd(chart, x).gamma
         assert gam[0, 1, 1] == pytest.approx(-math.sin(0.9) * math.cos(0.9), abs=1e-6)
         assert gam[1, 0, 1] == pytest.approx(math.cos(0.9) / math.sin(0.9), abs=1e-6)
 
@@ -167,7 +168,8 @@ class TestCurvatureEngine:
 
     def test_scaled_sphere(self):
         # S^3(2): sectional 1/4, Ricci (2/4) g
-        chart = gm.ProductChart(gm.round_fiber(3, 2.0), label="s3")
+        chart = gm.ProductChart(gm.FiberSpec(dims=(3,), radii=(2.0,)),
+                                label="s3")
         pc = gm.curvature_fd(chart, np.array([1.2, 0.9, 2.1]))
         assert pc.sectional(0, 1) == pytest.approx(0.25, abs=1e-5)
         assert pc.sectional(1, 2) == pytest.approx(0.25, abs=1e-5)
@@ -223,7 +225,7 @@ class TestMetricJet:
             for coarse, fine in zip(*gaps):
                 assert 3.5 < coarse / fine < 4.5, chart.label
 
-    def test_blocks_match_row_by_row(self):
+    def test_blocks_match_row_by_row(self, monkeypatch):
         # point counts that are not multiples of the block (26 points at
         # dim 5 and 6 at dim 7 exact, 2 at dim 5 by finite differences); rho
         # is off by one so the residual is O(1) and a relative bound means
@@ -232,9 +234,10 @@ class TestMetricJet:
                  (family_chart("extra-codim", 7, m=2), 1.0, 13),
                  (gm.PullbackChart(immersions.schwarzschild_immersion(5)),
                   1.0, 5))
+        # every coordinate plane, so the sectional range is the full one
+        monkeypatch.setattr(gm, "_MAX_PLANES", 100)
         for chart, rho, n in cases:
-            rep = gm.verify_einstein(chart, rho, n_points=n, seed=3,
-                                     max_planes=100)
+            rep = gm.verify_einstein(chart, rho, n_points=n, seed=3)
             assert rep.n_points == n
             d = chart.dim
             jet = getattr(chart, "metric_jet", None)
@@ -257,10 +260,18 @@ class TestMetricJet:
     def test_fd_gap_is_the_stencil_error(self):
         chart = family_chart("round", 5)
         pts = gm.sample_points(chart, 8, seed=2)
-        gap = gm.fd_ricci_gap(chart, pts, h=1e-3)
-        assert 0.0 < gap < 1e-3
-        assert gm.fd_ricci_gap(chart, pts, h=2e-3) == pytest.approx(
-            4.0 * gap, rel=0.1)
+        g, dg, d2g = chart.metric_jet(pts)
+        exact = gm.curvature_from_jet(g, dg, d2g)[2]
+        scale = 1.0 + np.max(np.abs(g), axis=(1, 2))
+
+        def gap(h):
+            fd = gm.curvature_from_jet(*gm.metric_jet_fd(chart, pts, h=h))[2]
+            return float(np.max(np.max(np.abs(fd - exact), axis=(1, 2)) / scale))
+
+        assert gm.fd_ricci_gap(chart, pts) == pytest.approx(gap(1e-3), rel=1e-12)
+        assert 0.0 < gap(1e-3) < 1e-3
+        # second-order stencils: doubling the step quadruples the error
+        assert gap(2e-3) == pytest.approx(4.0 * gap(1e-3), rel=0.1)
 
 
 class TestSpaceFormCharts:

@@ -7,6 +7,7 @@ vs Jacobians). After that, intrinsic verification runs on the pullback
 metric itself, which exercises the full path from jets to curvature.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -232,9 +233,11 @@ class TestRotationalImmersions:
         from warpgeo import warpfunc as wf
 
         sol = wf.integrate(wf.schwarzschild_params(5), 1.5, step=1e-3)
+        chart = gm.WarpedChart(warp=sol,
+                               fiber=gm.FiberSpec(dims=(3,), radii=(2.0,)),
+                               t_range=(0.4, 1.2), label="bad")
         with pytest.raises(BadRange):
-            im.rotational_immersion(sol, gm.round_fiber(3, 2.0), (0.4, 1.2),
-                                    label="bad", rho=0.0)
+            im.rotational_immersion(chart, rho=0.0)
 
     def test_intrinsic_verification_on_pullback(self):
         chart = gm.PullbackChart(im.schwarzschild_immersion(5), label="pb")
@@ -309,7 +312,10 @@ class TestComposites:
         bad = gm.FiberSpec(dims=fib.dims,
                            radii=(fib.radii[0], fib.radii[1] * 1.05),
                            offset=fib.offset)
-        immc = im.warped_composite("flat", bad, label="perturbed", rho=0.0)
+        chart = dataclasses.replace(
+            family_chart("flat-torus-composite", 7, m=2), fiber=bad,
+            label="perturbed")
+        immc = im.warped_composite("flat", chart, rho=0.0)
         chart = gm.PullbackChart(immc, label="pb")
         rep = gm.verify_einstein(chart, rho=0.0, n_points=6)
         assert rep.einstein_max > 1e-3
@@ -326,7 +332,8 @@ class TestComposites:
 
     def test_unknown_base_rejected(self):
         with pytest.raises(BadRange):
-            im.warped_composite("torus", gm.unit_torus_fiber(7, 2))
+            im.warped_composite(
+                "torus", family_chart("flat-torus-composite", 7, m=2), 0.0)
 
 
 class TestBuilderDispatch:
@@ -381,8 +388,7 @@ class TestExport:
         assert text.count("\nf ") == 2 * 49
 
     def test_obj_guards(self, tmp_path):
-        immr = im.schwarzschild_immersion(5)
+        # the circle S^1 in R^2 has no third ambient axis to project to
+        circle = im.build_immersion("sphere", 1)
         with pytest.raises(BadRange):
-            im.export_surface_obj(immr, str(tmp_path / "x.obj"), coords=(1, 1))
-        with pytest.raises(BadRange):
-            im.export_surface_obj(immr, str(tmp_path / "x.obj"), axes=(0, 1, 99))
+            im.export_surface_obj(circle, str(tmp_path / "x.obj"))
