@@ -311,18 +311,20 @@ def cmd_build(args):
         raise ConfigError("build needs --family and --n")
     imm = immersions.build_immersion(cfg["family"], int(cfg["n"]),
                                      **_member(cfg))
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    base = os.path.join(outdir, imm.label)
-    immersions.export_points_csv(imm, base + ".csv", count=int(cfg["count"]),
-                                 seed=int(cfg["seed"]))
-    immersions.export_surface_obj(imm, base + ".obj", res=int(cfg["res"]))
-    spec = _immersion_spec(imm)
-    serialize.write_json(base + ".json", spec)
+    # every file is rendered, and so checked, before the first is written
+    files = {
+        ".csv": immersions.points_csv(imm, count=int(cfg["count"]),
+                                      seed=int(cfg["seed"])),
+        ".obj": immersions.surface_obj(imm, res=int(cfg["res"])),
+        ".json": serialize.to_json(_immersion_spec(imm)) + "\n",
+    }
+    base = os.path.join(cfg["out"], imm.label)
+    for ext, text in files.items():
+        serialize.write_text_atomic(base + ext, text)
     sys.stdout.write(serialize.to_json({
         "schema_version": SCHEMA_VERSION,
         "label": imm.label,
-        "files": [base + ext for ext in (".csv", ".obj", ".json")],
+        "files": [base + ext for ext in files],
     }) + "\n")
     return 0
 

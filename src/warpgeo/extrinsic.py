@@ -11,8 +11,12 @@ identities (Gauss against the exact curvature of the chart the immersion
 realizes, Codazzi, parallelism of the umbilical normal along its leaves).
 Every stage takes the whole sample as rows: extrinsics_at evaluates the
 immersion's jet once for all of them and keeps it with the frames and the
-second fundamental form, and each differential check returns one residual
-per row. Codazzi and Dupin evaluate the immersion again only at the points
+second fundamental form, and each check returns one residual per row.
+The pointwise algebra has one principal-curvature path: one batched eigh
+of a fixed generic combination of each row's shape operators gives their
+common eigenbasis, and umbilical_structure groups its principal curvature
+vectors; the flat-normal, umbilical, Dupin and normal-form stages all read
+it. Codazzi and Dupin evaluate the immersion again only at the points
 their own stencils add, Gauss not at all; each works in blocks within
 geometry's element budget. A single point is a batch of one row.
 """
@@ -36,9 +40,9 @@ from .errors import (
 
 # step of the Codazzi and Dupin central differences
 _STEP = 1e-4
-# commutator and eigenvalue-cluster tolerance of simdiag, relative to the
-# largest matrix entry
-_TOL_SIMDIAG = 1e-7
+# commutator, off-diagonal and eigenvalue-coincidence tolerance of the
+# common eigenbasis, relative to the largest entry of a row
+_TOL_EIGENBASIS = 1e-7
 # relative gap below which principal curvature vectors share a group
 _TOL_GROUP = 1e-5
 
@@ -129,152 +133,137 @@ def extrinsics_at(imm, X):
 
 
 def flat_normal_residual(alpha):
-    """Largest commutator entry among shape-operator pairs.
+    """Largest commutator entry among shape-operator pairs, per row.
 
-    In flat ambient space the normal bundle is flat exactly when all shape
-    operators commute, so this is the full flatness test.
+    alpha has shape (rows, codim, d, d). In flat ambient space the normal
+    bundle is flat exactly when all shape operators commute, so this is the
+    full flatness test.
     """
-    c = alpha.shape[0]
-    comms = [np.max(np.abs(alpha[a] @ alpha[b] - alpha[b] @ alpha[a]))
-             for a in range(c) for b in range(a + 1, c)]
-    return float(np.max(comms, initial=0.0))
+    A, B = np.triu_indices(alpha.shape[1], 1)
+    comm = alpha[:, A] @ alpha[:, B] - alpha[:, B] @ alpha[:, A]
+    return np.max(np.abs(comm), axis=(1, 2, 3), initial=0.0)
 
 
-# -- simultaneous diagonalization ------------------------------------------------
+# -- principal curvatures and umbilical substructure ------------------------------
 
-def simdiag(mats):
-    """Common orthonormal eigenbasis of commuting symmetric matrices.
+def _principal_curvatures(alpha):
+    """Common eigenbasis of every row's commuting shape operators.
 
-    Successive refinement: diagonalize the first matrix, split the basis
-    into eigenvalue clusters, then diagonalize each following matrix inside
-    every cluster. Raises NotFlatNormal when a pair fails to commute at
-    _TOL_SIMDIAG, since no common basis exists then.
+    alpha has shape (rows, codim, d, d). One batched eigh of the generic
+    combination sum_c (sqrt(prime_c) - 1) alpha_c gives the basis: no
+    rational relation ties those weights, so distinct principal curvature
+    vectors get distinct combined eigenvalues unless a point is built to
+    make them collide. Returns kappa (rows, d, codim), the diagonals of
+    V^T alpha_c V in ascending combined order; the operators in that basis
+    (rows, codim, d, d); and whether neighbours in that order are equal to
+    _TOL_GROUP (rows, d - 1). A row that is not finite is zeroed for eigh
+    and comes out NaN. Raises NotFlatNormal when a finite row's operators
+    fail to commute, when the basis leaves them off-diagonal, or when
+    neighbours that differ share a combined eigenvalue, all at
+    _TOL_EIGENBASIS relative to the row's largest entry.
     """
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    d = mats[0].shape[0]
-    scale = max(1.0, max(float(np.max(np.abs(m))) for m in mats))
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            if np.max(np.abs(comm)) > _TOL_SIMDIAG * scale:
-                raise NotFlatNormal(
-                    "shape operators do not commute; no common eigenbasis"
-                )
-    V = np.eye(d)
-    blocks = [np.arange(d)]
-    for M in mats:
-        new_blocks = []
-        for blk in blocks:
-            sub = V[:, blk].T @ M @ V[:, blk]
-            w, U = np.linalg.eigh(0.5 * (sub + sub.T))
-            V[:, blk] = V[:, blk] @ U
-            start = 0
-            for i in range(1, len(blk) + 1):
-                if i == len(blk) or w[i] - w[start] > _TOL_SIMDIAG * scale:
-                    new_blocks.append(blk[start:i])
-                    start = i
-        blocks = new_blocks
-    return V
+    alpha = np.asarray(alpha, dtype=float)
+    c, d = alpha.shape[1:3]
+    bad = ~np.all(np.isfinite(alpha), axis=(1, 2, 3))
+    a = np.where(bad[:, None, None, None], 0.0, alpha)
+    tol = _TOL_EIGENBASIS * np.maximum(1.0, np.max(np.abs(a), axis=(1, 2, 3)))
+    if np.any(flat_normal_residual(a) > tol):
+        raise NotFlatNormal(
+            "shape operators do not commute; no common eigenbasis")
+    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, p)))
+    w = np.sqrt(list(itertools.islice(primes, c))) - 1.0
+    lam, V = np.linalg.eigh(np.einsum("c,ncij->nij", w, a))
+    ap = np.swapaxes(V, 1, 2)[:, None] @ a @ V[:, None]
+    kappa = np.swapaxes(np.diagonal(ap, axis1=2, axis2=3), 1, 2)
+    off = np.max(np.abs(ap - np.swapaxes(kappa, 1, 2)[..., None] * np.eye(d)),
+                 axis=(1, 2, 3))
+    scale = np.maximum(1.0, np.max(np.abs(kappa), axis=(1, 2)))[:, None]
+    same = np.max(np.abs(np.diff(kappa, axis=1)), axis=2) <= _TOL_GROUP * scale
+    collide = ~same & (np.diff(lam, axis=1) <= tol[:, None])
+    if np.any(off > tol) or np.any(collide):
+        raise NotFlatNormal(
+            "the combination sum_c (sqrt(prime_c) - 1) alpha_c does not "
+            "diagonalize every shape operator: it repeats an eigenvalue "
+            "across distinct principal curvature vectors, or the operators "
+            "commute only to tolerance"
+        )
+    ap[bad] = math.nan   # kappa is a view of ap's diagonals
+    return kappa, same, ap
 
-
-# -- umbilical substructure -------------------------------------------------------
 
 @dataclass
 class UmbilicalStructure:
-    """Principal-curvature grouping of a flat-normal-bundle point.
+    """Principal-curvature grouping of rows of flat-normal-bundle points.
 
-    kappa rows are principal curvature vectors (one component per normal);
-    u_indices is the largest group of equal rows, eta its common value. The
-    four scalar residuals tie eta to the Einstein constant when the
-    complement of U is a 2-plane; they are None otherwise.
+    Every field has a leading row axis. kappa (rows, d, codim) holds the
+    principal curvature vectors in ascending combined order; labels (rows,
+    d) numbers the groups of equal vectors from 0 in that order, -1 on a
+    row that is not finite; u (rows, d) marks U, the largest group (the
+    first of equal size), and eta (rows, codim) its common vector.
+    residuals (rows, 4) is None without rho and NaN on rows not split.
     """
 
     kappa: np.ndarray
-    group_sizes: tuple
-    u_indices: tuple
+    labels: np.ndarray
+    u: np.ndarray
     eta: np.ndarray
-    residuals: dict
+    residuals: np.ndarray
 
     @property
     def u_dim(self):
-        return len(self.u_indices)
+        return np.sum(self.u, axis=1)
 
-
-_UMBILICAL_RESIDUALS = ("ga1", "eqalpha", "eqalpha2", "eqalpha1")
+    @property
+    def split(self):
+        """Rows whose U leaves a 2-plane complement, and rows that are not
+        finite: their NaN residuals fail whatever check reads them."""
+        return ((self.u_dim == self.kappa.shape[1] - 2)
+                | np.isnan(self.eta).any(axis=1))
 
 
 def umbilical_structure(alpha, rho=None):
-    """Group tangent directions by principal curvature vector.
+    """Group tangent directions by principal curvature vector, per row.
 
-    alpha is the (codim, n, n) frame array of a point with flat normal
-    bundle, n the dimension of the immersed manifold. When the largest
-    group leaves a 2-dimensional complement and rho is given, the
-    structural residuals are evaluated:
+    alpha is the (rows, codim, d, d) frame array of points with flat normal
+    bundle, d the dimension of the immersed manifold. Equal vectors have
+    equal combined eigenvalues, so each group is a run of equal neighbours
+    in _principal_curvatures' order, which raises rather than give a wrong
+    grouping. When rho is given, every split row gets the residuals
 
-      ga1:      rho - K(U-perp) - (n-2) <alpha_11, eta>
+      ga1:      rho - K(U-perp) - (d-2) <alpha_11, eta>
       eqalpha:  <alpha_11 - alpha_22, eta>
       eqalpha2: <alpha_12, eta>
-      eqalpha1: rho - (n-3) |eta|^2 - <alpha_11 + alpha_22, eta>
+      eqalpha1: rho - (d-3) |eta|^2 - <alpha_11 + alpha_22, eta>
 
-    with indices 1, 2 running over the complement and K(U-perp) computed
-    from the Gauss equation. An alpha that is not finite has no grouping:
-    kappa and eta are NaN, U is empty and, when rho is given, every
-    residual is NaN, so the point fails whatever check reads it.
+    with indices 1, 2 running over the complement in ascending order and
+    K(U-perp) computed from the Gauss equation. A row that is not finite
+    has no grouping: kappa, eta and its residuals are NaN and U is empty.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    c, d, _ = alpha.shape
-    if not np.all(np.isfinite(alpha)):
-        return UmbilicalStructure(
-            kappa=np.full((d, c), math.nan), group_sizes=(), u_indices=(),
-            eta=np.full(c, math.nan),
-            residuals=None if rho is None
-            else dict.fromkeys(_UMBILICAL_RESIDUALS, math.nan),
-        )
-    V = simdiag(list(alpha))
-    ap = np.einsum("pi,cpq,qj->cij", V, alpha, V)
-    kappa = np.stack([np.diag(ap[k]) for k in range(c)], axis=1)
-
-    scale = max(1.0, float(np.max(np.abs(kappa))))
-    parent = list(range(d))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            if np.max(np.abs(kappa[i] - kappa[j])) <= _TOL_GROUP * scale:
-                parent[find(j)] = find(i)
-    groups = {}
-    for i in range(d):
-        groups.setdefault(find(i), []).append(i)
-    glist = sorted(groups.values(), key=lambda g: (-len(g), g[0]))
-    u = glist[0]
-    eta = kappa[u].mean(axis=0)
-
-    residuals = None
-    comp = sorted(set(range(d)) - set(u))
-    if len(comp) == 2 and rho is not None:
-        i, j = comp
-        a11 = ap[:, i, i]
-        a22 = ap[:, j, j]
-        a12 = ap[:, i, j]
-        k_perp = float(a11 @ a22 - a12 @ a12)
-        residuals = dict(zip(_UMBILICAL_RESIDUALS, (
-            (rho - k_perp) - (d - 2.0) * float(a11 @ eta),
-            float((a11 - a22) @ eta),
-            float(a12 @ eta),
-            rho - (d - 3.0) * float(eta @ eta) - float((a11 + a22) @ eta),
-        )))
-    return UmbilicalStructure(
-        kappa=kappa,
-        group_sizes=tuple(len(g) for g in glist),
-        u_indices=tuple(u),
-        eta=eta,
-        residuals=residuals,
-    )
+    kappa, same, ap = _principal_curvatures(alpha)
+    rows, d = kappa.shape[:2]
+    labels = np.concatenate(
+        [np.zeros((rows, 1), dtype=int), np.cumsum(~same, axis=1)], axis=1)
+    sizes = np.sum(labels[:, :, None] == np.arange(d), axis=1)
+    u = labels == np.argmax(sizes, axis=1)[:, None]
+    eta = np.sum(kappa * u[:, :, None], axis=1) / np.sum(u, axis=1)[:, None]
+    bad = np.isnan(kappa[:, 0, 0])
+    labels[bad] = -1
+    u[bad] = False
+    um = UmbilicalStructure(kappa=kappa, labels=labels, u=u, eta=eta,
+                            residuals=None)
+    if rho is not None:
+        # every dot product of the complement's entries alpha_11, alpha_22,
+        # alpha_12 and eta
+        r, i = np.arange(rows), np.argmax(~u, axis=1)
+        j = d - 1 - np.argmax(~u[:, ::-1], axis=1)
+        P = np.stack([ap[r, :, i, i], ap[r, :, j, j], ap[r, :, i, j], eta], 1)
+        g = P @ np.swapaxes(P, 1, 2)
+        e1, e2, e12, ee = g[:, 0, 3], g[:, 1, 3], g[:, 2, 3], g[:, 3, 3]
+        um.residuals = np.stack([
+            rho - (g[:, 0, 1] - g[:, 2, 2]) - (d - 2.0) * e1, e1 - e2, e12,
+            rho - (d - 3.0) * ee - (e1 + e2)], axis=1)
+        um.residuals[~um.split] = math.nan
+    return um
 
 
 # -- Gauss equation ----------------------------------------------------------------
@@ -418,8 +407,7 @@ def dupin_residual(imm, pe):
     Y[:n, -1] += _STEP
     Y[n:, -1] -= _STEP
     nb = extrinsics_at(imm, Y)
-    eta = np.stack([umbilical_structure(a).eta @ N
-                    for a, N in zip(nb.alpha, nb.N)])
+    eta = np.einsum("nc,nca->na", umbilical_structure(nb.alpha).eta, nb.N)
     vel = (eta[:n] - eta[n:]) / (2.0 * _STEP)
     w = pe.N @ vel[:, :, None]   # normal part of the velocity, a column per row
     return np.sqrt(np.swapaxes(w, 1, 2) @ w)[:, 0, 0]
@@ -479,19 +467,19 @@ def _pairing(vals, i, j, k, l, eps):
 def shape_operator_normal_form(A1, A2, tol=1e-6):
     """Classify a commuting 4x4 shape-operator pair by gauge rotation.
 
-    The gauge freedom is a rotation of the normal 2-frame; for every
-    diagonal slot k the closed-form angle beta = atan2(A2_kk, A1_kk) zeroes
-    that slot of the rotated A2 exactly, so scanning the four candidate
-    angles finds the gauge with the most zeros. Two or more zeros give the
-    epsilon form, exactly one the generic form.
+    The slots are the pair's principal curvatures, read from the same
+    common eigenbasis as umbilical_structure, a batch of one row. The gauge
+    freedom is a rotation of the normal 2-frame; for every diagonal slot k
+    the closed-form angle beta = atan2(A2_kk, A1_kk) zeroes that slot of
+    the rotated A2 exactly, so scanning the four candidate angles finds
+    the gauge with the most zeros. Two or more zeros give the epsilon
+    form, exactly one the generic form.
     """
     A1 = np.asarray(A1, dtype=float)
     A2 = np.asarray(A2, dtype=float)
     if A1.shape != (4, 4) or A2.shape != (4, 4):
         raise BadDimension("normal forms are defined for 4x4 pairs")
-    V = simdiag([A1, A2])
-    d1 = np.diag(V.T @ A1 @ V)
-    d2 = np.diag(V.T @ A2 @ V)
+    d1, d2 = _principal_curvatures(np.stack([A1, A2])[None])[0][0].T
     scale = max(1.0, float(np.max(np.abs(d1))), float(np.max(np.abs(d2))))
 
     best = None
@@ -617,23 +605,23 @@ def extrinsic_scan(imm, n_points=8, seed=0):
     imm = dataclasses.replace(imm, jet_fn=counted)
     pts = geometry.sample_points(imm, n_points, seed=seed)
     pe = extrinsics_at(imm, pts)
-    flat = [flat_normal_residual(a) for a in pe.alpha]
+    flat = flat_normal_residual(pe.alpha)
     gauss = gauss_ricci_residual(imm, pe)
     codazzi = codazzi_residual(imm, pe)
-    ums = [umbilical_structure(a, rho=imm.rho) for a in pe.alpha]
-    umb = [i for i, um in enumerate(ums) if um.residuals is not None]
-    umb_res = [np.max(np.abs(list(ums[i].residuals.values()))) for i in umb]
-    dupin = dupin_residual(imm, pe.rows(umb)) if umb else []
+    um = umbilical_structure(pe.alpha, rho=imm.rho)
+    umb = np.flatnonzero(um.split)
+    dupin = dupin_residual(imm, pe.rows(umb)) if len(umb) else []
     profile = (profile_normal_shape_residual(imm, pe)
                if imm.meta.get("kind") == "rotational" else [])
     return ExtrinsicReport(
         label=imm.label, dim=imm.dim, codim=imm.ambient_dim - imm.dim,
         n_points=len(pts), flat_normal_max=float(np.max(flat)),
         gauss_max=float(np.max(gauss)), codazzi_max=float(np.max(codazzi)),
-        u_dim_mode=int(np.bincount([um.u_dim for um in ums]).argmax()),
+        u_dim_mode=int(np.bincount(um.u_dim).argmax()),
         umbilical_points=len(umb),
-        umbilical_residual_max=float(np.max(umb_res)) if umb else math.nan,
-        dupin_max=float(np.max(dupin)) if umb else math.nan,
+        umbilical_residual_max=(float(np.max(np.abs(um.residuals[umb])))
+                                if len(umb) else math.nan),
+        dupin_max=float(np.max(dupin)) if len(umb) else math.nan,
         profile_max=float(np.max(profile, initial=0.0)),
         jet_calls=len(jet_rows), jet_rows=sum(jet_rows),
     )

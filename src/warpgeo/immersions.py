@@ -403,8 +403,9 @@ def flat_base_composite(n, m):
 
 # -- mesh export -----------------------------------------------------------------
 
-def export_points_csv(imm, path, count=512, seed=0):
-    """Quasi-random coordinate sample with ambient images, one row per point."""
+def points_csv(imm, count=512, seed=0):
+    """CSV text of a quasi-random coordinate sample with its ambient images,
+    one row per point."""
     X = sampling.box(count, imm.sample_box, seed=seed)
     V = imm.value_batch(X)
     cols = ["x%d" % i for i in range(imm.dim)]
@@ -413,13 +414,12 @@ def export_points_csv(imm, path, count=512, seed=0):
     for r in range(X.shape[0]):
         vals = list(X[r]) + list(V[r])
         lines.append(",".join(serialize.fmt_float(float(v)) for v in vals))
-    serialize.write_text_atomic(path, "\n".join(lines) + "\n")
-    return count
+    return "\n".join(lines) + "\n"
 
 
-def export_surface_obj(imm, path, res=32):
-    """Wavefront mesh of the first two coordinates' slice, projected to the
-    first three ambient axes.
+def surface_obj(imm, res=32):
+    """Wavefront mesh text of the first two coordinates' slice, projected to
+    the first three ambient axes.
 
     The remaining coordinates sit at the middle of the sample box. Meant for
     quick visual inspection, not for analysis; the CSV export keeps full
@@ -450,8 +450,7 @@ def export_surface_obj(imm, path, res=32):
             d = c + 1
             lines.append("f %d %d %d" % (a, b, d))
             lines.append("f %d %d %d" % (a, d, c))
-    serialize.write_text_atomic(path, "\n".join(lines) + "\n")
-    return res * res
+    return "\n".join(lines) + "\n"
 
 
 def build_immersion(family, n, m=None, rho=None, perturb=0.0):

@@ -206,6 +206,15 @@ class TestBuild:
         assert os.path.exists(os.path.join(str(tmp_path), "clifford-n5.csv"))
 
 
+    def test_failed_check_writes_nothing(self, capsys, tmp_path):
+        # the circle has no third ambient axis for the mesh; that check
+        # must fail before the CSV, the first file, is written
+        code, _ = run(capsys, "build", "--family", "sphere", "--n", "1",
+                      "--out", str(tmp_path), "--count", "8", "--res", "4")
+        assert code == 3
+        assert os.listdir(str(tmp_path)) == []
+
+
 class TestVerifyExtrinsic:
     def test_rotational_passes(self, capsys):
         code, doc = run(capsys, "verify-extrinsic", "--family",

@@ -56,6 +56,11 @@ def poisoned(imm, bad, radius=0.01):
     return dataclasses.replace(imm, jet_fn=jet_fn)
 
 
+def group_sizes(um, row=0):
+    """Sizes of a row's principal-curvature groups, largest first."""
+    return tuple(sorted(np.bincount(um.labels[row]), reverse=True))
+
+
 def gauss_sectional(alpha, p, q):
     """Sectional curvature of the frame plane (p, q) from the Gauss equation."""
     return float(alpha[:, p, p] @ alpha[:, q, q] - alpha[:, p, q] @ alpha[:, p, q])
@@ -133,21 +138,26 @@ class TestFrames:
             extrinsic.extrinsics_at(imm, [[1.0, 1.0, 1.0], [1e-13, 1.0, 1.0]])
 
     def test_invariants_under_frame_rotations(self, rng):
+        # row 0 is the point's own frame, rows 1-5 rotate both frames
         imm, x = schw_point(5)
-        pe = extrinsic.extrinsics_at(imm, x)
-        um0 = extrinsic.umbilical_structure(pe.alpha[0], rho=imm.rho)
-        flat0 = extrinsic.flat_normal_residual(pe.alpha[0])
+        alpha = extrinsic.extrinsics_at(imm, x).alpha
+        rows = [alpha[0]]
         for _ in range(5):
-            oc = random_orthogonal(rng, pe.codim)
-            ot = random_orthogonal(rng, pe.dim)
-            rot = np.einsum("mn,npq->mpq", oc, pe.alpha[0])
-            rot = np.einsum("pi,mpq,qj->mij", ot, rot, ot)
-            um = extrinsic.umbilical_structure(rot, rho=imm.rho)
-            assert um.group_sizes == um0.group_sizes
-            assert abs(np.linalg.norm(um.eta) - np.linalg.norm(um0.eta)) < 1e-10
-            assert extrinsic.flat_normal_residual(rot) < flat0 + 1e-12
-            for key, val in um0.residuals.items():
-                assert abs(um.residuals[key] - val) < 1e-9
+            oc = random_orthogonal(rng, alpha.shape[1])
+            ot = random_orthogonal(rng, alpha.shape[2])
+            rot = np.einsum("mn,npq->mpq", oc, alpha[0])
+            rows.append(np.einsum("pi,mpq,qj->mij", ot, rot, ot))
+        rows = np.stack(rows)
+        um = extrinsic.umbilical_structure(rows, rho=imm.rho)
+        flat = extrinsic.flat_normal_residual(rows)
+        assert flat.shape == (6,)
+        assert np.all(flat < flat[0] + 1e-12)
+        for r in range(1, 6):
+            assert group_sizes(um, r) == group_sizes(um, 0)
+            assert abs(np.linalg.norm(um.eta[r])
+                       - np.linalg.norm(um.eta[0])) < 1e-10
+        assert np.all(um.split)
+        assert np.max(np.abs(um.residuals - um.residuals[0])) < 1e-9
 
 
 class TestProfileNormal:
@@ -195,15 +205,15 @@ class TestUmbilicalStructure:
     def test_rotational_substructure(self, n):
         imm, x = schw_point(n)
         pe = extrinsic.extrinsics_at(imm, x)
-        um = extrinsic.umbilical_structure(pe.alpha[0], rho=0.0)
-        assert um.u_dim == n - 2
-        assert um.group_sizes == (n - 2, 1, 1)
+        um = extrinsic.umbilical_structure(pe.alpha, rho=0.0)
+        assert um.u_dim.tolist() == [n - 2]
+        assert group_sizes(um) == (n - 2, 1, 1)
         sol = imm.meta["warp"]
         s = sample_at(sol, x[0])
         w = math.sqrt(1.0 - s.dphi ** 2)
-        assert abs(np.linalg.norm(um.eta) - w / s.phi) < 1e-10
-        for val in um.residuals.values():
-            assert abs(val) < 1e-10
+        assert abs(np.linalg.norm(um.eta[0]) - w / s.phi) < 1e-10
+        assert um.residuals.shape == (1, 4)
+        assert np.max(np.abs(um.residuals)) < 1e-10
 
     @pytest.mark.parametrize("n,rho,expect", [(5, 1.0, 1.0 / math.sqrt(2.0)),
                                               (6, 2.0, math.sqrt(2.0 / 3.0))])
@@ -211,12 +221,11 @@ class TestUmbilicalStructure:
         imm = immersions.clifford_immersion(n, rho)
         x = np.full(n, 0.9) + 0.1 * np.arange(n)
         pe = extrinsic.extrinsics_at(imm, x)
-        um = extrinsic.umbilical_structure(pe.alpha[0], rho=rho)
-        assert um.u_dim == n - 2
-        assert um.group_sizes == (n - 2, 2)
-        assert abs(np.linalg.norm(um.eta) - expect) < 1e-12
-        for val in um.residuals.values():
-            assert abs(val) < 1e-12
+        um = extrinsic.umbilical_structure(pe.alpha, rho=rho)
+        assert um.u_dim.tolist() == [n - 2]
+        assert group_sizes(um) == (n - 2, 2)
+        assert abs(np.linalg.norm(um.eta[0]) - expect) < 1e-12
+        assert np.max(np.abs(um.residuals)) < 1e-12
 
     def test_composite_fiber_splits(self):
         # Einstein but not (n-2)-umbilical: the in-sphere normal of the
@@ -224,10 +233,12 @@ class TestUmbilicalStructure:
         imm = immersions.flat_base_composite(7, 2)
         x = np.array([1.3, 0.4, 0.9, 1.1, 0.8, 1.2, 2.0])
         pe = extrinsic.extrinsics_at(imm, x)
-        um = extrinsic.umbilical_structure(pe.alpha[0], rho=0.0)
-        assert um.group_sizes == (3, 2, 2)
-        assert um.u_dim != imm.dim - 2
-        base_rows = um.kappa[np.argsort(np.abs(um.kappa).sum(axis=1))[:2]]
+        um = extrinsic.umbilical_structure(pe.alpha, rho=0.0)
+        assert group_sizes(um) == (3, 2, 2)
+        assert um.u_dim[0] != imm.dim - 2
+        assert not um.split[0] and np.all(np.isnan(um.residuals))
+        kappa = um.kappa[0]
+        base_rows = kappa[np.argsort(np.abs(kappa).sum(axis=1))[:2]]
         assert np.max(np.abs(base_rows)) < 1e-12
 
     def test_extra_codim_not_umbilical(self):
@@ -235,37 +246,88 @@ class TestUmbilicalStructure:
         x = np.array([0.9, 1.0, 0.9, 1.1, 0.8, 1.2, 2.0])
         pe = extrinsic.extrinsics_at(imm, x)
         assert pe.codim == 3
-        assert extrinsic.flat_normal_residual(pe.alpha[0]) < 1e-12
-        um = extrinsic.umbilical_structure(pe.alpha[0], rho=0.0)
-        assert um.u_dim != imm.dim - 2
+        assert extrinsic.flat_normal_residual(pe.alpha)[0] < 1e-12
+        um = extrinsic.umbilical_structure(pe.alpha, rho=0.0)
+        assert um.u_dim[0] != imm.dim - 2
 
     def test_coarse_tolerance_merges_everything(self, monkeypatch):
         imm, x = schw_point(5)
         pe = extrinsic.extrinsics_at(imm, x)
         monkeypatch.setattr(extrinsic, "_TOL_GROUP", 1e6)
-        um = extrinsic.umbilical_structure(pe.alpha[0])
-        assert um.group_sizes == (5,)
+        um = extrinsic.umbilical_structure(pe.alpha)
+        assert group_sizes(um) == (5,)
         assert um.residuals is None
 
+    def test_rows_match_one_row_at_a_time(self):
+        imm = immersions.build_immersion("schwarzschild", 5)
+        pe = extrinsic.extrinsics_at(imm, geometry.sample_points(imm, 6))
+        um = extrinsic.umbilical_structure(pe.alpha, rho=imm.rho)
+        for r in range(6):
+            one = extrinsic.umbilical_structure(pe.alpha[r:r + 1], rho=imm.rho)
+            for key in ("kappa", "labels", "u", "eta", "residuals"):
+                np.testing.assert_array_equal(getattr(one, key)[0],
+                                              getattr(um, key)[r])
 
-class TestSimdiag:
+
+class TestCommonEigenbasis:
     def test_recovers_shared_eigenbasis(self, rng):
         v = random_orthogonal(rng, 6)
         d1 = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
         d2 = np.array([0.5, 0.5, -1.0, 4.0, 2.5, 0.0])
-        m1 = v @ np.diag(d1) @ v.T
-        m2 = v @ np.diag(d2) @ v.T
-        w = extrinsic.simdiag([m1, m2])
-        for m in (m1, m2):
-            off = w.T @ m @ w
-            off = off - np.diag(np.diag(off))
-            assert np.max(np.abs(off)) < 1e-9
+        alpha = np.stack([v @ np.diag(d1) @ v.T, v @ np.diag(d2) @ v.T])
+        um = extrinsic.umbilical_structure(alpha[None])
+        want = np.stack([d1, d2], axis=1)
+        got = sorted(map(tuple, np.round(um.kappa[0], 9)))
+        assert got == sorted(map(tuple, want))
+        assert group_sizes(um) == (2, 1, 1, 1, 1)
+        assert np.max(np.abs(um.eta[0] - [1.0, 0.5])) < 1e-9
 
     def test_rejects_non_commuting(self):
+        # one non-commuting row fails the whole batch
         m1 = np.diag([1.0, 2.0])
         m2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(NotFlatNormal):
-            extrinsic.simdiag([m1, m2])
+        good = np.stack([m1, np.diag([3.0, -1.0])])
+        with pytest.raises(NotFlatNormal, match="do not commute"):
+            extrinsic.umbilical_structure(np.stack([good, np.stack([m1, m2])]))
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_rejects_coincident_combination(self, rng, rotate):
+        # kappa rows (w1, 0) and (0, w0) differ, yet both give the generic
+        # combination the eigenvalue w0 w1
+        w0, w1 = math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0
+        v = random_orthogonal(rng, 3) if rotate else np.eye(3)
+        alpha = np.stack([v @ np.diag(d) @ v.T
+                          for d in ([w1, 0.0, 2.0], [0.0, w0, 1.0])])
+        with pytest.raises(NotFlatNormal, match="combination"):
+            extrinsic.umbilical_structure(alpha[None])
+
+    def test_rejects_basis_that_leaves_off_diagonals(self):
+        # the commutator, 1e-8, is below tolerance, yet the combination's
+        # eigenbasis turns A by ~37 degrees and leaves ~5e-5 off its diagonal
+        a = np.diag([1.0, 1.0 + 1e-4])
+        b = 1e-4 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        alpha = np.stack([a, b])[None]
+        assert extrinsic.flat_normal_residual(alpha)[0] < 1e-7
+        with pytest.raises(NotFlatNormal, match="commute only to tolerance"):
+            extrinsic.umbilical_structure(alpha)
+
+    def test_nan_row_stays_in_its_row(self):
+        imm = immersions.clifford_immersion(5, 1.0)
+        alpha = extrinsic.extrinsics_at(
+            imm, geometry.sample_points(imm, 3, seed=2)).alpha
+        finite = extrinsic.umbilical_structure(alpha, rho=imm.rho)
+        alpha = np.insert(alpha, 1, np.nan, axis=0)
+        alpha[1, 0, 0, 0] = 1.0
+        um = extrinsic.umbilical_structure(alpha, rho=imm.rho)
+        for key in ("kappa", "eta", "residuals"):
+            assert np.all(np.isnan(getattr(um, key)[1])), key
+        assert not np.any(um.u[1]) and np.all(um.labels[1] == -1)
+        # a NaN row counts as split, so its residuals fail what reads them
+        assert um.split.tolist() == [True] * 4
+        for key in ("kappa", "labels", "u", "eta", "residuals"):
+            np.testing.assert_array_equal(np.delete(getattr(um, key), 1, 0),
+                                          getattr(finite, key))
+        assert math.isnan(extrinsic.flat_normal_residual(alpha)[1])
 
 
 # members of every family row with an immersion, plus a perturbed one
@@ -516,9 +578,22 @@ class TestScan:
         assert (d["jet_calls"], d["jet_rows"]) == (n_jets, rows)
 
     def test_nan_commutator_propagates(self):
-        alpha = np.zeros((2, 3, 3))
-        alpha[1, 0, 0] = np.nan
-        assert math.isnan(extrinsic.flat_normal_residual(alpha))
+        alpha = np.zeros((2, 2, 3, 3))
+        alpha[1, 1, 0, 0] = np.nan
+        flat = extrinsic.flat_normal_residual(alpha)
+        assert flat[0] == 0.0 and math.isnan(flat[1])
+
+    @pytest.mark.parametrize("family,n,m", [("schwarzschild", 5, None),
+                                            ("flat-torus-composite", 7, 2)])
+    def test_one_umbilical_structure_call(self, monkeypatch, family, n, m):
+        # the whole sample goes through umbilical_structure at once, and
+        # Dupin sends every umbilical point's two leaf neighbours through
+        # one more call
+        imm = immersions.build_immersion(family, n, m=m)
+        calls = count_calls(monkeypatch, extrinsic, "umbilical_structure")
+        rep = extrinsic.extrinsic_scan(imm, n_points=12)
+        assert calls == [1 + (rep.umbilical_points > 0)]
+        assert (rep.umbilical_points > 0) == (family == "schwarzschild")
 
 
 class TestFailClosed:
@@ -551,6 +626,20 @@ class TestFailClosed:
                     "umbilical_residual_max", "dupin_max", "profile_max"):
             assert math.isnan(getattr(rep, key)), key
         assert rep.u_dim_mode == 3
+
+    def test_nan_row_fails_umbilical_max(self):
+        # every Clifford row is umbilical and passes alone, so only the
+        # poisoned row can make the maximum NaN
+        imm = immersions.build_immersion("clifford", 5, rho=1.0)
+        pts = geometry.sample_points(imm, 6, seed=0)
+        assert np.sum(np.all(np.abs(pts - pts[2]) < 0.01, axis=1)) == 1
+        rep = extrinsic.extrinsic_scan(imm, n_points=6, seed=0)
+        assert rep.umbilical_points == 6
+        assert rep.umbilical_residual_max < 1e-10
+        rep = extrinsic.extrinsic_scan(poisoned(imm, pts[2]), n_points=6,
+                                       seed=0)
+        assert rep.umbilical_points == 6
+        assert math.isnan(rep.umbilical_residual_max)
 
     def test_nan_row_fails_verify_extrinsic(self, monkeypatch, capsys):
         imm = self.poisoned_scan_input()

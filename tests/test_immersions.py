@@ -358,37 +358,32 @@ class TestBuilderDispatch:
 
 
 class TestExport:
-    def test_csv_deterministic(self, tmp_path):
+    def test_csv_deterministic(self):
         immr = im.clifford_immersion(5, 1.0)
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        im.export_points_csv(immr, str(f1), count=32, seed=1)
-        im.export_points_csv(immr, str(f2), count=32, seed=1)
-        assert f1.read_text() == f2.read_text()
-        lines = f1.read_text().strip().split("\n")
+        text = im.points_csv(immr, count=32, seed=1)
+        assert text == im.points_csv(immr, count=32, seed=1)
+        lines = text.strip().split("\n")
         assert len(lines) == 33
         assert lines[0].split(",")[:2] == ["x0", "x1"]
         assert lines[0].split(",")[-1] == "f%d" % (immr.ambient_dim - 1)
 
-    def test_csv_values_lie_on_product(self, tmp_path):
+    def test_csv_values_lie_on_product(self):
         immr = im.clifford_immersion(5, 1.0)
-        f = tmp_path / "pts.csv"
-        im.export_points_csv(immr, str(f), count=16, seed=2)
-        rows = [r.split(",") for r in f.read_text().strip().split("\n")[1:]]
+        text = im.points_csv(immr, count=16, seed=2)
+        rows = [r.split(",") for r in text.strip().split("\n")[1:]]
         V = np.array([[float(x) for x in r[immr.dim:]] for r in rows])
         # first block is S^2(1), second is S^3(sqrt 2)
         assert np.max(np.abs(np.linalg.norm(V[:, :3], axis=1) - 1.0)) < 1e-12
         assert np.max(np.abs(np.linalg.norm(V[:, 3:], axis=1) - math.sqrt(2.0))) < 1e-12
 
-    def test_obj_mesh_counts(self, tmp_path):
+    def test_obj_mesh_counts(self):
         immr = im.schwarzschild_immersion(5)
-        f = tmp_path / "slice.obj"
-        im.export_surface_obj(immr, str(f), res=8)
-        text = f.read_text()
+        text = im.surface_obj(immr, res=8)
         assert text.count("\nv ") + text.startswith("v ") == 64
         assert text.count("\nf ") == 2 * 49
 
-    def test_obj_guards(self, tmp_path):
+    def test_obj_guards(self):
         # the circle S^1 in R^2 has no third ambient axis to project to
         circle = im.build_immersion("sphere", 1)
         with pytest.raises(BadRange):
-            im.export_surface_obj(circle, str(tmp_path / "x.obj"))
+            im.surface_obj(circle)
