@@ -309,6 +309,8 @@ def cmd_build(args):
     cfg = _merge(args, _BUILD_DEFAULTS)
     if cfg["family"] is None or cfg["n"] is None:
         raise ConfigError("build needs --family and --n")
+    if min(int(cfg["count"]), int(cfg["res"])) < 1:
+        raise ConfigError("--count and --res must be at least 1")
     imm = immersions.build_immersion(cfg["family"], int(cfg["n"]),
                                      **_member(cfg))
     # every file is rendered, and so checked, before the first is written
@@ -410,8 +412,7 @@ def cmd_classify_appendix(args):
                                      **_member(cfg))
     pts = geometry.sample_points(imm, int(cfg["points"]),
                                  seed=int(cfg["seed"]))
-    forms = [extrinsic.classify_at(imm, x, tol=float(cfg["tol_form"]))
-             for x in pts]
+    forms = extrinsic.classify_rows(imm, pts, tol=float(cfg["tol_form"]))
     kinds = [form.kind for form in forms]
     eps_vals = {form.eps for form in forms if form.kind == "epsilon"}
     worst = float(np.max([form.residual for form in forms]))
@@ -468,13 +469,6 @@ def _suite_warp(checks):
                          TOLERANCES["tol_closed_form"], "closed-form-oracle"))
 
 
-def _fd_gap(checks, chart, pts):
-    """The stencil's error against the exact jet, on the chart's own sample."""
-    checks.append(_check("fd-gap-%s" % chart.label,
-                         geometry.fd_ricci_gap(chart, pts),
-                         TOLERANCES["tol_fd_gap"], "fd-vs-analytic"))
-
-
 def _fiber_constant(checks, chart, pts, floor):
     """Smallest gap between the fiber's Ricci constant and the (n-3) eps the
     warp needs, over the chart's own sample from one samples_at call; it
@@ -489,17 +483,17 @@ def _fiber_constant(checks, chart, pts, floor):
 
 
 def _suite_intrinsic(checks, seed, points):
+    # one sample and one exact pass per member, which every check reads
     for family, row in geometry.FAMILIES.items():
         for n, m, rho in row.report:
             chart, rho_val = geometry.chart_for_family(family, n, m=m, rho=rho)
             rep = geometry.verify_einstein(chart, rho_val, n_points=points,
-                                           seed=seed)
-            pts = geometry.sample_points(chart, points, seed=seed)
+                                           seed=seed, fd_gap=True)
             if row.defect_floor is not None:
                 checks.append(_check("defect-%s" % rep.label, rep.einstein_max,
                                      row.defect_floor, rep.provenance,
                                      mode="min"))
-                _fiber_constant(checks, chart, pts, row.defect_floor)
+                _fiber_constant(checks, chart, rep.points, row.defect_floor)
             else:
                 checks.append(_check("einstein-%s" % rep.label,
                                      rep.einstein_max,
@@ -509,12 +503,15 @@ def _suite_intrinsic(checks, seed, points):
                     checks.append(_check("spread-%s" % rep.label,
                                          rep.sectional_spread, bound,
                                          rep.provenance, mode=mode))
-            _fd_gap(checks, chart, pts)
+            checks.append(_check("fd-gap-%s" % rep.label, rep.fd_gap_max,
+                                 TOLERANCES["tol_fd_gap"], "fd-vs-analytic"))
     pert, rho = geometry.chart_for_family("clifford", 5, rho=1.0, perturb=0.05)
-    rep = geometry.verify_einstein(pert, rho, n_points=points, seed=seed)
+    rep = geometry.verify_einstein(pert, rho, n_points=points, seed=seed,
+                                   fd_gap=True)
     checks.append(_check("defect-%s" % pert.label, rep.einstein_max, 1e-3,
                          rep.provenance, mode="min"))
-    _fd_gap(checks, pert, geometry.sample_points(pert, points, seed=seed))
+    checks.append(_check("fd-gap-%s" % rep.label, rep.fd_gap_max,
+                         TOLERANCES["tol_fd_gap"], "fd-vs-analytic"))
 
 
 def _suite_extrinsic(checks, seed):
@@ -546,7 +543,7 @@ def _suite_extrinsic(checks, seed):
 def _suite_appendix(checks, seed):
     imm = immersions.schwarzschild_immersion(4)
     pts = geometry.sample_points(imm, 10, seed=seed)
-    forms = [extrinsic.classify_at(imm, x) for x in pts]
+    forms = extrinsic.classify_rows(imm, pts)
     ok = all(form.kind == "epsilon" and form.eps == 1 for form in forms)
     worst = float(np.max([form.residual for form in forms]))
     checks.append(_check("appendix-epsilon-form", 0.0 if ok else 1.0, 0.5,

@@ -288,8 +288,8 @@ def gauss_ricci_residual(imm, pe):
     """
     chart = imm.chart
     ric = np.concatenate([
-        geometry.curvature_from_jet(*chart.metric_jet(X))[2]
-        for X in geometry._blocks(chart, pe.x, fd=False)])
+        geometry.curvature_from_jet(*chart.metric_jet(pe.x[s]))[2]
+        for s in geometry._blocks(chart, len(pe.x), fd=False)])
     ric_int = np.einsum("nip,njq,nij->npq", pe.B, pe.B, ric)
     return np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
 
@@ -324,9 +324,10 @@ def codazzi_residual(imm, pe):
     E[2 * axes, axes] = _STEP
     E[2 * axes + 1, axes] = -_STEP
     out = []
-    # a block's largest arrays, the displaced Hessians and their alpha,
-    # hold 2 d ambient d d entries per point
-    for rows in geometry._block_slices(len(pe.x), 2 * d * amb * d * d):
+    # at a block's peak about five arrays of 2 d ambient d d entries a point
+    # are alive: the displaced Hessians, _alpha_chart's product and result,
+    # and three of half that size (tracemalloc reads 4.3-4.7)
+    for rows in geometry._block_slices(len(pe.x), 5 * 2 * d * amb * d * d):
         J = pe.J[rows]
         a0, gam, Gi = _alpha_chart(J, pe.H[rows])
         _, Js, Hs = imm.jet((pe.x[rows, None, :] + E).reshape(-1, d))
@@ -340,6 +341,7 @@ def codazzi_residual(imm, pe):
         nab -= np.einsum("ndac,nxbd->naxbc", gam, a0)
         defect = nab - np.swapaxes(nab, 1, 3)
         out.append(np.max(np.abs(defect), axis=(1, 2, 3, 4)))
+        del Js, Hs, disp, da, nab, defect   # before the next block's jet
     return np.concatenate(out)
 
 
@@ -548,18 +550,18 @@ def solve_normal_form_relations(a, b, c, d):
     return p, r1 / p, r2 / p
 
 
-def classify_at(imm, x, tol=1e-6):
-    """Normal-form classification of a 4-manifold immersion point, codim 2."""
-    pe = extrinsics_at(imm, x)
-    if len(pe.x) != 1:
-        raise BadDimension("classify_at takes one point, got %d" % len(pe.x))
+def classify_rows(imm, X, tol=1e-6):
+    """Normal forms at the rows of X, one a row, from one extrinsics_at call."""
+    pe = extrinsics_at(imm, X)
     if pe.dim != 4 or pe.codim != 2:
-        raise BadDimension(
-            "classification needs dimension 4 and codimension 2, got %d/%d"
-            % (pe.dim, pe.codim)
-        )
-    A1, A2 = pe.alpha[0]
-    return shape_operator_normal_form(A1, A2, tol=tol)
+        raise BadDimension("classification needs dimension 4 and codimension"
+                           " 2, got %d/%d" % (pe.dim, pe.codim))
+    return [shape_operator_normal_form(A1, A2, tol) for A1, A2 in pe.alpha]
+
+
+def classify_at(imm, x):
+    """Normal form at the one point x; more points raise BadDimension."""
+    return classify_rows(imm, np.reshape(x, (1, -1)))[0]
 
 
 # -- scan driver ------------------------------------------------------------------------

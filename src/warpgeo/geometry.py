@@ -20,7 +20,7 @@ fixture is built.
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -325,32 +325,35 @@ def _on_diagonal(a):
 
 # -- curvature from a metric jet ----------------------------------------------
 
-# Element budget of the largest array one block of points holds, so memory
-# stays flat in the dimension.
-_BLOCK_ELEMENTS = 2 ** 14
+# Element budget of one block of points, counting every array alive at its
+# peak, so memory stays flat in the dimension and the sample size. Codazzi,
+# at five arrays a point, keeps the blocks it had when only its largest
+# array counted against 2**14, and so its jet calls.
+_BLOCK_ELEMENTS = 5 * 2 ** 14
 
 
 def _block_slices(n, per_point):
-    """Slices splitting n points into consecutive blocks whose largest array,
-    per_point entries a point, stays within the element budget; a point
-    that alone exceeds it is a block of its own."""
+    """Slices splitting n points into consecutive blocks of at most
+    _BLOCK_ELEMENTS entries, per_point entries a point; a point that alone
+    exceeds it is a block of its own."""
     step = max(1, _BLOCK_ELEMENTS // per_point)
     return [slice(k, k + step) for k in range(0, n, step)]
 
 
-def _blocks(chart, pts, fd):
-    """pts split into consecutive blocks within the element budget.
+def _blocks(chart, n, fd):
+    """Slices splitting n points of chart into blocks within the budget.
 
-    Per point, an exact jet's d2g and Riemann tensor hold d**4 entries. A
-    finite-difference block evaluates the chart at 2 d**2 + 1 stencil rows
-    per point, and a row costs d**2 entries on a chart with a closed-form
-    jet but about d**3 on one without: a pullback's immersion jet holds an
-    ambient x d x d Hessian per row.
+    An exact block peaks in curvature_from_jet at four arrays of d**4
+    entries a point (d2g, quad, half, numpy's temporary for half's sum)
+    and four of d**3. A finite-difference block first holds the chart at
+    2 d**2 + 1 stencil rows a point: d**2 entries a row, 2 ambient d**2 on
+    a pullback, whose jet holds a Hessian and a product of that size.
     """
     d = chart.dim
-    row = d * d if hasattr(chart, "metric_jet") else d ** 3
-    per_point = (2 * d * d + 1) * row if fd else d ** 4
-    return [pts[s] for s in _block_slices(len(pts), per_point)]
+    imm = getattr(chart, "immersion", None)
+    row = 2 * imm.ambient_dim * d * d if imm else d * d
+    stencil = (2 * d * d + 1) * row if fd else 0
+    return _block_slices(n, 4 * d ** 4 + 4 * d ** 3 + stencil)
 
 
 def _stencil(d, h):
@@ -382,7 +385,7 @@ def metric_jet_fd(chart, X, h=1e-3):
     n = X.shape[0]
     G = chart.metric_batch((X[:, None, :] + E).reshape(-1, d))
     G = G.reshape(n, len(E), d, d)
-    g = G[:, 0]
+    g = G[:, 0].copy()   # so G dies on return, before the curvature
     gp, gm = G[:, 1:1 + 2 * d:2], G[:, 2:2 + 2 * d:2]
     dg = (gp - gm) / (2.0 * h)
     d2g = np.empty((n, d, d, d, d))
@@ -466,28 +469,8 @@ def curvature_fd(chart, x):
                           ricci=ric[0], ricci_sym_defect=float(defect[0]))
 
 
-def _fd_ricci(chart, X, h):
-    return curvature_from_jet(*metric_jet_fd(chart, X, h=h))[2]
-
-
 def _row_max(a):
     return np.max(np.abs(a), axis=(1, 2))
-
-
-def fd_ricci_gap(chart, pts):
-    """Largest |Ric_FD - Ric_exact| / (1 + max |g|) over the points pts.
-
-    The chart needs metric_jet. Both sides go through curvature_from_jet, so
-    the gap is the stencil's own error at step _FD_STEP.
-    """
-    pts = np.asarray(pts, dtype=float)
-    gaps = []
-    for X in _blocks(chart, pts, fd=True):
-        g, dg, d2g = chart.metric_jet(X)
-        exact = curvature_from_jet(g, dg, d2g)[2]
-        gaps.append(_row_max(_fd_ricci(chart, X, _FD_STEP) - exact)
-                    / (1.0 + _row_max(g)))
-    return float(np.max(np.concatenate(gaps)))
 
 
 # -- the fiber constant the warp needs ----------------------------------------
@@ -667,6 +650,8 @@ class CurvatureReport:
     sectional_max: float
     tol: float
     provenance: str   # "analytic-jet" or "finite-difference"
+    fd_gap_max: float      # NaN unless fd_gap=True
+    points: np.ndarray     # the sample; as_dict leaves out these two
 
     @property
     def passed(self):
@@ -677,8 +662,10 @@ class CurvatureReport:
         return self.sectional_max - self.sectional_min
 
     def as_dict(self):
-        return dict(asdict(self), passed=self.passed,
-                    sectional_spread=self.sectional_spread)
+        out = dict(vars(self), passed=self.passed,
+                   sectional_spread=self.sectional_spread)
+        del out["fd_gap_max"], out["points"]
+        return out
 
 
 def sample_points(chart, n_points, seed=0, h=1e-3):
@@ -701,7 +688,7 @@ def sample_points(chart, n_points, seed=0, h=1e-3):
 
 
 def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
-                    richardson=False):
+                    richardson=False, fd_gap=False):
     """Sample the chart and bound the Einstein defect pointwise.
 
     The defect at a point is max |Ric - rho g| / (1 + max |g|). The chart's
@@ -709,40 +696,54 @@ def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
     "analytic-jet"), metric_jet_fd at step h where not ("finite-difference").
     richardson=True also computes finite-difference Ricci at h and at h/2
     and reports the largest shift between the two, an empirical error
-    estimate for the finite differences themselves.
+    estimate for the finite differences themselves. fd_gap=True gives
+    fd_gap_max, the largest |Ric_FD - Ric| / (1 + max |g|) of the stencils
+    at step _FD_STEP against the exact jet. Both run after the pass in
+    their own stencil-sized blocks and compare with its Ricci rows, so the
+    exact jet is evaluated once a point.
     """
     pts = sample_points(chart, n_points, seed=seed, h=h)
     d = chart.dim
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    if len(pairs) > _MAX_PLANES:
-        sel = np.random.default_rng(seed).choice(len(pairs), _MAX_PLANES,
+    I, J = np.triu_indices(d, 1)
+    if len(I) > _MAX_PLANES:
+        sel = np.random.default_rng(seed).choice(len(I), _MAX_PLANES,
                                                  replace=False)
-        pairs = [pairs[int(k)] for k in sel]
-    I = np.array([i for i, _ in pairs], dtype=int)
-    J = np.array([j for _, j in pairs], dtype=int)
+        I, J = I[sel], J[sel]
     jet = getattr(chart, "metric_jet", None)
+    if fd_gap and not jet:
+        raise BadRange("the stencil gap needs a chart with metric_jet")
 
     def block(X):
         # one block's arrays die when this returns, before the next block's
         g, dg, d2g = jet(X) if jet else metric_jet_fd(chart, X, h=h)
         _, riem, ric, sym = curvature_from_jet(g, dg, d2g)
-        shift = np.full(len(X), np.nan)
-        if richardson:
-            ric_h = _fd_ricci(chart, X, h) if jet else ric
-            shift = _row_max(ric_h - _fd_ricci(chart, X, h / 2.0))
-        return (_row_max(ric - rho * g) / (1.0 + _row_max(g)), sym,
-                _sectionals(riem, g, I, J).ravel(), shift)
+        scale = 1.0 + _row_max(g)
+        return (_row_max(ric - rho * g) / scale, sym,
+                _sectionals(riem, g, I, J).ravel(), ric, scale)
 
-    stats = [block(X) for X in _blocks(chart, pts, jet is None or richardson)]
+    def stencil_ricci(step):
+        # finite-difference Ricci of the sample, in stencil-sized blocks
+        return np.concatenate([
+            curvature_from_jet(*metric_jet_fd(chart, pts[s], h=step))[2]
+            for s in _blocks(chart, len(pts), fd=True)])
+
+    stats = [block(pts[s]) for s in _blocks(chart, len(pts), jet is None)]
     # numpy reductions propagate NaN, where max(0.0, nan) would drop it;
     # n_points counts the rows evaluated, not the rows asked for
-    resids, syms, secs, rich = (np.concatenate(s) for s in zip(*stats))
+    resids, syms, secs, ric, scale = (np.concatenate(s) for s in zip(*stats))
+    rich = gap = math.nan
+    if richardson:
+        ric_h = stencil_ricci(h) if jet else ric
+        rich = np.max(_row_max(ric_h - stencil_ricci(h / 2.0)))
+    if fd_gap:
+        gap = np.max(_row_max(stencil_ricci(_FD_STEP) - ric) / scale)
     return CurvatureReport(
         label=getattr(chart, "label", chart.__class__.__name__),
         dim=d, rho=rho, h=h, n_points=len(resids),
         einstein_max=float(np.max(resids)), ricci_sym_max=float(np.max(syms)),
-        richardson_max=float(np.max(rich)),
+        richardson_max=float(rich),
         sectional_min=float(np.min(secs, initial=math.inf)),
         sectional_max=float(np.max(secs, initial=-math.inf)), tol=tol,
         provenance="analytic-jet" if jet else "finite-difference",
+        fd_gap_max=float(gap), points=pts,
     )

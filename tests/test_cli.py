@@ -1,10 +1,11 @@
 import json
 import math
 import os
+from collections import Counter
 
 import pytest
 
-from warpgeo import cli, serialize
+from warpgeo import cli, extrinsic, geometry, sampling, serialize
 
 
 def run(capsys, *argv):
@@ -214,6 +215,15 @@ class TestBuild:
         assert code == 3
         assert os.listdir(str(tmp_path)) == []
 
+    @pytest.mark.parametrize("flag,value", [("--count", "0"), ("--res", "0"),
+                                            ("--count", "-1"), ("--res", "-3")])
+    def test_count_and_res_below_one_are_config_errors(self, capsys, tmp_path,
+                                                       flag, value):
+        code, _ = run(capsys, "build", "--family", "schwarzschild", "--n", "5",
+                      "--out", str(tmp_path), flag, value)
+        assert code == 3
+        assert os.listdir(str(tmp_path)) == []
+
 
 class TestVerifyExtrinsic:
     def test_rotational_passes(self, capsys):
@@ -307,6 +317,41 @@ class TestReport:
             codazzi = checks["codazzi-schwarzschild-n%d" % n]
             assert codazzi["tolerance"] == 1e-6
             assert 0.0 < codazzi["value"] <= 1e-6
+
+    def test_one_sample_and_one_exact_pass_per_member(self, capsys,
+                                                      monkeypatch):
+        # every intrinsic member draws its sample once and evaluates its
+        # exact jet once a point; Gauss reads 4 rows of each scanned
+        # immersion's chart; the appendix classifies its points from one
+        # extrinsics_at call
+        rows, calls = Counter(), Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                if name == "metric_jet":
+                    rows[args[0].label] += len(args[1])
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(geometry.WarpedChart, "metric_jet")
+        count(geometry.ProductChart, "metric_jet")
+        count(sampling, "box")
+        count(extrinsic, "extrinsics_at")
+        code, doc = run(capsys, "report", "--seed", "0")
+        assert code == 0
+        members = [c["name"][len("fd-gap-"):] for c in doc["checks"]
+                   if c["name"].startswith("fd-gap-")]
+        want = Counter({label: 20 for label in members})
+        want.update({label: 4 for label in ("schwarzschild-n4",
+                                            "schwarzschild-n5",
+                                            "schwarzschild-n6", "clifford-n5")})
+        assert len(members) == 11
+        assert rows == want and sum(rows.values()) == 236
+        assert (calls["box"], calls["extrinsics_at"]) == (16, 9)
 
     @pytest.mark.parametrize("seed", [4, 8, 9, 10, 13, 25])
     def test_passes_at_seeds_the_stencils_failed(self, capsys, seed):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,6 +507,18 @@ class TestNormalForms:
         with pytest.raises(NotNormalForm):
             extrinsic.solve_normal_form_relations(1.0, 1.0, 1.0, 1.0)
 
+    def test_rows_classify_as_points_do(self):
+        # the appendix's rows path: one extrinsics_at call for every point,
+        # the same kind, eps and residual as one point at a time
+        imm = immersions.build_immersion("schwarzschild", 4)
+        pts = geometry.sample_points(imm, 10, seed=3)
+        forms = extrinsic.classify_rows(imm, pts)
+        ones = [extrinsic.classify_at(imm, x) for x in pts]
+        assert [(f.kind, f.eps, f.residual) for f in forms] == \
+            [(f.kind, f.eps, f.residual) for f in ones]
+        with pytest.raises(BadDimension):
+            extrinsic.classify_at(imm, pts[:2])
+
     def test_classify_needs_dim_four(self):
         imm, x = schw_point(5)
         with pytest.raises(BadDimension):
@@ -567,7 +580,8 @@ class TestScan:
         jets = count_calls(monkeypatch, immersions.Immersion, "jet")
         rep = extrinsic.extrinsic_scan(imm, n_points=12)
         u = rep.umbilical_points
-        codazzi = len(geometry._block_slices(12, 2 * n ** 3 * imm.ambient_dim))
+        per_point = 5 * 2 * n ** 3 * imm.ambient_dim   # codazzi_residual's
+        codazzi = len(geometry._block_slices(12, per_point))
         dupin = 1 if u else 0
         assert pes == [1 + dupin] == [n_extrinsics]
         assert jets == [1 + codazzi + dupin] == [n_jets]
@@ -685,8 +699,10 @@ class TestBatching:
 
     @pytest.mark.parametrize("family,n,m", BATCH_CASES)
     def test_codazzi_blocks_stay_within_budget(self, monkeypatch, family, n, m):
+        # 13 points: 9 and 4 in Schwarzschild n5's blocks, six blocks of 2
+        # and one of 1 in the composite's
         imm = immersions.build_immersion(family, n, m=m)
-        pts = geometry.sample_points(geometry.PullbackChart(imm), 12, seed=5)
+        pts = geometry.sample_points(geometry.PullbackChart(imm), 13, seed=5)
         pe = extrinsic.extrinsics_at(imm, pts)
         calls = []
         jet = immersions.Immersion.jet
@@ -697,7 +713,14 @@ class TestBatching:
             return out
 
         monkeypatch.setattr(immersions.Immersion, "jet", sized)
-        extrinsic.codazzi_residual(imm, pe)
-        assert sum(rows for rows, _ in calls) == 12 * 2 * n
+        tracemalloc.start()
+        try:
+            extrinsic.codazzi_residual(imm, pe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rows for rows, _ in calls) == 13 * 2 * n
         assert len(calls) > 1
         assert max(size for _, size in calls) <= geometry._BLOCK_ELEMENTS
+        # every array alive at a block's peak counts, not the largest alone
+        assert peak <= 8 * geometry._BLOCK_ELEMENTS

@@ -7,6 +7,7 @@ fiber constants) against curvature computed purely from chart metrics.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,11 +227,11 @@ class TestMetricJet:
                 assert 3.5 < coarse / fine < 4.5, chart.label
 
     def test_blocks_match_row_by_row(self, monkeypatch):
-        # point counts that are not multiples of the block (26 points at
-        # dim 5 and 6 at dim 7 exact, 2 at dim 5 by finite differences); rho
+        # point counts that are not multiples of the block (27 points at
+        # dim 5 and 7 at dim 7 exact, 3 at dim 5 by finite differences); rho
         # is off by one so the residual is O(1) and a relative bound means
         # something
-        cases = ((family_chart("round", 5), 5.0, 27),
+        cases = ((family_chart("round", 5), 5.0, 45),
                  (family_chart("extra-codim", 7, m=2), 1.0, 13),
                  (gm.PullbackChart(immersions.schwarzschild_immersion(5)),
                   1.0, 5))
@@ -257,9 +258,40 @@ class TestMetricJet:
             assert rep.sectional_max == pytest.approx(max(secs), rel=1e-12)
             assert rep.ricci_sym_max == pytest.approx(max(syms), abs=1e-14)
 
+    @pytest.mark.parametrize("chart,n,fd_gap", [
+        (family_chart("round", 5), 45, True),
+        (family_chart("extra-codim", 7, m=2), 13, True),
+        (gm.PullbackChart(immersions.schwarzschild_immersion(5)), 5, False),
+    ], ids=["exact-dim5", "exact-dim7", "pullback-dim5"])
+    def test_blocks_stay_within_budget(self, monkeypatch, chart, n, fd_gap):
+        # every block-sized array alive at a block's peak counts against the
+        # budget, so no call's memory peak outgrows it; the exact pass and
+        # the stencils each span several blocks and cover every point once
+        calls = []
+        core = gm.curvature_from_jet
+
+        def sized(g, dg, d2g):
+            calls.append(len(g))
+            return core(g, dg, d2g)
+
+        monkeypatch.setattr(gm, "curvature_from_jet", sized)
+        tracemalloc.start()
+        try:
+            rep = gm.verify_einstein(chart, 1.0, n_points=n, seed=3,
+                                     richardson=True, fd_gap=fd_gap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * gm._BLOCK_ELEMENTS
+        passes = 1 + 2 + fd_gap if hasattr(chart, "metric_jet") else 2
+        assert sum(calls) == passes * n == passes * rep.n_points
+        assert len(calls) >= 2 * passes
+
     def test_fd_gap_is_the_stencil_error(self):
-        chart = family_chart("round", 5)
+        chart, rho = gm.chart_for_family("round", 5)
+        rep = gm.verify_einstein(chart, rho, n_points=8, seed=2, fd_gap=True)
         pts = gm.sample_points(chart, 8, seed=2)
+        assert np.array_equal(rep.points, pts)
         g, dg, d2g = chart.metric_jet(pts)
         exact = gm.curvature_from_jet(g, dg, d2g)[2]
         scale = 1.0 + np.max(np.abs(g), axis=(1, 2))
@@ -268,10 +300,15 @@ class TestMetricJet:
             fd = gm.curvature_from_jet(*gm.metric_jet_fd(chart, pts, h=h))[2]
             return float(np.max(np.max(np.abs(fd - exact), axis=(1, 2)) / scale))
 
-        assert gm.fd_ricci_gap(chart, pts) == pytest.approx(gap(1e-3), rel=1e-12)
+        assert rep.fd_gap_max == pytest.approx(gap(1e-3), rel=1e-12)
         assert 0.0 < gap(1e-3) < 1e-3
         # second-order stencils: doubling the step quadruples the error
         assert gap(2e-3) == pytest.approx(4.0 * gap(1e-3), rel=0.1)
+        # without an exact jet the stencils would be measured against
+        # themselves and pass on no evidence
+        pull = gm.PullbackChart(immersions.schwarzschild_immersion(5))
+        with pytest.raises(BadRange):
+            gm.verify_einstein(pull, 0.0, n_points=2, fd_gap=True)
 
 
 class TestSpaceFormCharts:
