@@ -27,7 +27,8 @@ from .errors import (
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 
-# single table of default tolerances; every report echoes the values used
+# the one table of tolerances, which every command reads and no option
+# changes; report echoes it
 TOLERANCES = {
     "tol_drift": 1e-8,
     "tol_closed_form": 1e-9,
@@ -58,6 +59,33 @@ _CONFIG_ERRORS = (
 
 # -- config plumbing ---------------------------------------------------------------
 
+# the type of every option, which argparse and config files both read: a
+# bool is a switch, a tuple a fixed number of values; a config file may
+# give an int where a float is wanted, and null where the default is None
+_TYPES = {
+    **dict.fromkeys(("family", "out", "csv"), str),
+    **dict.fromkeys(("n", "m", "points", "seed", "count", "res",
+                     "expect_u_dim"), int),
+    **dict.fromkeys(("eps", "rho", "c", "phi0", "dphi0", "t0", "t_end",
+                     "step", "h", "perturb", "expect_not_einstein"), float),
+    **dict.fromkeys(("compare_closed_form", "richardson"), bool),
+    "solve": (float,) * 4,
+}
+
+
+def _typed(typ, val):
+    """val as a value of typ, or None when the JSON value has another type."""
+    if isinstance(typ, tuple):
+        ok = isinstance(val, list) and len(val) == len(typ)
+        vals = [_typed(t, v) for t, v in zip(typ, val)] if ok else [None]
+        return None if None in vals else vals
+    if isinstance(val, bool) != (typ is bool):
+        return None
+    if typ is float and isinstance(val, int):
+        return float(val)
+    return val if isinstance(val, typ) else None
+
+
 def _load_config(path, allowed):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -66,21 +94,26 @@ def _load_config(path, allowed):
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    if data.get("schema_version") != SCHEMA_VERSION:
+    if data.pop("schema_version", None) != SCHEMA_VERSION:
         raise ConfigError("config needs schema_version %d" % SCHEMA_VERSION)
-    unknown = sorted(set(data) - set(allowed) - {"schema_version"})
+    unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-    return data
+    out = {key: _typed(_TYPES[key], val) for key, val in data.items()}
+    for key, val in data.items():
+        if out[key] is None and not (val is None and allowed[key] is None):
+            raise ConfigError("config key %s: %r is not a value of type %s"
+                              % (key, val, _TYPES[key]))
+    return out
 
 
-def _merge(args, defaults):
+def _merge(args):
     """Hard defaults, then config file values, then explicit flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        merged.update(_load_config(args.config, defaults))
-    for key in defaults:
-        val = getattr(args, key, None)
+    merged = dict(args.defaults)
+    if args.config:
+        merged.update(_load_config(args.config, args.defaults))
+    for key in args.defaults:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
     return merged
@@ -98,38 +131,25 @@ def _check(name, value, tol, provenance, mode="max"):
     }
 
 
-def _report(label, seed, checks, extra=None):
+def _emit(label, seed, checks, extra, out_path):
+    """Print the report, also to out_path if given; return its exit code."""
     overall = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "label": label,
-        "seed": seed,
-        "checks": checks,
-        "overall": overall,
-    }
-    if extra:
-        out.update(extra)
-    return out
-
-
-def _emit(payload, out_path):
-    text = serialize.to_json(payload)
+    text = serialize.to_json(dict(extra, schema_version=SCHEMA_VERSION,
+                                  label=label, seed=seed, checks=checks,
+                                  overall=overall))
     sys.stdout.write(text + "\n")
     if out_path:
         serialize.write_text_atomic(out_path, text + "\n")
-
-
-def _exit_code(payload):
-    return 0 if payload["overall"] == "pass" else 1
+    return 0 if overall == "pass" else 1
 
 
 def _member(cfg):
-    """m, rho and perturb of a --family selection, typed; None when unset."""
-    out = {"m": None if cfg["m"] is None else int(cfg["m"]),
-           "rho": None if cfg["rho"] is None else float(cfg["rho"])}
-    if "perturb" in cfg:
-        out["perturb"] = float(cfg["perturb"])
-    return out
+    """The family member cfg selects, as keyword arguments of
+    geometry.chart_for_family and immersions.build_immersion."""
+    if cfg["family"] is None or cfg["n"] is None:
+        raise ConfigError("--family and --n are required")
+    return {key: cfg[key]
+            for key in ("family", "n", "m", "rho", "perturb") if key in cfg}
 
 
 # -- warp ---------------------------------------------------------------------------
@@ -149,8 +169,6 @@ _WARP_DEFAULTS = {
     "out": None,
     "csv": None,
     "compare_closed_form": False,
-    "tol_drift": TOLERANCES["tol_drift"],
-    "tol_closed_form": TOLERANCES["tol_closed_form"],
 }
 
 
@@ -159,32 +177,28 @@ def _warp_params(cfg):
     if family is None:
         if cfg["n"] is None:
             raise ConfigError("warp needs --family or --n")
-        return warpfunc.WarpParams(
-            n=int(cfg["n"]), eps=float(cfg["eps"]), rho=float(cfg["rho"]),
-            t0=float(cfg["t0"]), phi0=float(cfg["phi0"]),
-            dphi0=float(cfg["dphi0"]),
-            c=None if cfg["c"] is None else float(cfg["c"]),
-        )
+        return warpfunc.WarpParams(n=cfg["n"], eps=cfg["eps"], rho=cfg["rho"],
+                                   t0=cfg["t0"], phi0=cfg["phi0"],
+                                   dphi0=cfg["dphi0"], c=cfg["c"])
     warps = {k: row.warp for k, row in geometry.FAMILIES.items() if row.warp}
     if family not in warps:
         raise ConfigError("unknown warp family %r; families with a warp: %s"
                           % (family, ", ".join(warps)))
     if cfg["n"] is None:
         raise ConfigError("family %r needs --n" % family)
-    return warps[family](int(cfg["n"]))
+    return warps[family](cfg["n"])
 
 
-def cmd_warp(args):
-    cfg = _merge(args, _WARP_DEFAULTS)
+def cmd_warp(cfg):
     params = _warp_params(cfg)
-    sol = warpfunc.integrate(params, float(cfg["t_end"]), float(cfg["step"]),
-                             tol_drift=float(cfg["tol_drift"]))
+    sol = warpfunc.integrate(params, cfg["t_end"], cfg["step"],
+                             tol_drift=TOLERANCES["tol_drift"])
     # gate on the same scale the integrator uses; the raw residual inflates
     # with the stiff right-hand side near a positivity floor
     rel_drift = float(np.max(warpfunc.relative_drift(params, sol.phi, sol.dphi,
                                                      sol.drift)))
     checks = [
-        _check("first-integral-drift", rel_drift, cfg["tol_drift"],
+        _check("first-integral-drift", rel_drift, TOLERANCES["tol_drift"],
                "first-integral"),
     ]
     extra = {
@@ -199,15 +213,14 @@ def cmd_warp(args):
     if cfg["compare_closed_form"]:
         checks.append(_check("closed-form-error",
                              warpfunc.closed_form_n5_error(sol),
-                             cfg["tol_closed_form"], "closed-form-oracle"))
+                             TOLERANCES["tol_closed_form"],
+                             "closed-form-oracle"))
     if cfg["csv"]:
         warpfunc.write_solution_csv(sol, cfg["csv"])
         extra["csv"] = cfg["csv"]
-    payload = _report("warp", DEFAULT_SEED, checks, extra)
     if cfg["out"]:
         warpfunc.write_solution_json(sol, cfg["out"])
-    _emit(payload, None)
-    return _exit_code(payload)
+    return _emit("warp", DEFAULT_SEED, checks, extra, None)
 
 
 # -- verify-intrinsic ------------------------------------------------------------------
@@ -224,42 +237,33 @@ _INTRINSIC_DEFAULTS = {
     "richardson": False,
     "expect_not_einstein": None,
     "out": None,
-    "tol_einstein": TOLERANCES["tol_einstein"],
-    "tol_ricci_sym": TOLERANCES["tol_ricci_sym"],
 }
 
 
-def cmd_verify_intrinsic(args):
-    cfg = _merge(args, _INTRINSIC_DEFAULTS)
-    if cfg["family"] is None or cfg["n"] is None:
-        raise ConfigError("verify-intrinsic needs --family and --n")
-    chart, rho = geometry.chart_for_family(cfg["family"], int(cfg["n"]),
-                                           **_member(cfg))
+def cmd_verify_intrinsic(cfg):
+    chart, rho = geometry.chart_for_family(**_member(cfg))
     rep = geometry.verify_einstein(
-        chart, rho, n_points=int(cfg["points"]), h=float(cfg["h"]),
-        tol=float(cfg["tol_einstein"]), seed=int(cfg["seed"]),
-        richardson=bool(cfg["richardson"]),
+        chart, rho, n_points=cfg["points"], h=cfg["h"],
+        tol=TOLERANCES["tol_einstein"], seed=cfg["seed"],
+        richardson=cfg["richardson"],
     )
     if cfg["expect_not_einstein"] is not None:
         checks = [
             _check("einstein-defect-detected", rep.einstein_max,
-                   float(cfg["expect_not_einstein"]), rep.provenance,
-                   mode="min"),
+                   cfg["expect_not_einstein"], rep.provenance, mode="min"),
         ]
     else:
         checks = [
             _check("einstein-residual", rep.einstein_max,
-                   cfg["tol_einstein"], rep.provenance),
+                   TOLERANCES["tol_einstein"], rep.provenance),
             _check("ricci-symmetry", rep.ricci_sym_max,
-                   cfg["tol_ricci_sym"], rep.provenance),
+                   TOLERANCES["tol_ricci_sym"], rep.provenance),
         ]
         if cfg["richardson"]:
             checks.append(_check("richardson-stability", rep.richardson_max,
                                  1e-3, "step-halving"))
-    payload = _report(rep.label, int(cfg["seed"]), checks,
-                      {"curvature": rep.as_dict(), "rho": rho})
-    _emit(payload, cfg["out"])
-    return _exit_code(payload)
+    return _emit(rep.label, cfg["seed"], checks,
+                 {"curvature": rep.as_dict(), "rho": rho}, cfg["out"])
 
 
 # -- build -------------------------------------------------------------------------------
@@ -305,19 +309,16 @@ def _immersion_spec(imm):
     }
 
 
-def cmd_build(args):
-    cfg = _merge(args, _BUILD_DEFAULTS)
-    if cfg["family"] is None or cfg["n"] is None:
-        raise ConfigError("build needs --family and --n")
-    if min(int(cfg["count"]), int(cfg["res"])) < 1:
+def cmd_build(cfg):
+    member = _member(cfg)
+    if min(cfg["count"], cfg["res"]) < 1:
         raise ConfigError("--count and --res must be at least 1")
-    imm = immersions.build_immersion(cfg["family"], int(cfg["n"]),
-                                     **_member(cfg))
+    imm = immersions.build_immersion(**member)
     # every file is rendered, and so checked, before the first is written
     files = {
-        ".csv": immersions.points_csv(imm, count=int(cfg["count"]),
-                                      seed=int(cfg["seed"])),
-        ".obj": immersions.surface_obj(imm, res=int(cfg["res"])),
+        ".csv": immersions.points_csv(imm, count=cfg["count"],
+                                      seed=cfg["seed"]),
+        ".obj": immersions.surface_obj(imm, res=cfg["res"]),
         ".json": serialize.to_json(_immersion_spec(imm)) + "\n",
     }
     base = os.path.join(cfg["out"], imm.label)
@@ -343,52 +344,59 @@ _EXTRINSIC_DEFAULTS = {
     "perturb": 0.0,
     "expect_u_dim": None,
     "out": None,
-    "tol_fnb": TOLERANCES["tol_fnb"],
-    "tol_umbilical": TOLERANCES["tol_umbilical"],
-    "tol_gauss": TOLERANCES["tol_gauss"],
-    "tol_codazzi": TOLERANCES["tol_codazzi"],
-    "tol_dupin": TOLERANCES["tol_dupin"],
-    "tol_profile": TOLERANCES["tol_profile"],
 }
 
 
-def cmd_verify_extrinsic(args):
-    cfg = _merge(args, _EXTRINSIC_DEFAULTS)
-    if cfg["family"] is None or cfg["n"] is None:
-        raise ConfigError("verify-extrinsic needs --family and --n")
-    member = _member(cfg)
-    imm = immersions.build_immersion(cfg["family"], int(cfg["n"]), **member)
-    rep = extrinsic.extrinsic_scan(imm, n_points=int(cfg["points"]),
-                                   seed=int(cfg["seed"]))
-    checks = [
-        _check("flat-normal-bundle", rep.flat_normal_max, cfg["tol_fnb"],
-               "frame-algebra"),
-        _check("gauss-equation", rep.gauss_max, cfg["tol_gauss"],
-               "analytic-jet"),
-        _check("codazzi", rep.codazzi_max, cfg["tol_codazzi"],
-               "finite-difference"),
-    ]
-    # residuals and Dupin exist only where U has a 2-dimensional complement
-    if rep.umbilical_points > 0:
-        checks.append(_check("umbilical-residuals", rep.umbilical_residual_max,
-                             cfg["tol_umbilical"], "frame-algebra"))
-        checks.append(_check("dupin-leaf", rep.dupin_max, cfg["tol_dupin"],
-                             "frame-algebra"))
-    expect_u = cfg["expect_u_dim"]
-    if expect_u is None and geometry.FAMILIES[cfg["family"]].u_dim_codim2 \
-            and member["perturb"] == 0.0:
-        expect_u = imm.dim - 2
+def _extrinsic_checks(rep, row, expect_u=None, label=None):
+    """The checks of one extrinsic scan, chosen by its family row and not
+    by what the scan found, so an expected check without evidence fails
+    on its NaN. Every row gets the flat normal bundle, Gauss, realization
+    (bounded like a pullback: analytic without a warp, quadrature with
+    one) and Codazzi; u_dim_codim2 adds the umbilical residuals, U's
+    dimension (n-2 unless expect_u says otherwise) and Dupin; a rotational
+    base adds the profile. verify-extrinsic names the checks in full,
+    report by a short prefix and the member's label."""
+    checks = []
+
+    def add(full, short, value, tol, provenance):
+        name = full if label is None else "%s-%s" % (short, label)
+        checks.append(_check(name, value, tol, provenance))
+
+    if expect_u is None and row.u_dim_codim2:
+        expect_u = rep.dim - 2
+    add("flat-normal-bundle", "fnb", rep.flat_normal_max,
+        TOLERANCES["tol_fnb"], "frame-algebra")
+    if row.u_dim_codim2:
+        add("umbilical-residuals", "umbilical", rep.umbilical_residual_max,
+            TOLERANCES["tol_umbilical"], "frame-algebra")
     if expect_u is not None:
-        match = 0.0 if rep.u_dim_mode == int(expect_u) else 1.0
-        checks.append(_check("umbilical-dimension", match, 0.5,
-                             "frame-algebra"))
-    if imm.meta.get("kind") == "rotational":
-        checks.append(_check("profile-normal-blocks", rep.profile_max,
-                             cfg["tol_profile"], "frame-algebra"))
-    payload = _report(rep.label, int(cfg["seed"]), checks,
-                      {"scan": rep.as_dict()})
-    _emit(payload, cfg["out"])
-    return _exit_code(payload)
+        add("umbilical-dimension", "udim",
+            0.0 if rep.u_dim_mode == expect_u else 1.0, 0.5, "frame-algebra")
+    add("gauss-equation", "gauss", rep.gauss_max, TOLERANCES["tol_gauss"],
+        "analytic-jet")
+    add("realization", "realization", rep.realization_max,
+        TOLERANCES["tol_pullback_quadrature" if row.warp
+                   else "tol_pullback_analytic"], "analytic-jet")
+    add("codazzi", "codazzi", rep.codazzi_max, TOLERANCES["tol_codazzi"],
+        "finite-difference")
+    if row.u_dim_codim2:
+        add("dupin-leaf", "dupin", rep.dupin_max, TOLERANCES["tol_dupin"],
+            "frame-algebra")
+    if row.base == "rotational":
+        add("profile-normal-blocks", "profile", rep.profile_max,
+            TOLERANCES["tol_profile"], "frame-algebra")
+    return checks
+
+
+def cmd_verify_extrinsic(cfg):
+    imm = immersions.build_immersion(**_member(cfg))
+    rep = extrinsic.extrinsic_scan(imm, n_points=cfg["points"],
+                                   seed=cfg["seed"])
+    # build_immersion has rejected an unknown family by now
+    checks = _extrinsic_checks(rep, geometry.FAMILIES[cfg["family"]],
+                               cfg["expect_u_dim"])
+    return _emit(rep.label, cfg["seed"], checks, {"scan": rep.as_dict()},
+                 cfg["out"])
 
 
 # -- classify-appendix -------------------------------------------------------------------------
@@ -402,24 +410,20 @@ _CLASSIFY_DEFAULTS = {
     "seed": DEFAULT_SEED,
     "solve": None,
     "out": None,
-    "tol_form": TOLERANCES["tol_form"],
 }
 
 
-def cmd_classify_appendix(args):
-    cfg = _merge(args, _CLASSIFY_DEFAULTS)
-    imm = immersions.build_immersion(cfg["family"], int(cfg["n"]),
-                                     **_member(cfg))
-    pts = geometry.sample_points(imm, int(cfg["points"]),
-                                 seed=int(cfg["seed"]))
-    forms = extrinsic.classify_rows(imm, pts, tol=float(cfg["tol_form"]))
+def cmd_classify_appendix(cfg):
+    imm = immersions.build_immersion(**_member(cfg))
+    pts = geometry.sample_points(imm, cfg["points"], seed=cfg["seed"])
+    forms = extrinsic.classify_rows(imm, pts, tol=TOLERANCES["tol_form"])
     kinds = [form.kind for form in forms]
     eps_vals = {form.eps for form in forms if form.kind == "epsilon"}
     worst = float(np.max([form.residual for form in forms]))
     uniform = 0.0 if (set(kinds) == {"epsilon"} and len(eps_vals) == 1) else 1.0
     checks = [
         _check("epsilon-form-everywhere", uniform, 0.5, "frame-algebra"),
-        _check("normal-form-residual", worst, cfg["tol_form"],
+        _check("normal-form-residual", worst, TOLERANCES["tol_form"],
                "frame-algebra"),
     ]
     extra = {
@@ -429,20 +433,14 @@ def cmd_classify_appendix(args):
         "max_residual": worst,
     }
     if cfg["solve"] is not None:
-        vals = [float(v) for v in cfg["solve"]]
-        if len(vals) != 4:
-            raise ConfigError("--solve takes four values")
-        p, q, r = extrinsic.solve_normal_form_relations(*vals)
-        prod = ((vals[0] * vals[3] - vals[1] * vals[2])
-                * (vals[0] * vals[2] - vals[1] * vals[3])
-                * (vals[0] * vals[1] - vals[2] * vals[3]))
-        extra["solver"] = {"input": vals, "p": p, "q": q, "r": r,
+        a, b, c, d = cfg["solve"]
+        p, q, r = extrinsic.solve_normal_form_relations(a, b, c, d)
+        prod = (a * d - b * c) * (a * c - b * d) * (a * b - c * d)
+        extra["solver"] = {"input": cfg["solve"], "p": p, "q": q, "r": r,
                            "positivity": prod}
         checks.append(_check("solver-positivity", prod, 0.0,
                              "frozen-constant", mode="min"))
-    payload = _report(imm.label, int(cfg["seed"]), checks, extra)
-    _emit(payload, cfg["out"])
-    return _exit_code(payload)
+    return _emit(imm.label, cfg["seed"], checks, extra, cfg["out"])
 
 
 # -- report ---------------------------------------------------------------------------------------
@@ -515,33 +513,15 @@ def _suite_intrinsic(checks, seed, points):
 
 
 def _suite_extrinsic(checks, seed):
-    for n in (4, 5, 6):
-        imm = immersions.schwarzschild_immersion(n)
-        rep = extrinsic.extrinsic_scan(imm, n_points=4, seed=seed)
-        tag = rep.label
-        checks.append(_check("fnb-%s" % tag, rep.flat_normal_max,
-                             TOLERANCES["tol_fnb"], "frame-algebra"))
-        checks.append(_check("umbilical-%s" % tag, rep.umbilical_residual_max,
-                             TOLERANCES["tol_umbilical"], "frame-algebra"))
-        udim = 0.0 if rep.u_dim_mode == n - 2 else 1.0
-        checks.append(_check("udim-%s" % tag, udim, 0.5, "frame-algebra"))
-        checks.append(_check("gauss-%s" % tag, rep.gauss_max,
-                             TOLERANCES["tol_gauss"], "analytic-jet"))
-        checks.append(_check("codazzi-%s" % tag, rep.codazzi_max,
-                             TOLERANCES["tol_codazzi"], "finite-difference"))
-        checks.append(_check("dupin-%s" % tag, rep.dupin_max,
-                             TOLERANCES["tol_dupin"], "frame-algebra"))
-        checks.append(_check("profile-%s" % tag, rep.profile_max,
-                             TOLERANCES["tol_profile"], "frame-algebra"))
-    imm = immersions.clifford_immersion(5, 1.0)
-    rep = extrinsic.extrinsic_scan(imm, n_points=4, seed=seed)
-    checks.append(_check("umbilical-%s" % rep.label,
-                         rep.umbilical_residual_max,
-                         TOLERANCES["tol_umbilical"], "frame-algebra"))
+    for family, row in geometry.FAMILIES.items():
+        for n, m, rho in row.scan:
+            imm = immersions.build_immersion(family, n, m=m, rho=rho)
+            rep = extrinsic.extrinsic_scan(imm, n_points=4, seed=seed)
+            checks.extend(_extrinsic_checks(rep, row, label=rep.label))
 
 
 def _suite_appendix(checks, seed):
-    imm = immersions.schwarzschild_immersion(4)
+    imm = immersions.build_immersion("schwarzschild", 4)
     pts = geometry.sample_points(imm, 10, seed=seed)
     forms = extrinsic.classify_rows(imm, pts)
     ok = all(form.kind == "epsilon" and form.eps == 1 for form in forms)
@@ -555,38 +535,22 @@ def _suite_appendix(checks, seed):
     checks.append(_check("appendix-solver", err, 1e-12, "frozen-constant"))
 
 
-def cmd_report(args):
-    cfg = _merge(args, _REPORT_DEFAULTS)
-    seed = int(cfg["seed"])
-    points = int(cfg["points"])
+def cmd_report(cfg):
     checks = []
     _suite_warp(checks)
-    _suite_intrinsic(checks, seed, points)
-    _suite_extrinsic(checks, seed)
-    _suite_appendix(checks, seed)
-    payload = _report("full-suite", seed, checks,
-                      {"tolerances": dict(TOLERANCES)})
-    _emit(payload, cfg["out"])
-    return _exit_code(payload)
+    _suite_intrinsic(checks, cfg["seed"], cfg["points"])
+    _suite_extrinsic(checks, cfg["seed"])
+    _suite_appendix(checks, cfg["seed"])
+    return _emit("full-suite", cfg["seed"], checks,
+                 {"tolerances": dict(TOLERANCES)}, cfg["out"])
 
 
 # -- argument parsing --------------------------------------------------------------------------------
 
-def _add_common(p, defaults):
-    p.add_argument("--config", default=None)
-    for key in defaults:
-        flag = "--" + key.replace("_", "-")
-        if key in ("compare_closed_form", "richardson"):
-            p.add_argument(flag, action="store_true", default=None)
-        elif key == "solve":
-            p.add_argument(flag, nargs=4, type=float, default=None)
-        elif key in ("family", "out", "csv"):
-            p.add_argument(flag, default=None)
-        elif key in ("n", "m", "points", "seed", "count", "res",
-                     "expect_u_dim"):
-            p.add_argument(flag, type=int, default=None)
-        else:
-            p.add_argument(flag, type=float, default=None)
+def _config_error(message):
+    """argparse's error hook: a malformed flag is a configuration error
+    (exit 3), not argparse's exit 2."""
+    raise ConfigError(message)
 
 
 def build_parser():
@@ -594,6 +558,7 @@ def build_parser():
         prog="warpgeo",
         description="construct and verify warped-product geometries",
     )
+    parser.error = _config_error
     sub = parser.add_subparsers(dest="command", required=True)
     for name, defaults, fn in (
         ("warp", _WARP_DEFAULTS, cmd_warp),
@@ -604,16 +569,24 @@ def build_parser():
         ("report", _REPORT_DEFAULTS, cmd_report),
     ):
         p = sub.add_parser(name)
-        _add_common(p, defaults)
+        p.error = _config_error
+        p.add_argument("--config", default=None)
+        for key in defaults:
+            flag, typ = "--" + key.replace("_", "-"), _TYPES[key]
+            if typ is bool:
+                p.add_argument(flag, action="store_true", default=None)
+            elif isinstance(typ, tuple):
+                p.add_argument(flag, nargs=len(typ), type=typ[0], default=None)
+            else:
+                p.add_argument(flag, type=typ, default=None)
         p.set_defaults(func=fn, defaults=defaults)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(_merge(args))
     except _CONFIG_ERRORS as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 3

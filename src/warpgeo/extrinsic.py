@@ -8,7 +8,9 @@ must leave residuals, group sizes, and normal forms unchanged.
 The checks split into pointwise algebra (flat normal bundle, umbilical
 substructure, normal forms of shape-operator pairs) and differential
 identities (Gauss against the exact curvature of the chart the immersion
-realizes, Codazzi, parallelism of the umbilical normal along its leaves).
+realizes, realization against that chart's metric and its first
+derivatives, Codazzi, parallelism of the umbilical normal along its
+leaves).
 Every stage takes the whole sample as rows: extrinsics_at evaluates the
 immersion's jet once for all of them and keeps it with the frames and the
 second fundamental form, and each check returns one residual per row.
@@ -278,20 +280,32 @@ def gauss_ricci(alpha):
 
 
 def gauss_ricci_residual(imm, pe):
-    """Extrinsic Ricci against the intrinsic Ricci of imm.chart, per row.
+    """Gauss and realization residuals of imm against imm.chart, per row.
 
-    Independent routes: the left side is the immersion's jets and frame
+    Gauss sets extrinsic Ricci against the chart's intrinsic Ricci by
+    independent routes: the left side is the immersion's jets and frame
     algebra, the right side never sees the ambient space (the chart's
     exact metric jet through geometry.curvature_from_jet, one metric_jet
-    call per block of geometry._blocks). A chart the immersion does not
-    realize fails here.
+    call per block of geometry._blocks). Ricci cannot see a round factor's
+    radius, so the same chart jet also gives realization: the worst of
+    |J^T J - g| and |d_k (J^T J) - d_k g| over 1 + max |g|, with
+    d_k (J^T J)_ij = H_ki^T J_j + J_i^T H_kj from the jet pe holds.
     """
-    chart = imm.chart
-    ric = np.concatenate([
-        geometry.curvature_from_jet(*chart.metric_jet(pe.x[s]))[2]
-        for s in geometry._blocks(chart, len(pe.x), fd=False)])
+    def block(s):
+        g, dg, d2g = imm.chart.metric_jet(pe.x[s])
+        J = pe.J[s]
+        dgi = pe.H[s].transpose(0, 2, 3, 1) @ J[:, None]   # H_ki^T J_j
+        gap = np.maximum(
+            geometry._row_max(np.swapaxes(J, 1, 2) @ J - g),
+            np.max(np.abs(dgi + np.swapaxes(dgi, 2, 3) - dg), axis=(1, 2, 3)))
+        return (geometry.curvature_from_jet(g, dg, d2g)[2],
+                gap / (1.0 + geometry._row_max(g)))
+
+    ric, realization = (np.concatenate(a) for a in zip(*(
+        block(s) for s in geometry._blocks(imm.chart, len(pe.x), fd=False))))
     ric_int = np.einsum("nip,njq,nij->npq", pe.B, pe.B, ric)
-    return np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
+    gauss = np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
+    return gauss, realization
 
 
 # -- Codazzi -------------------------------------------------------------------------
@@ -574,6 +588,7 @@ class ExtrinsicReport:
     n_points: int
     flat_normal_max: float
     gauss_max: float
+    realization_max: float
     codazzi_max: float
     u_dim_mode: int
     umbilical_points: int
@@ -608,7 +623,7 @@ def extrinsic_scan(imm, n_points=8, seed=0):
     pts = geometry.sample_points(imm, n_points, seed=seed)
     pe = extrinsics_at(imm, pts)
     flat = flat_normal_residual(pe.alpha)
-    gauss = gauss_ricci_residual(imm, pe)
+    gauss, realization = gauss_ricci_residual(imm, pe)
     codazzi = codazzi_residual(imm, pe)
     um = umbilical_structure(pe.alpha, rho=imm.rho)
     umb = np.flatnonzero(um.split)
@@ -618,7 +633,9 @@ def extrinsic_scan(imm, n_points=8, seed=0):
     return ExtrinsicReport(
         label=imm.label, dim=imm.dim, codim=imm.ambient_dim - imm.dim,
         n_points=len(pts), flat_normal_max=float(np.max(flat)),
-        gauss_max=float(np.max(gauss)), codazzi_max=float(np.max(codazzi)),
+        gauss_max=float(np.max(gauss)),
+        realization_max=float(np.max(realization)),
+        codazzi_max=float(np.max(codazzi)),
         u_dim_mode=int(np.bincount(um.u_dim).argmax()),
         umbilical_points=len(umb),
         umbilical_residual_max=(float(np.max(np.abs(um.residuals[umb])))

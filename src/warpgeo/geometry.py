@@ -343,9 +343,13 @@ def _block_slices(n, per_point):
 def _blocks(chart, n, fd):
     """Slices splitting n points of chart into blocks within the budget.
 
-    An exact block peaks in curvature_from_jet at four arrays of d**4
-    entries a point (d2g, quad, half, numpy's temporary for half's sum)
-    and four of d**3. A finite-difference block first holds the chart at
+    An exact block peaks in curvature_from_jet, as tracemalloc reads it,
+    at three arrays of d**4 entries a point (d2g, quad, half), three of
+    d**3 and a few of d**2, plus one ufunc buffer of np.getbufsize()
+    entries whatever the block's size. The count adds a fourth d**4 and
+    d**3: blocks sized to the bare peak grow their arrays past the sizes
+    glibc reuses (about 2,000 page faults a verify_einstein call at dim 7
+    and 200 points). A finite-difference block first holds the chart at
     2 d**2 + 1 stencil rows a point: d**2 entries a row, 2 ambient d**2 on
     a pullback, whose jet holds a Hessian and a product of that size.
     """
@@ -422,9 +426,11 @@ def curvature_from_jet(g, dg, d2g):
     # quad[:, b, c, a, e] = Gamma_{p,bc} Gamma^p_ae
     quad = (flat.transpose(0, 2, 1) @ gamma).reshape(n, d, d, d, d)
     # half[:, a, b, c, d] holds the terms of R_abcd not yet antisymmetrized
-    # in (c, d). It is built in place, and riem takes over quad's buffer, so
-    # a block holds three arrays of d**4 entries per point besides d2g.
-    half = d2g.transpose(0, 3, 1, 2, 4) + d2g.transpose(0, 1, 3, 4, 2)
+    # in (c, d). It is built in place, so numpy buffers one strided view
+    # rather than two, and riem takes over quad's buffer, so a block holds
+    # two arrays of d**4 entries per point besides d2g.
+    half = d2g.transpose(0, 3, 1, 2, 4).copy()
+    half += d2g.transpose(0, 1, 3, 4, 2)
     half *= 0.5
     half += quad.transpose(0, 3, 1, 2, 4)
     riem = np.subtract(half, half.transpose(0, 1, 2, 4, 3), out=quad)
@@ -521,6 +527,7 @@ class Family:
     spread: tuple = None          # ("max" or "min", bound) on sectional spread
     u_dim_codim2: bool = False    # umbilical group of dimension n-2 expected
     report: tuple = ()            # (n, m, rho) members `report` checks
+    scan: tuple = ()              # (n, m, rho) immersions `report` scans
 
 
 # sectional spread the round and flat space forms may show. Their exact
@@ -551,13 +558,14 @@ FAMILIES = {
                                           radii=clifford_radii(n, rho)),
         base="product",
         perturbable=True, u_dim_codim2=True,
-        report=((5, None, 1.0), (6, None, 2.0))),
+        report=((5, None, 1.0), (6, None, 2.0)), scan=((5, None, 1.0),)),
     # Ricci-flat rotational immersion in codimension 2
     "schwarzschild": Family(
         warp=warpfunc.schwarzschild_params, t_range=(0.35, 1.6),
         t_end=1.6 + 0.2, fiber=lambda n, m, rho: round_fiber(n - 2),
         rho=_zero, base="rotational", spread=("min", 1e-2), u_dim_codim2=True,
-        report=((5, None, None), (6, None, None))),
+        report=((5, None, None), (6, None, None)),
+        scan=((4, None, None), (5, None, None), (6, None, None))),
     # round n-sphere as a warped product, phi = sin t
     "round": Family(
         **_SIN, fiber=lambda n, m, rho: round_fiber(n - 2), rho=_n_minus_1,

@@ -9,6 +9,7 @@ never leaves a half-written artifact.
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -20,26 +21,6 @@ def fmt_float(x):
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return "%.17g" % x
-
-
-def _escape(s):
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
 
 
 def to_json(obj, indent=0):
@@ -57,7 +38,7 @@ def to_json(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         return fmt_float(float(obj))
     if isinstance(obj, str):
-        return '"%s"' % _escape(obj)
+        return encode_basestring(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
@@ -70,7 +51,8 @@ def to_json(obj, indent=0):
             return "{}"
         keys = sorted(obj.keys())
         items = [
-            '%s"%s": %s' % (pad_in, _escape(str(k)), to_json(obj[k], indent + 1))
+            "%s%s: %s" % (pad_in, encode_basestring(str(k)),
+                          to_json(obj[k], indent + 1))
             for k in keys
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

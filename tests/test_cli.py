@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from warpgeo import cli, extrinsic, geometry, sampling, serialize
+from warpgeo import cli, extrinsic, geometry, immersions, sampling, serialize
 
 
 def run(capsys, *argv):
@@ -135,6 +136,42 @@ def test_no_evidence_is_config_error(capsys, argv):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["verify-intrinsic", "--family", "round", "--n", "abc"], None),
+    (["verify-intrinsic", "--family", "round", "--n", "5", "--bogus", "1"],
+     None),
+    (["verify-extrinsic", "--family", "schwarzschild", "--n", "5",
+      "--tol-gauss", "1"], None),
+    (["verify-intrinsic", "--family", "round"], {"n": "five"}),
+    (["verify-intrinsic", "--family", "round", "--n", "5"],
+     {"points": "six"}),
+    (["verify-intrinsic", "--family", "round", "--n", "5"], {"points": 6.5}),
+    (["verify-intrinsic", "--family", "round", "--n", "5"],
+     {"richardson": 1}),
+    (["classify-appendix"], {"solve": [2, 1, "1", 1]}),
+    (["verify-extrinsic", "--family", "schwarzschild", "--n", "5"],
+     {"tol_gauss": 1.0}),
+], ids=["flag-type", "unknown-flag", "tolerance-flag", "config-n",
+        "config-points", "config-float-for-int", "config-int-for-bool",
+        "config-solve", "config-tolerance"])
+def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
+    # a malformed flag or config value exits 3 with a config error, neither
+    # argparse's 2 (a computation error) nor a traceback's 1 (a failed check)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(config, schema_version=1)))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--help"])
+    assert exc.value.code == 0
+    assert "--points" in capsys.readouterr().out
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -165,6 +202,17 @@ class TestConfigFile:
         }))
         code, _ = run(capsys, "verify-intrinsic", "--config", str(cfg))
         assert code == 3
+
+    def test_values_are_typed_by_the_option(self, capsys, tmp_path):
+        # an int stands for a float, a list for --solve's four values
+        cfg = tmp_path / "run.json"
+        cfg.write_text(serialize.to_json({
+            "schema_version": 1, "points": 10, "solve": [2, 1, 1.0, 1],
+        }))
+        code, doc = run(capsys, "classify-appendix", "--config", str(cfg))
+        assert code == 0
+        assert doc["solver"]["input"] == [2.0, 1.0, 1.0, 1.0]
+        assert doc["solver"]["p"] == pytest.approx(1.0)
 
     def test_missing_schema_version_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -231,9 +279,9 @@ class TestVerifyExtrinsic:
                         "schwarzschild", "--n", "5", "--points", "3")
         assert code == 0
         names = {c["name"] for c in doc["checks"]}
-        assert {"flat-normal-bundle", "gauss-equation", "codazzi",
-                "umbilical-residuals", "dupin-leaf", "umbilical-dimension",
-                "profile-normal-blocks"} <= names
+        assert {"flat-normal-bundle", "gauss-equation", "realization",
+                "codazzi", "umbilical-residuals", "dupin-leaf",
+                "umbilical-dimension", "profile-normal-blocks"} <= names
         # own rows, 1 Codazzi block, Dupin's neighbours; Gauss reads the
         # chart, not the immersion
         assert (doc["scan"]["jet_calls"], doc["scan"]["jet_rows"]) == (3, 39)
@@ -266,6 +314,43 @@ class TestVerifyExtrinsic:
         assert doc["scan"]["umbilical_points"] == 0
         assert math.isnan(doc["scan"]["umbilical_residual_max"])
         assert math.isnan(doc["scan"]["dupin_max"])
+
+    def test_expected_checks_fail_without_evidence(self, capsys,
+                                                   monkeypatch):
+        # the row expects an umbilical group of dimension n-2; a scan that
+        # found no split point has no residuals, and their NaN must fail
+        scan = extrinsic.extrinsic_scan
+
+        def no_split(*args, **kwargs):
+            return dataclasses.replace(
+                scan(*args, **kwargs), umbilical_points=0,
+                umbilical_residual_max=math.nan, dupin_max=math.nan)
+
+        monkeypatch.setattr(extrinsic, "extrinsic_scan", no_split)
+        code, doc = run(capsys, "verify-extrinsic", "--family",
+                        "schwarzschild", "--n", "5", "--points", "3")
+        assert code == 1
+        status = {c["name"]: c["status"] for c in doc["checks"]}
+        assert status["umbilical-residuals"] == "fail"
+        assert status["dupin-leaf"] == "fail"
+        assert status["gauss-equation"] == "pass"
+
+    def test_chart_with_rescaled_factor_fails_realization(self, capsys,
+                                                         monkeypatch):
+        # Ricci cannot see a round factor's radius; the metric can
+        imm = dataclasses.replace(
+            immersions.build_immersion("clifford", 5, rho=1.0),
+            chart=geometry.chart_for_family("clifford", 5, rho=1.0,
+                                            perturb=0.05)[0])
+        monkeypatch.setattr(immersions, "build_immersion",
+                            lambda *args, **kwargs: imm)
+        code, doc = run(capsys, "verify-extrinsic", "--family", "clifford",
+                        "--n", "5", "--rho", "1", "--points", "4")
+        assert code == 1
+        by_name = {c["name"]: c for c in doc["checks"]}
+        assert by_name["gauss-equation"]["status"] == "pass"
+        assert by_name["realization"]["status"] == "fail"
+        assert by_name["realization"]["tolerance"] == 1e-8
 
     def test_composite_with_expected_split(self, capsys):
         code, doc = run(capsys, "verify-extrinsic", "--family",
@@ -317,6 +402,15 @@ class TestReport:
             codazzi = checks["codazzi-schwarzschild-n%d" % n]
             assert codazzi["tolerance"] == 1e-6
             assert 0.0 < codazzi["value"] <= 1e-6
+            realization = checks["realization-schwarzschild-n%d" % n]
+            assert realization["tolerance"] == 1e-6
+        # the Clifford member scans its full umbilical check set, with a
+        # realization bound of a chart without a warp, and no profile
+        for prefix in ("fnb", "umbilical", "udim", "gauss", "realization",
+                       "codazzi", "dupin"):
+            assert checks[prefix + "-clifford-n5"]["status"] == "pass"
+        assert checks["realization-clifford-n5"]["tolerance"] == 1e-8
+        assert "profile-clifford-n5" not in checks
 
     def test_one_sample_and_one_exact_pass_per_member(self, capsys,
                                                       monkeypatch):

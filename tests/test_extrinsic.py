@@ -351,6 +351,7 @@ class TestGaussEquation:
         for seed in (0, 21):
             rep = extrinsic.extrinsic_scan(imm, n_points=12, seed=seed)
             assert rep.gauss_max <= 1e-10
+            assert rep.realization_max <= 1e-9
 
     def test_mismatched_chart_fails(self):
         # the fiber 1% too large: the chart's Ricci no longer matches the
@@ -363,6 +364,19 @@ class TestGaussEquation:
         assert extrinsic.extrinsic_scan(imm, n_points=6).gauss_max <= 1e-10
         assert extrinsic.extrinsic_scan(bad, n_points=6).gauss_max > 1e-2
 
+    def test_rescaled_factor_fails_realization_only(self):
+        # a round factor 5% too large leaves every Ricci tensor as it was,
+        # so only the metric and its derivatives can see it
+        imm = immersions.build_immersion("clifford", 5, rho=1.0)
+        wrong = geometry.chart_for_family("clifford", 5, rho=1.0,
+                                          perturb=0.05)[0]
+        good = extrinsic.extrinsic_scan(imm, n_points=6, seed=1)
+        bad = extrinsic.extrinsic_scan(dataclasses.replace(imm, chart=wrong),
+                                       n_points=6, seed=1)
+        assert good.realization_max <= 1e-14
+        assert bad.gauss_max <= 1e-14
+        assert 0.05 < bad.realization_max < 0.08
+
     @pytest.mark.parametrize("make", [
         lambda: immersions.schwarzschild_immersion(5),
         lambda: immersions.clifford_immersion(5, 1.0),
@@ -372,7 +386,7 @@ class TestGaussEquation:
     def test_extrinsic_ricci_matches_intrinsic(self, make):
         imm = make()
         x = np.full(imm.dim, 0.9) + 0.05 * np.arange(imm.dim)
-        assert extrinsic.gauss_ricci_residual(imm, at(imm, x)) < 5e-5
+        assert extrinsic.gauss_ricci_residual(imm, at(imm, x))[0] < 5e-5
 
     def test_sectional_of_product_planes(self):
         # the frame aligns with coordinates because the pullback is diagonal
@@ -618,7 +632,7 @@ class TestFailClosed:
         pe = extrinsic.extrinsics_at(imm, X)
         assert np.all(np.isnan(pe.alpha[1]))
         assert np.all(np.isfinite(np.delete(pe.alpha, 1, axis=0)))
-        for res in (extrinsic.gauss_ricci_residual(imm, pe),
+        for res in (*extrinsic.gauss_ricci_residual(imm, pe),
                     extrinsic.codazzi_residual(imm, pe),
                     extrinsic.dupin_residual(imm, pe)):
             assert math.isnan(res[1])
@@ -669,6 +683,14 @@ class TestFailClosed:
                 "profile-normal-blocks"} <= failed
 
 
+def gauss_rows(imm, pe):
+    return extrinsic.gauss_ricci_residual(imm, pe)[0]
+
+
+def realization_rows(imm, pe):
+    return extrinsic.gauss_ricci_residual(imm, pe)[1]
+
+
 # (family, n, m): a rotational immersion with umbilical points and Dupin,
 # and a dim-7 composite whose Codazzi blocks hold two points each
 BATCH_CASES = [("schwarzschild", 5, None), ("flat-torus-composite", 7, 2)]
@@ -686,7 +708,7 @@ class TestBatching:
         # relative tolerance, absolute tolerance; Gauss, Dupin and the
         # profile check sit at the roundoff floor
         checks = [(extrinsic.codazzi_residual, 1e-12, 0.0),
-                  (extrinsic.gauss_ricci_residual, 0.0, 1e-12),
+                  (gauss_rows, 0.0, 1e-12), (realization_rows, 0.0, 1e-12),
                   (extrinsic.dupin_residual, 0.0, 1e-11)]
         if imm.meta["kind"] == "rotational":
             checks.append((extrinsic.profile_normal_shape_residual, 0.0, 1e-11))
