@@ -10,60 +10,51 @@ import numpy as np
 
 
 def rk4_warp(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
-    """Fixed-step RK4 on (phi, phi'). Returns arrays plus halt info.
+    """Fixed-step RK4 on (phi, phi'). Returns t, phi, phi' at the nodes
+    taken and whether the run hit the floor.
 
-    Arrays are preallocated to n_steps + 1 and the used count is returned;
-    the trajectory stops early if any RK4 stage would evaluate at or below
-    phi_floor (the equation divides by phi).
+    Node k sits at t0 + k step; the trajectory stops early if any RK4 stage
+    would evaluate at or below phi_floor (the equation divides by phi). The
+    constants hoisted out of the loop are the floats its formulas would
+    compute left to right, so every node is the same float either way.
     """
-    ts = np.empty(n_steps + 1)
-    ps = np.empty(n_steps + 1)
-    ds = np.empty(n_steps + 1)
-    ts[0] = t0
-    ps[0] = phi0
-    ds[0] = dphi0
-    t = t0
-    p = phi0
-    d = dphi0
-    count = 1
-    hit_floor = False
-    for i in range(n_steps):
-        a1 = -((n - 3.0) * (d * d - eps) + rho * p * p) / (2.0 * p)
+    k = n - 3.0
+    half = 0.5 * step
+    sixth = step / 6.0
+    p, d = phi0, dphi0
+    ps, ds = [p], [d]
+    for _ in range(n_steps):
+        a1 = -(k * (d * d - eps) + rho * p * p) / (2.0 * p)
 
-        p2 = p + 0.5 * step * d
-        d2 = d + 0.5 * step * a1
+        p2 = p + half * d
+        d2 = d + half * a1
         if p2 <= phi_floor:
-            hit_floor = True
             break
-        a2 = -((n - 3.0) * (d2 * d2 - eps) + rho * p2 * p2) / (2.0 * p2)
+        a2 = -(k * (d2 * d2 - eps) + rho * p2 * p2) / (2.0 * p2)
 
-        p3 = p + 0.5 * step * d2
-        d3 = d + 0.5 * step * a2
+        p3 = p + half * d2
+        d3 = d + half * a2
         if p3 <= phi_floor:
-            hit_floor = True
             break
-        a3 = -((n - 3.0) * (d3 * d3 - eps) + rho * p3 * p3) / (2.0 * p3)
+        a3 = -(k * (d3 * d3 - eps) + rho * p3 * p3) / (2.0 * p3)
 
         p4 = p + step * d3
         d4 = d + step * a3
         if p4 <= phi_floor:
-            hit_floor = True
             break
-        a4 = -((n - 3.0) * (d4 * d4 - eps) + rho * p4 * p4) / (2.0 * p4)
+        a4 = -(k * (d4 * d4 - eps) + rho * p4 * p4) / (2.0 * p4)
 
-        p_new = p + step / 6.0 * (d + 2.0 * d2 + 2.0 * d3 + d4)
-        d_new = d + step / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p_new = p + sixth * (d + 2.0 * d2 + 2.0 * d3 + d4)
+        d_new = d + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         if p_new <= phi_floor:
-            hit_floor = True
             break
-        t = t0 + (i + 1) * step
-        p = p_new
-        d = d_new
-        ts[count] = t
-        ps[count] = p
-        ds[count] = d
-        count += 1
-    return ts, ps, ds, count, hit_floor
+        p, d = p_new, d_new
+        ps.append(p)
+        ds.append(d)
+    ts = t0 + np.arange(len(ps)) * step
+    ts[0] = t0   # t0 + 0.0 would turn a t0 of -0.0 into 0.0
+    # every break is a floor hit; a run without one takes every step
+    return ts, np.array(ps), np.array(ds), len(ps) <= n_steps
 
 
 def hermite_eval(t, t_lo, step, phi, dphi, d2phi, query):

@@ -35,6 +35,8 @@ TOLERANCES = {
     "tol_identity": 1e-9,
     "tol_einstein": 5e-5,
     "tol_fd_gap": 1e-3,
+    "tol_richardson": 1e-3,
+    "tol_perturbed_defect": 1e-3,
     "tol_ricci_sym": 1e-6,
     "tol_spread_flat": geometry.TOL_SPREAD_FLAT,
     "tol_fnb": 1e-6,
@@ -44,6 +46,7 @@ TOLERANCES = {
     "tol_dupin": 1e-4,
     "tol_profile": 1e-6,
     "tol_form": 1e-6,
+    "tol_solver": 1e-12,
     "tol_pullback_analytic": 1e-8,
     "tol_pullback_quadrature": 1e-6,
 }
@@ -157,7 +160,6 @@ def _member(cfg):
 _WARP_DEFAULTS = {
     "family": None,
     "n": None,
-    "m": None,
     "eps": 1.0,
     "rho": 0.0,
     "c": None,
@@ -261,7 +263,7 @@ def cmd_verify_intrinsic(cfg):
         ]
         if cfg["richardson"]:
             checks.append(_check("richardson-stability", rep.richardson_max,
-                                 1e-3, "step-halving"))
+                                 TOLERANCES["tol_richardson"], "step-halving"))
     return _emit(rep.label, cfg["seed"], checks,
                  {"curvature": rep.as_dict(), "rho": rho}, cfg["out"])
 
@@ -506,8 +508,9 @@ def _suite_intrinsic(checks, seed, points):
     pert, rho = geometry.chart_for_family("clifford", 5, rho=1.0, perturb=0.05)
     rep = geometry.verify_einstein(pert, rho, n_points=points, seed=seed,
                                    fd_gap=True)
-    checks.append(_check("defect-%s" % pert.label, rep.einstein_max, 1e-3,
-                         rep.provenance, mode="min"))
+    checks.append(_check("defect-%s" % pert.label, rep.einstein_max,
+                         TOLERANCES["tol_perturbed_defect"], rep.provenance,
+                         mode="min"))
     checks.append(_check("fd-gap-%s" % rep.label, rep.fd_gap_max,
                          TOLERANCES["tol_fd_gap"], "fd-vs-analytic"))
 
@@ -532,7 +535,8 @@ def _suite_appendix(checks, seed):
                          "frame-algebra"))
     p, q, r = extrinsic.solve_normal_form_relations(2.0, 1.0, 1.0, 1.0)
     err = max(abs(p - 1.0), abs(q - 1.0), abs(r - 1.0))
-    checks.append(_check("appendix-solver", err, 1e-12, "frozen-constant"))
+    checks.append(_check("appendix-solver", err, TOLERANCES["tol_solver"],
+                         "frozen-constant"))
 
 
 def cmd_report(cfg):

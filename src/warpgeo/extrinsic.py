@@ -312,50 +312,57 @@ def gauss_ricci_residual(imm, pe):
 
 def _alpha_chart(J, H):
     """Ambient-valued second fundamental form in chart indices, with the
-    Christoffel symbols Gamma^d_ij and the inverse of the pullback metric
-    J^T J, all read off the jet rows (J, H)."""
+    Christoffel symbols Gamma^e_ij and the inverse of the pullback metric
+    J^T J, all read off the jet rows (J, H). The pair (i, j) is flattened:
+    alpha has shape (n, ambient, d d), Gamma (n, d, d d)."""
+    n, amb, d = J.shape
+    H = H.reshape(n, amb, d * d)
     Gi = np.linalg.inv(np.swapaxes(J, 1, 2) @ J)
-    # subtract the tangential part J Gamma^d_ij
-    gam = np.einsum("nde,nae,naij->ndij", Gi, J, H)
-    return H - np.einsum("nad,ndij->naij", J, gam), gam, Gi
+    gam = Gi @ (np.swapaxes(J, 1, 2) @ H)
+    # subtract the tangential part J Gamma^e_ij, in place of that product
+    alpha = J @ gam
+    np.subtract(H, alpha, out=alpha)
+    return alpha, gam, Gi
 
 
 def codazzi_residual(imm, pe):
     """Antisymmetry defect of the covariant derivative of alpha, per row.
 
-    (nabla_a alpha)(b, c) is computed as the normal projection of the
-    coordinate derivative of the ambient-valued alpha minus the two
-    Christoffel corrections; Codazzi in flat ambient space demands symmetry
-    in (a, b), so the a-b antisymmetrization is pure error. Each row adds
-    2 dim displaced points, and the rows go in blocks within geometry's
-    element budget, one jet call per block.
+    (nabla_a alpha)(b, c) is the normal projection of the coordinate
+    derivative of the ambient-valued alpha minus the Christoffel
+    corrections Gamma^e_ab alpha_ec and Gamma^e_ac alpha_be; Codazzi in
+    flat ambient space demands symmetry in (a, b), so the a-b
+    antisymmetrization is pure error. Gamma^e_ab alpha_ec is symmetric in
+    (a, b) and cancels exactly in that antisymmetrization, so it is never
+    formed. Each row adds 2 dim displaced points, and the rows go in
+    blocks within geometry's element budget, one jet call per block.
     """
     d, amb = imm.dim, imm.ambient_dim
     # rows 2a and 2a + 1 of a point's stencil displace it by +_STEP and
     # -_STEP along axis a
-    axes = np.arange(d)
-    E = np.zeros((2 * d, d))
-    E[2 * axes, axes] = _STEP
-    E[2 * axes + 1, axes] = -_STEP
+    E = np.stack([_STEP * np.eye(d), -_STEP * np.eye(d)], 1).reshape(-1, d)
     out = []
-    # at a block's peak about five arrays of 2 d ambient d d entries a point
-    # are alive: the displaced Hessians, _alpha_chart's product and result,
-    # and three of half that size (tracemalloc reads 4.3-4.7)
+    # the live set peaks inside _alpha_chart of the displaced jet at three
+    # arrays of 2 d ambient d d entries a point: the displaced Hessians,
+    # their alpha and their Christoffel symbols (d / ambient of that size);
+    # tracemalloc reads 3.1-3.4 such arrays, within the budget's five
     for rows in geometry._block_slices(len(pe.x), 5 * 2 * d * amb * d * d):
         J = pe.J[rows]
+        m = len(J)
         a0, gam, Gi = _alpha_chart(J, pe.H[rows])
-        _, Js, Hs = imm.jet((pe.x[rows, None, :] + E).reshape(-1, d))
-        disp = _alpha_chart(Js, Hs)[0].reshape(len(J), d, 2, amb, d, d)
+        X = (pe.x[rows, None, :] + E).reshape(-1, d)
+        disp = _alpha_chart(*imm.jet(X)[1:])[0].reshape(m, d, 2, amb, d * d)
         da = (disp[:, :, 0] - disp[:, :, 1]) / (2.0 * _STEP)
+        del disp
         PiN = np.eye(amb) - J @ Gi @ np.swapaxes(J, 1, 2)
-        # (nabla_a alpha)_bc = PiN d_a alpha_bc - Gamma^d_ab alpha_dc
-        #                      - Gamma^d_ac alpha_bd
-        nab = np.einsum("nxy,naybc->naxbc", PiN, da)
-        nab -= np.einsum("ndab,nxdc->naxbc", gam, a0)
-        nab -= np.einsum("ndac,nxbd->naxbc", gam, a0)
+        # (nabla_a alpha)_bc = PiN d_a alpha_bc - Gamma^e_ac alpha_be, up to
+        # the cancelling term; axes (row, a, ambient, b, c)
+        nab = (PiN[:, None] @ da).reshape(m, d, amb, d, d)
+        nab -= (a0.reshape(m, amb * d, d) @ gam).reshape(
+            m, amb, d, d, d).transpose(0, 3, 1, 2, 4)
         defect = nab - np.swapaxes(nab, 1, 3)
         out.append(np.max(np.abs(defect), axis=(1, 2, 3, 4)))
-        del Js, Hs, disp, da, nab, defect   # before the next block's jet
+        del da, nab, defect   # before the next block's jet
     return np.concatenate(out)
 
 

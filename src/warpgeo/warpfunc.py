@@ -230,14 +230,11 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
     n_steps = max(1, int(math.ceil(abs(span) / step - 1e-12)))
     h = span / n_steps
 
-    ts, ps, ds, count, hit_floor = rk4_warp(
+    t, phi, dphi, hit_floor = rk4_warp(
         float(params.n), float(params.eps), float(params.rho),
         float(params.t0), float(params.phi0), float(params.dphi0),
         float(h), int(n_steps), PHI_FLOOR,
     )
-    t = np.array(ts[:count])
-    phi = np.array(ps[:count])
-    dphi = np.array(ds[:count])
     drift = np.atleast_1d(first_integral_residual(
         params.n, params.eps, params.rho, params.c, phi, dphi
     ))

@@ -151,9 +151,12 @@ def test_no_evidence_is_config_error(capsys, argv):
     (["classify-appendix"], {"solve": [2, 1, "1", 1]}),
     (["verify-extrinsic", "--family", "schwarzschild", "--n", "5"],
      {"tol_gauss": 1.0}),
+    # warp reads no fiber dimension, so it takes no --m
+    (["warp", "--n", "5", "--m", "3"], None),
+    (["warp", "--n", "5"], {"m": 3}),
 ], ids=["flag-type", "unknown-flag", "tolerance-flag", "config-n",
         "config-points", "config-float-for-int", "config-int-for-bool",
-        "config-solve", "config-tolerance"])
+        "config-solve", "config-tolerance", "warp-m-flag", "warp-m-config"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     # a malformed flag or config value exits 3 with a config error, neither
     # argparse's 2 (a computation error) nor a traceback's 1 (a failed check)
@@ -411,6 +414,18 @@ class TestReport:
             assert checks[prefix + "-clifford-n5"]["status"] == "pass"
         assert checks["realization-clifford-n5"]["tolerance"] == 1e-8
         assert "profile-clifford-n5" not in checks
+        # every bound a check applies is echoed, richardson's included
+        tols = doc["tolerances"]
+        assert (checks["defect-clifford-n5-perturbed"]["tolerance"]
+                == tols["tol_perturbed_defect"])
+        assert checks["appendix-solver"]["tolerance"] == tols["tol_solver"]
+        code, intrinsic = run(capsys, "verify-intrinsic", "--family",
+                              "clifford", "--n", "5", "--rho", "1",
+                              "--points", "4", "--richardson")
+        assert code == 0
+        richardson = intrinsic["checks"][-1]
+        assert richardson["name"] == "richardson-stability"
+        assert richardson["tolerance"] == tols["tol_richardson"]
 
     def test_one_sample_and_one_exact_pass_per_member(self, capsys,
                                                       monkeypatch):

@@ -696,6 +696,46 @@ def realization_rows(imm, pe):
 BATCH_CASES = [("schwarzschild", 5, None), ("flat-torus-composite", 7, 2)]
 
 
+def codazzi_reference(imm, pe, h=extrinsic._STEP):
+    """Codazzi defect with both Christoffel corrections, by einsum over the
+    unflattened indices, every row in one jet call."""
+    def alpha_chart(J, H):
+        Gi = np.linalg.inv(np.swapaxes(J, 1, 2) @ J)
+        gam = np.einsum("nde,nae,naij->ndij", Gi, J, H)
+        return H - np.einsum("nad,ndij->naij", J, gam), gam, Gi
+
+    n, d, amb = len(pe.x), imm.dim, imm.ambient_dim
+    E = np.stack([h * np.eye(d), -h * np.eye(d)], axis=1).reshape(-1, d)
+    a0, gam, Gi = alpha_chart(pe.J, pe.H)
+    disp = alpha_chart(*imm.jet((pe.x[:, None] + E).reshape(-1, d))[1:])[0]
+    disp = disp.reshape(n, d, 2, amb, d, d)
+    da = (disp[:, :, 0] - disp[:, :, 1]) / (2.0 * h)
+    PiN = np.eye(amb) - pe.J @ Gi @ np.swapaxes(pe.J, 1, 2)
+    nab = np.einsum("nxy,naybc->naxbc", PiN, da)
+    nab -= np.einsum("ndab,nxdc->naxbc", gam, a0)
+    nab -= np.einsum("ndac,nxbd->naxbc", gam, a0)
+    return np.max(np.abs(nab - np.swapaxes(nab, 1, 3)), axis=(1, 2, 3, 4))
+
+
+# (family, n, m, rho): every BATCH_CASES member and every member report scans
+CODAZZI_MEMBERS = sorted({case + (None,) for case in BATCH_CASES} | {
+    (family, n, m, rho) for family, row in geometry.FAMILIES.items()
+    for n, m, rho in row.scan}, key=str)
+
+
+@pytest.mark.parametrize("family,n,m,rho", CODAZZI_MEMBERS)
+def test_codazzi_matches_reference(family, n, m, rho):
+    # the reference keeps Gamma^e_ab alpha_ec, which cancels in the
+    # antisymmetrization; the two differ by the central difference's
+    # rounding floor, about eps |alpha| / h
+    imm = immersions.build_immersion(family, n, m=m, rho=rho)
+    pe = extrinsic.extrinsics_at(imm, geometry.sample_points(imm, 12, seed=5))
+    got = extrinsic.codazzi_residual(imm, pe)
+    want = codazzi_reference(imm, pe)
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-11
+
+
 class TestBatching:
     @pytest.mark.parametrize("family,n,m", BATCH_CASES)
     def test_rows_match_one_row_at_a_time(self, family, n, m):

@@ -1,6 +1,8 @@
-"""The numpy Hermite kernel must agree with the scalar loop bit for bit."""
+"""The numpy Hermite kernel must agree with the scalar loop bit for bit, and
+the RK4 kernel with the loop that wrote every node into preallocated arrays."""
 
 import numpy as np
+import pytest
 
 from warpgeo import _kernels as K
 from warpgeo import warpfunc as wf
@@ -55,6 +57,60 @@ def _hermite_loop(t, t_lo, step, phi, dphi, d2phi, query):
     return out_p, out_d
 
 
+def _rk4_loop(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
+    """Reference: RK4 with its constants computed in the loop and every node
+    written into arrays preallocated to n_steps + 1; returns the arrays,
+    the used count and the halt flag."""
+    ts = np.empty(n_steps + 1)
+    ps = np.empty(n_steps + 1)
+    ds = np.empty(n_steps + 1)
+    ts[0] = t0
+    ps[0] = phi0
+    ds[0] = dphi0
+    t = t0
+    p = phi0
+    d = dphi0
+    count = 1
+    hit_floor = False
+    for i in range(n_steps):
+        a1 = -((n - 3.0) * (d * d - eps) + rho * p * p) / (2.0 * p)
+
+        p2 = p + 0.5 * step * d
+        d2 = d + 0.5 * step * a1
+        if p2 <= phi_floor:
+            hit_floor = True
+            break
+        a2 = -((n - 3.0) * (d2 * d2 - eps) + rho * p2 * p2) / (2.0 * p2)
+
+        p3 = p + 0.5 * step * d2
+        d3 = d + 0.5 * step * a2
+        if p3 <= phi_floor:
+            hit_floor = True
+            break
+        a3 = -((n - 3.0) * (d3 * d3 - eps) + rho * p3 * p3) / (2.0 * p3)
+
+        p4 = p + step * d3
+        d4 = d + step * a3
+        if p4 <= phi_floor:
+            hit_floor = True
+            break
+        a4 = -((n - 3.0) * (d4 * d4 - eps) + rho * p4 * p4) / (2.0 * p4)
+
+        p_new = p + step / 6.0 * (d + 2.0 * d2 + 2.0 * d3 + d4)
+        d_new = d + step / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        if p_new <= phi_floor:
+            hit_floor = True
+            break
+        t = t0 + (i + 1) * step
+        p = p_new
+        d = d_new
+        ts[count] = t
+        ps[count] = p
+        ds[count] = d
+        count += 1
+    return ts, ps, ds, count, hit_floor
+
+
 def _solution(kind):
     # t0 != 0 so that the grid offset t_lo enters every tau
     if kind == "floor":
@@ -89,3 +145,28 @@ def test_hermite_paths_identical():
             pb, db = _hermite_loop(*args, q)
             assert np.array_equal(pa, pb), (kind, name)
             assert np.array_equal(da, db), (kind, name)
+
+
+@pytest.mark.parametrize("kind", ["forward", "backward", "floor"] + [
+    "schwarzschild-n%d" % n for n in (4, 5, 6, 7, 9)])
+def test_rk4_matches_preallocated_loop(monkeypatch, kind):
+    # every call integrate makes, on the three runs above and on the five
+    # warps report integrates
+    calls = []
+
+    def spy(*args):
+        calls.append((args, K.rk4_warp(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(wf, "rk4_warp", spy)
+    if kind.startswith("schwarzschild"):
+        wf.integrate(wf.schwarzschild_params(int(kind[-1])), 5.0, 1e-3)
+    else:
+        _solution(kind)
+    assert len(calls) == 1
+    (args, (t, phi, dphi, hit_floor)), = calls
+    ts, ps, ds, count, ref_floor = _rk4_loop(*args)
+    assert len(t) == count
+    assert hit_floor == ref_floor == (kind == "floor")
+    for got, want in ((t, ts), (phi, ps), (dphi, ds)):
+        assert np.array_equal(got, want[:count])
