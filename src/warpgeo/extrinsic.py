@@ -298,12 +298,12 @@ def gauss_ricci_residual(imm, pe):
         gap = np.maximum(
             geometry._row_max(np.swapaxes(J, 1, 2) @ J - g),
             np.max(np.abs(dgi + np.swapaxes(dgi, 2, 3) - dg), axis=(1, 2, 3)))
-        return (geometry.curvature_from_jet(g, dg, d2g)[2],
+        return (geometry.curvature_from_jet(g, dg, d2g)[1],
                 gap / (1.0 + geometry._row_max(g)))
 
     ric, realization = (np.concatenate(a) for a in zip(*(
         block(s) for s in geometry._blocks(imm.chart, len(pe.x), fd=False))))
-    ric_int = np.einsum("nip,njq,nij->npq", pe.B, pe.B, ric)
+    ric_int = np.swapaxes(pe.B, 1, 2) @ ric @ pe.B
     gauss = np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
     return gauss, realization
 

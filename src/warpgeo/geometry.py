@@ -9,9 +9,10 @@ in closed form: the warp's derivatives come from one dense-output call and
 the fiber's from its sin^2 products. A chart without one, such as a pullback
 or a user chart, gets the same triple from metric_jet_fd, central stencils
 over one metric_batch call per block of points. Either triple goes through
-curvature_from_jet, the one place that assembles Christoffel symbols, the
-lowered Riemann tensor and Ricci, so every chart gets Einstein verification
-through one core and the stencils remain as a cross-check of the exact path.
+curvature_from_jet, the one place that assembles Christoffel symbols and
+Ricci (contracted from the jet, so a block peaks near d**4 + 6 d**3 entries
+a point), so every chart gets Einstein verification through one core and
+the stencils remain as a cross-check of the exact path.
 
 FAMILIES is the family table: one row per model geometry, from which every
 chart and immersion, every command-line --family choice and every `report`
@@ -344,20 +345,18 @@ def _blocks(chart, n, fd):
     """Slices splitting n points of chart into blocks within the budget.
 
     An exact block peaks in curvature_from_jet, as tracemalloc reads it,
-    at three arrays of d**4 entries a point (d2g, quad, half), three of
-    d**3 and a few of d**2, plus one ufunc buffer of np.getbufsize()
-    entries whatever the block's size. The count adds a fourth d**4 and
-    d**3: blocks sized to the bare peak grow their arrays past the sizes
-    glibc reuses (about 2,000 page faults a verify_einstein call at dim 7
-    and 200 points). A finite-difference block first holds the chart at
-    2 d**2 + 1 stencil rows a point: d**2 entries a row, 2 ambient d**2 on
-    a pullback, whose jet holds a Hessian and a product of that size.
+    at d**4 + 6 d**3 entries a point (the jet and d**3 intermediates, at
+    dims 5 to 7) plus one ufunc buffer of np.getbufsize() entries. The
+    count adds one d**4 and two d**3: blocks sized to the bare peak grow
+    their arrays past the sizes glibc reuses. A finite-difference block
+    first holds the chart at 2 d**2 + 1 stencil rows a point: d**2 entries
+    a row, 2 ambient d**2 on a pullback, whose jet holds a Hessian too.
     """
     d = chart.dim
     imm = getattr(chart, "immersion", None)
     row = 2 * imm.ambient_dim * d * d if imm else d * d
     stencil = (2 * d * d + 1) * row if fd else 0
-    return _block_slices(n, 4 * d ** 4 + 4 * d ** 3 + stencil)
+    return _block_slices(n, 2 * d ** 4 + 8 * d ** 3 + stencil)
 
 
 def _stencil(d, h):
@@ -403,49 +402,62 @@ def metric_jet_fd(chart, X, h=1e-3):
     return g, dg, d2g
 
 
+def _lowered(dg):
+    """Gamma_{p,bc} = (d_b g_pc + d_c g_pb - d_p g_bc) / 2 at [:, p, b, c]."""
+    return 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
+
+
 def curvature_from_jet(g, dg, d2g):
-    """Christoffel symbols, lowered Riemann tensor and Ricci of a metric jet.
+    """Christoffel symbols and Ricci of a metric jet, contracted directly.
 
     Takes (g, dg, d2g) with a leading batch axis, as metric_jet and
-    metric_jet_fd return them, and gives (gamma, riemann_low, ricci,
-    ricci_sym_defect) with the same axis. gamma[:, k, i, j] = Gamma^k_{ij};
-    with Gamma_{p,bc} = (d_b g_pc + d_c g_pb - d_p g_bc) / 2,
+    metric_jet_fd return them, and gives (gamma, ricci, ricci_sym_defect)
+    with the same axis. gamma[:, k, i, j] = Gamma^k_{ij}. Ric_bd = g^ac R_abcd,
+    R_abcd as in riemann_entries, is contracted term by term, each term of
+    d2g a batched matmul over a view of it:
 
-        R_abcd = (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac) / 2
-                 + Gamma_{p,bc} Gamma^p_ad - Gamma_{p,bd} Gamma^p_ac;
+        Ric_bd = (g^ac g_ad,bc + g^ac g_bc,ad - g^ac g_ac,bd - g^ac g_bd,ac) / 2
+                 + g^ac Gamma_{p,bc} Gamma^p_ad - Gamma_{p,bd} g^ac Gamma^p_ac.
 
-    Ric_bd = g^ac R_abcd, symmetrized, and the defect is its largest
-    asymmetry before that. The unit round sphere comes out with sectional
-    curvature +1.
+    Ricci is symmetrized, and the defect is its largest asymmetry before
+    that; no term is taken as another's transpose, so a skew jet shows.
     """
     n, d = g.shape[:2]
-    ginv = np.linalg.inv(g)
-    low = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
-    flat = low.reshape(n, d, d * d)
-    gamma = ginv @ flat
-    # quad[:, b, c, a, e] = Gamma_{p,bc} Gamma^p_ae
-    quad = (flat.transpose(0, 2, 1) @ gamma).reshape(n, d, d, d, d)
-    # half[:, a, b, c, d] holds the terms of R_abcd not yet antisymmetrized
-    # in (c, d). It is built in place, so numpy buffers one strided view
-    # rather than two, and riem takes over quad's buffer, so a block holds
-    # two arrays of d**4 entries per point besides d2g.
-    half = d2g.transpose(0, 3, 1, 2, 4).copy()
-    half += d2g.transpose(0, 1, 3, 4, 2)
-    half *= 0.5
-    half += quad.transpose(0, 3, 1, 2, 4)
-    riem = np.subtract(half, half.transpose(0, 1, 2, 4, 3), out=quad)
-    del half
-    ric = np.einsum("nac,nabcd->nbd", ginv, riem)
+    dd = d * d
+    ginv = np.linalg.inv(g)   # symmetric: g^ac = g^ca
+    low = _lowered(dg)
+    gamma = ginv @ low.reshape(n, d, dd)
+    t1 = (ginv.reshape(n, 1, 1, dd) @ d2g.reshape(n, d, dd, d)).reshape(n, d, d)
+    t2 = (d2g.reshape(n, d, dd, d) @ ginv[..., None]).sum(axis=1)
+    t3 = (d2g.reshape(n, dd, dd) @ ginv.reshape(n, dd, 1)).reshape(n, d, d)
+    t4 = (ginv.reshape(n, 1, dd) @ d2g.reshape(n, dd, dd)).reshape(n, d, d)
+    # m[:, p, b, a] = g^ac Gamma_{p,bc}; v[:, p] = g^ac Gamma^p_ac
+    m = (low.reshape(n, dd, d) @ ginv).reshape(n, d, d, d)
+    q1 = m.transpose(0, 2, 1, 3).reshape(n, d, dd) @ gamma.reshape(n, dd, d)
+    v = gamma @ ginv.reshape(n, dd, 1)
+    q2 = (np.swapaxes(v, 1, 2) @ low.reshape(n, d, dd)).reshape(n, d, d)
+    ric = 0.5 * (t1 + np.swapaxes(t2.reshape(n, d, d), 1, 2) - t3 - t4)
+    ric += q1 - q2
     ric_t = ric.transpose(0, 2, 1)
     defect = np.max(np.abs(ric - ric_t), axis=(1, 2))
-    return gamma.reshape(n, d, d, d), riem, 0.5 * (ric + ric_t), defect
+    return gamma.reshape(n, d, d, d), 0.5 * (ric + ric_t), defect
 
 
-def _sectionals(riem, g, i, j):
-    """Curvature of the coordinate planes (i, j); i and j may be index arrays,
-    and riem and g may carry a leading batch axis."""
-    den = g[..., i, i] * g[..., j, j] - g[..., i, j] ** 2
-    return riem[..., i, j, i, j] / den
+def riemann_entries(dg, d2g, gamma, a, b, c, d):
+    """R_abcd at broadcast index arrays, the jet's batch axis first, with
+    gamma from curvature_from_jet and Gamma_{p,bc} from _lowered; the unit
+    round sphere comes out with sectional curvature +1.
+
+        R_abcd = (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac) / 2
+                 + Gamma_{p,bc} Gamma^p_ad - Gamma_{p,bd} Gamma^p_ac
+    """
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    low = _lowered(dg)
+    quad = [np.sum(low[:, :, b, e] * gamma[:, :, a, f], axis=1)
+            for e, f in ((c, d), (d, c))]   # Gamma_{p,be} Gamma^p_af
+    return (0.5 * (d2g[:, b, c, a, d] + d2g[:, a, d, b, c]
+                   - d2g[:, b, d, a, c] - d2g[:, a, c, b, d])
+            + quad[0] - quad[1])
 
 
 @dataclass
@@ -460,7 +472,9 @@ class PointCurvature:
 
     def sectional(self, i, j):
         """Curvature of the coordinate plane (i, j)."""
-        return float(_sectionals(self.riemann_low, self.g, i, j))
+        g = self.g
+        return float(self.riemann_low[i, j, i, j]
+                     / (g[i, i] * g[j, j] - g[i, j] ** 2))
 
 
 def curvature_fd(chart, x):
@@ -470,7 +484,8 @@ def curvature_fd(chart, x):
         raise BadDimension("point has shape %s, chart dim is %d"
                            % (x.shape, chart.dim))
     g, dg, d2g = metric_jet_fd(chart, x[None], h=_FD_STEP)
-    gamma, riem, ric, defect = curvature_from_jet(g, dg, d2g)
+    gamma, ric, defect = curvature_from_jet(g, dg, d2g)
+    riem = riemann_entries(dg, d2g, gamma, *np.ix_(*[range(chart.dim)] * 4))
     return PointCurvature(g=g[0], gamma=gamma[0], riemann_low=riem[0],
                           ricci=ric[0], ricci_sym_defect=float(defect[0]))
 
@@ -724,15 +739,16 @@ def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
     def block(X):
         # one block's arrays die when this returns, before the next block's
         g, dg, d2g = jet(X) if jet else metric_jet_fd(chart, X, h=h)
-        _, riem, ric, sym = curvature_from_jet(g, dg, d2g)
+        gamma, ric, sym = curvature_from_jet(g, dg, d2g)
+        secs = (riemann_entries(dg, d2g, gamma, I, J, I, J)
+                / (g[:, I, I] * g[:, J, J] - g[:, I, J] ** 2))
         scale = 1.0 + _row_max(g)
-        return (_row_max(ric - rho * g) / scale, sym,
-                _sectionals(riem, g, I, J).ravel(), ric, scale)
+        return (_row_max(ric - rho * g) / scale, sym, secs.ravel(), ric, scale)
 
     def stencil_ricci(step):
         # finite-difference Ricci of the sample, in stencil-sized blocks
         return np.concatenate([
-            curvature_from_jet(*metric_jet_fd(chart, pts[s], h=step))[2]
+            curvature_from_jet(*metric_jet_fd(chart, pts[s], h=step))[1]
             for s in _blocks(chart, len(pts), fd=True)])
 
     stats = [block(pts[s]) for s in _blocks(chart, len(pts), jet is None)]

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from warpgeo import cli
 from warpgeo import geometry as gm
 from warpgeo import immersions
 from warpgeo import warpfunc as wf
@@ -227,8 +228,8 @@ class TestMetricJet:
                 assert 3.5 < coarse / fine < 4.5, chart.label
 
     def test_blocks_match_row_by_row(self, monkeypatch):
-        # point counts that are not multiples of the block (27 points at
-        # dim 5 and 7 at dim 7 exact, 3 at dim 5 by finite differences); rho
+        # point counts that are not multiples of the block (36 points at
+        # dim 5 and 10 at dim 7 exact, 4 at dim 5 by finite differences); rho
         # is off by one so the residual is O(1) and a relative bound means
         # something
         cases = ((family_chart("round", 5), 5.0, 45),
@@ -246,7 +247,9 @@ class TestMetricJet:
             for x in gm.sample_points(chart, n, seed=3):
                 g, dg, d2g = (jet(x[None]) if jet
                               else gm.metric_jet_fd(chart, x[None]))
-                _, riem, ric, sym = gm.curvature_from_jet(g, dg, d2g)
+                gamma, ric, sym = gm.curvature_from_jet(g, dg, d2g)
+                riem = gm.riemann_entries(dg, d2g, gamma,
+                                          *np.ix_(*[range(d)] * 4))
                 g, riem, ric = g[0], riem[0], ric[0]
                 resids.append(np.max(np.abs(ric - rho * g))
                               / (1.0 + np.max(np.abs(g))))
@@ -283,6 +286,8 @@ class TestMetricJet:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * gm._BLOCK_ELEMENTS
+        # and an overestimated count per point cannot quietly shrink blocks
+        assert peak >= 4 * gm._BLOCK_ELEMENTS
         passes = 1 + 2 + fd_gap if hasattr(chart, "metric_jet") else 2
         assert sum(calls) == passes * n == passes * rep.n_points
         assert len(calls) >= 2 * passes
@@ -293,11 +298,11 @@ class TestMetricJet:
         pts = gm.sample_points(chart, 8, seed=2)
         assert np.array_equal(rep.points, pts)
         g, dg, d2g = chart.metric_jet(pts)
-        exact = gm.curvature_from_jet(g, dg, d2g)[2]
+        exact = gm.curvature_from_jet(g, dg, d2g)[1]
         scale = 1.0 + np.max(np.abs(g), axis=(1, 2))
 
         def gap(h):
-            fd = gm.curvature_from_jet(*gm.metric_jet_fd(chart, pts, h=h))[2]
+            fd = gm.curvature_from_jet(*gm.metric_jet_fd(chart, pts, h=h))[1]
             return float(np.max(np.max(np.abs(fd - exact), axis=(1, 2)) / scale))
 
         assert rep.fd_gap_max == pytest.approx(gap(1e-3), rel=1e-12)
@@ -309,6 +314,83 @@ class TestMetricJet:
         pull = gm.PullbackChart(immersions.schwarzschild_immersion(5))
         with pytest.raises(BadRange):
             gm.verify_einstein(pull, 0.0, n_points=2, fd_gap=True)
+
+
+def curvature_reference(g, dg, d2g):
+    """Lowered Riemann tensor and Ricci the long way: the full d**4 tensor
+    from transposed copies of d2g, then g^ac R_abcd by einsum."""
+    n, d = g.shape[:2]
+    ginv = np.linalg.inv(g)
+    low = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
+    flat = low.reshape(n, d, d * d)
+    gamma = ginv @ flat
+    # quad[:, b, c, a, e] = Gamma_{p,bc} Gamma^p_ae
+    quad = (flat.transpose(0, 2, 1) @ gamma).reshape(n, d, d, d, d)
+    half = 0.5 * (d2g.transpose(0, 3, 1, 2, 4) + d2g.transpose(0, 1, 3, 4, 2))
+    half += quad.transpose(0, 3, 1, 2, 4)
+    riem = half - half.transpose(0, 1, 2, 4, 3)
+    ric = np.einsum("nac,nabcd->nbd", ginv, riem)
+    ric_t = ric.transpose(0, 2, 1)
+    defect = np.max(np.abs(ric - ric_t), axis=(1, 2))
+    return riem, 0.5 * (ric + ric_t), defect
+
+
+def reference_jets():
+    for family, row in gm.FAMILIES.items():
+        for n, m, rho in row.report:
+            chart = family_chart(family, n, m=m, rho=rho)
+            X = gm.sample_points(chart, 9, seed=4)
+            yield pytest.param(chart.metric_jet(X), id=chart.label)
+    pull = gm.PullbackChart(immersions.schwarzschild_immersion(5))
+    X = gm.sample_points(pull, 3, seed=4)
+    yield pytest.param(gm.metric_jet_fd(pull, X), id="pullback")
+    # no symmetry at all, in dg's pair or in either pair of d2g
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 6, 6))
+    yield pytest.param((a @ np.swapaxes(a, 1, 2) + 6.0 * np.eye(6),
+                        rng.normal(size=(5, 6, 6, 6)),
+                        rng.normal(size=(5, 6, 6, 6, 6))), id="random")
+
+
+@pytest.mark.parametrize("jet", reference_jets())
+def test_curvature_matches_reference(jet):
+    # Ricci by contraction against the full tensor; the two reorder the
+    # same sums
+    d = jet[0].shape[1]
+    riem, ric, defect = curvature_reference(*jet)
+    gamma, got_ric, got_defect = gm.curvature_from_jet(*jet)
+    got_riem = gm.riemann_entries(jet[1], jet[2], gamma,
+                                  *np.ix_(*[range(d)] * 4))
+    for got, want in ((got_ric, ric), (got_defect, defect), (got_riem, riem)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+class SkewedJet:
+    """The round n5 chart with d_0 d_1 g_12 raised by eps and d_1 d_0 g_12
+    left alone. On its diagonal metric only g^ac g_ad,bc sees the skew and
+    g^ac g_bc,ad does not, so taking the second as the transpose of the
+    first would symmetrize the defect away."""
+
+    def __init__(self, eps):
+        self.base, self.rho = gm.chart_for_family("round", 5)
+        self.dim, self.sample_box = self.base.dim, self.base.sample_box
+        self.eps = eps
+
+    def metric_batch(self, X):
+        return self.base.metric_batch(X)
+
+    def metric_jet(self, X):
+        g, dg, d2g = self.base.metric_jet(X)
+        d2g[:, 0, 1, 1, 2] += self.eps
+        d2g[:, 0, 1, 2, 1] += self.eps
+        return g, dg, d2g
+
+
+def test_asymmetric_derivative_pair_fails_closed():
+    chart = SkewedJet(1e-3)
+    rep = gm.verify_einstein(chart, chart.rho, n_points=6)
+    assert rep.ricci_sym_max > cli.TOLERANCES["tol_ricci_sym"]
 
 
 class TestSpaceFormCharts:
