@@ -12,7 +12,9 @@ over one metric_batch call per block of points. Either triple goes through
 curvature_from_jet, the one place that assembles Christoffel symbols and
 Ricci (contracted from the jet, so a block peaks near d**4 + 6 d**3 entries
 a point), so every chart gets Einstein verification through one core and
-the stencils remain as a cross-check of the exact path.
+the stencils, at the one step _FD_STEP, remain as a cross-check of the
+exact path. verify_einstein only measures; the command line judges its
+report by the chart's family row.
 
 FAMILIES is the family table: one row per model geometry, from which every
 chart and immersion, every command-line --family choice and every `report`
@@ -30,7 +32,9 @@ from .errors import BadDimension, BadRange, OutsideDomain, SingularChartPoint
 
 _TOL_POLE = 1e-3
 _TOL_WARP_TURNING = 1e-6
-# step of the finite-difference stencils that only cross-check exact jets
+# step of the finite-difference stencils, and a third of the sample's
+# margin inside a chart's box; the stencils only cross-check exact jets,
+# except on a chart that has none
 _FD_STEP = 1e-3
 # coordinate planes whose sectional curvature verify_einstein samples
 _MAX_PLANES = 10
@@ -372,18 +376,20 @@ def _stencil(d, h):
                            corners.reshape(-1, d)])
 
 
-def metric_jet_fd(chart, X, h=1e-3):
+def metric_jet_fd(chart, X):
     """Metric with first and second coordinate derivatives at rows X.
 
     One chart evaluation over every row's full second-order central stencil
-    (1 + 2 dim + 2 dim (dim-1) points each). Returns (g, dg, d2g) with a
-    leading batch axis, dg[:, a] = d_a g and d2g[:, a, b] = d_a d_b g.
+    at step _FD_STEP (1 + 2 dim + 2 dim (dim-1) points each). Returns
+    (g, dg, d2g) with a leading batch axis, dg[:, a] = d_a g and
+    d2g[:, a, b] = d_a d_b g.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = chart.dim
     if X.ndim != 2 or X.shape[1] != d:
         raise BadDimension("points have shape %s, chart dim is %d"
                            % (X.shape, d))
+    h = _FD_STEP
     E = _stencil(d, h)
     n = X.shape[0]
     G = chart.metric_batch((X[:, None, :] + E).reshape(-1, d))
@@ -483,7 +489,7 @@ def curvature_fd(chart, x):
     if x.shape != (chart.dim,):
         raise BadDimension("point has shape %s, chart dim is %d"
                            % (x.shape, chart.dim))
-    g, dg, d2g = metric_jet_fd(chart, x[None], h=_FD_STEP)
+    g, dg, d2g = metric_jet_fd(chart, x[None])
     gamma, ric, defect = curvature_from_jet(g, dg, d2g)
     riem = riemann_entries(dg, d2g, gamma, *np.ix_(*[range(chart.dim)] * 4))
     return PointCurvature(g=g[0], gamma=gamma[0], riemann_low=riem[0],
@@ -661,71 +667,61 @@ def chart_for_family(family, n, m=None, rho=None, perturb=0.0):
 
 @dataclass
 class CurvatureReport:
+    """What one pass over a chart's sample measured; the command line
+    judges it against the chart's family row."""
+
     label: str
     dim: int
     rho: float
-    h: float
     n_points: int
     einstein_max: float
     ricci_sym_max: float
-    richardson_max: float
     sectional_min: float
     sectional_max: float
-    tol: float
     provenance: str   # "analytic-jet" or "finite-difference"
     fd_gap_max: float      # NaN unless fd_gap=True
     points: np.ndarray     # the sample; as_dict leaves out these two
-
-    @property
-    def passed(self):
-        return self.einstein_max <= self.tol
 
     @property
     def sectional_spread(self):
         return self.sectional_max - self.sectional_min
 
     def as_dict(self):
-        out = dict(vars(self), passed=self.passed,
-                   sectional_spread=self.sectional_spread)
+        out = dict(vars(self), sectional_spread=self.sectional_spread)
         del out["fd_gap_max"], out["points"]
         return out
 
 
-def sample_points(chart, n_points, seed=0, h=1e-3):
-    """n_points quasi-random points, a stencil margin 3 h inside the
+def sample_points(chart, n_points, seed=0):
+    """n_points quasi-random points, a stencil margin 3 _FD_STEP inside the
     sample_box of chart, which may also be an immersion.
 
-    Rejects an empty sample and a step h that is not finite and positive,
-    so no check downstream can pass on evidence it never collected.
+    Rejects an empty sample, so no check downstream can pass on evidence
+    it never collected.
     """
     if not n_points >= 1:
         raise BadRange("need at least one sample point, got %r" % (n_points,))
-    if not (math.isfinite(h) and h > 0.0):
-        raise BadRange("step h must be finite and positive, got %r" % (h,))
     box = np.array(chart.sample_box, dtype=float)
-    box[:, 0] += 3.0 * h
-    box[:, 1] -= 3.0 * h
+    box[:, 0] += 3.0 * _FD_STEP
+    box[:, 1] -= 3.0 * _FD_STEP
     if np.any(box[:, 1] <= box[:, 0]):
         raise OutsideDomain("sample box collapses under the stencil margin")
     return sampling.box(n_points, box, seed=seed)
 
 
-def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
-                    richardson=False, fd_gap=False):
-    """Sample the chart and bound the Einstein defect pointwise.
+def verify_einstein(chart, rho, n_points=24, seed=0, fd_gap=False):
+    """Sample the chart and measure its Einstein defect pointwise; it
+    judges nothing.
 
     The defect at a point is max |Ric - rho g| / (1 + max |g|). The chart's
     metric_jet gives the curvature where it has one (provenance
-    "analytic-jet"), metric_jet_fd at step h where not ("finite-difference").
-    richardson=True also computes finite-difference Ricci at h and at h/2
-    and reports the largest shift between the two, an empirical error
-    estimate for the finite differences themselves. fd_gap=True gives
-    fd_gap_max, the largest |Ric_FD - Ric| / (1 + max |g|) of the stencils
-    at step _FD_STEP against the exact jet. Both run after the pass in
-    their own stencil-sized blocks and compare with its Ricci rows, so the
-    exact jet is evaluated once a point.
+    "analytic-jet"), metric_jet_fd at step _FD_STEP where not
+    ("finite-difference"). fd_gap=True gives fd_gap_max, the largest
+    |Ric_FD - Ric| / (1 + max |g|) of the stencils against the exact jet;
+    they run after the pass in their own stencil-sized blocks and compare
+    with its Ricci rows, so the exact jet is evaluated once a point.
     """
-    pts = sample_points(chart, n_points, seed=seed, h=h)
+    pts = sample_points(chart, n_points, seed=seed)
     d = chart.dim
     I, J = np.triu_indices(d, 1)
     if len(I) > _MAX_PLANES:
@@ -738,36 +734,29 @@ def verify_einstein(chart, rho, n_points=24, h=1e-3, tol=5e-5, seed=0,
 
     def block(X):
         # one block's arrays die when this returns, before the next block's
-        g, dg, d2g = jet(X) if jet else metric_jet_fd(chart, X, h=h)
+        g, dg, d2g = jet(X) if jet else metric_jet_fd(chart, X)
         gamma, ric, sym = curvature_from_jet(g, dg, d2g)
         secs = (riemann_entries(dg, d2g, gamma, I, J, I, J)
                 / (g[:, I, I] * g[:, J, J] - g[:, I, J] ** 2))
         scale = 1.0 + _row_max(g)
         return (_row_max(ric - rho * g) / scale, sym, secs.ravel(), ric, scale)
 
-    def stencil_ricci(step):
-        # finite-difference Ricci of the sample, in stencil-sized blocks
-        return np.concatenate([
-            curvature_from_jet(*metric_jet_fd(chart, pts[s], h=step))[1]
-            for s in _blocks(chart, len(pts), fd=True)])
-
     stats = [block(pts[s]) for s in _blocks(chart, len(pts), jet is None)]
     # numpy reductions propagate NaN, where max(0.0, nan) would drop it;
     # n_points counts the rows evaluated, not the rows asked for
     resids, syms, secs, ric, scale = (np.concatenate(s) for s in zip(*stats))
-    rich = gap = math.nan
-    if richardson:
-        ric_h = stencil_ricci(h) if jet else ric
-        rich = np.max(_row_max(ric_h - stencil_ricci(h / 2.0)))
+    gap = math.nan
     if fd_gap:
-        gap = np.max(_row_max(stencil_ricci(_FD_STEP) - ric) / scale)
+        fd = np.concatenate([
+            curvature_from_jet(*metric_jet_fd(chart, pts[s]))[1]
+            for s in _blocks(chart, len(pts), fd=True)])
+        gap = np.max(_row_max(fd - ric) / scale)
     return CurvatureReport(
         label=getattr(chart, "label", chart.__class__.__name__),
-        dim=d, rho=rho, h=h, n_points=len(resids),
+        dim=d, rho=rho, n_points=len(resids),
         einstein_max=float(np.max(resids)), ricci_sym_max=float(np.max(syms)),
-        richardson_max=float(rich),
         sectional_min=float(np.min(secs, initial=math.inf)),
-        sectional_max=float(np.max(secs, initial=-math.inf)), tol=tol,
+        sectional_max=float(np.max(secs, initial=-math.inf)),
         provenance="analytic-jet" if jet else "finite-difference",
         fd_gap_max=float(gap), points=pts,
     )

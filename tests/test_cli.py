@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from warpgeo import cli, extrinsic, geometry, immersions, sampling, serialize
+from warpgeo import (cli, extrinsic, geometry, immersions, sampling,
+                     serialize, warpfunc)
 
 
 def run(capsys, *argv):
@@ -65,6 +66,27 @@ class TestWarp:
         code, _ = run(capsys, "warp")
         assert code == 3
 
+    @pytest.mark.parametrize("key", ["eps", "rho", "c", "phi0", "dphi0", "t0"])
+    def test_family_rejects_a_given_state(self, capsys, tmp_path, key):
+        # the family row sets the warp's parameters and initial state; one
+        # given beside it, as a flag or a config key, would be dropped
+        code, _ = run(capsys, "warp", "--family", "round", "--n", "5",
+                      "--" + key, "1")
+        assert code == 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, key: 1.0}))
+        assert cli.main(["warp", "--family", "round", "--n", "5",
+                         "--config", str(cfg)]) == 3
+        assert "config error: " in capsys.readouterr().err
+
+    def test_family_takes_end_and_step(self, capsys):
+        code, doc = run(capsys, "warp", "--family", "round", "--n", "5",
+                        "--t-end", "1.2", "--step", "0.002")
+        assert code == 0
+        assert doc["params"] == warpfunc.sin_params(5, t0=0.15).as_dict()
+        assert doc["t_max"] == pytest.approx(1.2)
+        assert doc["samples"] == round((1.2 - 0.15) / 0.002) + 1
+
 
 class TestVerifyIntrinsic:
     def test_clifford_passes(self, capsys):
@@ -82,11 +104,17 @@ class TestVerifyIntrinsic:
         assert doc["checks"][0]["value"] > 1e-3
 
     def test_defect_expectation_passes_on_mismatched_fiber(self, capsys):
+        # the row's defect floor, not a flag, says the residual must reach 0.2
         code, doc = run(capsys, "verify-intrinsic", "--family",
                         "round-torus-composite", "--n", "7", "--m", "2",
-                        "--points", "6", "--expect-not-einstein", "0.2")
+                        "--points", "6")
         assert code == 0
-        assert doc["checks"][0]["comparison"] == "min"
+        defect, fiber, sym, gap = doc["checks"]
+        assert (defect["name"], defect["comparison"]) == ("einstein-defect",
+                                                          "min")
+        assert defect["tolerance"] == fiber["tolerance"] == 0.2
+        assert fiber["name"] == "fiber-constant"
+        assert (sym["name"], gap["name"]) == ("ricci-symmetry", "fd-gap")
 
     def test_unknown_family_is_config_error(self, capsys):
         code, _ = run(capsys, "verify-intrinsic", "--family", "nope", "--n", "5")
@@ -104,9 +132,8 @@ class TestVerifyIntrinsic:
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-intrinsic", "--family", "clifford", "--n", "5", "--rho", "1",
-     "--h", "0"],
-    ["verify-intrinsic", "--family", "round", "--n", "5", "--h", "nan"],
+    ["warp", "--n", "5", "--step", "0"],
+    ["warp", "--n", "5", "--step", "nan"],
     ["verify-intrinsic", "--family", "round", "--n", "5", "--points", "0"],
     ["verify-extrinsic", "--family", "schwarzschild", "--n", "5",
      "--points", "0"],
@@ -146,17 +173,30 @@ def test_no_evidence_is_config_error(capsys, argv):
     (["verify-intrinsic", "--family", "round", "--n", "5"],
      {"points": "six"}),
     (["verify-intrinsic", "--family", "round", "--n", "5"], {"points": 6.5}),
-    (["verify-intrinsic", "--family", "round", "--n", "5"],
-     {"richardson": 1}),
+    (["warp", "--n", "5"], {"compare_closed_form": 1}),
     (["classify-appendix"], {"solve": [2, 1, "1", 1]}),
     (["verify-extrinsic", "--family", "schwarzschild", "--n", "5"],
      {"tol_gauss": 1.0}),
     # warp reads no fiber dimension, so it takes no --m
     (["warp", "--n", "5", "--m", "3"], None),
     (["warp", "--n", "5"], {"m": 3}),
+    # removed flags; --h must not be read as an abbreviation of --help
+    (["verify-intrinsic", "--family", "round", "--n", "5", "--richardson"],
+     None),
+    (["verify-intrinsic", "--family", "round", "--n", "5", "--h", "1e-3"],
+     None),
+    (["verify-intrinsic", "--family", "round-torus-composite", "--n", "7",
+      "--m", "2", "--expect-not-einstein", "0.2"], None),
+    (["verify-intrinsic", "--family", "round", "--n", "5"],
+     {"richardson": True}),
+    (["verify-intrinsic", "--family", "round", "--n", "5"], {"h": 1e-3}),
+    (["verify-intrinsic", "--family", "round-torus-composite", "--n", "7",
+      "--m", "2"], {"expect_not_einstein": 0.2}),
 ], ids=["flag-type", "unknown-flag", "tolerance-flag", "config-n",
         "config-points", "config-float-for-int", "config-int-for-bool",
-        "config-solve", "config-tolerance", "warp-m-flag", "warp-m-config"])
+        "config-solve", "config-tolerance", "warp-m-flag", "warp-m-config",
+        "richardson-flag", "h-flag", "expect-not-einstein-flag",
+        "richardson-config", "h-config", "expect-not-einstein-config"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     # a malformed flag or config value exits 3 with a config error, neither
     # argparse's 2 (a computation error) nor a traceback's 1 (a failed check)
@@ -166,6 +206,32 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
         argv = argv + ["--config", str(path)]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-intrinsic", "--family", "round", "--n", "5", "--points", "4",
+     "--out"],
+    ["warp", "--n", "5", "--t-end", "1", "--csv"],
+    ["build", "--family", "schwarzschild", "--n", "5", "--count", "4",
+     "--res", "4", "--out"],
+], ids=["verify-intrinsic-out", "warp-csv", "build-out"])
+def test_unwritable_output_is_config_error(capsys, tmp_path, argv):
+    # a path under a regular file cannot be written, not even by root; that
+    # is a config error, not a traceback's 1, and nothing is printed
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(argv + [str(blocker / "x")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.out == ""
+
+
+def test_every_typed_option_is_an_option():
+    # a removed option must not leave its type behind
+    tables = (cli._WARP_DEFAULTS, cli._INTRINSIC_DEFAULTS, cli._BUILD_DEFAULTS,
+              cli._EXTRINSIC_DEFAULTS, cli._CLASSIFY_DEFAULTS,
+              cli._REPORT_DEFAULTS)
+    assert set(cli._TYPES) == set().union(*tables)
 
 
 def test_help_exits_zero(capsys):
@@ -414,18 +480,57 @@ class TestReport:
             assert checks[prefix + "-clifford-n5"]["status"] == "pass"
         assert checks["realization-clifford-n5"]["tolerance"] == 1e-8
         assert "profile-clifford-n5" not in checks
-        # every bound a check applies is echoed, richardson's included
+        # every bound a check applies is echoed
         tols = doc["tolerances"]
         assert (checks["defect-clifford-n5-perturbed"]["tolerance"]
                 == tols["tol_perturbed_defect"])
         assert checks["appendix-solver"]["tolerance"] == tols["tol_solver"]
-        code, intrinsic = run(capsys, "verify-intrinsic", "--family",
-                              "clifford", "--n", "5", "--rho", "1",
-                              "--points", "4", "--richardson")
+        assert (checks["ricci-sym-clifford-n5"]["tolerance"]
+                == tols["tol_ricci_sym"])
+        assert "tol_richardson" not in tols
+
+    def test_verify_intrinsic_judges_a_member_as_report_does(self, capsys):
+        # one builder: at report's seed and sample size, verify-intrinsic
+        # gives each member report's checks in order, with their statuses
+        # and value bytes
+        code, doc = run(capsys, "report", "--seed", "3")
         assert code == 0
-        richardson = intrinsic["checks"][-1]
-        assert richardson["name"] == "richardson-stability"
-        assert richardson["tolerance"] == tols["tol_richardson"]
+        prefixes = ("einstein", "spread", "defect", "fiber-constant",
+                    "ricci-sym", "fd-gap")
+
+        def judged(checks):
+            return [(c["status"], repr(c["value"])) for c in checks]
+
+        def member(label):
+            names = {"%s-%s" % (p, label) for p in prefixes}
+            return [c for c in doc["checks"] if c["name"] in names]
+
+        members = 0
+        for family, row in geometry.FAMILIES.items():
+            for n, m, rho in row.report:
+                argv = ["verify-intrinsic", "--family", family, "--n", str(n),
+                        "--points", "20", "--seed", "3"]
+                argv += ["--m", str(m)] if m is not None else []
+                argv += ["--rho", repr(rho)] if rho is not None else []
+                code, single = run(capsys, *argv)
+                assert code == 0, family
+                assert judged(member(single["label"])) == judged(
+                    single["checks"]), family
+                members += 1
+        # the perturbed Clifford member: the same values, where report
+        # asks its residual to reach tol_perturbed_defect and
+        # verify-intrinsic, reading the Einstein row, fails it
+        code, single = run(capsys, "verify-intrinsic", "--family", "clifford",
+                           "--n", "5", "--rho", "1.0", "--perturb", "0.05",
+                           "--points", "20", "--seed", "3")
+        assert code == 1
+        pert = member("clifford-n5-perturbed")
+        assert [repr(c["value"]) for c in pert] == [
+            repr(c["value"]) for c in single["checks"]]
+        assert [c["status"] for c in pert] == ["pass"] * 3
+        assert [c["status"] for c in single["checks"]] == ["fail", "pass",
+                                                           "pass"]
+        assert members + 1 == 11
 
     def test_one_sample_and_one_exact_pass_per_member(self, capsys,
                                                       monkeypatch):

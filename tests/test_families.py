@@ -51,7 +51,8 @@ def test_row_is_the_whole_family(family, monkeypatch, capsys, tmp_path):
         argv += ["--rho", str(RHO)]
     code = cli.main(["verify-intrinsic", "--points", "3"] + argv)
     doc = json.loads(capsys.readouterr().out)
-    assert code == (0 if row.defect_floor is None else 1)
+    # a defect row is judged by its floor, and passes
+    assert code == 0
     assert doc["label"] == copy + label[len(family):]
     code = cli.main(["build", "--out", str(tmp_path), "--count", "4",
                      "--res", "3"] + argv)
