@@ -17,10 +17,11 @@ second fundamental form, and each check returns one residual per row.
 The pointwise algebra has one principal-curvature path: one batched eigh
 of a fixed generic combination of each row's shape operators gives their
 common eigenbasis, and umbilical_structure groups its principal curvature
-vectors; the flat-normal, umbilical, Dupin and normal-form stages all read
-it. Codazzi and Dupin evaluate the immersion again only at the points
-their own stencils add, Gauss not at all; each works in blocks within
-geometry's element budget. A single point is a batch of one row.
+vectors; the flat-normal, umbilical and normal-form stages all read it.
+Codazzi evaluates the immersion again only at the points its stencil
+adds, in blocks within geometry's element budget, and Dupin reads the
+same covariant derivative of alpha; Gauss evaluates it not at all. A
+single point is a batch of one row.
 """
 
 import dataclasses
@@ -40,7 +41,7 @@ from .errors import (
     RankDeficient,
 )
 
-# step of the Codazzi and Dupin central differences
+# step of the central difference behind Codazzi and Dupin
 _STEP = 1e-4
 # commutator, off-diagonal and eigenvalue-coincidence tolerance of the
 # common eigenbasis, relative to the largest entry of a row
@@ -101,11 +102,6 @@ class Extrinsics:
     def codim(self):
         return self.N.shape[1]
 
-    def rows(self, idx):
-        """The same data at the rows idx."""
-        return Extrinsics(**{f.name: getattr(self, f.name)[idx]
-                             for f in dataclasses.fields(self)})
-
 
 def extrinsics_at(imm, X):
     """Frames and second fundamental form at the rows of X, one jet call.
@@ -129,7 +125,7 @@ def extrinsics_at(imm, X):
     B = np.linalg.inv(R)
     N = _complete_normals(Q)
     a_chart = np.einsum("nca,naij->ncij", N, H)
-    alpha = np.einsum("nip,njq,ncij->ncpq", B, B, a_chart)
+    alpha = np.swapaxes(B, 1, 2)[:, None] @ a_chart @ B[:, None]
     alpha = 0.5 * (alpha + np.swapaxes(alpha, 2, 3))
     return Extrinsics(x=X, v=v, J=J, H=H, Q=Q, N=N, B=B, alpha=alpha)
 
@@ -326,22 +322,24 @@ def _alpha_chart(J, H):
 
 
 def codazzi_residual(imm, pe):
-    """Antisymmetry defect of the covariant derivative of alpha, per row.
+    """Codazzi and Dupin residuals from one covariant derivative of alpha.
 
     (nabla_a alpha)(b, c) is the normal projection of the coordinate
     derivative of the ambient-valued alpha minus the Christoffel
     corrections Gamma^e_ab alpha_ec and Gamma^e_ac alpha_be; Codazzi in
     flat ambient space demands symmetry in (a, b), so the a-b
     antisymmetrization is pure error. Gamma^e_ab alpha_ec is symmetric in
-    (a, b) and cancels exactly in that antisymmetrization, so it is never
-    formed. Each row adds 2 dim displaced points, and the rows go in
-    blocks within geometry's element budget, one jet call per block.
+    (a, b) and cancels exactly in that antisymmetrization, so it is formed
+    only where dupin_residual reads the derivative. Each row adds 2 dim
+    displaced points, and the rows go in blocks within geometry's element
+    budget, one jet call per block. Returns (codazzi, dupin), one value
+    per row each.
     """
     d, amb = imm.dim, imm.ambient_dim
     # rows 2a and 2a + 1 of a point's stencil displace it by +_STEP and
     # -_STEP along axis a
     E = np.stack([_STEP * np.eye(d), -_STEP * np.eye(d)], 1).reshape(-1, d)
-    out = []
+    codazzi, dupin = [], []
     # the live set peaks inside _alpha_chart of the displaced jet at three
     # arrays of 2 d ambient d d entries a point: the displaced Hessians,
     # their alpha and their Christoffel symbols (d / ambient of that size);
@@ -360,10 +358,30 @@ def codazzi_residual(imm, pe):
         nab = (PiN[:, None] @ da).reshape(m, d, amb, d, d)
         nab -= (a0.reshape(m, amb * d, d) @ gam).reshape(
             m, amb, d, d, d).transpose(0, 3, 1, 2, 4)
+        dupin.append(dupin_residual(nab, a0, gam, J))
         defect = nab - np.swapaxes(nab, 1, 3)
-        out.append(np.max(np.abs(defect), axis=(1, 2, 3, 4)))
+        codazzi.append(np.max(np.abs(defect), axis=(1, 2, 3, 4)))
         del da, nab, defect   # before the next block's jet
-    return np.concatenate(out)
+    return np.concatenate(codazzi), np.concatenate(dupin)
+
+
+def dupin_residual(nab, a0, gam, J):
+    """Normal-space velocity of eta along a U-leaf direction, per row of a
+    codazzi_residual block.
+
+    The leaf direction L is the last chart axis, the final fiber angle.
+    Where U holds L, alpha(X, L) = <X, L> eta for every X, so
+    (nabla_L alpha)(L, L) = g_LL nabla-perp_L eta, and eta is parallel along
+    the leaf in the normal connection exactly when it vanishes. nab (rows,
+    a, ambient, b, c) is codazzi_residual's derivative, which leaves out
+    Gamma^e_ab alpha_ec; at (L, L, L) that term does not cancel, so it is
+    subtracted here from the jet's alpha a0 and Christoffel symbols gam,
+    both over the flattened pair (i, j).
+    """
+    d = J.shape[2]
+    # alpha_eL (rows, ambient, e) times Gamma^e_LL (rows, e, 1)
+    v = nab[:, -1, :, -1, -1] - (a0[:, :, d - 1::d] @ gam[:, :, -1:])[:, :, 0]
+    return np.linalg.norm(v, axis=1) / np.sum(J[:, :, -1] ** 2, axis=1)
 
 
 # -- rotational profile normal --------------------------------------------------------
@@ -410,30 +428,6 @@ def profile_normal_shape_residual(imm, pe):
     want[:, idx, idx] = -(c / s.phi)[:, None]
     want[:, 0, 0] = want[:, 1, 1] = s.d2phi
     return np.max(np.abs(S - want), axis=(1, 2))
-
-
-# -- Dupin condition -----------------------------------------------------------------
-
-def dupin_residual(imm, pe):
-    """Normal-space velocity of eta along a U-leaf direction, per row.
-
-    The leaf direction is the last chart axis, the final fiber angle.
-    eta is recomputed as an ambient vector at the two displaced points of
-    every row, all of them in one extrinsics_at call (it is
-    frame-independent, so normal-frame jumps between neighboring points
-    cannot pollute the difference quotient), and differentiated centrally;
-    parallelism in the normal connection means the normal projection of
-    the derivative vanishes.
-    """
-    n = len(pe.x)
-    Y = np.concatenate([pe.x, pe.x])
-    Y[:n, -1] += _STEP
-    Y[n:, -1] -= _STEP
-    nb = extrinsics_at(imm, Y)
-    eta = np.einsum("nc,nca->na", umbilical_structure(nb.alpha).eta, nb.N)
-    vel = (eta[:n] - eta[n:]) / (2.0 * _STEP)
-    w = pe.N @ vel[:, :, None]   # normal part of the velocity, a column per row
-    return np.sqrt(np.swapaxes(w, 1, 2) @ w)[:, 0, 0]
 
 
 # -- shape-operator normal forms -------------------------------------------------------
@@ -614,9 +608,9 @@ def extrinsic_scan(imm, n_points=8, seed=0):
     """Run every applicable extrinsic check over a quasi-random sample.
 
     Each stage evaluates the whole sample at once. The umbilical residuals
-    and Dupin are evaluated only at points where the largest umbilical
-    group leaves a 2-dimensional complement; their maxima are NaN when no
-    point does (umbilical_points == 0). Every maximum propagates NaN.
+    and Dupin are read only at points where the largest umbilical group
+    leaves a 2-dimensional complement; their maxima are NaN when no point
+    does (umbilical_points == 0). Every maximum propagates NaN.
     jet_calls and jet_rows count the immersion evaluations the scan made.
     """
     jet_rows = []   # rows of every jet call the scan makes
@@ -631,10 +625,9 @@ def extrinsic_scan(imm, n_points=8, seed=0):
     pe = extrinsics_at(imm, pts)
     flat = flat_normal_residual(pe.alpha)
     gauss, realization = gauss_ricci_residual(imm, pe)
-    codazzi = codazzi_residual(imm, pe)
+    codazzi, dupin = codazzi_residual(imm, pe)
     um = umbilical_structure(pe.alpha, rho=imm.rho)
     umb = np.flatnonzero(um.split)
-    dupin = dupin_residual(imm, pe.rows(umb)) if len(umb) else []
     profile = (profile_normal_shape_residual(imm, pe)
                if imm.meta.get("kind") == "rotational" else [])
     return ExtrinsicReport(
@@ -647,7 +640,7 @@ def extrinsic_scan(imm, n_points=8, seed=0):
         umbilical_points=len(umb),
         umbilical_residual_max=(float(np.max(np.abs(um.residuals[umb])))
                                 if len(umb) else math.nan),
-        dupin_max=float(np.max(dupin)) if len(umb) else math.nan,
+        dupin_max=float(np.max(dupin[umb])) if len(umb) else math.nan,
         profile_max=float(np.max(profile, initial=0.0)),
         jet_calls=len(jet_rows), jet_rows=sum(jet_rows),
     )

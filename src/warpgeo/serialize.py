@@ -60,18 +60,24 @@ def to_json(obj, indent=0):
 
 
 def write_text_atomic(path, text):
-    """Write text to path via a same-directory temp file and os.replace."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write text to path via a same-directory temp file and os.replace.
+
+    An OSError names path, not the directory or temp file that failed.
+    """
+    tmp = None
     try:
+        d = os.path.dirname(os.path.abspath(path))
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        # os.replace has consumed tmp unless something failed
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_json(path, obj):

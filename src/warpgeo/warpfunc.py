@@ -216,8 +216,8 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
     halt_reason "phi_floor". An initial state at or below the floor raises
     DomainExhausted.
     """
-    if not step > 0.0:
-        raise BadRange("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise BadRange("step must be positive and finite")
     if not math.isfinite(t_end) or t_end == params.t0:
         raise BadRange("t_end must be finite and differ from t0")
     if params.phi0 <= PHI_FLOOR:

@@ -154,10 +154,12 @@ class TestVerifyIntrinsic:
      "--perturb", "nan"],
     ["verify-extrinsic", "--family", "clifford", "--n", "5", "--rho", "1",
      "--perturb", "inf"],
+    ["warp", "--n", "5", "--step", "inf"],
 ])
 def test_no_evidence_is_config_error(capsys, argv):
-    # a zero or NaN step gives NaN residuals, zero points give no residuals,
-    # a non-finite warp parameter gives a NaN or collapsing trajectory, a
+    # a zero or NaN step gives NaN residuals and an infinite one a single
+    # step over the whole span, zero points give no residuals, a
+    # non-finite warp parameter gives a NaN or collapsing trajectory, a
     # non-finite --perturb a non-finite fiber radius
     code, _ = run(capsys, *argv)
     assert code == 3
@@ -217,12 +219,14 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
 ], ids=["verify-intrinsic-out", "warp-csv", "build-out"])
 def test_unwritable_output_is_config_error(capsys, tmp_path, argv):
     # a path under a regular file cannot be written, not even by root; that
-    # is a config error, not a traceback's 1, and nothing is printed
+    # is a config error, not a traceback's 1, and nothing is printed; the
+    # message names the path asked for, not a temp file beside it
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert cli.main(argv + [str(blocker / "x")]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")
+    assert str(blocker / "x") in captured.err
     assert captured.out == ""
 
 
@@ -351,9 +355,9 @@ class TestVerifyExtrinsic:
         assert {"flat-normal-bundle", "gauss-equation", "realization",
                 "codazzi", "umbilical-residuals", "dupin-leaf",
                 "umbilical-dimension", "profile-normal-blocks"} <= names
-        # own rows, 1 Codazzi block, Dupin's neighbours; Gauss reads the
-        # chart, not the immersion
-        assert (doc["scan"]["jet_calls"], doc["scan"]["jet_rows"]) == (3, 39)
+        # own rows and 1 Codazzi block, whose derivative Dupin reads; Gauss
+        # reads the chart, not the immersion
+        assert (doc["scan"]["jet_calls"], doc["scan"]["jet_rows"]) == (2, 33)
 
     def test_ricci_flat_composite_passes_gauss(self, capsys):
         # finite-difference Ricci read 1.05e-4 here against the 1e-4 bound
@@ -536,7 +540,7 @@ class TestReport:
                                                       monkeypatch):
         # every intrinsic member draws its sample once and evaluates its
         # exact jet once a point; Gauss reads 4 rows of each scanned
-        # immersion's chart; the appendix classifies its points from one
+        # immersion's chart; each scan and the appendix make one
         # extrinsics_at call
         rows, calls = Counter(), Counter()
 
@@ -565,7 +569,7 @@ class TestReport:
                                             "schwarzschild-n6", "clifford-n5")})
         assert len(members) == 11
         assert rows == want and sum(rows.values()) == 236
-        assert (calls["box"], calls["extrinsics_at"]) == (16, 9)
+        assert (calls["box"], calls["extrinsics_at"]) == (16, 5)
 
     @pytest.mark.parametrize("seed", [4, 8, 9, 10, 13, 25])
     def test_passes_at_seeds_the_stencils_failed(self, capsys, seed):

@@ -440,7 +440,7 @@ class TestCodazzi:
     def test_immersions_satisfy_codazzi(self, make):
         imm = make()
         x = np.full(imm.dim, 0.9) + 0.05 * np.arange(imm.dim)
-        assert extrinsic.codazzi_residual(imm, at(imm, x)) < 1e-6
+        assert extrinsic.codazzi_residual(imm, at(imm, x))[0] < 1e-6
 
     def test_synthetic_field_fails_codazzi(self):
         y = np.array([0.7, 1.2, 0.5, 0.0])
@@ -546,12 +546,12 @@ class TestNormalForms:
 class TestDupin:
     def test_rotational_eta_parallel_along_leaf(self):
         imm, x = schw_point(5)
-        assert extrinsic.dupin_residual(imm, at(imm, x)) < 1e-6
+        assert dupin_rows(imm, at(imm, x)) < 1e-6
 
     def test_product_eta_parallel_along_leaf(self):
         imm = immersions.clifford_immersion(5, 1.0)
         x = np.full(5, 0.9) + 0.1 * np.arange(5)
-        assert extrinsic.dupin_residual(imm, at(imm, x)) < 1e-8
+        assert dupin_rows(imm, at(imm, x)) < 1e-8
 
 
 class TestScan:
@@ -580,30 +580,26 @@ class TestScan:
         assert rep.gauss_max < 5e-5
 
     @pytest.mark.parametrize("family,n,m,n_extrinsics,n_jets", [
-        ("schwarzschild", 5, None, 2, 4),
+        ("schwarzschild", 5, None, 1, 3),
         ("flat-torus-composite", 7, 2, 1, 7),
     ])
     def test_one_evaluation_per_point(self, monkeypatch, family, n, m,
                                       n_extrinsics, n_jets):
-        # the sample's own evaluation is one jet call; Gauss reads the
-        # chart and makes none; Codazzi makes one per block; Dupin
-        # evaluates the two leaf neighbours of every umbilical point in one
-        # more extrinsics_at call
+        # the sample's own evaluation is one jet call and one extrinsics_at
+        # call; Gauss reads the chart and makes none; Codazzi makes one per
+        # block, and Dupin reads Codazzi's derivative, making none
         imm = immersions.build_immersion(family, n, m=m)
         pes = count_calls(monkeypatch, extrinsic, "extrinsics_at")
         jets = count_calls(monkeypatch, immersions.Immersion, "jet")
         rep = extrinsic.extrinsic_scan(imm, n_points=12)
-        u = rep.umbilical_points
         per_point = 5 * 2 * n ** 3 * imm.ambient_dim   # codazzi_residual's
         codazzi = len(geometry._block_slices(12, per_point))
-        dupin = 1 if u else 0
-        assert pes == [1 + dupin] == [n_extrinsics]
-        assert jets == [1 + codazzi + dupin] == [n_jets]
-        # the same work as one call per point: own row, Codazzi's
-        # stencil, Dupin's neighbours
-        rows = 12 * (1 + 2 * n) + 2 * u
+        assert pes == [1] == [n_extrinsics]
+        assert jets == [1 + codazzi] == [n_jets]
+        # the same work as one call per point: own row and Codazzi's
+        # stencil, umbilical or not
         d = rep.as_dict()
-        assert (d["jet_calls"], d["jet_rows"]) == (n_jets, rows)
+        assert (d["jet_calls"], d["jet_rows"]) == (n_jets, 12 * (1 + 2 * n))
 
     def test_nan_commutator_propagates(self):
         alpha = np.zeros((2, 2, 3, 3))
@@ -615,12 +611,11 @@ class TestScan:
                                             ("flat-torus-composite", 7, 2)])
     def test_one_umbilical_structure_call(self, monkeypatch, family, n, m):
         # the whole sample goes through umbilical_structure at once, and
-        # Dupin sends every umbilical point's two leaf neighbours through
-        # one more call
+        # Dupin, read from Codazzi's derivative, needs no second grouping
         imm = immersions.build_immersion(family, n, m=m)
         calls = count_calls(monkeypatch, extrinsic, "umbilical_structure")
         rep = extrinsic.extrinsic_scan(imm, n_points=12)
-        assert calls == [1 + (rep.umbilical_points > 0)]
+        assert calls == [1]
         assert (rep.umbilical_points > 0) == (family == "schwarzschild")
 
 
@@ -633,8 +628,7 @@ class TestFailClosed:
         assert np.all(np.isnan(pe.alpha[1]))
         assert np.all(np.isfinite(np.delete(pe.alpha, 1, axis=0)))
         for res in (*extrinsic.gauss_ricci_residual(imm, pe),
-                    extrinsic.codazzi_residual(imm, pe),
-                    extrinsic.dupin_residual(imm, pe)):
+                    *extrinsic.codazzi_residual(imm, pe)):
             assert math.isnan(res[1])
             assert np.all(np.isfinite(np.delete(res, 1)))
 
@@ -691,6 +685,14 @@ def realization_rows(imm, pe):
     return extrinsic.gauss_ricci_residual(imm, pe)[1]
 
 
+def codazzi_rows(imm, pe):
+    return extrinsic.codazzi_residual(imm, pe)[0]
+
+
+def dupin_rows(imm, pe):
+    return extrinsic.codazzi_residual(imm, pe)[1]
+
+
 # (family, n, m): a rotational immersion with umbilical points and Dupin,
 # and a dim-7 composite whose Codazzi blocks hold two points each
 BATCH_CASES = [("schwarzschild", 5, None), ("flat-torus-composite", 7, 2)]
@@ -730,10 +732,107 @@ def test_codazzi_matches_reference(family, n, m, rho):
     # rounding floor, about eps |alpha| / h
     imm = immersions.build_immersion(family, n, m=m, rho=rho)
     pe = extrinsic.extrinsics_at(imm, geometry.sample_points(imm, 12, seed=5))
-    got = extrinsic.codazzi_residual(imm, pe)
+    got = codazzi_rows(imm, pe)
     want = codazzi_reference(imm, pe)
     assert np.all(want > 0.0)
     assert np.max(np.abs(got - want)) <= 1e-11
+
+
+def dupin_reference(imm, pe, h=extrinsic._STEP):
+    """Dupin as the normal part of eta's velocity along the last chart axis:
+    eta as an ambient vector at the two leaf neighbours of every row, from
+    a second extrinsics_at and umbilical_structure call, differenced
+    centrally."""
+    n = len(pe.x)
+    Y = np.concatenate([pe.x, pe.x])
+    Y[:n, -1] += h
+    Y[n:, -1] -= h
+    nb = extrinsic.extrinsics_at(imm, Y)
+    eta = np.einsum("nc,nca->na", extrinsic.umbilical_structure(nb.alpha).eta,
+                    nb.N)
+    vel = (eta[:n] - eta[n:]) / (2.0 * h)
+    return np.linalg.norm(np.einsum("nca,na->nc", pe.N, vel), axis=1)
+
+
+def leaf_rotated(imm, rate):
+    """imm with H's normal part turned in the oriented normal plane by the
+    angle rate * x_L, L the last chart axis; J is unchanged, so Gauss,
+    realization and the umbilical algebra still hold, but eta turns along
+    the leaf. Codimension 2 only."""
+    def jet_fn(X, fn=imm.jet_fn):
+        v, J, H = fn(X)
+        d = J.shape[2]
+        E = np.linalg.qr(J, mode="complete")[0][:, :, d:]   # normal frame
+        # K turns the normal plane by a right angle, with (J, w, K w)
+        # positively oriented whichever frame E is
+        s = np.sign(np.linalg.det(np.concatenate([J, E], axis=2)))
+        K = s[:, None, None] * (E[:, :, 1:] @ np.swapaxes(E[:, :, :1], 1, 2)
+                                - E[:, :, :1] @ np.swapaxes(E[:, :, 1:], 1, 2))
+        Hn = np.einsum("nxy,nyij->nxij", E @ np.swapaxes(E, 1, 2), H)
+        th = rate * X[:, -1, None, None, None]
+        return v, J, (H + (np.cos(th) - 1.0) * Hn
+                      + np.sin(th) * np.einsum("nxy,nyij->nxij", K, H))
+    return dataclasses.replace(imm, jet_fn=jet_fn)
+
+
+def leaf_stretched(imm, k):
+    """imm in the chart x_L -> x_L + k x_L^2 of its last axis: the same
+    immersed points, with a leaf metric g_LL that varies along the leaf,
+    so Gamma^e_LL alpha_eL = (d_L g_LL / 2) eta no longer vanishes."""
+    def jet_fn(X, fn=imm.jet_fn):
+        Y = X.copy()
+        Y[:, -1] += k * X[:, -1] ** 2
+        v, J, H = fn(Y)
+        s = (1.0 + 2.0 * k * X[:, -1])[:, None]   # d y_L / d x_L
+        H = H.copy()
+        H[:, :, -1, :] *= s[:, :, None]
+        H[:, :, :, -1] *= s[:, :, None]
+        H[:, :, -1, -1] += 2.0 * k * J[:, :, -1]
+        J = J.copy()
+        J[:, :, -1] *= s
+        return v, J, H
+    return dataclasses.replace(imm, jet_fn=jet_fn)
+
+
+# (family, n, m, rho): every member report scans for the umbilical splitting
+DUPIN_MEMBERS = sorted(
+    (family, n, m, rho) for family, row in geometry.FAMILIES.items()
+    if row.u_dim_codim2 for n, m, rho in row.scan)
+
+
+@pytest.mark.parametrize("stretch,bound", [(0.0, 1e-10), (0.1, 1e-7)])
+@pytest.mark.parametrize("family,n,m,rho", DUPIN_MEMBERS)
+def test_dupin_matches_reference(family, n, m, rho, stretch, bound):
+    # in the family's chart both sit at rounding level on the split rows
+    # (at most 1.7e-12 and 4.1e-12), far below Codazzi's 1e-8 truncation
+    # and tol_dupin. Stretched along the leaf, g_LL varies there, and
+    # Dupin needs the Christoffel term Codazzi leaves out: without it this
+    # would read |d_L g_LL| |eta| / (2 g_LL), 2e-2 to 0.26. Both measures
+    # then read central-difference truncation (at most 4.4e-9 and 1.5e-9)
+    imm = leaf_stretched(immersions.build_immersion(family, n, m=m, rho=rho),
+                         stretch)
+    pe = extrinsic.extrinsics_at(imm, geometry.sample_points(imm, 12, seed=5))
+    assert np.all(extrinsic.umbilical_structure(pe.alpha).split)
+    assert np.max(dupin_rows(imm, pe)) <= bound
+    assert np.max(dupin_reference(imm, pe)) <= bound
+
+
+@pytest.mark.parametrize("family,n,rho", [("schwarzschild", 5, None),
+                                          ("clifford", 5, 1.0)])
+def test_dupin_catches_leaf_rotation(family, n, rho):
+    # turning H's normal part by 0.05 x_L makes eta turn along the leaf:
+    # the reference reads 0.05 |eta| (1.5e-2 to 4.4e-2 here), the new
+    # Dupin agrees with it to 3.2e-11 relative (a margin of about 30 under
+    # the bound), and Codazzi reads 3.5e-2 to 6.9e-2 on every row
+    imm = leaf_rotated(immersions.build_immersion(family, n, rho=rho), 0.05)
+    pe = extrinsic.extrinsics_at(imm, geometry.sample_points(imm, 12, seed=5))
+    assert np.all(extrinsic.umbilical_structure(pe.alpha).split)
+    codazzi, dupin = extrinsic.codazzi_residual(imm, pe)
+    want = dupin_reference(imm, pe)
+    assert np.all(want > 1e-2)
+    assert np.max(np.abs(dupin - want) / want) <= 1e-9
+    assert np.min(dupin) > cli.TOLERANCES["tol_dupin"]
+    assert np.min(codazzi) > cli.TOLERANCES["tol_codazzi"]
 
 
 class TestBatching:
@@ -747,9 +846,9 @@ class TestBatching:
         assert np.max(np.abs(pe.alpha - alpha)) <= 1e-12 * np.max(np.abs(alpha))
         # relative tolerance, absolute tolerance; Gauss, Dupin and the
         # profile check sit at the roundoff floor
-        checks = [(extrinsic.codazzi_residual, 1e-12, 0.0),
+        checks = [(codazzi_rows, 1e-12, 0.0),
                   (gauss_rows, 0.0, 1e-12), (realization_rows, 0.0, 1e-12),
-                  (extrinsic.dupin_residual, 0.0, 1e-11)]
+                  (dupin_rows, 0.0, 1e-11)]
         if imm.meta["kind"] == "rotational":
             checks.append((extrinsic.profile_normal_shape_residual, 0.0, 1e-11))
         for fn, rel, tol in checks:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from warpgeo import serialize
 
 
@@ -15,3 +17,13 @@ def test_strings_round_trip_through_json():
     text = serialize.to_json("".join(chars))
     assert all(ord(c) >= 0x20 for c in text)
     assert json.loads(text) == "".join(chars)
+
+
+def test_failed_write_names_the_path_and_leaves_no_temp_file(tmp_path):
+    # os.replace onto a directory fails after the temp file exists
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError) as info:
+        serialize.write_text_atomic(str(target), "x")
+    assert (info.value.filename, info.value.filename2) == (str(target), None)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
