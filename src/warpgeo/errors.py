@@ -53,11 +53,8 @@ class SingularChartPoint(WarpgeoError):
 
 
 class OutOfDomain(WarpgeoError):
-    """Requested evaluation point lies outside the solution's t-interval."""
-
-
-class OutsideDomain(WarpgeoError):
-    """Sample point (with stencil margin) leaves the chart's domain box."""
+    """Requested evaluation point lies outside the solution's t-interval,
+    or a sample (with its stencil margin) outside the chart's domain box."""
 
 
 # -- extrinsic analysis ------------------------------------------------------

@@ -1,9 +1,11 @@
 """Second-fundamental-form analysis of explicit immersions.
 
-Everything runs in orthonormal frames built by QR from exact Jacobians, so
-shape operators are plain symmetric matrices and every reported quantity is
-frame-checked: rotating the normal frame or re-spanning the tangent frame
-must leave residuals, group sizes, and normal forms unchanged.
+Everything runs in orthonormal frames from one complete QR of each exact
+Jacobian, whose first dim columns are the tangent frame and the rest the
+normal frame, so shape operators are plain symmetric matrices and every
+reported quantity is frame-checked: rotating the normal frame or
+re-spanning the tangent frame must leave residuals, group sizes, and
+normal forms unchanged.
 
 The checks split into pointwise algebra (flat normal bundle, umbilical
 substructure, normal forms of shape-operator pairs) and differential
@@ -52,27 +54,6 @@ _TOL_GROUP = 1e-5
 
 # -- frames and second fundamental form ----------------------------------------
 
-def _complete_normals(Q):
-    """Orthonormal bases of the orthogonal complements of span(Q), per row.
-
-    Q has shape (n, ambient, d). Greedy over standard basis vectors, row by
-    row: always take the one with the largest residual after projecting out
-    everything chosen so far. Deterministic, and stable wherever no two
-    residual norms tie.
-    """
-    n, amb, d = Q.shape
-    rows = np.arange(n)
-    P = np.eye(amb) - Q @ np.swapaxes(Q, 1, 2)
-    out = np.empty((n, amb - d, amb))
-    for k in range(amb - d):
-        norms = np.linalg.norm(P, axis=1)
-        i = np.argmax(norms, axis=1)
-        v = P[rows, :, i] / norms[rows, i][:, None]
-        out[:, k] = v
-        P -= v[:, :, None] * (v[:, None, :] @ P)
-    return out
-
-
 @dataclass
 class Extrinsics:
     """Frame data and second fundamental form at rows of chart points.
@@ -113,17 +94,18 @@ def extrinsics_at(imm, X):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     v, J, H = imm.jet(X)
-    Q, R = np.linalg.qr(J)
+    d = J.shape[2]
+    Qc, R = np.linalg.qr(J, mode="complete")
     s = np.sign(np.diagonal(R, axis1=1, axis2=2))
     s[s == 0.0] = 1.0
-    Q = Q * s[:, None, :]
-    R = s[:, :, None] * R
+    Q = Qc[:, :, :d] * s[:, None, :]
+    R = s[:, :, None] * R[:, :d]
     scale = np.maximum(np.max(np.abs(R), axis=(1, 2)), 1.0)
     pivot = np.min(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1)
     if np.any(pivot <= 1e-10 * scale):
         raise RankDeficient("differential is rank-deficient at a sample point")
     B = np.linalg.inv(R)
-    N = _complete_normals(Q)
+    N = np.swapaxes(Qc[:, :, d:], 1, 2)
     a_chart = np.einsum("nca,naij->ncij", N, H)
     alpha = np.swapaxes(B, 1, 2)[:, None] @ a_chart @ B[:, None]
     alpha = 0.5 * (alpha + np.swapaxes(alpha, 2, 3))
@@ -397,7 +379,7 @@ def profile_delta(s):
     w2 = 1.0 - s.dphi ** 2
     if np.any(w2 <= 1e-8):
         raise DegenerateDelta("profile normal degenerates as phi' -> 1")
-    margin = w2 - s.d2phi ** 2
+    margin = warpfunc.embeddability_margin(s.dphi, s.d2phi)
     if np.any(margin < 0.0):
         raise BadRange("no profile exists where the margin is negative")
     dpsi = np.sqrt(np.maximum(margin, 0.0))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sampling, warpfunc
-from .errors import BadDimension, BadRange, OutsideDomain, SingularChartPoint
+from .errors import BadDimension, BadRange, OutOfDomain, SingularChartPoint
 
 _TOL_POLE = 1e-3
 _TOL_WARP_TURNING = 1e-6
@@ -126,14 +126,10 @@ class FiberSpec:
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         k = self.dim
-        carries = np.zeros((k, k))   # carries[a, i]: f_i has sin^2 y_a
-        polar = np.zeros(k, dtype=bool)
-        o = 0
-        for d in self.dims:
-            for j in range(d - 1):
-                carries[o + j, o + j + 1:o + d] = 1.0
-                polar[o + j] = True
-            o += d
+        # carries[a, i]: f_i has sin^2 y_a, a later angle of the same factor
+        factor = np.repeat(np.arange(len(self.dims)), self.dims)
+        carries = np.triu(factor[:, None] == factor, 1)
+        polar = carries.any(axis=1)
         c = np.zeros_like(Y)                    # 2 cot y_a on polar angles
         c[:, polar] = 2.0 * np.cos(Y[:, polar]) / np.sin(Y[:, polar])
         cf = c[:, :, None] * carries * f[:, None, :]
@@ -705,7 +701,7 @@ def sample_points(chart, n_points, seed=0):
     box[:, 0] += 3.0 * _FD_STEP
     box[:, 1] -= 3.0 * _FD_STEP
     if np.any(box[:, 1] <= box[:, 0]):
-        raise OutsideDomain("sample box collapses under the stencil margin")
+        raise OutOfDomain("sample box collapses under the stencil margin")
     return sampling.box(n_points, box, seed=seed)
 
 

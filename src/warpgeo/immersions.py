@@ -1,18 +1,19 @@
 """Explicit isometric immersions into flat space, with exact 2-jets.
 
 Every immersion here returns analytic value, Jacobian, and Hessian arrays
-(no finite differences), assembled by the product rule from three bricks:
-polar jets of round spheres, profile curves driven by a warp solution, and
-base surfaces of the composite construction. The 2-jets feed the extrinsic
-stage, where second fundamental forms are read off directly. Each
-immersion carries the geometry chart it realizes, in the same coordinates.
+(no finite differences), assembled by the product rule from two bricks:
+polar jets of round spheres, and base surfaces, one of them the profile
+surface driven by a warp solution. The 2-jets feed the extrinsic stage,
+where second fundamental forms are read off directly. Each immersion
+carries the geometry chart it realizes, in the same coordinates.
 
-Ambient layout conventions: rotational maps are (psi, phi' sin theta,
-phi' cos theta, phi * F(y)) with F on the unit sphere; composites are
-(w, s sigma h2(y)) where sigma is the last ambient coordinate of the base
-surface and w the rest.
+Ambient layout: every warped product is a composite (w, s sigma h2(y)),
+where sigma is the last ambient coordinate of the base surface and w the
+rest. The rotational map (psi, phi' sin theta, phi' cos theta, phi F(y))
+is the composite over its profile surface, with s = 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -196,64 +197,44 @@ class ProfileTable:
 
 # -- rotational immersions ------------------------------------------------------
 
-def rotational_immersion(chart, rho):
-    """(psi, phi' sin theta, phi' cos theta, phi F(y)) for a unit-sphere F.
+def _profile_base_jet(table, T, U):
+    """2-jet of the profile surface (psi, phi' sin U, phi' cos U, phi) in R^4,
+    whose last axis is the warp phi at T; valid where the embeddability
+    margin is positive and phi' is bounded away from zero."""
+    query = table.query(T)
+    phi, dphi, d2phi, d3phi = query[2]
+    if np.any(np.abs(dphi) < _TOL_TURNING):
+        raise SingularChartPoint("profile radius phi' vanishes")
+    psi, dpsi, d2psi = table.jet_at(T, query)
+    su, cu, z = np.sin(U), np.cos(U), np.zeros_like(T)
+    v = np.stack([psi, dphi * su, dphi * cu, phi], axis=1)
+    # rows are the ambient axes, columns (t, U); the point axis goes first
+    j = np.moveaxis(np.array([
+        [dpsi, z], [d2phi * su, dphi * cu], [d2phi * cu, -dphi * su],
+        [dphi, z]]), -1, 0)
+    h = np.moveaxis(np.array([
+        [[d2psi, z], [z, z]],
+        [[d3phi * su, d2phi * cu], [d2phi * cu, -dphi * su]],
+        [[d3phi * cu, -d2phi * su], [-d2phi * su, -dphi * cu]],
+        [[d2phi, z], [z, z]]]), -1, 0)
+    return v, j, h
 
-    Realizes the WarpedChart dt^2 + phi'^2 dtheta^2 + phi^2 g_F exactly;
-    valid where the embeddability margin is positive and phi' is bounded
-    away from zero.
+
+def rotational_immersion(chart, rho):
+    """(psi, phi' sin theta, phi' cos theta, phi F(y)) for a unit-sphere F,
+    the composite over the profile surface with sigma = phi and s = 1.
+
+    Realizes the WarpedChart dt^2 + phi'^2 dtheta^2 + phi^2 g_F exactly,
+    since psi'^2 = 1 - phi'^2 - phi''^2.
     """
     sol, fiber = chart.warp, chart.fiber
     if abs(fiber.ambient_radius() - 1.0) > 1e-12:
         raise BadRange("rotational construction needs the fiber on the unit sphere")
     table = ProfileTable(sol)
-    dim, amb = chart.dim, 3 + fiber.ambient_dim
-
-    def jet_fn(X):
-        nrow = X.shape[0]
-        t, th = X[:, 0], X[:, 1]
-        query = table.query(t)
-        phi, dphi, d2phi, d3phi = query[2]
-        if np.any(np.abs(dphi) < _TOL_TURNING):
-            raise SingularChartPoint("profile radius phi' vanishes")
-        psi, dpsi, d2psi = table.jet_at(t, query)
-        vf, jf, hf = fiber_jet(fiber, X[:, 2:])
-        st, ct = np.sin(th), np.cos(th)
-
-        v = np.zeros((nrow, amb))
-        v[:, 0] = psi
-        v[:, 1] = dphi * st
-        v[:, 2] = dphi * ct
-        v[:, 3:] = phi[:, None] * vf
-
-        j = np.zeros((nrow, amb, dim))
-        j[:, 0, 0] = dpsi
-        j[:, 1, 0] = d2phi * st
-        j[:, 2, 0] = d2phi * ct
-        j[:, 3:, 0] = dphi[:, None] * vf
-        j[:, 1, 1] = dphi * ct
-        j[:, 2, 1] = -dphi * st
-        j[:, 3:, 2:] = phi[:, None, None] * jf
-
-        h = np.zeros((nrow, amb, dim, dim))
-        h[:, 0, 0, 0] = d2psi
-        h[:, 1, 0, 0] = d3phi * st
-        h[:, 2, 0, 0] = d3phi * ct
-        h[:, 3:, 0, 0] = d2phi[:, None] * vf
-        h[:, 1, 0, 1] = h[:, 1, 1, 0] = d2phi * ct
-        h[:, 2, 0, 1] = h[:, 2, 1, 0] = -d2phi * st
-        h[:, 1, 1, 1] = -dphi * st
-        h[:, 2, 1, 1] = -dphi * ct
-        h[:, 3:, 0, 2:] = dphi[:, None, None] * jf
-        h[:, 3:, 2:, 0] = dphi[:, None, None] * jf
-        h[:, 3:, 2:, 2:] = phi[:, None, None, None] * hf
-        return v, j, h
-
-    return Immersion(
-        label=chart.label, dim=dim, ambient_dim=amb,
-        sample_box=chart.sample_box, jet_fn=jet_fn, rho=rho, chart=chart,
-        meta={"kind": "rotational", "warp": sol, "fiber": fiber,
-              "profile": table},
+    return _warped_product(
+        chart, rho, functools.partial(_profile_base_jet, table), 4,
+        chart.sample_box,
+        {"kind": "rotational", "warp": sol, "fiber": fiber, "profile": table},
     )
 
 
@@ -344,6 +325,45 @@ _BASES = {
 }
 
 
+def _warped_product(chart, rho, base_jet, k, box, meta):
+    """The composite (w, s sigma h2(y)) over the base surface (w, sigma) in
+    R^k whose 2-jet base_jet gives at the first two chart coordinates; h2 is
+    the chart's fiber on the other coordinates, s its inverse ambient radius.
+    """
+    fiber = chart.fiber
+    s = 1.0 / fiber.ambient_radius()
+    dim, amb = chart.dim, (k - 1) + fiber.ambient_dim
+
+    def jet_fn(X):
+        nrow = X.shape[0]
+        vb, jb, hb = base_jet(X[:, 0], X[:, 1])
+        vf, jf, hf = fiber_jet(fiber, X[:, 2:])
+        # s sigma and its first and second derivatives
+        sig, dsig, d2sig = s * vb[:, -1], s * jb[:, -1], s * hb[:, -1]
+
+        v = np.concatenate([vb[:, :-1], sig[:, None] * vf], axis=1)
+
+        j = np.zeros((nrow, amb, dim))
+        j[:, : k - 1, :2] = jb[:, :-1]
+        j[:, k - 1:, 2:] = sig[:, None, None] * jf
+
+        h = np.zeros((nrow, amb, dim, dim))
+        h[:, : k - 1, :2, :2] = hb[:, :-1]
+        h[:, k - 1:, :2, :2] = vf[:, :, None, None] * d2sig[:, None]
+        h[:, k - 1:, 2:, 2:] = sig[:, None, None, None] * hf
+        # per base coordinate: one broadcast over both runs numpy's inner
+        # loops over 2 or 3 entries and takes about twice as long
+        for a in range(2):
+            j[:, k - 1:, a] = dsig[:, a, None] * vf
+            h[:, k - 1:, a, 2:] = h[:, k - 1:, 2:, a] = dsig[:, a, None, None] * jf
+        return v, j, h
+
+    return Immersion(
+        label=chart.label, dim=dim, ambient_dim=amb, sample_box=box,
+        jet_fn=jet_fn, rho=rho, chart=chart, meta=meta,
+    )
+
+
 def warped_composite(base_kind, chart, rho):
     """Replace the last base coordinate sigma by s sigma h2(y).
 
@@ -357,42 +377,12 @@ def warped_composite(base_kind, chart, rho):
     if base_kind not in _BASES:
         raise BadRange("unknown base kind %r" % base_kind)
     base_jet, k, u_rng, base_k = _BASES[base_kind]
-    fiber = chart.fiber
-    s = 1.0 / fiber.ambient_radius()
-    dim, amb = chart.dim, (k - 1) + fiber.ambient_dim
-
-    def jet_fn(X):
-        nrow = X.shape[0]
-        vb, jb, hb = base_jet(X[:, 0], X[:, 1])
-        vf, jf, hf = fiber_jet(fiber, X[:, 2:])
-        w, dw, d2w = vb[:, :-1], jb[:, :-1, :], hb[:, :-1, :, :]
-        sig, dsig, d2sig = vb[:, -1], jb[:, -1, :], hb[:, -1, :, :]
-
-        v = np.zeros((nrow, amb))
-        v[:, : k - 1] = w
-        v[:, k - 1:] = s * sig[:, None] * vf
-
-        j = np.zeros((nrow, amb, dim))
-        j[:, : k - 1, :2] = dw
-        j[:, k - 1:, :2] = s * np.einsum("na,nx->nxa", dsig, vf)
-        j[:, k - 1:, 2:] = s * sig[:, None, None] * jf
-
-        h = np.zeros((nrow, amb, dim, dim))
-        h[:, : k - 1, :2, :2] = d2w
-        h[:, k - 1:, :2, :2] = s * np.einsum("nab,nx->nxab", d2sig, vf)
-        cross = s * np.einsum("na,nxj->nxaj", dsig, jf)
-        h[:, k - 1:, :2, 2:] = cross
-        h[:, k - 1:, 2:, :2] = np.transpose(cross, (0, 1, 3, 2))
-        h[:, k - 1:, 2:, 2:] = s * sig[:, None, None, None] * hf
-        return v, j, h
-
     box = chart.sample_box
     box[1] = u_rng      # the base's own u range, not the chart's theta range
-    return Immersion(
-        label=chart.label, dim=dim, ambient_dim=amb, sample_box=box,
-        jet_fn=jet_fn, rho=rho, chart=chart,
-        meta={"kind": "composite", "base": base_kind, "fiber": fiber,
-              "s": float(s), "base_curvature": base_k},
+    return _warped_product(
+        chart, rho, base_jet, k, box,
+        {"kind": "composite", "base": base_kind, "fiber": chart.fiber,
+         "s": 1.0 / chart.fiber.ambient_radius(), "base_curvature": base_k},
     )
 
 

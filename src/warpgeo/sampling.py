@@ -9,6 +9,8 @@ disturbing the equidistribution.
 
 import numpy as np
 
+from .errors import BadDimension, BadRange
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # leading Halton indices left out of every axis
 _HALTON_SKIP = 20
@@ -31,7 +33,9 @@ def _halton_axis(count, base):
 def unit_box(count, dim, seed=0):
     """count points in [0,1)^dim: Halton plus a seeded rotation mod 1."""
     if dim > len(_PRIMES):
-        raise ValueError("dimension %d exceeds supported maximum" % dim)
+        raise BadDimension("dimension %d exceeds supported maximum" % dim)
+    if seed < 0:
+        raise BadRange("seed must be nonnegative, got %d" % seed)
     pts = np.stack([_halton_axis(count, _PRIMES[j]) for j in range(dim)], axis=1)
     shift = np.random.default_rng(seed).random(dim)
     return np.mod(pts + shift, 1.0)

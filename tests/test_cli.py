@@ -194,11 +194,15 @@ def test_no_evidence_is_config_error(capsys, argv):
     (["verify-intrinsic", "--family", "round", "--n", "5"], {"h": 1e-3}),
     (["verify-intrinsic", "--family", "round-torus-composite", "--n", "7",
       "--m", "2"], {"expect_not_einstein": 0.2}),
+    # sampling takes no negative seed and at most 15 dimensions
+    (["report", "--seed", "-1"], None),
+    (["verify-intrinsic", "--family", "round", "--n", "16"], None),
 ], ids=["flag-type", "unknown-flag", "tolerance-flag", "config-n",
         "config-points", "config-float-for-int", "config-int-for-bool",
         "config-solve", "config-tolerance", "warp-m-flag", "warp-m-config",
         "richardson-flag", "h-flag", "expect-not-einstein-flag",
-        "richardson-config", "h-config", "expect-not-einstein-config"])
+        "richardson-config", "h-config", "expect-not-einstein-config",
+        "negative-seed", "sample-dimension"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     # a malformed flag or config value exits 3 with a config error, neither
     # argparse's 2 (a computation error) nor a traceback's 1 (a failed check)

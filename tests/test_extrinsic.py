@@ -118,6 +118,14 @@ class TestFrames:
         assert np.max(np.abs(N @ N.T - np.eye(2))) < 1e-12
         assert np.max(np.abs(N @ Q)) < 1e-12
         assert pe.dim == 5 and pe.codim == 2
+        # a batch of codimension-3 rows, both frames from one complete QR
+        imm = immersions.extra_codim_immersion(7, 2)
+        pe = extrinsic.extrinsics_at(imm, geometry.sample_points(imm, 6))
+        assert pe.N.shape == (6, 3, 10)
+        eye = np.eye(3)
+        assert np.max(np.abs(pe.N @ np.swapaxes(pe.N, 1, 2) - eye)) < 1e-12
+        assert np.max(np.abs(pe.N @ pe.J)) < 1e-12
+        assert np.max(np.abs(pe.N @ pe.Q)) < 1e-12
 
     def test_b_maps_chart_to_frame(self):
         imm, x = schw_point(5)

@@ -19,7 +19,7 @@ from warpgeo import warpfunc as wf
 from warpgeo.errors import (
     BadDimension,
     BadRange,
-    OutsideDomain,
+    OutOfDomain,
     SingularChartPoint,
 )
 from warp_samples import base_curvature, sample_at
@@ -546,7 +546,7 @@ class TestChartGuards:
         family = family_chart("schwarzschild", 5)
         chart = gm.WarpedChart(warp=family.warp, fiber=family.fiber,
                                t_range=(0.5, 0.501))
-        with pytest.raises(OutsideDomain):
+        with pytest.raises(OutOfDomain):
             gm.sample_points(chart, 4)
 
     def test_nan_metric_fails_closed(self):

@@ -178,7 +178,61 @@ class TestProfileTable:
             im.ProfileTable(sol)
 
 
+def rotational_jet_reference(imm, X):
+    """The rotational 2-jet written out block by block, before the map
+    became the composite over its profile surface."""
+    table, fiber = imm.meta["profile"], imm.meta["fiber"]
+    nrow, dim, amb = X.shape[0], imm.dim, imm.ambient_dim
+    t, th = X[:, 0], X[:, 1]
+    query = table.query(t)
+    phi, dphi, d2phi, d3phi = query[2]
+    psi, dpsi, d2psi = table.jet_at(t, query)
+    vf, jf, hf = im.fiber_jet(fiber, X[:, 2:])
+    st, ct = np.sin(th), np.cos(th)
+
+    v = np.zeros((nrow, amb))
+    v[:, 0] = psi
+    v[:, 1] = dphi * st
+    v[:, 2] = dphi * ct
+    v[:, 3:] = phi[:, None] * vf
+
+    j = np.zeros((nrow, amb, dim))
+    j[:, 0, 0] = dpsi
+    j[:, 1, 0] = d2phi * st
+    j[:, 2, 0] = d2phi * ct
+    j[:, 3:, 0] = dphi[:, None] * vf
+    j[:, 1, 1] = dphi * ct
+    j[:, 2, 1] = -dphi * st
+    j[:, 3:, 2:] = phi[:, None, None] * jf
+
+    h = np.zeros((nrow, amb, dim, dim))
+    h[:, 0, 0, 0] = d2psi
+    h[:, 1, 0, 0] = d3phi * st
+    h[:, 2, 0, 0] = d3phi * ct
+    h[:, 3:, 0, 0] = d2phi[:, None] * vf
+    h[:, 1, 0, 1] = h[:, 1, 1, 0] = d2phi * ct
+    h[:, 2, 0, 1] = h[:, 2, 1, 0] = -d2phi * st
+    h[:, 1, 1, 1] = -dphi * st
+    h[:, 2, 1, 1] = -dphi * ct
+    h[:, 3:, 0, 2:] = dphi[:, None, None] * jf
+    h[:, 3:, 2:, 0] = dphi[:, None, None] * jf
+    h[:, 3:, 2:, 2:] = phi[:, None, None, None] * hf
+    return v, j, h
+
+
 class TestRotationalImmersions:
+    @pytest.mark.parametrize("family,n,m", [
+        ("schwarzschild", 4, None), ("schwarzschild", 5, None),
+        ("schwarzschild", 6, None), ("extra-codim", 7, 2),
+        ("extra-codim", 8, 3)])
+    def test_composite_equals_reference(self, family, n, m):
+        # the composite over the profile surface with s = 1 is the
+        # hand-written rotational map value for value (signed zeros aside)
+        immr = im.build_immersion(family, n, m=m)
+        X = gm.sample_points(immr, 16, seed=3)
+        for got, want in zip(immr.jet(X), rotational_jet_reference(immr, X)):
+            assert np.array_equal(got, want)
+
     def test_pullback_equals_chart_metric(self):
         for n in (4, 5, 6):
             immr = im.schwarzschild_immersion(n)
