@@ -263,20 +263,21 @@ def gauss_ricci_residual(imm, pe):
     Gauss sets extrinsic Ricci against the chart's intrinsic Ricci by
     independent routes: the left side is the immersion's jets and frame
     algebra, the right side never sees the ambient space (the chart's
-    exact metric jet through geometry.curvature_from_jet, one metric_jet
-    call per block of geometry._blocks). Ricci cannot see a round factor's
-    radius, so the same chart jet also gives realization: the worst of
-    |J^T J - g| and |d_k (J^T J) - d_k g| over 1 + max |g|, with
+    diagonal jet through geometry.diagonal_curvature, one metric_jet call
+    per block of geometry._blocks). Ricci cannot see a round factor's
+    radius, so the same jet, made dense to compare, gives realization:
+    the worst of |J^T J - g| and |d_k (J^T J) - d_k g| over 1 + max |g|, with
     d_k (J^T J)_ij = H_ki^T J_j + J_i^T H_kj from the jet pe holds.
     """
     def block(s):
-        g, dg, d2g = imm.chart.metric_jet(pe.x[s])
+        f, df, d2f = imm.chart.metric_jet(pe.x[s])
+        g, dg = geometry._on_diagonal(f), geometry._on_diagonal(df)
         J = pe.J[s]
         dgi = pe.H[s].transpose(0, 2, 3, 1) @ J[:, None]   # H_ki^T J_j
         gap = np.maximum(
             geometry._row_max(np.swapaxes(J, 1, 2) @ J - g),
             np.max(np.abs(dgi + np.swapaxes(dgi, 2, 3) - dg), axis=(1, 2, 3)))
-        return (geometry.curvature_from_jet(g, dg, d2g)[1],
+        return (geometry.diagonal_curvature(f, df, d2f, [], [])[0],
                 gap / (1.0 + geometry._row_max(g)))
 
     ric, realization = (np.concatenate(a) for a in zip(*(

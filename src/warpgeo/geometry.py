@@ -3,18 +3,15 @@
 A chart is anything with a dim, a sample_box of shape (dim, 2), and a
 metric_batch taking (N, dim) points to (N, dim, dim) metric matrices. Three
 implementations live here: products of round spheres, warped products over a
-rotational base, and pullbacks of explicit immersions. The first two also
-have metric_jet, the metric with its first and second coordinate derivatives
-in closed form: the warp's derivatives come from one dense-output call and
-the fiber's from its sin^2 products. A chart without one, such as a pullback
-or a user chart, gets the same triple from metric_jet_fd, central stencils
-over one metric_batch call per block of points. Either triple goes through
-curvature_from_jet, the one place that assembles Christoffel symbols and
-Ricci (contracted from the jet, so a block peaks near d**4 + 6 d**3 entries
-a point), so every chart gets Einstein verification through one core and
-the stencils, at the one step _FD_STEP, remain as a cross-check of the
-exact path. verify_einstein only measures; the command line judges its
-report by the chart's family row.
+rotational base, and pullbacks of explicit immersions. The first two are
+diagonal; their metric_jet gives the diagonal with its first and second
+derivatives in closed form (the warp's from one dense-output call, the
+fiber's from its sin^2 products), and diagonal_curvature contracts that in
+d**3 entries a point. A chart without one gets the dense jet from
+metric_jet_fd, central stencils at the one step _FD_STEP, which
+curvature_from_jet contracts in d**4 entries a point, so the stencils
+cross-check the exact path through an independent contraction.
+verify_einstein only measures; the command line judges by the family row.
 
 FAMILIES is the family table: one row per model geometry, from which every
 chart and immersion, every command-line --family choice and every `report`
@@ -116,6 +113,13 @@ class FiberSpec:
             o += d
         return out
 
+    @functools.cached_property
+    def _carries(self):
+        # carries[a, i]: f_i has sin^2 y_a, a later angle of the same factor
+        factor = np.repeat(np.arange(len(self.dims)), self.dims)
+        carries = np.triu(factor[:, None] == factor, 1)
+        return carries, carries.any(axis=1)
+
     def metric_diag_jet(self, Y, f):
         """First and second angle derivatives of f = metric_diag(Y).
 
@@ -125,17 +129,13 @@ class FiberSpec:
         Returns df[:, a, i] and d2f[:, a, b, i]; a NaN in f reaches both.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        k = self.dim
-        # carries[a, i]: f_i has sin^2 y_a, a later angle of the same factor
-        factor = np.repeat(np.arange(len(self.dims)), self.dims)
-        carries = np.triu(factor[:, None] == factor, 1)
-        polar = carries.any(axis=1)
+        carries, polar = self._carries
         c = np.zeros_like(Y)                    # 2 cot y_a on polar angles
         c[:, polar] = 2.0 * np.cos(Y[:, polar]) / np.sin(Y[:, polar])
         cf = c[:, :, None] * carries * f[:, None, :]
         cm = c[:, :, None] * carries
         d2f = cm[:, :, None, :] * cf[:, None, :, :]
-        idx = np.arange(k)
+        idx = np.arange(self.dim)
         d2f[:, idx, idx, :] = (0.5 * c * c - 2.0)[:, :, None] * carries * f[:, None, :]
         return cf, d2f
 
@@ -217,15 +217,12 @@ class ProductChart:
         return _on_diagonal(self.fiber.metric_diag(X))
 
     def metric_jet(self, X):
-        """(g, dg, d2g) at rows X, dg[:, a] = d_a g, d2g[:, a, b] = d_a d_b g.
-
-        Every derivative is a multiple of a diagonal entry of metric_batch,
-        so whatever metric_batch returns, a NaN included, reaches all three.
-        """
+        """Diagonal jet (f, df, d2f) at rows X: f is metric_batch's diagonal,
+        df[:, a, i] = d_a f_i and d2f[:, a, b, i] = d_a d_b f_i, multiples of
+        f, so whatever metric_batch returns, a NaN included, reaches all."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        g = self.metric_batch(X)
-        df, d2f = self.fiber.metric_diag_jet(X, np.diagonal(g, axis1=1, axis2=2))
-        return g, _on_diagonal(df), _on_diagonal(d2f)
+        f = np.diagonal(self.metric_batch(X), axis1=1, axis2=2)
+        return (f, *self.fiber.metric_diag_jet(X, f))
 
 
 @dataclass
@@ -253,8 +250,8 @@ class WarpedChart:
         box.extend(self.fiber.angle_box())
         return np.asarray(box, dtype=float)
 
-    def _metric(self, X):
-        """Metric at rows X with the warp samples and fiber diagonal it used."""
+    def _diag(self, X):
+        """Diagonal at rows X, with the warp samples and the fiber diagonal."""
         phi, dphi, d2phi, d3phi = self.warp.samples_at(X[:, 0])
         if np.any(np.abs(dphi) < _TOL_WARP_TURNING):
             raise SingularChartPoint(
@@ -264,21 +261,22 @@ class WarpedChart:
         diag = np.ones((X.shape[0], self.dim))
         diag[:, 1] = dphi * dphi
         diag[:, 2:] = (phi * phi)[:, None] * fdiag
-        return _on_diagonal(diag), phi, dphi, d2phi, d3phi, fdiag
+        return diag, phi, dphi, d2phi, d3phi, fdiag
 
     def metric_batch(self, X):
-        return self._metric(np.atleast_2d(np.asarray(X, dtype=float)))[0]
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return _on_diagonal(self._diag(X)[0])
 
     def metric_jet(self, X):
-        """(g, dg, d2g) at rows X from one dense-output call of the warp.
+        """ProductChart's diagonal jet, from one dense-output call of the warp.
 
         phi'' and phi''' come with phi and phi' from samples_at, which takes
         them from the structural equation; theta enters no metric entry.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        g, phi, dphi, d2phi, d3phi, f = self._metric(X)
+        diag, phi, dphi, d2phi, d3phi, f = self._diag(X)
         df, d2f = self.fiber.metric_diag_jet(X[:, 2:], f)
-        n, d = g.shape[:2]
+        n, d = diag.shape
         pp = (phi * phi)[:, None, None]
         mixed = (2.0 * phi * dphi)[:, None, None] * df   # d_t d_a (phi^2 f)
         ddiag = np.zeros((n, d, d))
@@ -291,7 +289,7 @@ class WarpedChart:
         dd[:, 0, 2:, 2:] = mixed
         dd[:, 2:, 0, 2:] = mixed
         dd[:, 2:, 2:, 2:] = pp[..., None] * d2f
-        return g, _on_diagonal(ddiag), _on_diagonal(dd)
+        return diag, ddiag, dd
 
 
 @dataclass
@@ -344,19 +342,20 @@ def _block_slices(n, per_point):
 def _blocks(chart, n, fd):
     """Slices splitting n points of chart into blocks within the budget.
 
-    An exact block peaks in curvature_from_jet, as tracemalloc reads it,
-    at d**4 + 6 d**3 entries a point (the jet and d**3 intermediates, at
-    dims 5 to 7) plus one ufunc buffer of np.getbufsize() entries. The
-    count adds one d**4 and two d**3: blocks sized to the bare peak grow
-    their arrays past the sizes glibc reuses. A finite-difference block
-    first holds the chart at 2 d**2 + 1 stencil rows a point: d**2 entries
-    a row, 2 ambient d**2 on a pullback, whose jet holds a Hessian too.
+    An exact block peaks in diagonal_curvature, as tracemalloc reads it, at
+    5.3 to 6.3 d**3 entries a point (dims 5 to 8) plus one ufunc buffer of
+    np.getbufsize() entries, and counts 8 d**3. A finite-difference block
+    peaks at d**4 + 6 d**3 in curvature_from_jet and counts 2 d**4 + 8 d**3
+    (blocks sized to a bare peak outgrow the sizes glibc reuses), after the
+    chart's 2 d**2 + 1 stencil rows a point of d**2, or 2 ambient d**2 on a
+    pullback, whose jet holds a Hessian.
     """
     d = chart.dim
+    if not fd:
+        return _block_slices(n, 8 * d ** 3)
     imm = getattr(chart, "immersion", None)
     row = 2 * imm.ambient_dim * d * d if imm else d * d
-    stencil = (2 * d * d + 1) * row if fd else 0
-    return _block_slices(n, 2 * d ** 4 + 8 * d ** 3 + stencil)
+    return _block_slices(n, 2 * d ** 4 + 8 * d ** 3 + (2 * d * d + 1) * row)
 
 
 def _stencil(d, h):
@@ -412,8 +411,8 @@ def _lowered(dg):
 def curvature_from_jet(g, dg, d2g):
     """Christoffel symbols and Ricci of a metric jet, contracted directly.
 
-    Takes (g, dg, d2g) with a leading batch axis, as metric_jet and
-    metric_jet_fd return them, and gives (gamma, ricci, ricci_sym_defect)
+    Takes (g, dg, d2g) with a leading batch axis, as metric_jet_fd returns
+    them, and gives (gamma, ricci, ricci_sym_defect)
     with the same axis. gamma[:, k, i, j] = Gamma^k_{ij}. Ric_bd = g^ac R_abcd,
     R_abcd as in riemann_entries, is contracted term by term, each term of
     d2g a batched matmul over a view of it:
@@ -460,6 +459,37 @@ def riemann_entries(dg, d2g, gamma, a, b, c, d):
     return (0.5 * (d2g[:, b, c, a, d] + d2g[:, a, d, b, c]
                    - d2g[:, b, d, a, c] - d2g[:, a, c, b, d])
             + quad[0] - quad[1])
+
+
+def diagonal_curvature(f, df, d2f, I, J):
+    """(ricci, ricci_sym_defect, sectionals of the planes (I, J)) of a
+    diagonal jet as metric_jet gives it, in arrays of d**3 entries a point:
+    curvature_from_jet's terms at g^ac = delta_ac / f_a, T1_bd = d2f[b, d, d]
+    / f_d and T2_bd = d2f[b, d, b] / f_b (not T1's transpose, so a skew jet
+    shows), and riemann_entries' R_IJIJ = -(d2f[J, J, I] + d2f[I, I, J]) / 2
+    + Gamma_{p,JI} Gamma^p_IJ - Gamma_{p,JJ} Gamma^p_II over f_I f_J.
+    """
+    n, d = f.shape
+    w = 1.0 / f                                   # g^aa
+    low = _lowered(_on_diagonal(df))
+    gamma = low * w[:, :, None, None]
+    ric = np.diagonal(d2f, axis1=2, axis2=3) * w[:, None, :]          # T1
+    ric += np.diagonal(d2f, axis1=1, axis2=3).transpose(0, 2, 1) * w[..., None]
+    ric -= (d2f @ w[:, None, :, None])[..., 0]                        # T3
+    t4 = np.diagonal(d2f, axis1=1, axis2=2) @ w[..., None]
+    ric -= _on_diagonal(t4[..., 0])
+    ric *= 0.5
+    # Q1 = g^ac Gamma_{p,bc} Gamma^p_ad, Q2 = Gamma_{p,bd} g^ac Gamma^p_ac
+    m = (low * w[:, None, None, :]).transpose(0, 2, 1, 3).reshape(n, d, -1)
+    ric += m @ gamma.reshape(n, -1, d)
+    v = np.diagonal(gamma, axis1=2, axis2=3) @ w[..., None]
+    ric -= (np.swapaxes(v, 1, 2) @ low.reshape(n, d, -1)).reshape(n, d, d)
+    ric_t = ric.transpose(0, 2, 1)
+    defect = np.max(np.abs(ric - ric_t), axis=(1, 2))
+    secs = (np.sum(low[:, :, J, I] * gamma[:, :, I, J]
+                   - low[:, :, J, J] * gamma[:, :, I, I], axis=1)
+            - 0.5 * (d2f[:, J, J, I] + d2f[:, I, I, J])) / (f[:, I] * f[:, J])
+    return 0.5 * (ric + ric_t), defect, secs
 
 
 @dataclass
@@ -709,13 +739,13 @@ def verify_einstein(chart, rho, n_points=24, seed=0, fd_gap=False):
     """Sample the chart and measure its Einstein defect pointwise; it
     judges nothing.
 
-    The defect at a point is max |Ric - rho g| / (1 + max |g|). The chart's
-    metric_jet gives the curvature where it has one (provenance
-    "analytic-jet"), metric_jet_fd at step _FD_STEP where not
-    ("finite-difference"). fd_gap=True gives fd_gap_max, the largest
-    |Ric_FD - Ric| / (1 + max |g|) of the stencils against the exact jet;
-    they run after the pass in their own stencil-sized blocks and compare
-    with its Ricci rows, so the exact jet is evaluated once a point.
+    The defect at a point is max |Ric - rho g| / (1 + max |g|), from
+    diagonal_curvature of the chart's metric_jet where it has one
+    (provenance "analytic-jet"), else from curvature_from_jet of
+    metric_jet_fd ("finite-difference"). fd_gap=True gives fd_gap_max, the
+    largest |Ric_FD - Ric| / (1 + max |g|) of the stencils and their own
+    contraction against the exact pass, run after it in stencil-sized blocks
+    against its Ricci rows, so the exact jet is evaluated once a point.
     """
     pts = sample_points(chart, n_points, seed=seed)
     d = chart.dim
@@ -730,10 +760,15 @@ def verify_einstein(chart, rho, n_points=24, seed=0, fd_gap=False):
 
     def block(X):
         # one block's arrays die when this returns, before the next block's
-        g, dg, d2g = jet(X) if jet else metric_jet_fd(chart, X)
-        gamma, ric, sym = curvature_from_jet(g, dg, d2g)
-        secs = (riemann_entries(dg, d2g, gamma, I, J, I, J)
-                / (g[:, I, I] * g[:, J, J] - g[:, I, J] ** 2))
+        if jet:
+            f, df, d2f = jet(X)
+            ric, sym, secs = diagonal_curvature(f, df, d2f, I, J)
+            g = _on_diagonal(f)
+        else:
+            g, dg, d2g = metric_jet_fd(chart, X)
+            gamma, ric, sym = curvature_from_jet(g, dg, d2g)
+            secs = (riemann_entries(dg, d2g, gamma, I, J, I, J)
+                    / (g[:, I, I] * g[:, J, J] - g[:, I, J] ** 2))
         scale = 1.0 + _row_max(g)
         return (_row_max(ric - rho * g) / scale, sym, secs.ravel(), ric, scale)
 

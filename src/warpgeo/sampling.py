@@ -16,27 +16,20 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _HALTON_SKIP = 20
 
 
-def _halton_axis(count, base):
-    out = np.empty(count)
-    for i in range(count):
-        k = i + _HALTON_SKIP
-        f = 1.0
-        r = 0.0
-        while k > 0:
-            f /= base
-            r += f * (k % base)
-            k //= base
-        out[i] = r
-    return out
-
-
 def unit_box(count, dim, seed=0):
     """count points in [0,1)^dim: Halton plus a seeded rotation mod 1."""
     if dim > len(_PRIMES):
         raise BadDimension("dimension %d exceeds supported maximum" % dim)
     if seed < 0:
         raise BadRange("seed must be nonnegative, got %d" % seed)
-    pts = np.stack([_halton_axis(count, _PRIMES[j]) for j in range(dim)], axis=1)
+    # radical inverses of the indices from _HALTON_SKIP, a digit a step
+    k = np.arange(_HALTON_SKIP, _HALTON_SKIP + count)[:, None].repeat(dim, 1)
+    base, f = np.array(_PRIMES[:dim]), np.ones(dim)
+    pts = np.zeros((count, dim))
+    while k.any():
+        f /= base
+        pts += f * (k % base)
+        k //= base
     shift = np.random.default_rng(seed).random(dim)
     return np.mod(pts + shift, 1.0)
 

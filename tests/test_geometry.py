@@ -6,6 +6,7 @@ Einstein checks then cross-validate ODE-level predictions (base curvature,
 fiber constants) against curvature computed purely from chart metrics.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -209,11 +210,16 @@ def every_family_chart():
             yield family_chart(family, n, m=m, rho=rho)
 
 
+def dense(jet):
+    """The dense (g, dg, d2g) of a diagonal jet (f, df, d2f)."""
+    return tuple(gm._on_diagonal(a) for a in jet)
+
+
 class TestMetricJet:
     def test_jet_is_the_metric_and_its_stencil_limit(self, monkeypatch):
         for chart in every_family_chart():
             X = gm.sample_points(chart, 6, seed=1)
-            g, dg, d2g = chart.metric_jet(X)
+            g, dg, d2g = dense(chart.metric_jet(X))
             assert np.array_equal(g, chart.metric_batch(X)), chart.label
             gaps = []
             for h in (2e-3, 1e-3):
@@ -229,12 +235,12 @@ class TestMetricJet:
                 assert 3.5 < coarse / fine < 4.5, chart.label
 
     def test_blocks_match_row_by_row(self, monkeypatch):
-        # point counts that are not multiples of the block (36 points at
-        # dim 5 and 10 at dim 7 exact, 4 at dim 5 by finite differences); rho
+        # point counts that are not multiples of the block (81 points at
+        # dim 5 and 29 at dim 7 exact, 4 at dim 5 by finite differences); rho
         # is off by one so the residual is O(1) and a relative bound means
         # something
-        cases = ((family_chart("round", 5), 5.0, 45),
-                 (family_chart("extra-codim", 7, m=2), 1.0, 13),
+        cases = ((family_chart("round", 5), 5.0, 100),
+                 (family_chart("extra-codim", 7, m=2), 1.0, 35),
                  (gm.PullbackChart(immersions.schwarzschild_immersion(5)),
                   1.0, 5))
         # every coordinate plane, so the sectional range is the full one
@@ -243,64 +249,89 @@ class TestMetricJet:
             rep = gm.verify_einstein(chart, rho, n_points=n, seed=3)
             assert rep.n_points == n
             d = chart.dim
+            I, J = np.triu_indices(d, 1)
             jet = getattr(chart, "metric_jet", None)
             resids, syms, secs = [], [], []
             for x in gm.sample_points(chart, n, seed=3):
-                g, dg, d2g = (jet(x[None]) if jet
-                              else gm.metric_jet_fd(chart, x[None]))
-                gamma, ric, sym = gm.curvature_from_jet(g, dg, d2g)
-                riem = gm.riemann_entries(dg, d2g, gamma,
-                                          *np.ix_(*[range(d)] * 4))
-                g, riem, ric = g[0], riem[0], ric[0]
+                if jet:
+                    f, df, d2f = jet(x[None])
+                    ric, sym, sec = gm.diagonal_curvature(f, df, d2f, I, J)
+                    g = gm._on_diagonal(f)
+                else:
+                    g, dg, d2g = gm.metric_jet_fd(chart, x[None])
+                    gamma, ric, sym = gm.curvature_from_jet(g, dg, d2g)
+                    sec = (gm.riemann_entries(dg, d2g, gamma, I, J, I, J)
+                           / (g[:, I, I] * g[:, J, J] - g[:, I, J] ** 2))
+                g, ric = g[0], ric[0]
                 resids.append(np.max(np.abs(ric - rho * g))
                               / (1.0 + np.max(np.abs(g))))
                 syms.append(sym[0])
-                secs += [riem[i, j, i, j] / (g[i, i] * g[j, j] - g[i, j] ** 2)
-                         for i in range(d) for j in range(i + 1, d)]
+                secs.extend(sec[0])
             assert rep.einstein_max == pytest.approx(max(resids), rel=1e-12)
             assert rep.sectional_min == pytest.approx(min(secs), rel=1e-12)
             assert rep.sectional_max == pytest.approx(max(secs), rel=1e-12)
             assert rep.ricci_sym_max == pytest.approx(max(syms), abs=1e-14)
 
     @pytest.mark.parametrize("chart,n,fd_gap", [
-        (family_chart("round", 5), 45, True),
-        (family_chart("extra-codim", 7, m=2), 13, True),
+        (family_chart("round", 5), 100, True),
+        (family_chart("extra-codim", 7, m=2), 35, True),
         (gm.PullbackChart(immersions.schwarzschild_immersion(5)), 5, False),
     ], ids=["exact-dim5", "exact-dim7", "pullback-dim5"])
     def test_blocks_stay_within_budget(self, monkeypatch, chart, n, fd_gap):
         # every block-sized array alive at a block's peak counts against the
         # budget, so no call's memory peak outgrows it; the exact pass and
-        # the stencils each span several blocks and cover every point once
-        calls = []
-        core = gm.curvature_from_jet
+        # the stencils each span several blocks and cover every point once,
+        # and each pass's peak is read on its own
+        calls = {"exact": [], "fd": []}
+        peaks = []
+        exact, fd, stencils = (gm.diagonal_curvature, gm.curvature_from_jet,
+                               gm.metric_jet_fd)
 
-        def sized(g, dg, d2g):
-            calls.append(len(g))
-            return core(g, dg, d2g)
+        def sized_exact(f, *rest):
+            calls["exact"].append(len(f))
+            return exact(f, *rest)
 
-        monkeypatch.setattr(gm, "curvature_from_jet", sized)
+        def sized_fd(g, dg, d2g):
+            calls["fd"].append(len(g))
+            return fd(g, dg, d2g)
+
+        def first_stencils(chart, X):
+            if calls["exact"] and not calls["fd"]:
+                # the exact pass is over: its peak, then the stencils'
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+            return stencils(chart, X)
+
+        monkeypatch.setattr(gm, "diagonal_curvature", sized_exact)
+        monkeypatch.setattr(gm, "curvature_from_jet", sized_fd)
+        monkeypatch.setattr(gm, "metric_jet_fd", first_stencils)
         tracemalloc.start()
         try:
             rep = gm.verify_einstein(chart, 1.0, n_points=n, seed=3,
                                      fd_gap=fd_gap)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * gm._BLOCK_ELEMENTS
-        # and an overestimated count per point cannot quietly shrink blocks
-        assert peak >= 4 * gm._BLOCK_ELEMENTS
-        passes = 1 + fd_gap
-        assert sum(calls) == passes * n == passes * rep.n_points
-        assert len(calls) >= 2 * passes
+        assert len(peaks) == 1 + fd_gap
+        for peak in peaks:
+            assert peak <= 8 * gm._BLOCK_ELEMENTS
+            # and an overestimated count per point cannot quietly shrink
+            # blocks
+            assert peak >= 4 * gm._BLOCK_ELEMENTS
+        # the exact charts run both passes, the pullback the stencils alone
+        assert bool(calls["exact"]) == fd_gap
+        for sizes in [calls["fd"]] + ([calls["exact"]] if fd_gap else []):
+            assert sum(sizes) == n == rep.n_points
+            assert len(sizes) >= 2
 
     def test_fd_gap_is_the_stencil_error(self, monkeypatch):
         chart, rho = gm.chart_for_family("round", 5)
         rep = gm.verify_einstein(chart, rho, n_points=8, seed=2, fd_gap=True)
         pts = gm.sample_points(chart, 8, seed=2)
         assert np.array_equal(rep.points, pts)
-        g, dg, d2g = chart.metric_jet(pts)
-        exact = gm.curvature_from_jet(g, dg, d2g)[1]
-        scale = 1.0 + np.max(np.abs(g), axis=(1, 2))
+        f, df, d2f = chart.metric_jet(pts)
+        exact = gm.diagonal_curvature(f, df, d2f, [], [])[0]
+        scale = 1.0 + np.max(np.abs(f), axis=1)
 
         def gap(h):
             monkeypatch.setattr(gm, "_FD_STEP", h)
@@ -316,6 +347,27 @@ class TestMetricJet:
         pull = gm.PullbackChart(immersions.schwarzschild_immersion(5))
         with pytest.raises(BadRange):
             gm.verify_einstein(pull, 0.0, n_points=2, fd_gap=True)
+
+    def test_fd_gap_catches_a_wrong_exact_core(self, capsys, monkeypatch):
+        # the stencils reach Ricci through curvature_from_jet, a contraction
+        # of their own, so a diagonal core with Q2's sign flipped fails every
+        # fd-gap check of `report` while the dense core stays as it is
+        core, dense_core = gm.diagonal_curvature, gm.curvature_from_jet
+
+        def q2_flipped(f, df, d2f, I, J):
+            ric, defect, secs = core(f, df, d2f, I, J)
+            low = gm._lowered(gm._on_diagonal(df))
+            v = np.einsum("npaa,na->np", low, 1.0 / f) / f
+            q2 = np.einsum("npbd,np->nbd", low, v)
+            return ric + 2.0 * q2, defect, secs
+
+        monkeypatch.setattr(gm, "diagonal_curvature", q2_flipped)
+        code = cli.main(["report", "--seed", "0"])
+        doc = json.loads(capsys.readouterr().out)
+        assert gm.curvature_from_jet is dense_core
+        gaps = [c for c in doc["checks"] if c["name"].startswith("fd-gap-")]
+        assert len(gaps) == 11 and code == 1
+        assert all(c["status"] == "fail" for c in gaps)
 
 
 def curvature_reference(g, dg, d2g):
@@ -337,12 +389,18 @@ def curvature_reference(g, dg, d2g):
     return riem, 0.5 * (ric + ric_t), defect
 
 
-def reference_jets():
+def member_jets():
+    """The diagonal jet of every `report` member at 9 points."""
     for family, row in gm.FAMILIES.items():
         for n, m, rho in row.report:
             chart = family_chart(family, n, m=m, rho=rho)
             X = gm.sample_points(chart, 9, seed=4)
             yield pytest.param(chart.metric_jet(X), id=chart.label)
+
+
+def reference_jets():
+    for param in member_jets():
+        yield pytest.param(dense(param.values[0]), id=param.id)
     pull = gm.PullbackChart(immersions.schwarzschild_immersion(5))
     X = gm.sample_points(pull, 3, seed=4)
     yield pytest.param(gm.metric_jet_fd(pull, X), id="pullback")
@@ -368,11 +426,36 @@ def test_curvature_matches_reference(jet):
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
+def diagonal_jets():
+    yield from member_jets()
+    # d2f[:, a, b, i] != d2f[:, b, a, i]: T2 is not T1's transpose
+    rng = np.random.default_rng(5)
+    yield pytest.param((rng.uniform(0.5, 2.0, size=(5, 6)),
+                        rng.normal(size=(5, 6, 6)),
+                        rng.normal(size=(5, 6, 6, 6))), id="random-diagonal")
+
+
+@pytest.mark.parametrize("jet", diagonal_jets())
+def test_diagonal_core_matches_dense(jet):
+    # the diagonal core against the dense one on the expanded jet: Ricci,
+    # its symmetry defect, and the sectionals of every coordinate plane
+    I, J = np.triu_indices(jet[0].shape[1], 1)
+    g, dg, d2g = dense(jet)
+    gamma, ric, defect = gm.curvature_from_jet(g, dg, d2g)
+    secs = (gm.riemann_entries(dg, d2g, gamma, I, J, I, J)
+            / (g[:, I, I] * g[:, J, J]))
+    got = gm.diagonal_curvature(*jet, I, J)
+    for got, want in zip(got, (ric, defect, secs)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
 class SkewedJet:
-    """The round n5 chart with d_0 d_1 g_12 raised by eps and d_1 d_0 g_12
-    left alone. On its diagonal metric only g^ac g_ad,bc sees the skew and
-    g^ac g_bc,ad does not, so taking the second as the transpose of the
-    first would symmetrize the defect away."""
+    """The round n5 chart with d_0 d_1 f_0 and d_0 d_1 f_2 raised by eps
+    and their d_1 d_0 partners left alone. The first skew reaches Ricci
+    through T2 and T3 alone and cancels there, but not where T2 is taken as
+    T1's transpose; the second reaches T3 alone, so Ric_01 - Ric_10 is
+    eps / (2 f_2)."""
 
     def __init__(self, eps):
         self.base, self.rho = gm.chart_for_family("round", 5)
@@ -383,16 +466,19 @@ class SkewedJet:
         return self.base.metric_batch(X)
 
     def metric_jet(self, X):
-        g, dg, d2g = self.base.metric_jet(X)
-        d2g[:, 0, 1, 1, 2] += self.eps
-        d2g[:, 0, 1, 2, 1] += self.eps
-        return g, dg, d2g
+        f, df, d2f = self.base.metric_jet(X)
+        d2f[:, 0, 1, 0] += self.eps
+        d2f[:, 0, 1, 2] += self.eps
+        return f, df, d2f
 
 
 def test_asymmetric_derivative_pair_fails_closed():
     chart = SkewedJet(1e-3)
     rep = gm.verify_einstein(chart, chart.rho, n_points=6)
     assert rep.ricci_sym_max > cli.TOLERANCES["tol_ricci_sym"]
+    f = chart.metric_jet(rep.points)[0]
+    assert rep.ricci_sym_max == pytest.approx(
+        np.max(0.5 * chart.eps / f[:, 2]), rel=1e-9)
 
 
 class TestSpaceFormCharts:
