@@ -44,7 +44,7 @@ TOLERANCES = {
     "tol_codazzi": 1e-6,
     "tol_dupin": 1e-4,
     "tol_profile": 1e-6,
-    "tol_form": 1e-6,
+    "tol_form": extrinsic.TOL_FORM,
     "tol_solver": 1e-12,
     "tol_pullback_analytic": 1e-8,
     "tol_pullback_quadrature": 1e-6,
@@ -270,8 +270,7 @@ def _intrinsic_checks(rep, row, chart, floor=None, label=None):
     if row.defect_floor is not None:
         t = rep.points[:, 0]
         gap = geometry.fiber_constant_residual(
-            chart.warp.params,
-            warpfunc.WarpSample(t, *chart.warp.samples_at(t)), chart.fiber)
+            chart.warp.params, chart.warp.samples_at(t), chart.fiber)
         add("fiber-constant", "fiber-constant", np.min(np.abs(gap)),
             row.defect_floor, "structural-equation", "min")
     add("ricci-symmetry", "ricci-sym", rep.ricci_sym_max,
@@ -442,7 +441,7 @@ _CLASSIFY_DEFAULTS = {
 def cmd_classify_appendix(cfg):
     imm = immersions.build_immersion(**_member(cfg))
     pts = geometry.sample_points(imm, cfg["points"], seed=cfg["seed"])
-    forms = extrinsic.classify_rows(imm, pts, tol=TOLERANCES["tol_form"])
+    forms = extrinsic.classify_rows(imm, pts)
     kinds = [form.kind for form in forms]
     eps_vals = {form.eps for form in forms if form.kind == "epsilon"}
     worst = float(np.max([form.residual for form in forms]))

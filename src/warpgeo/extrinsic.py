@@ -50,6 +50,8 @@ _STEP = 1e-4
 _TOL_EIGENBASIS = 1e-7
 # relative gap below which principal curvature vectors share a group
 _TOL_GROUP = 1e-5
+# relative zero-slot test and residual bound of the normal forms
+TOL_FORM = 1e-6
 
 
 # -- frames and second fundamental form ----------------------------------------
@@ -397,7 +399,7 @@ def profile_normal_shape_residual(imm, pe):
     if imm.meta.get("kind") != "rotational":
         raise BadRange("profile normal exists only for rotational immersions")
     t, th = pe.x[:, 0], pe.x[:, 1]
-    s = warpfunc.WarpSample(t, *imm.meta["warp"].samples_at(t))
+    s = imm.meta["warp"].samples_at(t)
     a, b, c = profile_delta(s)
     delta = np.zeros((len(t), imm.ambient_dim))
     delta[:, 0] = a
@@ -464,7 +466,7 @@ def _pairing(vals, i, j, k, l, eps):
     return max(abs(vals[i] - eps * vals[j]), abs(vals[k] - eps * vals[l]))
 
 
-def shape_operator_normal_form(A1, A2, tol=1e-6):
+def shape_operator_normal_form(A1, A2):
     """Classify a commuting 4x4 shape-operator pair by gauge rotation.
 
     The slots are the pair's principal curvatures, read from the same
@@ -488,7 +490,7 @@ def shape_operator_normal_form(A1, A2, tol=1e-6):
         cb, sb = math.cos(beta), math.sin(beta)
         e1 = cb * d1 + sb * d2
         e2 = -sb * d1 + cb * d2
-        zeros = int(np.sum(np.abs(e2) <= tol * scale))
+        zeros = int(np.sum(np.abs(e2) <= TOL_FORM * scale))
         cand = (zeros, -k, beta, e1, e2)
         if best is None or cand[:2] > best[:2]:
             best = cand
@@ -537,24 +539,31 @@ def solve_normal_form_relations(a, b, c, d):
     """Recover (p, q, r) from the generic-form relations, positive-p branch.
 
     p^2 = (ad - bc)(ac - bd)/(ab - cd); the product of the three right-hand
-    sides must be positive for a real solution.
+    sides must be positive for a real solution. An input that is not finite
+    raises BadRange; a p, q or r that is not, as when a product overflows or
+    underflows, raises NotNormalForm.
     """
+    if not all(math.isfinite(x) for x in (a, b, c, d)):
+        raise BadRange("normal-form values must be finite")
     r1 = a * d - b * c
     r2 = a * c - b * d
     r3 = a * b - c * d
     if abs(r3) < 1e-14 or r1 * r2 * r3 <= 0.0:
         raise NotNormalForm("relations have no real solution for these values")
     p = math.sqrt(r1 * r2 / r3)
-    return p, r1 / p, r2 / p
+    q, r = (r1 / p, r2 / p) if p > 0.0 else (math.nan, math.nan)
+    if not all(math.isfinite(x) for x in (p, q, r)):
+        raise NotNormalForm("p, q or r overflows or underflows for these values")
+    return p, q, r
 
 
-def classify_rows(imm, X, tol=1e-6):
+def classify_rows(imm, X):
     """Normal forms at the rows of X, one a row, from one extrinsics_at call."""
     pe = extrinsics_at(imm, X)
     if pe.dim != 4 or pe.codim != 2:
         raise BadDimension("classification needs dimension 4 and codimension"
                            " 2, got %d/%d" % (pe.dim, pe.codim))
-    return [shape_operator_normal_form(A1, A2, tol) for A1, A2 in pe.alpha]
+    return [shape_operator_normal_form(A1, A2) for A1, A2 in pe.alpha]
 
 
 def classify_at(imm, x):

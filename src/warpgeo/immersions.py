@@ -7,10 +7,12 @@ surface driven by a warp solution. The 2-jets feed the extrinsic stage,
 where second fundamental forms are read off directly. Each immersion
 carries the geometry chart it realizes, in the same coordinates.
 
-Ambient layout: every warped product is a composite (w, s sigma h2(y)),
-where sigma is the last ambient coordinate of the base surface and w the
-rest. The rotational map (psi, phi' sin theta, phi' cos theta, phi F(y))
-is the composite over its profile surface, with s = 1.
+Ambient layout: every base surface has the form (lead(t), sigma'(t) e(u),
+sigma(t)), with e the unit circle (sin u, cos u) or, for the flat base, the
+line u, and lead the profile's psi or nothing. Every warped product is the
+composite (lead, sigma' e, s sigma h2(y)) over its base. The rotational map
+(psi, phi' sin theta, phi' cos theta, phi F(y)) is the one with sigma = phi
+and s = 1.
 """
 
 import functools
@@ -133,96 +135,132 @@ class ProfileTable:
 
     def __init__(self, sol):
         self.sol = sol
-        t = sol.t
         step = sol.step
-        d1 = self._dpsi_arrays(sol.phi, sol.dphi, sol.d2phi)
-        mids = t[:-1] + 0.5 * step
-        pm, dm, d2m, _ = sol.samples_at(mids)
-        dmid = self._dpsi_arrays(pm, dm, d2m)
-        inc = (step / 6.0) * (d1[:-1] + 4.0 * dmid + d1[1:])
+        d1 = self._dpsi(sol.dphi, sol.d2phi)
+        _, dm, d2m, _ = sol.samples_at(sol.t[:-1] + 0.5 * step)
+        inc = (step / 6.0) * (d1[:-1] + 4.0 * self._dpsi(dm, d2m) + d1[1:])
         self.psi = np.concatenate([[0.0], np.cumsum(inc)])
 
-    def _dpsi_arrays(self, phi, dphi, d2phi):
+    def _dpsi(self, dphi, d2phi):
         m = warpfunc.embeddability_margin(dphi, d2phi)
         if np.any(m < -1e-12):
-            raise BadRange(
-                "embeddability margin is negative; no profile closure exists"
-            )
+            raise BadRange("embeddability margin is negative; no profile"
+                           " closure exists")
         return np.sqrt(np.clip(m, 0.0, None))
 
-    def query(self, ts):
-        """Warp samples for psi at ts, from one samples_at call.
+    def jet(self, ts):
+        """The profile surface's t-jet at ts, from one samples_at call:
+        (psi, psi', psi'') and the warp sample (phi, phi', phi'', phi''').
 
-        Returns the grid index at or below each point, the offset from that
-        node, and the four samples_at columns at the points, at their nodes
-        and at the Simpson midpoints between the two.
+        The call samples the points, their grid nodes at or below and the
+        Simpson midpoints between the two. Valid where phi' and the
+        embeddability margin are bounded away from zero.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if not np.all(np.isfinite(ts)):
             raise OutOfDomain("profile query t must be finite")
         sol = self.sol
         # clipped before the cast, so a far-off t cannot overflow it
-        idx = np.clip(
-            (ts - sol.t[0]) / sol.step, 0, len(sol.t) - 1
-        ).astype(int)
+        idx = np.clip((ts - sol.t[0]) / sol.step, 0,
+                      len(sol.t) - 1).astype(int)
         t_node = sol.t[idx]
         delta = ts - t_node
         cols = sol.samples_at(np.concatenate([ts, t_node, t_node + 0.5 * delta]))
         end, node, mid = zip(*(np.split(col, 3) for col in cols))
-        return idx, delta, end, node, mid
-
-    def psi_at(self, ts, query=None):
-        """psi at ts; a given query, self.query(ts), is reused."""
-        idx, delta, end, node, mid = self.query(ts) if query is None else query
-        inc = (delta / 6.0) * (
-            self._dpsi_arrays(*node[:3])
-            + 4.0 * self._dpsi_arrays(*mid[:3])
-            + self._dpsi_arrays(*end[:3])
-        )
-        return self.psi[idx] + inc
-
-    def jet_at(self, ts, query=None):
-        """(psi, psi', psi'') at query points; needs margin bounded away from 0."""
-        query = self.query(ts) if query is None else query
-        phi, dphi, d2phi, d3phi = query[2]
+        phi, dphi, d2phi, d3phi = end
+        if np.any(np.abs(dphi) < _TOL_TURNING):
+            raise SingularChartPoint("profile radius phi' vanishes")
         m = warpfunc.embeddability_margin(dphi, d2phi)
         if np.any(m < _TOL_MARGIN):
-            raise SingularChartPoint(
-                "profile closure degenerates where the margin vanishes"
-            )
+            raise SingularChartPoint("profile closure degenerates where the"
+                                     " margin vanishes")
         dpsi = np.sqrt(m)
-        d2psi = -d2phi * (dphi + d3phi) / dpsi
-        return self.psi_at(ts, query), dpsi, d2psi
+        psi = self.psi[idx] + (delta / 6.0) * (
+            self._dpsi(*node[1:3]) + 4.0 * self._dpsi(*mid[1:3]) + dpsi)
+        return ((psi, dpsi, -d2phi * (dphi + d3phi) / dpsi),
+                warpfunc.WarpSample(*end))
+
+
+# -- warped products -----------------------------------------------------------
+
+def _circle(U):
+    """The unit circle e(u) = (sin u, cos u) with e' and e''."""
+    e = np.stack([np.sin(U), np.cos(U)], axis=1)
+    return e, e[:, ::-1] * (1.0, -1.0), -e
+
+
+def _line(U):
+    """The line e(u) = u with e' = 1 and e'' = 0."""
+    return U[:, None], np.ones((len(U), 1)), np.zeros((len(U), 1))
+
+
+def _sin(T):
+    """sigma = sin t with its first three derivatives."""
+    st, ct = np.sin(T), np.cos(T)
+    return st, ct, -st, -ct
+
+
+def _linear(T):
+    """sigma = t with its first three derivatives."""
+    zero = np.zeros_like(T)
+    return T, np.ones_like(T), zero, zero
+
+
+def _warped_product(chart, rho, t_jet, curve, k, box, meta):
+    """The immersion (lead(t), sigma'(t) e(u), s sigma(t) h2(y)) of chart,
+    the composite over the base surface (lead, sigma' e, sigma) in R^k.
+
+    t_jet(T) gives the 2-jets (w, w', w'') of the lead coordinates, then
+    sigma's 3-jet (sigma, sigma', sigma'', sigma'''); curve(U) gives
+    (e, e', e''), each of shape (N, c). h2 is the chart's fiber on the
+    coordinates after (t, u), s its inverse ambient radius. Every base
+    here has |e'| = 1, sigma'' <e, e'> = 0 and |w'|^2 + sigma''^2 |e|^2
+    + sigma'^2 = 1, so its metric is dt^2 + sigma'^2 du^2.
+    """
+    fiber = chart.fiber
+    s = 1.0 / fiber.ambient_radius()
+    dim, amb = chart.dim, (k - 1) + fiber.ambient_dim
+
+    def jet_fn(X):
+        nrow = X.shape[0]
+        *lead, (sig, dsig, d2sig, d3sig) = t_jet(X[:, 0])
+        e, de, d2e = curve(X[:, 1])
+        vf, jf, hf = fiber_jet(fiber, X[:, 2:])
+        c0, f0 = len(lead), k - 1     # first rows of the curve and the fiber
+        v = np.empty((nrow, amb))
+        j = np.zeros((nrow, amb, dim))
+        h = np.zeros((nrow, amb, dim, dim))
+        for a, (w, dw, d2w) in enumerate(lead):
+            v[:, a], j[:, a, 0], h[:, a, 0, 0] = w, dw, d2w
+
+        v[:, c0:f0] = dsig[:, None] * e
+        j[:, c0:f0, 0] = d2sig[:, None] * e
+        j[:, c0:f0, 1] = dsig[:, None] * de
+        h[:, c0:f0, 0, 0] = d3sig[:, None] * e
+        h[:, c0:f0, 0, 1] = h[:, c0:f0, 1, 0] = d2sig[:, None] * de
+        h[:, c0:f0, 1, 1] = dsig[:, None] * d2e
+
+        sig, dsig, d2sig = s * sig, s * dsig, s * d2sig
+        v[:, f0:] = sig[:, None] * vf
+        j[:, f0:, 0] = dsig[:, None] * vf
+        j[:, f0:, 2:] = sig[:, None, None] * jf
+        h[:, f0:, 0, 0] = d2sig[:, None] * vf
+        h[:, f0:, 0, 2:] = h[:, f0:, 2:, 0] = dsig[:, None, None] * jf
+        h[:, f0:, 2:, 2:] = sig[:, None, None, None] * hf
+        return v, j, h
+
+    return Immersion(
+        label=chart.label, dim=dim, ambient_dim=amb, sample_box=box,
+        jet_fn=jet_fn, rho=rho, chart=chart, meta=meta,
+    )
 
 
 # -- rotational immersions ------------------------------------------------------
 
-def _profile_base_jet(table, T, U):
-    """2-jet of the profile surface (psi, phi' sin U, phi' cos U, phi) in R^4,
-    whose last axis is the warp phi at T; valid where the embeddability
-    margin is positive and phi' is bounded away from zero."""
-    query = table.query(T)
-    phi, dphi, d2phi, d3phi = query[2]
-    if np.any(np.abs(dphi) < _TOL_TURNING):
-        raise SingularChartPoint("profile radius phi' vanishes")
-    psi, dpsi, d2psi = table.jet_at(T, query)
-    su, cu, z = np.sin(U), np.cos(U), np.zeros_like(T)
-    v = np.stack([psi, dphi * su, dphi * cu, phi], axis=1)
-    # rows are the ambient axes, columns (t, U); the point axis goes first
-    j = np.moveaxis(np.array([
-        [dpsi, z], [d2phi * su, dphi * cu], [d2phi * cu, -dphi * su],
-        [dphi, z]]), -1, 0)
-    h = np.moveaxis(np.array([
-        [[d2psi, z], [z, z]],
-        [[d3phi * su, d2phi * cu], [d2phi * cu, -dphi * su]],
-        [[d3phi * cu, -d2phi * su], [-d2phi * su, -dphi * cu]],
-        [[d2phi, z], [z, z]]]), -1, 0)
-    return v, j, h
-
-
 def rotational_immersion(chart, rho):
     """(psi, phi' sin theta, phi' cos theta, phi F(y)) for a unit-sphere F,
-    the composite over the profile surface with sigma = phi and s = 1.
+    the warped product over the profile surface with lead psi, sigma = phi
+    and s = 1.
 
     Realizes the WarpedChart dt^2 + phi'^2 dtheta^2 + phi^2 g_F exactly,
     since psi'^2 = 1 - phi'^2 - phi''^2.
@@ -232,8 +270,7 @@ def rotational_immersion(chart, rho):
         raise BadRange("rotational construction needs the fiber on the unit sphere")
     table = ProfileTable(sol)
     return _warped_product(
-        chart, rho, functools.partial(_profile_base_jet, table), 4,
-        chart.sample_box,
+        chart, rho, table.jet, _circle, 4, chart.sample_box,
         {"kind": "rotational", "warp": sol, "fiber": fiber, "profile": table},
     )
 
@@ -253,14 +290,10 @@ def extra_codim_immersion(n, m):
 def immersion_from_fiber(fiber, label, rho):
     """A FiberSpec's own embedding, realizing its ProductChart."""
     chart = geometry.ProductChart(fiber, label=label)
-
-    def jet_fn(X):
-        return fiber_jet(fiber, X)
-
     return Immersion(
         label=label, dim=fiber.dim, ambient_dim=fiber.ambient_dim,
-        sample_box=chart.sample_box, jet_fn=jet_fn, rho=rho, chart=chart,
-        meta={"kind": "product", "fiber": fiber},
+        sample_box=chart.sample_box, jet_fn=functools.partial(fiber_jet, fiber),
+        rho=rho, chart=chart, meta={"kind": "product", "fiber": fiber},
     )
 
 
@@ -271,116 +304,33 @@ def clifford_immersion(n, rho):
 
 # -- warped composites -----------------------------------------------------------
 
-def _flat_base_jet(T, U):
-    n = T.shape[0]
-    v = np.stack([U, T], axis=1)
-    j = np.zeros((n, 2, 2))
-    j[:, 0, 1] = 1.0
-    j[:, 1, 0] = 1.0
-    h = np.zeros((n, 2, 2, 2))
-    return v, j, h
-
-
-def _sphere_base_jet(T, U):
-    n = T.shape[0]
-    ct, st = np.cos(T), np.sin(T)
-    cu, su = np.cos(U), np.sin(U)
-    v = np.stack([ct * su, ct * cu, st], axis=1)
-    j = np.zeros((n, 3, 2))
-    j[:, 0, 0] = -st * su
-    j[:, 1, 0] = -st * cu
-    j[:, 2, 0] = ct
-    j[:, 0, 1] = ct * cu
-    j[:, 1, 1] = -ct * su
-    h = np.zeros((n, 3, 2, 2))
-    h[:, 0, 0, 0] = -ct * su
-    h[:, 1, 0, 0] = -ct * cu
-    h[:, 2, 0, 0] = -st
-    h[:, 0, 0, 1] = h[:, 0, 1, 0] = -st * cu
-    h[:, 1, 0, 1] = h[:, 1, 1, 0] = st * su
-    h[:, 0, 1, 1] = -ct * su
-    h[:, 1, 1, 1] = -ct * cu
-    return v, j, h
-
-
-def _cylinder_base_jet(T, U):
-    n = T.shape[0]
-    cu, su = np.cos(U), np.sin(U)
-    v = np.stack([su, cu, T], axis=1)
-    j = np.zeros((n, 3, 2))
-    j[:, 0, 1] = cu
-    j[:, 1, 1] = -su
-    j[:, 2, 0] = 1.0
-    h = np.zeros((n, 3, 2, 2))
-    h[:, 0, 1, 1] = -su
-    h[:, 1, 1, 1] = -cu
-    return v, j, h
-
-
 _BASES = {
-    # jet, base ambient dim, u sample range, base curvature
-    "flat": (_flat_base_jet, 2, (-3.0, 3.0), 0.0),
-    "sphere": (_sphere_base_jet, 3, (0.0, 2.0 * math.pi), 1.0),
-    "cylinder": (_cylinder_base_jet, 3, (0.0, 2.0 * math.pi), 0.0),
+    # sigma-jet, curve, base ambient dim, u sample range, base curvature;
+    # the bases are (u, t), (cos t sin u, cos t cos u, sin t), (sin u, cos u, t)
+    "flat": (_linear, _line, 2, (-3.0, 3.0), 0.0),
+    "sphere": (_sin, _circle, 3, (0.0, 2.0 * math.pi), 1.0),
+    "cylinder": (_linear, _circle, 3, (0.0, 2.0 * math.pi), 0.0),
 }
-
-
-def _warped_product(chart, rho, base_jet, k, box, meta):
-    """The composite (w, s sigma h2(y)) over the base surface (w, sigma) in
-    R^k whose 2-jet base_jet gives at the first two chart coordinates; h2 is
-    the chart's fiber on the other coordinates, s its inverse ambient radius.
-    """
-    fiber = chart.fiber
-    s = 1.0 / fiber.ambient_radius()
-    dim, amb = chart.dim, (k - 1) + fiber.ambient_dim
-
-    def jet_fn(X):
-        nrow = X.shape[0]
-        vb, jb, hb = base_jet(X[:, 0], X[:, 1])
-        vf, jf, hf = fiber_jet(fiber, X[:, 2:])
-        # s sigma and its first and second derivatives
-        sig, dsig, d2sig = s * vb[:, -1], s * jb[:, -1], s * hb[:, -1]
-
-        v = np.concatenate([vb[:, :-1], sig[:, None] * vf], axis=1)
-
-        j = np.zeros((nrow, amb, dim))
-        j[:, : k - 1, :2] = jb[:, :-1]
-        j[:, k - 1:, 2:] = sig[:, None, None] * jf
-
-        h = np.zeros((nrow, amb, dim, dim))
-        h[:, : k - 1, :2, :2] = hb[:, :-1]
-        h[:, k - 1:, :2, :2] = vf[:, :, None, None] * d2sig[:, None]
-        h[:, k - 1:, 2:, 2:] = sig[:, None, None, None] * hf
-        # per base coordinate: one broadcast over both runs numpy's inner
-        # loops over 2 or 3 entries and takes about twice as long
-        for a in range(2):
-            j[:, k - 1:, a] = dsig[:, a, None] * vf
-            h[:, k - 1:, a, 2:] = h[:, k - 1:, 2:, a] = dsig[:, a, None, None] * jf
-        return v, j, h
-
-    return Immersion(
-        label=chart.label, dim=dim, ambient_dim=amb, sample_box=box,
-        jet_fn=jet_fn, rho=rho, chart=chart, meta=meta,
-    )
 
 
 def warped_composite(base_kind, chart, rho):
     """Replace the last base coordinate sigma by s sigma h2(y).
 
-    The base surface h1 lands in R^k with distinguished last axis e; the
-    composite is (w, s sigma h2) with h1 = (w, sigma). Its pullback is
-    g_base + (s^2 R^2 - 1) dsigma^2 + (s sigma)^2 g_F with R the fiber's
-    ambient radius, so the warped-product structure appears exactly when
-    s R = 1, which is how s is calibrated. The realized WarpedChart gives
-    the fiber and t-range; its warp phi is the base's sigma.
+    The base surface h1 = (sigma'(t) e(u), sigma(t)) lands in R^k with
+    distinguished last axis; the composite is (sigma' e, s sigma h2). Its
+    pullback is g_base + (s^2 R^2 - 1) dsigma^2 + (s sigma)^2 g_F with R
+    the fiber's ambient radius, so the warped-product structure appears
+    exactly when s R = 1, which is how s is calibrated. The realized
+    WarpedChart gives the fiber and t-range; its warp phi is the base's
+    sigma.
     """
     if base_kind not in _BASES:
         raise BadRange("unknown base kind %r" % base_kind)
-    base_jet, k, u_rng, base_k = _BASES[base_kind]
+    sigma_jet, curve, k, u_rng, base_k = _BASES[base_kind]
     box = chart.sample_box
     box[1] = u_rng      # the base's own u range, not the chart's theta range
     return _warped_product(
-        chart, rho, base_jet, k, box,
+        chart, rho, lambda T: (sigma_jet(T),), curve, k, box,
         {"kind": "composite", "base": base_kind, "fiber": chart.fiber,
          "s": 1.0 / chart.fiber.ambient_radius(), "base_curvature": base_k},
     )

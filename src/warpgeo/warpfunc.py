@@ -23,6 +23,7 @@ constants and the equation is insensitive to the distinction.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,15 +130,13 @@ class WarpParams:
         }
 
 
-@dataclass(frozen=True)
-class WarpSample:
-    """One point of a solution with derivatives through third order."""
+class WarpSample(NamedTuple):
+    """phi and its derivatives through third order, floats or rows."""
 
-    t: float
-    phi: float
-    dphi: float
-    d2phi: float
-    d3phi: float
+    phi: object
+    dphi: object
+    d2phi: object
+    d3phi: object
 
 
 @dataclass
@@ -168,7 +167,7 @@ class WarpSolution:
         return float(max(self.t[0], self.t[-1]))
 
     def samples_at(self, ts):
-        """Interpolate (phi, phi') at arbitrary points inside the interval.
+        """The WarpSample of rows at arbitrary points inside the interval.
 
         Interpolation is quintic Hermite on the stored grid; the second and
         third derivatives are then recomputed from the structural equation
@@ -190,7 +189,7 @@ class WarpSolution:
         pp = self.params
         d2 = rhs_second_order(pp.n, pp.eps, pp.rho, p, d)
         d3 = third_derivative(pp.n, pp.rho, p, d, d2)
-        return p, d, d2, d3
+        return WarpSample(p, d, d2, d3)
 
 
 def relative_drift(params, phi, dphi, drift):
@@ -309,8 +308,8 @@ def extra_codim_params(n):
 def closed_form_n5(c, t):
     """Exact n=5 Ricci-flat solution phi = sqrt(t^2 - c) with derivatives.
 
-    Valid for eps = 1, rho = 0; requires t^2 > c. Returns a WarpSample at
-    scalar t, or arrays when t is an array.
+    Valid for eps = 1, rho = 0; requires t^2 > c. Returns a WarpSample,
+    of floats at scalar t and of arrays when t is an array.
     """
     t_arr = np.asarray(t, dtype=float)
     sq = t_arr * t_arr - c
@@ -320,10 +319,7 @@ def closed_form_n5(c, t):
     dphi = t_arr / phi
     d2phi = -c / phi ** 3
     d3phi = 3.0 * c * t_arr / phi ** 5
-    if t_arr.ndim == 0:
-        return WarpSample(float(t_arr), float(phi), float(dphi),
-                          float(d2phi), float(d3phi))
-    return phi, dphi, d2phi, d3phi
+    return WarpSample(phi, dphi, d2phi, d3phi)
 
 
 def closed_form_n5_error(sol):

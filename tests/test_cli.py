@@ -177,6 +177,8 @@ def test_no_evidence_is_config_error(capsys, argv):
     (["verify-intrinsic", "--family", "round", "--n", "5"], {"points": 6.5}),
     (["warp", "--n", "5"], {"compare_closed_form": 1}),
     (["classify-appendix"], {"solve": [2, 1, "1", 1]}),
+    (["classify-appendix", "--solve", "inf", "1", "1", "1"], None),
+    (["classify-appendix", "--solve", "1", "nan", "1", "1"], None),
     (["verify-extrinsic", "--family", "schwarzschild", "--n", "5"],
      {"tol_gauss": 1.0}),
     # warp reads no fiber dimension, so it takes no --m
@@ -199,7 +201,7 @@ def test_no_evidence_is_config_error(capsys, argv):
     (["verify-intrinsic", "--family", "round", "--n", "16"], None),
 ], ids=["flag-type", "unknown-flag", "tolerance-flag", "config-n",
         "config-points", "config-float-for-int", "config-int-for-bool",
-        "config-solve", "config-tolerance", "warp-m-flag", "warp-m-config",
+        "config-solve", "solve-inf", "solve-nan", "config-tolerance", "warp-m-flag", "warp-m-config",
         "richardson-flag", "h-flag", "expect-not-einstein-flag",
         "richardson-config", "h-config", "expect-not-einstein-config",
         "negative-seed", "sample-dimension"])
@@ -446,6 +448,23 @@ class TestClassifyAppendix:
         assert doc["max_residual"] <= 1e-6
         assert doc["solver"]["p"] == pytest.approx(1.0)
         assert doc["solver"]["positivity"] > 0
+
+    @pytest.mark.parametrize("solve,want", [
+        (("1e200", "1", "1", "1"), 2),      # r1 r2 overflows: p = inf
+        (("1", "1", "1", "1e160"), 2),      # p = inf, q and r finite
+        (("1", "1", "1e100", "1e300"), 2),  # r3 = -inf: p, q, r all inf
+        (("0", "0", "1e100", "1e300"), 2),  # the product is NaN, p = -0
+        (("1e110", "1", "1", "1"), 0),      # only the product overflows
+        (("2", "1", "1", "1"), 0),
+    ])
+    def test_solver_passes_only_finite_values(self, capsys, solve, want):
+        # a solver that overflows or underflows is a computation error; a
+        # pass always carries a finite p, q and r
+        code, doc = run(capsys, "classify-appendix", "--points", "2",
+                        "--solve", *solve)
+        assert code == want
+        if code == 0:
+            assert all(math.isfinite(doc["solver"][k]) for k in "pqr")
 
     def test_dimension_guard(self, capsys):
         code, _ = run(capsys, "classify-appendix", "--n", "5")

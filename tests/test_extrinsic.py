@@ -196,7 +196,7 @@ class TestProfileNormal:
         # arrays of rows degenerate when any one row does
         ts = np.array([0.9, 1.0, 1.1])
         fine = warpfunc.integrate(warpfunc.schwarzschild_params(5), 1.6, 1e-3)
-        s = warpfunc.WarpSample(ts, *fine.samples_at(ts))
+        s = fine.samples_at(ts)
         extrinsic.profile_delta(s)
         s.dphi[1] = 1.0
         with pytest.raises(DegenerateDelta):

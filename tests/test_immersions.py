@@ -122,18 +122,19 @@ class TestProfileTable:
         table = immr.meta["profile"]
         h = 1e-5
         for t in (0.5, 0.9, 1.4):
-            fd1 = (table.psi_at(t + h)[0] - table.psi_at(t - h)[0]) / (2.0 * h)
-            _, dpsi, d2psi = table.jet_at(np.array([t]))
-            assert fd1 == pytest.approx(dpsi[0], abs=1e-9)
-            fd2 = (table.jet_at(np.array([t + h]))[1][0]
-                   - table.jet_at(np.array([t - h]))[1][0]) / (2.0 * h)
-            assert fd2 == pytest.approx(d2psi[0], rel=1e-5, abs=1e-7)
+            (psi, dpsi, d2psi), _ = table.jet(np.array([t - h, t, t + h]))
+            fd1 = (psi[2] - psi[0]) / (2.0 * h)
+            assert fd1 == pytest.approx(dpsi[1], abs=1e-9)
+            fd2 = (dpsi[2] - dpsi[0]) / (2.0 * h)
+            assert fd2 == pytest.approx(d2psi[1], rel=1e-5, abs=1e-7)
 
     def test_margin_degeneracy_guard(self):
+        # phi'(3e-6) is about 3e-6, past the turning guard, but the margin
+        # 1 - phi'^2 - phi''^2 is below 1e-10
         immr = im.schwarzschild_immersion(5)
         table = immr.meta["profile"]
-        with pytest.raises(SingularChartPoint):
-            table.jet_at(np.array([3e-6]))
+        with pytest.raises(SingularChartPoint, match="margin"):
+            table.jet(np.array([3e-6]))
 
     def test_one_dense_output_call_per_jet(self, monkeypatch):
         from warpgeo import warpfunc as wf
@@ -145,8 +146,7 @@ class TestProfileTable:
         X[:, 0] = (0.5, 0.9, 1.4)
         t = X[:, 0]
         phi, dphi, d2phi, d3phi = sol.samples_at(t)
-        psi = table.psi_at(t)
-        _, dpsi, d2psi = table.jet_at(t)
+        (psi, dpsi, d2psi), _ = table.jet(t)
         calls = []
         samples_at = wf.WarpSolution.samples_at
 
@@ -184,9 +184,7 @@ def rotational_jet_reference(imm, X):
     table, fiber = imm.meta["profile"], imm.meta["fiber"]
     nrow, dim, amb = X.shape[0], imm.dim, imm.ambient_dim
     t, th = X[:, 0], X[:, 1]
-    query = table.query(t)
-    phi, dphi, d2phi, d3phi = query[2]
-    psi, dpsi, d2psi = table.jet_at(t, query)
+    (psi, dpsi, d2psi), (phi, dphi, d2phi, d3phi) = table.jet(t)
     vf, jf, hf = im.fiber_jet(fiber, X[:, 2:])
     st, ct = np.sin(th), np.cos(th)
 
@@ -218,6 +216,138 @@ def rotational_jet_reference(imm, X):
     h[:, 3:, 2:, 0] = dphi[:, None, None] * jf
     h[:, 3:, 2:, 2:] = phi[:, None, None, None] * hf
     return v, j, h
+
+
+def _profile_base_jet(table, T, U):
+    """The profile surface (psi, phi' sin U, phi' cos U, phi) in R^4, packed
+    as the hand-written base jet did."""
+    (psi, dpsi, d2psi), (phi, dphi, d2phi, d3phi) = table.jet(T)
+    su, cu, z = np.sin(U), np.cos(U), np.zeros_like(T)
+    v = np.stack([psi, dphi * su, dphi * cu, phi], axis=1)
+    j = np.moveaxis(np.array([
+        [dpsi, z], [d2phi * su, dphi * cu], [d2phi * cu, -dphi * su],
+        [dphi, z]]), -1, 0)
+    h = np.moveaxis(np.array([
+        [[d2psi, z], [z, z]],
+        [[d3phi * su, d2phi * cu], [d2phi * cu, -dphi * su]],
+        [[d3phi * cu, -d2phi * su], [-d2phi * su, -dphi * cu]],
+        [[d2phi, z], [z, z]]]), -1, 0)
+    return v, j, h
+
+
+def _flat_base_jet(T, U):
+    n = T.shape[0]
+    v = np.stack([U, T], axis=1)
+    j = np.zeros((n, 2, 2))
+    j[:, 0, 1] = 1.0
+    j[:, 1, 0] = 1.0
+    return v, j, np.zeros((n, 2, 2, 2))
+
+
+def _sphere_base_jet(T, U):
+    n = T.shape[0]
+    ct, st = np.cos(T), np.sin(T)
+    cu, su = np.cos(U), np.sin(U)
+    v = np.stack([ct * su, ct * cu, st], axis=1)
+    j = np.zeros((n, 3, 2))
+    j[:, 0, 0] = -st * su
+    j[:, 1, 0] = -st * cu
+    j[:, 2, 0] = ct
+    j[:, 0, 1] = ct * cu
+    j[:, 1, 1] = -ct * su
+    h = np.zeros((n, 3, 2, 2))
+    h[:, 0, 0, 0] = -ct * su
+    h[:, 1, 0, 0] = -ct * cu
+    h[:, 2, 0, 0] = -st
+    h[:, 0, 0, 1] = h[:, 0, 1, 0] = -st * cu
+    h[:, 1, 0, 1] = h[:, 1, 1, 0] = st * su
+    h[:, 0, 1, 1] = -ct * su
+    h[:, 1, 1, 1] = -ct * cu
+    return v, j, h
+
+
+def _cylinder_base_jet(T, U):
+    n = T.shape[0]
+    cu, su = np.cos(U), np.sin(U)
+    v = np.stack([su, cu, T], axis=1)
+    j = np.zeros((n, 3, 2))
+    j[:, 0, 1] = cu
+    j[:, 1, 1] = -su
+    j[:, 2, 0] = 1.0
+    h = np.zeros((n, 3, 2, 2))
+    h[:, 0, 1, 1] = -su
+    h[:, 1, 1, 1] = -cu
+    return v, j, h
+
+
+_BASE_JETS = {"flat": _flat_base_jet, "sphere": _sphere_base_jet,
+              "cylinder": _cylinder_base_jet}
+
+
+def two_column_jet_reference(imm, X):
+    """The composite (w, s sigma h2(y)) over a base surface (w, sigma) given
+    by its full 2-jet, sigma's derivatives taken in both base coordinates,
+    as the warped products were assembled before sigma became a function
+    of t alone."""
+    fiber = imm.meta["fiber"]
+    if imm.meta["kind"] == "rotational":
+        vb, jb, hb = _profile_base_jet(imm.meta["profile"], X[:, 0], X[:, 1])
+    else:
+        vb, jb, hb = _BASE_JETS[imm.meta["base"]](X[:, 0], X[:, 1])
+    s = 1.0 / fiber.ambient_radius()
+    k, nrow = vb.shape[1], X.shape[0]
+    vf, jf, hf = im.fiber_jet(fiber, X[:, 2:])
+    sig, dsig, d2sig = s * vb[:, -1], s * jb[:, -1], s * hb[:, -1]
+    v = np.concatenate([vb[:, :-1], sig[:, None] * vf], axis=1)
+    j = np.zeros((nrow, imm.ambient_dim, imm.dim))
+    j[:, : k - 1, :2] = jb[:, :-1]
+    j[:, k - 1:, 2:] = sig[:, None, None] * jf
+    h = np.zeros((nrow, imm.ambient_dim, imm.dim, imm.dim))
+    h[:, : k - 1, :2, :2] = hb[:, :-1]
+    h[:, k - 1:, :2, :2] = vf[:, :, None, None] * d2sig[:, None]
+    h[:, k - 1:, 2:, 2:] = sig[:, None, None, None] * hf
+    for a in range(2):
+        j[:, k - 1:, a] = dsig[:, a, None] * vf
+        h[:, k - 1:, a, 2:] = h[:, k - 1:, 2:, a] = dsig[:, a, None, None] * jf
+    return v, j, h
+
+
+def perturbed_flat_composite():
+    """The flat composite with its second torus radius off by 5 percent,
+    so s R = 1 with s != 1: still a warped product, but not Einstein."""
+    fib = gm.offset_torus_fiber(7, 2)
+    bad = gm.FiberSpec(dims=fib.dims,
+                       radii=(fib.radii[0], fib.radii[1] * 1.05),
+                       offset=fib.offset)
+    chart = dataclasses.replace(
+        family_chart("flat-torus-composite", 7, m=2), fiber=bad,
+        label="perturbed")
+    return im.warped_composite("flat", chart, rho=0.0)
+
+
+_WARPED_MEMBERS = [
+    ("schwarzschild", 4, None), ("schwarzschild", 5, None),
+    ("schwarzschild", 6, None), ("extra-codim", 7, 2), ("extra-codim", 8, 3),
+    ("flat-torus-composite", 7, 2), ("round-torus-composite", 7, 2),
+    ("cylinder-torus-composite", 7, 2)]
+
+
+@pytest.mark.parametrize("member", _WARPED_MEMBERS + ["perturbed"],
+                         ids=lambda m: m if isinstance(m, str) else
+                         "%s-n%d" % m[:2])
+def test_warped_product_equals_two_column_reference(member):
+    # sigma as a function of t alone reproduces the two-column assembly
+    # value for value (signed zeros aside), at 24 and 204 rows
+    if member == "perturbed":
+        imm = perturbed_flat_composite()
+        assert imm.meta["s"] != 1.0
+    else:
+        family, n, m = member
+        imm = im.build_immersion(family, n, m=m)
+    for count, seed in ((24, 0), (204, 3)):
+        X = gm.sample_points(imm, count, seed=seed)
+        for got, want in zip(imm.jet(X), two_column_jet_reference(imm, X)):
+            assert np.array_equal(got, want)
 
 
 class TestRotationalImmersions:
@@ -362,15 +492,7 @@ class TestComposites:
     def test_perturbed_fiber_detected(self):
         # same construction, second torus radius off by 5 percent: the
         # pullback is still a warped product but the fiber is not Einstein
-        fib = gm.offset_torus_fiber(7, 2)
-        bad = gm.FiberSpec(dims=fib.dims,
-                           radii=(fib.radii[0], fib.radii[1] * 1.05),
-                           offset=fib.offset)
-        chart = dataclasses.replace(
-            family_chart("flat-torus-composite", 7, m=2), fiber=bad,
-            label="perturbed")
-        immc = im.warped_composite("flat", chart, rho=0.0)
-        chart = gm.PullbackChart(immc, label="pb")
+        chart = gm.PullbackChart(perturbed_flat_composite(), label="pb")
         rep = gm.verify_einstein(chart, rho=0.0, n_points=6)
         assert rep.einstein_max > 1e-3
 

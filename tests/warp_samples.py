@@ -5,14 +5,13 @@ from warpgeo import warpfunc as wf
 
 def sample_at(sol, t):
     """The WarpSample of sol at the one point t, from one samples_at call."""
-    phi, dphi, d2phi, d3phi = (float(col[0]) for col in sol.samples_at([t]))
-    return wf.WarpSample(float(t), phi, dphi, d2phi, d3phi)
+    return wf.WarpSample(*(float(col[0]) for col in sol.samples_at([t])))
 
 
 def node(sol, i):
     """The WarpSample of sol at its grid node i."""
     return wf.WarpSample(*(float(col[i]) for col in
-                           (sol.t, sol.phi, sol.dphi, sol.d2phi, sol.d3phi)))
+                           (sol.phi, sol.dphi, sol.d2phi, sol.d3phi)))
 
 
 def base_curvature(s):
