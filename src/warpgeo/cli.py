@@ -34,7 +34,9 @@ TOLERANCES = {
     "tol_closed_form": 1e-9,
     "tol_identity": 1e-9,
     "tol_einstein": 5e-5,
-    "tol_fd_gap": 1e-3,
+    # the closed form meets the exact pass within 1.4e-14 over report's
+    # seeds 0-29; a flipped core term or a jet 1% off misses it by 1e-2
+    "tol_oracle": 1e-10,
     "tol_perturbed_defect": 1e-3,
     "tol_ricci_sym": 1e-6,
     "tol_spread_flat": geometry.TOL_SPREAD_FLAT,
@@ -118,7 +120,8 @@ def _merge(args):
 
 
 def _check(name, value, tol, provenance, mode="max"):
-    ok = value <= tol if mode == "max" else value >= tol
+    ok = np.isfinite(value) and (value <= tol if mode == "max"
+                                 else value >= tol)
     return {
         "name": name,
         "status": "pass" if ok else "fail",
@@ -246,7 +249,8 @@ def _intrinsic_checks(rep, row, chart, floor=None, label=None):
     the fiber's Ricci constant and the (n-3) eps the warp needs, over the
     sample from one samples_at call; any other member bounds the residual
     and, where the row says, the sectional spread. Every member adds
-    Ricci's symmetry and the stencils' gap to the exact jet.
+    Ricci's symmetry and the gap to the chart's closed-form Ricci, which
+    fails on a chart without one.
     verify-intrinsic names the checks in full, report by a short prefix
     and the member's label."""
     checks = []
@@ -275,16 +279,15 @@ def _intrinsic_checks(rep, row, chart, floor=None, label=None):
             row.defect_floor, "structural-equation", "min")
     add("ricci-symmetry", "ricci-sym", rep.ricci_sym_max,
         TOLERANCES["tol_ricci_sym"], rep.provenance)
-    add("fd-gap", "fd-gap", rep.fd_gap_max, TOLERANCES["tol_fd_gap"],
-        "fd-vs-analytic")
+    add("oracle", "oracle", rep.oracle_max, TOLERANCES["tol_oracle"],
+        "closed-form-oracle")
     return checks
 
 
 def cmd_verify_intrinsic(cfg):
     chart, rho = geometry.chart_for_family(**_member(cfg))
-    # every chart of a family has an exact jet for the stencils to meet
     rep = geometry.verify_einstein(chart, rho, n_points=cfg["points"],
-                                   seed=cfg["seed"], fd_gap=True)
+                                   seed=cfg["seed"])
     # chart_for_family has rejected an unknown family by now
     checks = _intrinsic_checks(rep, geometry.FAMILIES[cfg["family"]], chart)
     return _emit(rep.label, cfg["seed"], checks,
@@ -460,10 +463,11 @@ def cmd_classify_appendix(cfg):
     if cfg["solve"] is not None:
         a, b, c, d = cfg["solve"]
         p, q, r = extrinsic.solve_normal_form_relations(a, b, c, d)
-        prod = (a * d - b * c) * (a * c - b * d) * (a * b - c * d)
+        # the sign of (ad - bc)(ac - bd)(ab - cd), whose product may overflow
+        sign = np.prod(np.sign([a * d - b * c, a * c - b * d, a * b - c * d]))
         extra["solver"] = {"input": cfg["solve"], "p": p, "q": q, "r": r,
-                           "positivity": prod}
-        checks.append(_check("solver-positivity", prod, 0.0,
+                           "positivity": sign}
+        checks.append(_check("solver-positivity", sign, 0.0,
                              "frozen-constant", mode="min"))
     return _emit(imm.label, cfg["seed"], checks, extra, cfg["out"])
 
@@ -504,7 +508,7 @@ def _suite_intrinsic(checks, seed, points):
         chart, rho_val = geometry.chart_for_family(family, n, m=m, rho=rho,
                                                    perturb=perturb)
         rep = geometry.verify_einstein(chart, rho_val, n_points=points,
-                                       seed=seed, fd_gap=True)
+                                       seed=seed)
         checks.extend(_intrinsic_checks(rep, geometry.FAMILIES[family], chart,
                                         floor, label=rep.label))
 

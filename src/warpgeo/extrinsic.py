@@ -283,7 +283,7 @@ def gauss_ricci_residual(imm, pe):
                 gap / (1.0 + geometry._row_max(g)))
 
     ric, realization = (np.concatenate(a) for a in zip(*(
-        block(s) for s in geometry._blocks(imm.chart, len(pe.x), fd=False))))
+        block(s) for s in geometry._blocks(imm.chart, len(pe.x)))))
     ric_int = np.swapaxes(pe.B, 1, 2) @ ric @ pe.B
     gauss = np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
     return gauss, realization

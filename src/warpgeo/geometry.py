@@ -7,10 +7,11 @@ rotational base, and pullbacks of explicit immersions. The first two are
 diagonal; their metric_jet gives the diagonal with its first and second
 derivatives in closed form (the warp's from one dense-output call, the
 fiber's from its sin^2 products), and diagonal_curvature contracts that in
-d**3 entries a point. A chart without one gets the dense jet from
+d**3 entries a point. Their ricci_diag gives O'Neill's Ricci from the warp's
+samples and the fiber's Ricci constants, never the jet, as the oracle of
+that pass. A pullback, which has neither, gets the dense jet from
 metric_jet_fd, central stencils at the one step _FD_STEP, which
-curvature_from_jet contracts in d**4 entries a point, so the stencils
-cross-check the exact path through an independent contraction.
+curvature_from_jet contracts in d**4 entries a point.
 verify_einstein only measures; the command line judges by the family row.
 
 FAMILIES is the family table: one row per model geometry, from which every
@@ -29,9 +30,8 @@ from .errors import BadDimension, BadRange, OutOfDomain, SingularChartPoint
 
 _TOL_POLE = 1e-3
 _TOL_WARP_TURNING = 1e-6
-# step of the finite-difference stencils, and a third of the sample's
-# margin inside a chart's box; the stencils only cross-check exact jets,
-# except on a chart that has none
+# step of the finite-difference stencils, which run only on a chart without
+# an exact jet, and a third of the sample's margin inside a chart's box
 _FD_STEP = 1e-3
 # coordinate planes whose sectional curvature verify_einstein samples
 _MAX_PLANES = 10
@@ -224,6 +224,11 @@ class ProductChart:
         f = np.diagonal(self.metric_batch(X), axis1=1, axis2=2)
         return (f, *self.fiber.metric_diag_jet(X, f))
 
+    def ricci_diag(self, X):
+        """Closed-form Ricci diagonal at rows X, mu_i g on factor i."""
+        mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
+        return mu * self.fiber.metric_diag(X)
+
 
 @dataclass
 class WarpedChart:
@@ -252,16 +257,16 @@ class WarpedChart:
 
     def _diag(self, X):
         """Diagonal at rows X, with the warp samples and the fiber diagonal."""
-        phi, dphi, d2phi, d3phi = self.warp.samples_at(X[:, 0])
-        if np.any(np.abs(dphi) < _TOL_WARP_TURNING):
+        s = self.warp.samples_at(X[:, 0])
+        if np.any(np.abs(s.dphi) < _TOL_WARP_TURNING):
             raise SingularChartPoint(
                 "chart degenerates at a turning point of the warp"
             )
         fdiag = self.fiber.metric_diag(X[:, 2:])
         diag = np.ones((X.shape[0], self.dim))
-        diag[:, 1] = dphi * dphi
-        diag[:, 2:] = (phi * phi)[:, None] * fdiag
-        return diag, phi, dphi, d2phi, d3phi, fdiag
+        diag[:, 1] = s.dphi * s.dphi
+        diag[:, 2:] = (s.phi * s.phi)[:, None] * fdiag
+        return diag, s, fdiag
 
     def metric_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -274,7 +279,7 @@ class WarpedChart:
         them from the structural equation; theta enters no metric entry.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        diag, phi, dphi, d2phi, d3phi, f = self._diag(X)
+        diag, (phi, dphi, d2phi, d3phi), f = self._diag(X)
         df, d2f = self.fiber.metric_diag_jet(X[:, 2:], f)
         n, d = diag.shape
         pp = (phi * phi)[:, None, None]
@@ -290,6 +295,17 @@ class WarpedChart:
         dd[:, 2:, 0, 2:] = mixed
         dd[:, 2:, 2:, 2:] = pp[..., None] * d2f
         return diag, ddiag, dd
+
+    def ricci_diag(self, X):
+        """O'Neill's Ricci diagonal at rows X, which reads no jet: Ric = a g
+        on the base, a = -phi'''/phi' - (n-2) phi''/phi, and (mu_i - w)/phi^2
+        g on fiber factor i of Ricci constant mu_i, w = _fiber_need(n, 0)."""
+        diag, s, f = self._diag(np.atleast_2d(np.asarray(X, dtype=float)))
+        a = -s.d3phi / s.dphi - (self.dim - 2.0) * s.d2phi / s.phi
+        diag[:, :2] *= a[:, None]
+        mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
+        diag[:, 2:] = (mu - _fiber_need(self.dim, 0.0, s)[:, None]) * f
+        return diag
 
 
 @dataclass
@@ -339,7 +355,7 @@ def _block_slices(n, per_point):
     return [slice(k, k + step) for k in range(0, n, step)]
 
 
-def _blocks(chart, n, fd):
+def _blocks(chart, n):
     """Slices splitting n points of chart into blocks within the budget.
 
     An exact block peaks in diagonal_curvature, as tracemalloc reads it, at
@@ -351,7 +367,7 @@ def _blocks(chart, n, fd):
     pullback, whose jet holds a Hessian.
     """
     d = chart.dim
-    if not fd:
+    if hasattr(chart, "metric_jet"):
         return _block_slices(n, 8 * d ** 3)
     imm = getattr(chart, "immersion", None)
     row = 2 * imm.ambient_dim * d * d if imm else d * d
@@ -528,6 +544,12 @@ def _row_max(a):
 
 # -- the fiber constant the warp needs ----------------------------------------
 
+def _fiber_need(n, rho, s):
+    """rho phi^2 + 2 phi phi'' + (n-3) phi'^2 at warp samples s, summed in
+    this order: the fiber's Ricci constant an n-dim Einstein warp needs."""
+    return rho * s.phi ** 2 + 2.0 * s.phi * s.d2phi + (n - 3.0) * s.dphi ** 2
+
+
 def fiber_constant_residual(params, sample, fiber):
     """Mismatch between the fiber's Ricci constant and what the warp needs.
 
@@ -537,9 +559,7 @@ def fiber_constant_residual(params, sample, fiber):
     and collapses to (n-3) eps on solutions. Nonzero output is exactly the
     obstruction to Einstein-ness for a mismatched fiber.
     """
-    mu = (params.rho * sample.phi ** 2
-          + 2.0 * sample.phi * sample.d2phi
-          + (params.n - 3.0) * sample.dphi ** 2)
+    mu = _fiber_need(params.n, params.rho, sample)
     k = fiber.einstein_constant
     if k is None:
         raise BadRange("fiber is not Einstein; no constant to compare")
@@ -705,7 +725,7 @@ class CurvatureReport:
     sectional_min: float
     sectional_max: float
     provenance: str   # "analytic-jet" or "finite-difference"
-    fd_gap_max: float      # NaN unless fd_gap=True
+    oracle_max: float      # NaN on a chart without a closed-form Ricci
     points: np.ndarray     # the sample; as_dict leaves out these two
 
     @property
@@ -714,7 +734,7 @@ class CurvatureReport:
 
     def as_dict(self):
         out = dict(vars(self), sectional_spread=self.sectional_spread)
-        del out["fd_gap_max"], out["points"]
+        del out["oracle_max"], out["points"]
         return out
 
 
@@ -735,17 +755,17 @@ def sample_points(chart, n_points, seed=0):
     return sampling.box(n_points, box, seed=seed)
 
 
-def verify_einstein(chart, rho, n_points=24, seed=0, fd_gap=False):
+def verify_einstein(chart, rho, n_points=24, seed=0):
     """Sample the chart and measure its Einstein defect pointwise; it
     judges nothing.
 
     The defect at a point is max |Ric - rho g| / (1 + max |g|), from
     diagonal_curvature of the chart's metric_jet where it has one
     (provenance "analytic-jet"), else from curvature_from_jet of
-    metric_jet_fd ("finite-difference"). fd_gap=True gives fd_gap_max, the
-    largest |Ric_FD - Ric| / (1 + max |g|) of the stencils and their own
-    contraction against the exact pass, run after it in stencil-sized blocks
-    against its Ricci rows, so the exact jet is evaluated once a point.
+    metric_jet_fd ("finite-difference"). oracle_max is the largest
+    |Ric - Ric_closed| / (1 + max |g|) of those Ricci rows against the
+    chart's closed form ricci_diag, one call over the whole sample, and NaN
+    on a chart without one.
     """
     pts = sample_points(chart, n_points, seed=seed)
     d = chart.dim
@@ -755,8 +775,6 @@ def verify_einstein(chart, rho, n_points=24, seed=0, fd_gap=False):
                                                  replace=False)
         I, J = I[sel], J[sel]
     jet = getattr(chart, "metric_jet", None)
-    if fd_gap and not jet:
-        raise BadRange("the stencil gap needs a chart with metric_jet")
 
     def block(X):
         # one block's arrays die when this returns, before the next block's
@@ -772,16 +790,14 @@ def verify_einstein(chart, rho, n_points=24, seed=0, fd_gap=False):
         scale = 1.0 + _row_max(g)
         return (_row_max(ric - rho * g) / scale, sym, secs.ravel(), ric, scale)
 
-    stats = [block(pts[s]) for s in _blocks(chart, len(pts), jet is None)]
+    stats = [block(pts[s]) for s in _blocks(chart, len(pts))]
     # numpy reductions propagate NaN, where max(0.0, nan) would drop it;
     # n_points counts the rows evaluated, not the rows asked for
     resids, syms, secs, ric, scale = (np.concatenate(s) for s in zip(*stats))
-    gap = math.nan
-    if fd_gap:
-        fd = np.concatenate([
-            curvature_from_jet(*metric_jet_fd(chart, pts[s]))[1]
-            for s in _blocks(chart, len(pts), fd=True)])
-        gap = np.max(_row_max(fd - ric) / scale)
+    oracle = math.nan
+    if hasattr(chart, "ricci_diag"):
+        closed = _on_diagonal(chart.ricci_diag(pts))
+        oracle = np.max(_row_max(ric - closed) / scale)
     return CurvatureReport(
         label=getattr(chart, "label", chart.__class__.__name__),
         dim=d, rho=rho, n_points=len(resids),
@@ -789,5 +805,5 @@ def verify_einstein(chart, rho, n_points=24, seed=0, fd_gap=False):
         sectional_min=float(np.min(secs, initial=math.inf)),
         sectional_max=float(np.max(secs, initial=-math.inf)),
         provenance="analytic-jet" if jet else "finite-difference",
-        fd_gap_max=float(gap), points=pts,
+        oracle_max=float(oracle), points=pts,
     )

@@ -114,7 +114,7 @@ class TestVerifyIntrinsic:
                                                           "min")
         assert defect["tolerance"] == fiber["tolerance"] == 0.2
         assert fiber["name"] == "fiber-constant"
-        assert (sym["name"], gap["name"]) == ("ricci-symmetry", "fd-gap")
+        assert (sym["name"], gap["name"]) == ("ricci-symmetry", "oracle")
 
     def test_unknown_family_is_config_error(self, capsys):
         code, _ = run(capsys, "verify-intrinsic", "--family", "nope", "--n", "5")
@@ -454,17 +454,27 @@ class TestClassifyAppendix:
         (("1", "1", "1", "1e160"), 2),      # p = inf, q and r finite
         (("1", "1", "1e100", "1e300"), 2),  # r3 = -inf: p, q, r all inf
         (("0", "0", "1e100", "1e300"), 2),  # the product is NaN, p = -0
-        (("1e110", "1", "1", "1"), 0),      # only the product overflows
+        (("1e110", "1", "1", "1"), 0),      # only r1 r2 r3 overflows
         (("2", "1", "1", "1"), 0),
     ])
     def test_solver_passes_only_finite_values(self, capsys, solve, want):
         # a solver that overflows or underflows is a computation error; a
-        # pass always carries a finite p, q and r
+        # pass always carries a finite p, q and r, and a positivity read
+        # from the signs of the factors, never their overflowing product
         code, doc = run(capsys, "classify-appendix", "--points", "2",
                         "--solve", *solve)
         assert code == want
         if code == 0:
             assert all(math.isfinite(doc["solver"][k]) for k in "pqr")
+            check = [c for c in doc["checks"]
+                     if c["name"] == "solver-positivity"]
+            assert check[0]["value"] == doc["solver"]["positivity"] == 1.0
+
+    @pytest.mark.parametrize("value,mode", [(math.inf, "min"),
+                                            (-math.inf, "max")])
+    def test_a_check_fails_on_a_value_that_is_not_finite(self, value, mode):
+        # the infinities that a bare comparison would pass
+        assert cli._check("c", value, 0.0, "p", mode)["status"] == "fail"
 
     def test_dimension_guard(self, capsys):
         code, _ = run(capsys, "classify-appendix", "--n", "5")
@@ -523,7 +533,7 @@ class TestReport:
         code, doc = run(capsys, "report", "--seed", "3")
         assert code == 0
         prefixes = ("einstein", "spread", "defect", "fiber-constant",
-                    "ricci-sym", "fd-gap")
+                    "ricci-sym", "oracle")
 
         def judged(checks):
             return [(c["status"], repr(c["value"])) for c in checks]
@@ -582,10 +592,12 @@ class TestReport:
         count(geometry.ProductChart, "metric_jet")
         count(sampling, "box")
         count(extrinsic, "extrinsics_at")
+        count(geometry.WarpedChart, "ricci_diag")
+        count(geometry.ProductChart, "ricci_diag")
         code, doc = run(capsys, "report", "--seed", "0")
         assert code == 0
-        members = [c["name"][len("fd-gap-"):] for c in doc["checks"]
-                   if c["name"].startswith("fd-gap-")]
+        members = [c["name"][len("oracle-"):] for c in doc["checks"]
+                   if c["name"].startswith("oracle-")]
         want = Counter({label: 20 for label in members})
         want.update({label: 4 for label in ("schwarzschild-n4",
                                             "schwarzschild-n5",
@@ -593,12 +605,15 @@ class TestReport:
         assert len(members) == 11
         assert rows == want and sum(rows.values()) == 236
         assert (calls["box"], calls["extrinsics_at"]) == (16, 5)
+        # and its closed form once over the whole sample
+        assert calls["ricci_diag"] == 11
 
     @pytest.mark.parametrize("seed", [4, 8, 9, 10, 13, 25])
     def test_passes_at_seeds_the_stencils_failed(self, capsys, seed):
         code, doc = run(capsys, "report", "--seed", str(seed))
         assert code == 0
-        gaps = [c for c in doc["checks"] if c["provenance"] == "fd-vs-analytic"]
-        assert len(gaps) == 11
-        # the stencils' error is measured, not absent
-        assert all(0.0 < c["value"] <= c["tolerance"] for c in gaps)
+        oracles = [c for c in doc["checks"] if c["name"].startswith("oracle-")]
+        assert len(oracles) == 11
+        assert all(c["provenance"] == "closed-form-oracle" for c in oracles)
+        # the closed form's gap is measured, not absent
+        assert all(0.0 < c["value"] <= c["tolerance"] for c in oracles)

@@ -204,6 +204,14 @@ class TestCurvatureEngine:
             gm.metric_jet_fd(chart, np.array([1.0, 2.0, 3.0]))
 
 
+class HiddenJet:
+    """A chart's metric without its jet, so the stencils take its Ricci."""
+
+    def __init__(self, chart):
+        self.dim, self.sample_box = chart.dim, chart.sample_box
+        self.metric_batch = chart.metric_batch
+
+
 def every_family_chart():
     for family, row in gm.FAMILIES.items():
         for n, m, rho in row.report or ((4, None, None),):
@@ -272,20 +280,19 @@ class TestMetricJet:
             assert rep.sectional_max == pytest.approx(max(secs), rel=1e-12)
             assert rep.ricci_sym_max == pytest.approx(max(syms), abs=1e-14)
 
-    @pytest.mark.parametrize("chart,n,fd_gap", [
-        (family_chart("round", 5), 100, True),
-        (family_chart("extra-codim", 7, m=2), 35, True),
-        (gm.PullbackChart(immersions.schwarzschild_immersion(5)), 5, False),
-    ], ids=["exact-dim5", "exact-dim7", "pullback-dim5"])
-    def test_blocks_stay_within_budget(self, monkeypatch, chart, n, fd_gap):
+    @pytest.mark.parametrize("chart,n", [
+        (family_chart("round", 5), 100),
+        (family_chart("extra-codim", 7, m=2), 35),
+        (gm.PullbackChart(immersions.schwarzschild_immersion(5)), 5),
+        (HiddenJet(family_chart("extra-codim", 7, m=2)), 13),
+    ], ids=["exact-dim5", "exact-dim7", "pullback-dim5", "hidden-jet-dim7"])
+    def test_blocks_stay_within_budget(self, monkeypatch, chart, n):
         # every block-sized array alive at a block's peak counts against the
-        # budget, so no call's memory peak outgrows it; the exact pass and
-        # the stencils each span several blocks and cover every point once,
-        # and each pass's peak is read on its own
+        # budget, so no call's memory peak outgrows it; a chart with a jet
+        # runs the exact pass alone and any other the stencils alone, each
+        # over several blocks that cover every point once
         calls = {"exact": [], "fd": []}
-        peaks = []
-        exact, fd, stencils = (gm.diagonal_curvature, gm.curvature_from_jet,
-                               gm.metric_jet_fd)
+        exact, fd = gm.diagonal_curvature, gm.curvature_from_jet
 
         def sized_exact(f, *rest):
             calls["exact"].append(len(f))
@@ -295,38 +302,30 @@ class TestMetricJet:
             calls["fd"].append(len(g))
             return fd(g, dg, d2g)
 
-        def first_stencils(chart, X):
-            if calls["exact"] and not calls["fd"]:
-                # the exact pass is over: its peak, then the stencils'
-                peaks.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.reset_peak()
-            return stencils(chart, X)
-
         monkeypatch.setattr(gm, "diagonal_curvature", sized_exact)
         monkeypatch.setattr(gm, "curvature_from_jet", sized_fd)
-        monkeypatch.setattr(gm, "metric_jet_fd", first_stencils)
         tracemalloc.start()
         try:
-            rep = gm.verify_einstein(chart, 1.0, n_points=n, seed=3,
-                                     fd_gap=fd_gap)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            rep = gm.verify_einstein(chart, 1.0, n_points=n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 1 + fd_gap
-        for peak in peaks:
-            assert peak <= 8 * gm._BLOCK_ELEMENTS
-            # and an overestimated count per point cannot quietly shrink
-            # blocks
-            assert peak >= 4 * gm._BLOCK_ELEMENTS
-        # the exact charts run both passes, the pullback the stencils alone
-        assert bool(calls["exact"]) == fd_gap
-        for sizes in [calls["fd"]] + ([calls["exact"]] if fd_gap else []):
-            assert sum(sizes) == n == rep.n_points
-            assert len(sizes) >= 2
+        assert peak <= 8 * gm._BLOCK_ELEMENTS
+        # and an overestimated count per point cannot quietly shrink blocks
+        assert peak >= 4 * gm._BLOCK_ELEMENTS
+        has_jet = hasattr(chart, "metric_jet")
+        sizes = calls["exact" if has_jet else "fd"]
+        assert not calls["fd" if has_jet else "exact"]
+        assert sum(sizes) == n == rep.n_points
+        assert len(sizes) >= 2
+        # the charts with a jet have a closed form to meet; the others none
+        assert math.isnan(rep.oracle_max) != has_jet
 
-    def test_fd_gap_is_the_stencil_error(self, monkeypatch):
+    def test_stencil_ricci_error_is_second_order(self, monkeypatch):
+        # the stencils and their own contraction, where a chart without a jet
+        # takes its Ricci, meet the exact pass to O(h^2)
         chart, rho = gm.chart_for_family("round", 5)
-        rep = gm.verify_einstein(chart, rho, n_points=8, seed=2, fd_gap=True)
+        rep = gm.verify_einstein(chart, rho, n_points=8, seed=2)
         pts = gm.sample_points(chart, 8, seed=2)
         assert np.array_equal(rep.points, pts)
         f, df, d2f = chart.metric_jet(pts)
@@ -338,21 +337,23 @@ class TestMetricJet:
             fd = gm.curvature_from_jet(*gm.metric_jet_fd(chart, pts))[1]
             return float(np.max(np.max(np.abs(fd - exact), axis=(1, 2)) / scale))
 
-        assert rep.fd_gap_max == pytest.approx(gap(1e-3), rel=1e-12)
         assert 0.0 < gap(1e-3) < 1e-3
         # second-order stencils: doubling the step quadruples the error
         assert gap(2e-3) == pytest.approx(4.0 * gap(1e-3), rel=0.1)
-        # without an exact jet the stencils would be measured against
-        # themselves and pass on no evidence
-        pull = gm.PullbackChart(immersions.schwarzschild_immersion(5))
-        with pytest.raises(BadRange):
-            gm.verify_einstein(pull, 0.0, n_points=2, fd_gap=True)
 
-    def test_fd_gap_catches_a_wrong_exact_core(self, capsys, monkeypatch):
-        # the stencils reach Ricci through curvature_from_jet, a contraction
-        # of their own, so a diagonal core with Q2's sign flipped fails every
-        # fd-gap check of `report` while the dense core stays as it is
-        core, dense_core = gm.diagonal_curvature, gm.curvature_from_jet
+    def test_oracle_fails_without_a_closed_form(self):
+        # a pullback has no closed-form Ricci, so its oracle reads NaN, and
+        # the check that expects one fails rather than pass on no evidence
+        pull = gm.PullbackChart(immersions.schwarzschild_immersion(5))
+        rep = gm.verify_einstein(pull, 0.0, n_points=2)
+        assert math.isnan(rep.oracle_max)
+        checks = cli._intrinsic_checks(rep, gm.FAMILIES["schwarzschild"], pull)
+        assert [c["status"] for c in checks if c["name"] == "oracle"] == ["fail"]
+
+    def test_oracle_catches_a_wrong_exact_core(self, capsys, monkeypatch):
+        # the closed form reads neither the jet nor the core, so a diagonal
+        # core with Q2's sign flipped fails every oracle check of `report`
+        core = gm.diagonal_curvature
 
         def q2_flipped(f, df, d2f, I, J):
             ric, defect, secs = core(f, df, d2f, I, J)
@@ -362,12 +363,27 @@ class TestMetricJet:
             return ric + 2.0 * q2, defect, secs
 
         monkeypatch.setattr(gm, "diagonal_curvature", q2_flipped)
-        code = cli.main(["report", "--seed", "0"])
-        doc = json.loads(capsys.readouterr().out)
-        assert gm.curvature_from_jet is dense_core
-        gaps = [c for c in doc["checks"] if c["name"].startswith("fd-gap-")]
-        assert len(gaps) == 11 and code == 1
-        assert all(c["status"] == "fail" for c in gaps)
+        assert_report_fails_every_oracle(capsys)
+
+    def test_oracle_catches_a_wrong_jet(self, capsys, monkeypatch):
+        # every second derivative along the first coordinate 1% off, in the
+        # jets of both chart kinds, with the metric itself unchanged
+        for cls in (gm.ProductChart, gm.WarpedChart):
+            def scaled(self, X, jet=cls.metric_jet):
+                f, df, d2f = jet(self, X)
+                d2f[:, 0, 0] *= 1.01
+                return f, df, d2f
+
+            monkeypatch.setattr(cls, "metric_jet", scaled)
+        assert_report_fails_every_oracle(capsys)
+
+
+def assert_report_fails_every_oracle(capsys):
+    code = cli.main(["report", "--seed", "0"])
+    doc = json.loads(capsys.readouterr().out)
+    oracles = [c for c in doc["checks"] if c["name"].startswith("oracle-")]
+    assert len(oracles) == 11 and code == 1
+    assert all(c["status"] == "fail" for c in oracles)
 
 
 def curvature_reference(g, dg, d2g):
