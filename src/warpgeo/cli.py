@@ -463,8 +463,8 @@ def cmd_classify_appendix(cfg):
     if cfg["solve"] is not None:
         a, b, c, d = cfg["solve"]
         p, q, r = extrinsic.solve_normal_form_relations(a, b, c, d)
-        # the sign of (ad - bc)(ac - bd)(ab - cd), whose product may overflow
-        sign = np.prod(np.sign([a * d - b * c, a * c - b * d, a * b - c * d]))
+        # the sign of the factors' product, which itself may overflow
+        sign = np.prod(np.sign(extrinsic.normal_form_factors(a, b, c, d)))
         extra["solver"] = {"input": cfg["solve"], "p": p, "q": q, "r": r,
                            "positivity": sign}
         checks.append(_check("solver-positivity", sign, 0.0,

@@ -535,6 +535,11 @@ def shape_operator_normal_form(A1, A2):
     return Unclassified(reason="no gauge produced a zero slot")
 
 
+def normal_form_factors(a, b, c, d):
+    """ad - bc, ac - bd and ab - cd: the right-hand sides of the relations."""
+    return a * d - b * c, a * c - b * d, a * b - c * d
+
+
 def solve_normal_form_relations(a, b, c, d):
     """Recover (p, q, r) from the generic-form relations, positive-p branch.
 
@@ -545,9 +550,7 @@ def solve_normal_form_relations(a, b, c, d):
     """
     if not all(math.isfinite(x) for x in (a, b, c, d)):
         raise BadRange("normal-form values must be finite")
-    r1 = a * d - b * c
-    r2 = a * c - b * d
-    r3 = a * b - c * d
+    r1, r2, r3 = normal_form_factors(a, b, c, d)
     if abs(r3) < 1e-14 or r1 * r2 * r3 <= 0.0:
         raise NotNormalForm("relations have no real solution for these values")
     p = math.sqrt(r1 * r2 / r3)

@@ -10,8 +10,8 @@ fiber's from its sin^2 products), and diagonal_curvature contracts that in
 d**3 entries a point. Their ricci_diag gives O'Neill's Ricci from the warp's
 samples and the fiber's Ricci constants, never the jet, as the oracle of
 that pass. A pullback, which has neither, gets the dense jet from
-metric_jet_fd, central stencils at the one step _FD_STEP, which
-curvature_from_jet contracts in d**4 entries a point.
+metric_jet_fd, d**2 + d + 1 stencil rows a point at the one step _FD_STEP,
+which curvature_from_jet contracts in d**4 entries a point.
 verify_einstein only measures; the command line judges by the family row.
 
 FAMILIES is the family table: one row per model geometry, from which every
@@ -326,7 +326,7 @@ class PullbackChart:
     def metric_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         J = self.immersion.jet(X)[1]
-        return np.einsum("nai,naj->nij", J, J)
+        return np.swapaxes(J, 1, 2) @ J
 
 
 def _on_diagonal(a):
@@ -363,37 +363,40 @@ def _blocks(chart, n):
     np.getbufsize() entries, and counts 8 d**3. A finite-difference block
     peaks at d**4 + 6 d**3 in curvature_from_jet and counts 2 d**4 + 8 d**3
     (blocks sized to a bare peak outgrow the sizes glibc reuses), after the
-    chart's 2 d**2 + 1 stencil rows a point of d**2, or 2 ambient d**2 on a
-    pullback, whose jet holds a Hessian.
+    chart's d**2 + d + 1 stencil rows a point of d**2, or 2 ambient d**2 on
+    a pullback, whose jet holds a Hessian.
     """
     d = chart.dim
     if hasattr(chart, "metric_jet"):
         return _block_slices(n, 8 * d ** 3)
     imm = getattr(chart, "immersion", None)
     row = 2 * imm.ambient_dim * d * d if imm else d * d
-    return _block_slices(n, 2 * d ** 4 + 8 * d ** 3 + (2 * d * d + 1) * row)
+    return _block_slices(n, 2 * d ** 4 + 8 * d ** 3 + (d * d + d + 1) * row)
 
 
+@functools.lru_cache(maxsize=32)
 def _stencil(d, h):
-    """Offsets of the second-order central stencil: the point, +-h e_a, and
-    the corners (+h, +h), (+h, -h), (-h, +h), (-h, -h) of every pair
-    a < b in triu_indices order."""
+    """The d**2 + d + 1 offsets of the second-order central stencil (the
+    point, +-h e_a, and +-(h e_a + h e_b) for every pair a < b) and the pairs
+    A, B in triu_indices order; built once per (d, h), all read-only."""
     step = h * np.eye(d)
     A, B = np.triu_indices(d, 1)
-    signs = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
-    corners = (signs[:, :1] * step[A][:, None] + signs[:, 1:] * step[B][:, None])
-    return np.concatenate([np.zeros((1, d)),
-                           np.stack([step, -step], axis=1).reshape(-1, d),
-                           corners.reshape(-1, d)])
+    pm = [np.stack([v, -v], 1).reshape(-1, d) for v in (step, step[A] + step[B])]
+    E = np.concatenate([np.zeros((1, d))] + pm)
+    for a in (E, A, B):
+        a.flags.writeable = False
+    return E, A, B
 
 
 def metric_jet_fd(chart, X):
     """Metric with first and second coordinate derivatives at rows X.
 
-    One chart evaluation over every row's full second-order central stencil
-    at step _FD_STEP (1 + 2 dim + 2 dim (dim-1) points each). Returns
-    (g, dg, d2g) with a leading batch axis, dg[:, a] = d_a g and
-    d2g[:, a, b] = d_a d_b g.
+    One chart evaluation over every row's second-order central stencil at
+    step _FD_STEP, dim**2 + dim + 1 points each. Returns (g, dg, d2g) with
+    a leading batch axis, dg[:, a] = d_a g and d2g[:, a, b] = d_a d_b g, a
+    mixed entry from the pair's diagonal corners and axis terms (A&S 25.3):
+    2 h**2 d_a d_b g = g(x + h e_a + h e_b) - 2 g(x) + g(x - h e_a - h e_b)
+    - h**2 (d_a**2 g + d_b**2 g).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = chart.dim
@@ -401,7 +404,7 @@ def metric_jet_fd(chart, X):
         raise BadDimension("points have shape %s, chart dim is %d"
                            % (X.shape, d))
     h = _FD_STEP
-    E = _stencil(d, h)
+    E, A, B = _stencil(d, h)
     n = X.shape[0]
     G = chart.metric_batch((X[:, None, :] + E).reshape(-1, d))
     G = G.reshape(n, len(E), d, d)
@@ -410,10 +413,10 @@ def metric_jet_fd(chart, X):
     dg = (gp - gm) / (2.0 * h)
     d2g = np.empty((n, d, d, d, d))
     idx = np.arange(d)
-    d2g[:, idx, idx] = (gp - 2.0 * g[:, None] + gm) / (h * h)
-    A, B = np.triu_indices(d, 1)
-    C = G[:, 1 + 2 * d:].reshape(n, len(A), 4, d, d)
-    mixed = (C[:, :, 0] - C[:, :, 1] - C[:, :, 2] + C[:, :, 3]) / (4.0 * h * h)
+    axis = gp - 2.0 * g[:, None] + gm          # h**2 d_a**2 g
+    d2g[:, idx, idx] = axis / (h * h)
+    pair = G[:, 1 + 2 * d::2] - 2.0 * g[:, None] + G[:, 2 + 2 * d::2]
+    mixed = (pair - axis[:, A] - axis[:, B]) / (2.0 * h * h)
     d2g[:, A, B] = mixed
     d2g[:, B, A] = mixed
     return g, dg, d2g
@@ -725,6 +728,7 @@ class CurvatureReport:
     sectional_min: float
     sectional_max: float
     provenance: str   # "analytic-jet" or "finite-difference"
+    chart_rows: int   # rows asked of metric_jet, or of metric_batch if none
     oracle_max: float      # NaN on a chart without a closed-form Ricci
     points: np.ndarray     # the sample; as_dict leaves out these two
 
@@ -805,5 +809,6 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
         sectional_min=float(np.min(secs, initial=math.inf)),
         sectional_max=float(np.max(secs, initial=-math.inf)),
         provenance="analytic-jet" if jet else "finite-difference",
+        chart_rows=len(resids) * (1 if jet else len(_stencil(d, _FD_STEP)[0])),
         oracle_max=float(oracle), points=pts,
     )

@@ -95,6 +95,7 @@ class TestVerifyIntrinsic:
         assert code == 0
         assert doc["overall"] == "pass"
         assert doc["curvature"]["provenance"] == "analytic-jet"
+        assert doc["curvature"]["chart_rows"] == 8   # one jet row a point
 
     def test_perturbed_clifford_fails(self, capsys):
         code, doc = run(capsys, "verify-intrinsic", "--family", "clifford",

@@ -230,11 +230,15 @@ class TestMetricJet:
             g, dg, d2g = dense(chart.metric_jet(X))
             assert np.array_equal(g, chart.metric_batch(X)), chart.label
             gaps = []
+            # the mixed entries (a != b) alone too, which the diagonal
+            # corners give, so the axis entries cannot hide their error
+            mixed = ~np.eye(chart.dim, dtype=bool)
             for h in (2e-3, 1e-3):
                 monkeypatch.setattr(gm, "_FD_STEP", h)
                 _, fdg, fd2g = gm.metric_jet_fd(chart, X)
                 gaps.append((np.max(np.abs(fdg - dg)),
-                             np.max(np.abs(fd2g - d2g))))
+                             np.max(np.abs(fd2g - d2g)),
+                             np.max(np.abs(fd2g - d2g)[:, mixed])))
             assert max(gaps[1]) <= 1e-5, chart.label
             # the stencils' O(h^2) truncation error; below h = 1e-3 the
             # warped charts' second differences reach the dense output's
@@ -244,13 +248,13 @@ class TestMetricJet:
 
     def test_blocks_match_row_by_row(self, monkeypatch):
         # point counts that are not multiples of the block (81 points at
-        # dim 5 and 29 at dim 7 exact, 4 at dim 5 by finite differences); rho
+        # dim 5 and 29 at dim 7 exact, 6 at dim 5 by finite differences); rho
         # is off by one so the residual is O(1) and a relative bound means
         # something
         cases = ((family_chart("round", 5), 5.0, 100),
                  (family_chart("extra-codim", 7, m=2), 1.0, 35),
                  (gm.PullbackChart(immersions.schwarzschild_immersion(5)),
-                  1.0, 5))
+                  1.0, 7))
         # every coordinate plane, so the sectional range is the full one
         monkeypatch.setattr(gm, "_MAX_PLANES", 100)
         for chart, rho, n in cases:
@@ -283,7 +287,7 @@ class TestMetricJet:
     @pytest.mark.parametrize("chart,n", [
         (family_chart("round", 5), 100),
         (family_chart("extra-codim", 7, m=2), 35),
-        (gm.PullbackChart(immersions.schwarzschild_immersion(5)), 5),
+        (gm.PullbackChart(immersions.schwarzschild_immersion(5)), 8),
         (HiddenJet(family_chart("extra-codim", 7, m=2)), 13),
     ], ids=["exact-dim5", "exact-dim7", "pullback-dim5", "hidden-jet-dim7"])
     def test_blocks_stay_within_budget(self, monkeypatch, chart, n):
@@ -320,6 +324,35 @@ class TestMetricJet:
         assert len(sizes) >= 2
         # the charts with a jet have a closed form to meet; the others none
         assert math.isnan(rep.oracle_max) != has_jet
+
+    @pytest.mark.parametrize("chart,per_point", [
+        (family_chart("extra-codim", 7, m=2), 1),
+        (gm.PullbackChart(immersions.schwarzschild_immersion(5)), 31),
+        (HiddenJet(family_chart("extra-codim", 7, m=2)), 57),
+    ], ids=["exact-dim7", "pullback-dim5", "hidden-jet-dim7"])
+    def test_chart_rows_counts_the_rows_asked(self, monkeypatch, chart,
+                                              per_point):
+        # the exact pass asks metric_jet for each point once, the stencils
+        # ask metric_batch for d**2 + d + 1 rows a point
+        name = "metric_jet" if hasattr(chart, "metric_jet") else "metric_batch"
+        method, asked = getattr(chart, name), []
+
+        def counted(X):
+            asked.append(len(X))
+            return method(X)
+
+        monkeypatch.setattr(chart, name, counted)
+        rep = gm.verify_einstein(chart, 1.0, n_points=9, seed=3)
+        assert sum(asked) == rep.chart_rows == per_point * 9
+        assert rep.as_dict()["chart_rows"] == rep.chart_rows
+
+    def test_stencil_is_built_once_and_read_only(self):
+        E, A, B = gm._stencil(5, gm._FD_STEP)
+        assert E.shape == (31, 5) and len(A) == len(B) == 10
+        assert gm._stencil(5, gm._FD_STEP)[0] is E
+        for a in (E, A, B):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     def test_stencil_ricci_error_is_second_order(self, monkeypatch):
         # the stencils and their own contraction, where a chart without a jet
