@@ -21,8 +21,10 @@ of a fixed generic combination of each row's shape operators gives their
 common eigenbasis, and umbilical_structure groups its principal curvature
 vectors; the flat-normal, umbilical and normal-form stages all read it.
 Codazzi evaluates the immersion again only at the points its stencil
-adds, in blocks within geometry's element budget, and Dupin reads the
-same covariant derivative of alpha; Gauss evaluates it not at all. A
+adds, in blocks within geometry's element budget, and differences only
+their Hessians: in flat ambient space its Christoffel terms cancel, so no
+inverse, Christoffel symbol or alpha is formed there. Dupin reads the same
+differences along the leaf; Gauss evaluates the immersion not at all. A
 single point is a batch of one row.
 """
 
@@ -291,82 +293,63 @@ def gauss_ricci_residual(imm, pe):
 
 # -- Codazzi -------------------------------------------------------------------------
 
-def _alpha_chart(J, H):
-    """Ambient-valued second fundamental form in chart indices, with the
-    Christoffel symbols Gamma^e_ij and the inverse of the pullback metric
-    J^T J, all read off the jet rows (J, H). The pair (i, j) is flattened:
-    alpha has shape (n, ambient, d d), Gamma (n, d, d d)."""
-    n, amb, d = J.shape
-    H = H.reshape(n, amb, d * d)
-    Gi = np.linalg.inv(np.swapaxes(J, 1, 2) @ J)
-    gam = Gi @ (np.swapaxes(J, 1, 2) @ H)
-    # subtract the tangential part J Gamma^e_ij, in place of that product
-    alpha = J @ gam
-    np.subtract(H, alpha, out=alpha)
-    return alpha, gam, Gi
-
-
 def codazzi_residual(imm, pe):
-    """Codazzi and Dupin residuals from one covariant derivative of alpha.
+    """Codazzi and Dupin residuals from the Hessians of the displaced jets.
 
-    (nabla_a alpha)(b, c) is the normal projection of the coordinate
-    derivative of the ambient-valued alpha minus the Christoffel
-    corrections Gamma^e_ab alpha_ec and Gamma^e_ac alpha_be; Codazzi in
-    flat ambient space demands symmetry in (a, b), so the a-b
-    antisymmetrization is pure error. Gamma^e_ab alpha_ec is symmetric in
-    (a, b) and cancels exactly in that antisymmetrization, so it is formed
-    only where dupin_residual reads the derivative. Each row adds 2 dim
-    displaced points, and the rows go in blocks within geometry's element
-    budget, one jet call per block. Returns (codazzi, dupin), one value
-    per row each.
+    (nabla_a alpha)_bc is PiN d_a H_bc minus three Christoffel terms,
+    alpha_ae Gamma^e_bc, Gamma^e_ab alpha_ec and Gamma^e_ac alpha_be, which
+    as a set are symmetric in (a, b). Codazzi in flat ambient space demands
+    symmetry in (a, b), so its defect is exactly PiN (d_a H_bc - d_b H_ac),
+    d the central difference at _STEP over the 2 dim points each row's
+    stencil adds: no inverse, Christoffel symbol or alpha is formed at
+    them. The rows go in blocks within geometry's element budget, one jet
+    call per block, and dupin_residual reads d_L H_LL of every row once
+    they are done. Returns (codazzi, dupin), one value per row each.
     """
-    d, amb = imm.dim, imm.ambient_dim
+    n, d, amb = len(pe.x), imm.dim, imm.ambient_dim
     # rows 2a and 2a + 1 of a point's stencil displace it by +_STEP and
     # -_STEP along axis a
     E = np.stack([_STEP * np.eye(d), -_STEP * np.eye(d)], 1).reshape(-1, d)
-    codazzi, dupin = [], []
-    # the live set peaks inside _alpha_chart of the displaced jet at three
-    # arrays of 2 d ambient d d entries a point: the displaced Hessians,
-    # their alpha and their Christoffel symbols (d / ambient of that size);
-    # tracemalloc reads 3.1-3.4 such arrays, within the budget's five
-    for rows in geometry._block_slices(len(pe.x), 5 * 2 * d * amb * d * d):
-        J = pe.J[rows]
-        m = len(J)
-        a0, gam, Gi = _alpha_chart(J, pe.H[rows])
+    codazzi, leaf = np.empty(n), np.empty((n, amb))
+    # a block counts three arrays a point of the displaced Hessians' size;
+    # tracemalloc reads the live set's peak, in the block's jet call, at
+    # 2.2 to 3.4 of them, the ufuncs' fixed buffers included: 0.57 to 1.0
+    # of the budget on a full block of any family at dims 4 to 8
+    for rows in geometry._block_slices(n, 3 * 2 * d * amb * d * d):
+        N = pe.N[rows]
+        m = len(N)
         X = (pe.x[rows, None, :] + E).reshape(-1, d)
-        disp = _alpha_chart(*imm.jet(X)[1:])[0].reshape(m, d, 2, amb, d * d)
-        da = (disp[:, :, 0] - disp[:, :, 1]) / (2.0 * _STEP)
-        del disp
-        PiN = np.eye(amb) - J @ Gi @ np.swapaxes(J, 1, 2)
-        # (nabla_a alpha)_bc = PiN d_a alpha_bc - Gamma^e_ac alpha_be, up to
-        # the cancelling term; axes (row, a, ambient, b, c)
-        nab = (PiN[:, None] @ da).reshape(m, d, amb, d, d)
-        nab -= (a0.reshape(m, amb * d, d) @ gam).reshape(
-            m, amb, d, d, d).transpose(0, 3, 1, 2, 4)
-        dupin.append(dupin_residual(nab, a0, gam, J))
-        defect = nab - np.swapaxes(nab, 1, 3)
-        codazzi.append(np.max(np.abs(defect), axis=(1, 2, 3, 4)))
-        del da, nab, defect   # before the next block's jet
-    return np.concatenate(codazzi), np.concatenate(dupin)
+        H = imm.jet(X)[2].reshape(m, d, 2, amb, d, d)
+        # 2 _STEP d_a H_bc, axes (row, a, ambient, b, c)
+        dH = H[:, :, 0] - H[:, :, 1]
+        del H
+        leaf[rows] = dH[:, -1, :, -1, -1]
+        defect = dH - np.swapaxes(dH, 1, 3)
+        del dH
+        defect = (np.swapaxes(N, 1, 2) @ N)[:, None] @ defect.reshape(
+            m, d, amb, d * d)
+        codazzi[rows] = np.max(np.abs(defect, out=defect), axis=(1, 2, 3))
+        del defect   # before the next block's jet
+    return codazzi / (2.0 * _STEP), dupin_residual(pe, leaf / (2.0 * _STEP))
 
 
-def dupin_residual(nab, a0, gam, J):
-    """Normal-space velocity of eta along a U-leaf direction, per row of a
-    codazzi_residual block.
+def dupin_residual(pe, dH):
+    """Normal-space velocity of eta along a U-leaf direction, per row.
 
     The leaf direction L is the last chart axis, the final fiber angle.
     Where U holds L, alpha(X, L) = <X, L> eta for every X, so
     (nabla_L alpha)(L, L) = g_LL nabla-perp_L eta, and eta is parallel along
-    the leaf in the normal connection exactly when it vanishes. nab (rows,
-    a, ambient, b, c) is codazzi_residual's derivative, which leaves out
-    Gamma^e_ab alpha_ec; at (L, L, L) that term does not cancel, so it is
-    subtracted here from the jet's alpha a0 and Christoffel symbols gam,
-    both over the flattened pair (i, j).
+    the leaf in the normal connection exactly when it vanishes. None of its
+    three Christoffel terms cancels at (L, L, L), so it is the normal part
+    of dH - 3 H_Le Gamma^e_LL, with dH (rows, ambient) the d_L H_LL of
+    codazzi_residual's displaced jets and Gamma^e_LL = B Q^T H_LL read off
+    the rows' own jet and frames.
     """
-    d = J.shape[2]
-    # alpha_eL (rows, ambient, e) times Gamma^e_LL (rows, e, 1)
-    v = nab[:, -1, :, -1, -1] - (a0[:, :, d - 1::d] @ gam[:, :, -1:])[:, :, 0]
-    return np.linalg.norm(v, axis=1) / np.sum(J[:, :, -1] ** 2, axis=1)
+    H = pe.H
+    gam = pe.B @ (np.swapaxes(pe.Q, 1, 2) @ H[:, :, -1, -1, None])
+    v = pe.N @ (dH[:, :, None] - 3.0 * (H[:, :, -1] @ gam))
+    return np.linalg.norm(v[:, :, 0], axis=1) / np.sum(pe.J[:, :, -1] ** 2,
+                                                        axis=1)
 
 
 # -- rotational profile normal --------------------------------------------------------

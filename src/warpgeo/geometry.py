@@ -341,9 +341,9 @@ def _on_diagonal(a):
 # -- curvature from a metric jet ----------------------------------------------
 
 # Element budget of one block of points, counting every array alive at its
-# peak, so memory stays flat in the dimension and the sample size. Codazzi,
-# at five arrays a point, keeps the blocks it had when only its largest
-# array counted against 2**14, and so its jet calls.
+# peak, so memory stays flat in the dimension and the sample size. Codazzi
+# counts three arrays a point of its displaced Hessians' size, which its
+# measured peaks fit (see codazzi_residual).
 _BLOCK_ELEMENTS = 5 * 2 ** 14
 
 

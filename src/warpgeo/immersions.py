@@ -30,46 +30,42 @@ _TOL_MARGIN = 1e-10
 
 # -- sphere and fiber jets -----------------------------------------------------
 
-def sphere_jet(Y):
+def sphere_jet(Y, out=None):
     """2-jet of the polar parametrization of the unit sphere S^d in R^{d+1}.
 
     Y has shape (N, d); the recursion peels the leading angle:
-    Theta_d(a, rest) = (cos a, sin a * Theta_{d-1}(rest)).
+    Theta_d(a, rest) = (cos a, sin a * Theta_{d-1}(rest)). out, when given,
+    is a (v, j, h) of shapes (N, d+1), (N, d+1, d) and (N, d+1, d, d), j
+    and h zeroed, possibly views into a larger jet, that the top level
+    writes into in place of arrays of its own.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, d = Y.shape
-    if d == 1:
-        th = Y[:, 0]
-        v = np.stack([np.cos(th), np.sin(th)], axis=1)
-        j = np.zeros((n, 2, 1))
-        j[:, 0, 0] = -np.sin(th)
-        j[:, 1, 0] = np.cos(th)
-        h = np.zeros((n, 2, 1, 1))
-        h[:, 0, 0, 0] = -np.cos(th)
-        h[:, 1, 0, 0] = -np.sin(th)
+    # the rest's jet first, so no two levels' arrays are alive at once
+    rest = sphere_jet(Y[:, 1:]) if d > 1 else None
+    v, j, h = out or (np.empty((n, d + 1)), np.zeros((n, d + 1, d)),
+                      np.zeros((n, d + 1, d, d)))
+    ca, sa = np.cos(Y[:, 0]), np.sin(Y[:, 0])
+    v[:, 0], j[:, 0, 0], h[:, 0, 0, 0] = ca, -sa, -ca
+    if rest is None:
+        v[:, 1], j[:, 1, 0], h[:, 1, 0, 0] = sa, ca, -sa
         return v, j, h
-    a = Y[:, 0]
-    ca, sa = np.cos(a), np.sin(a)
-    vs, js, hs = sphere_jet(Y[:, 1:])
-    v = np.concatenate([ca[:, None], sa[:, None] * vs], axis=1)
-    j = np.zeros((n, d + 1, d))
-    j[:, 0, 0] = -sa
+    vs, js, hs = rest
+    np.multiply(sa[:, None], vs, out=v[:, 1:])
     j[:, 1:, 0] = ca[:, None] * vs
-    j[:, 1:, 1:] = sa[:, None, None] * js
-    h = np.zeros((n, d + 1, d, d))
-    h[:, 0, 0, 0] = -ca
+    np.multiply(sa[:, None, None], js, out=j[:, 1:, 1:])
     h[:, 1:, 0, 0] = -sa[:, None] * vs
-    h[:, 1:, 0, 1:] = ca[:, None, None] * js
-    h[:, 1:, 1:, 0] = ca[:, None, None] * js
-    h[:, 1:, 1:, 1:] = sa[:, None, None, None] * hs
+    h[:, 1:, 0, 1:] = h[:, 1:, 1:, 0] = ca[:, None, None] * js
+    np.multiply(sa[:, None, None, None], hs, out=h[:, 1:, 1:, 1:])
     return v, j, h
 
 
 def fiber_jet(fiber, Y):
     """2-jet of a FiberSpec's standard product embedding.
 
-    Each factor S^{d_i}(r_i) contributes a scaled polar block; a nonzero
-    offset appends one constant ambient coordinate with zero derivatives.
+    Each factor S^{d_i}(r_i) contributes a scaled polar block, written in
+    place; a nonzero offset appends one constant ambient coordinate with
+    zero derivatives.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = Y.shape[0]
@@ -83,10 +79,10 @@ def fiber_jet(fiber, Y):
     ao = 0
     co = 0
     for d, r in zip(fiber.dims, fiber.radii):
-        vb, jb, hb = sphere_jet(Y[:, co:co + d])
-        v[:, ao:ao + d + 1] = r * vb
-        j[:, ao:ao + d + 1, co:co + d] = r * jb
-        h[:, ao:ao + d + 1, co:co + d, co:co + d] = r * hb
+        for a in sphere_jet(Y[:, co:co + d], (
+                v[:, ao:ao + d + 1], j[:, ao:ao + d + 1, co:co + d],
+                h[:, ao:ao + d + 1, co:co + d, co:co + d])):
+            a *= r
         ao += d + 1
         co += d
     if fiber.offset:
@@ -166,7 +162,8 @@ class ProfileTable:
         t_node = sol.t[idx]
         delta = ts - t_node
         cols = sol.samples_at(np.concatenate([ts, t_node, t_node + 0.5 * delta]))
-        end, node, mid = zip(*(np.split(col, 3) for col in cols))
+        n = len(ts)
+        end, node, mid = ([col[k:k + n] for col in cols] for k in (0, n, 2 * n))
         phi, dphi, d2phi, d3phi = end
         if np.any(np.abs(dphi) < _TOL_TURNING):
             raise SingularChartPoint("profile radius phi' vanishes")
