@@ -97,7 +97,7 @@ def extrinsics_at(imm, X):
     reads it reports NaN.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    v, J, H = imm.jet(X)
+    v, J, H = imm.jet(X, 2)
     d = J.shape[2]
     Qc, R = np.linalg.qr(J, mode="complete")
     s = np.sign(np.diagonal(R, axis1=1, axis2=2))
@@ -319,7 +319,7 @@ def codazzi_residual(imm, pe):
         N = pe.N[rows]
         m = len(N)
         X = (pe.x[rows, None, :] + E).reshape(-1, d)
-        H = imm.jet(X)[2].reshape(m, d, 2, amb, d, d)
+        H = imm.jet(X, 2)[2].reshape(m, d, 2, amb, d, d)
         # 2 _STEP d_a H_bc, axes (row, a, ambient, b, c)
         dH = H[:, :, 0] - H[:, :, 1]
         del H
@@ -453,18 +453,27 @@ def shape_operator_normal_form(A1, A2):
     """Classify a commuting 4x4 shape-operator pair by gauge rotation.
 
     The slots are the pair's principal curvatures, read from the same
-    common eigenbasis as umbilical_structure, a batch of one row. The gauge
-    freedom is a rotation of the normal 2-frame; for every diagonal slot k
-    the closed-form angle beta = atan2(A2_kk, A1_kk) zeroes that slot of
-    the rotated A2 exactly, so scanning the four candidate angles finds
-    the gauge with the most zeros. Two or more zeros give the epsilon
-    form, exactly one the generic form.
+    common eigenbasis as umbilical_structure, a batch of one row, and
+    _normal_form scans their gauges, as classify_rows does for every row
+    of a sample.
     """
     A1 = np.asarray(A1, dtype=float)
     A2 = np.asarray(A2, dtype=float)
     if A1.shape != (4, 4) or A2.shape != (4, 4):
         raise BadDimension("normal forms are defined for 4x4 pairs")
-    d1, d2 = _principal_curvatures(np.stack([A1, A2])[None])[0][0].T
+    kappa = _principal_curvatures(np.stack([A1, A2])[None])[0][0]
+    return _normal_form(*kappa.T)
+
+
+def _normal_form(d1, d2):
+    """Normal form of one pair from its principal-curvature slots d1, d2.
+
+    The gauge freedom is a rotation of the normal 2-frame; for every slot k
+    the closed-form angle beta = atan2(d2_k, d1_k) zeroes that slot of the
+    rotated second operator exactly, so scanning the four candidate angles
+    finds the gauge with the most zeros. Two or more zeros give the epsilon
+    form, exactly one the generic form.
+    """
     scale = max(1.0, float(np.max(np.abs(d1))), float(np.max(np.abs(d2))))
 
     best = None
@@ -544,12 +553,14 @@ def solve_normal_form_relations(a, b, c, d):
 
 
 def classify_rows(imm, X):
-    """Normal forms at the rows of X, one a row, from one extrinsics_at call."""
+    """Normal forms at the rows of X, one a row, from one extrinsics_at call
+    and one _principal_curvatures call over every row's pair; each row's
+    slots are those shape_operator_normal_form reads from its pair alone."""
     pe = extrinsics_at(imm, X)
     if pe.dim != 4 or pe.codim != 2:
         raise BadDimension("classification needs dimension 4 and codimension"
                            " 2, got %d/%d" % (pe.dim, pe.codim))
-    return [shape_operator_normal_form(A1, A2) for A1, A2 in pe.alpha]
+    return [_normal_form(*k.T) for k in _principal_curvatures(pe.alpha)[0]]
 
 
 def classify_at(imm, x):
@@ -594,9 +605,9 @@ def extrinsic_scan(imm, n_points=8, seed=0):
     jet_rows = []   # rows of every jet call the scan makes
     jet_fn = imm.jet_fn
 
-    def counted(X):
+    def counted(X, order):
         jet_rows.append(len(X))
-        return jet_fn(X)
+        return jet_fn(X, order)
 
     imm = dataclasses.replace(imm, jet_fn=counted)
     pts = geometry.sample_points(imm, n_points, seed=seed)

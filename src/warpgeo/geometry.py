@@ -11,7 +11,8 @@ d**3 entries a point. Their ricci_diag gives O'Neill's Ricci from the warp's
 samples and the fiber's Ricci constants, never the jet, as the oracle of
 that pass. A pullback, which has neither, gets the dense jet from
 metric_jet_fd, d**2 + d + 1 stencil rows a point at the one step _FD_STEP,
-which curvature_from_jet contracts in d**4 entries a point.
+each J^T J of its immersion's order-1 jet (no Hessian), which
+curvature_from_jet contracts in d**4 entries a point.
 verify_einstein only measures; the command line judges by the family row.
 
 FAMILIES is the family table: one row per model geometry, from which every
@@ -310,7 +311,9 @@ class WarpedChart:
 
 @dataclass
 class PullbackChart:
-    """First fundamental form of an explicit immersion, J^T J pointwise."""
+    """First fundamental form of an explicit immersion, J^T J pointwise,
+    from the immersion's order-1 jet: the stencils that difference it never
+    ask for, or hold, a Hessian."""
 
     immersion: object
     label: str = "pullback"
@@ -325,7 +328,7 @@ class PullbackChart:
 
     def metric_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        J = self.immersion.jet(X)[1]
+        J = self.immersion.jet(X, 1)[1]
         return np.swapaxes(J, 1, 2) @ J
 
 
@@ -363,14 +366,20 @@ def _blocks(chart, n):
     np.getbufsize() entries, and counts 8 d**3. A finite-difference block
     peaks at d**4 + 6 d**3 in curvature_from_jet and counts 2 d**4 + 8 d**3
     (blocks sized to a bare peak outgrow the sizes glibc reuses), after the
-    chart's d**2 + d + 1 stencil rows a point of d**2, or 2 ambient d**2 on
-    a pullback, whose jet holds a Hessian.
+    chart's d**2 + d + 1 stencil rows a point of d**2. A pullback's row
+    counts (ambient + 2 d) d: its order-1 jet's J and their Gram matrices,
+    (ambient + d) d, and d**2 for what the jet keeps alive beside them,
+    the level below of the fiber's sphere recursion (d**2 on the round
+    sphere) or the profile's dense-output samples. A pass over full blocks
+    peaks, as tracemalloc reads it, at 0.69 to 0.93 of the budget on the
+    pullback of every immersion family at dims 4 to 8, the most on
+    Schwarzschild n4, whose three Hermite samples a row outweigh its J.
     """
     d = chart.dim
     if hasattr(chart, "metric_jet"):
         return _block_slices(n, 8 * d ** 3)
     imm = getattr(chart, "immersion", None)
-    row = 2 * imm.ambient_dim * d * d if imm else d * d
+    row = (imm.ambient_dim + 2 * d) * d if imm else d * d
     return _block_slices(n, 2 * d ** 4 + 8 * d ** 3 + (d * d + d + 1) * row)
 
 

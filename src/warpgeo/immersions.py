@@ -3,9 +3,12 @@
 Every immersion here returns analytic value, Jacobian, and Hessian arrays
 (no finite differences), assembled by the product rule from two bricks:
 polar jets of round spheres, and base surfaces, one of them the profile
-surface driven by a warp solution. The 2-jets feed the extrinsic stage,
-where second fundamental forms are read off directly. Each immersion
-carries the geometry chart it realizes, in the same coordinates.
+surface driven by a warp solution. Jets have an order: order 1 gives
+values and Jacobians alone, forming no Hessian at any level, for the
+pullback metric and the exports; order 2 adds the Hessians, and the
+2-jets feed the extrinsic stage, where second fundamental forms are read
+off directly. Each immersion carries the geometry chart it realizes, in
+the same coordinates.
 
 Ambient layout: every base surface has the form (lead(t), sigma'(t) e(u),
 sigma(t)), with e the unit circle (sin u, cos u) or, for the flat base, the
@@ -30,64 +33,80 @@ _TOL_MARGIN = 1e-10
 
 # -- sphere and fiber jets -----------------------------------------------------
 
-def sphere_jet(Y, out=None):
-    """2-jet of the polar parametrization of the unit sphere S^d in R^{d+1}.
+def _check_order(order):
+    if order not in (1, 2):
+        raise BadRange("jet order must be 1 or 2, got %r" % (order,))
+
+
+def sphere_jet(Y, out=None, order=2):
+    """Jet of the polar parametrization of the unit sphere S^d in R^{d+1}:
+    (v, j) at order 1, (v, j, h) at order 2.
 
     Y has shape (N, d); the recursion peels the leading angle:
-    Theta_d(a, rest) = (cos a, sin a * Theta_{d-1}(rest)). out, when given,
-    is a (v, j, h) of shapes (N, d+1), (N, d+1, d) and (N, d+1, d, d), j
-    and h zeroed, possibly views into a larger jet, that the top level
-    writes into in place of arrays of its own.
+    Theta_d(a, rest) = (cos a, sin a * Theta_{d-1}(rest)), every level to
+    the same order, so order 1 forms no Hessian at any of them. out, when
+    given, holds arrays of shapes (N, d+1), (N, d+1, d) and, at order 2,
+    (N, d+1, d, d), j and h zeroed, possibly views into a larger jet, that
+    the top level writes into in place of arrays of its own.
     """
+    _check_order(order)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, d = Y.shape
     # the rest's jet first, so no two levels' arrays are alive at once
-    rest = sphere_jet(Y[:, 1:]) if d > 1 else None
-    v, j, h = out or (np.empty((n, d + 1)), np.zeros((n, d + 1, d)),
-                      np.zeros((n, d + 1, d, d)))
+    rest = sphere_jet(Y[:, 1:], order=order) if d > 1 else None
+    out = out or (np.empty((n, d + 1)), *(
+        np.zeros((n, d + 1) + (d,) * k) for k in range(1, order + 1)))
+    v, j = out[:2]
     ca, sa = np.cos(Y[:, 0]), np.sin(Y[:, 0])
-    v[:, 0], j[:, 0, 0], h[:, 0, 0, 0] = ca, -sa, -ca
+    v[:, 0], j[:, 0, 0] = ca, -sa
     if rest is None:
-        v[:, 1], j[:, 1, 0], h[:, 1, 0, 0] = sa, ca, -sa
-        return v, j, h
-    vs, js, hs = rest
-    np.multiply(sa[:, None], vs, out=v[:, 1:])
-    j[:, 1:, 0] = ca[:, None] * vs
-    np.multiply(sa[:, None, None], js, out=j[:, 1:, 1:])
-    h[:, 1:, 0, 0] = -sa[:, None] * vs
-    h[:, 1:, 0, 1:] = h[:, 1:, 1:, 0] = ca[:, None, None] * js
-    np.multiply(sa[:, None, None, None], hs, out=h[:, 1:, 1:, 1:])
-    return v, j, h
+        v[:, 1], j[:, 1, 0] = sa, ca
+    else:
+        vs, js = rest[:2]
+        np.multiply(sa[:, None], vs, out=v[:, 1:])
+        j[:, 1:, 0] = ca[:, None] * vs
+        np.multiply(sa[:, None, None], js, out=j[:, 1:, 1:])
+    if order == 2:
+        h = out[2]
+        h[:, 0, 0, 0] = -ca
+        if rest is None:
+            h[:, 1, 0, 0] = -sa
+        else:
+            h[:, 1:, 0, 0] = -sa[:, None] * vs
+            h[:, 1:, 0, 1:] = h[:, 1:, 1:, 0] = ca[:, None, None] * js
+            np.multiply(sa[:, None, None, None], rest[2], out=h[:, 1:, 1:, 1:])
+    return out
 
 
-def fiber_jet(fiber, Y):
-    """2-jet of a FiberSpec's standard product embedding.
+def fiber_jet(fiber, Y, order=2):
+    """Jet of a FiberSpec's standard product embedding, (v, j) at order 1
+    and (v, j, h) at order 2.
 
-    Each factor S^{d_i}(r_i) contributes a scaled polar block, written in
-    place; a nonzero offset appends one constant ambient coordinate with
-    zero derivatives.
+    Each factor S^{d_i}(r_i) contributes a scaled polar block of the same
+    order, written in place; a nonzero offset appends one constant ambient
+    coordinate with zero derivatives.
     """
+    _check_order(order)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = Y.shape[0]
     fdim = fiber.dim
     if Y.shape[1] != fdim:
         raise BadDimension("expected %d fiber angles, got %d" % (fdim, Y.shape[1]))
     amb = fiber.ambient_dim
-    v = np.zeros((n, amb))
-    j = np.zeros((n, amb, fdim))
-    h = np.zeros((n, amb, fdim, fdim))
+    jet = [np.zeros((n, amb) + (fdim,) * k) for k in range(order + 1)]
     ao = 0
     co = 0
     for d, r in zip(fiber.dims, fiber.radii):
-        for a in sphere_jet(Y[:, co:co + d], (
-                v[:, ao:ao + d + 1], j[:, ao:ao + d + 1, co:co + d],
-                h[:, ao:ao + d + 1, co:co + d, co:co + d])):
+        rows, cols = slice(ao, ao + d + 1), slice(co, co + d)
+        for a in sphere_jet(Y[:, cols], tuple(
+                a[(slice(None), rows) + (cols,) * k]
+                for k, a in enumerate(jet)), order):
             a *= r
         ao += d + 1
         co += d
     if fiber.offset:
-        v[:, ao] = fiber.offset
-    return v, j, h
+        jet[0][:, ao] = fiber.offset
+    return tuple(jet)
 
 
 # -- immersion container -------------------------------------------------------
@@ -95,7 +114,8 @@ def fiber_jet(fiber, Y):
 @dataclass
 class Immersion:
     """Explicit map with exact 2-jets over a rectangular coordinate box; its
-    J^T J is the metric of chart, a geometry chart in the same coordinates."""
+    J^T J is the metric of chart, a geometry chart in the same coordinates.
+    jet_fn(X, order) gives the jet of order 1 or 2 at rows X."""
 
     label: str
     dim: int
@@ -106,16 +126,22 @@ class Immersion:
     chart: object
     meta: dict = field(default_factory=dict)
 
-    def jet(self, X):
+    def jet(self, X, order=2):
+        """The map's jet at rows X of shape (N, dim): values v (N, ambient)
+        and Jacobians J (N, ambient, dim) at order 1, and at order 2 also
+        Hessians H (N, ambient, dim, dim), H[:, x, a, b] = d_a d_b v_x.
+        jet_fn(X, order) computes it; order 1 forms no Hessian, and its v
+        and J are the order-2 call's to the byte."""
+        _check_order(order)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim:
             raise BadDimension(
                 "expected %d coordinates, got %d" % (self.dim, X.shape[1])
             )
-        return self.jet_fn(X)
+        return self.jet_fn(X, order)
 
     def value_batch(self, X):
-        return self.jet(X)[0]
+        return self.jet(X, 1)[0]
 
 
 # -- profile curve -------------------------------------------------------------
@@ -218,32 +244,35 @@ def _warped_product(chart, rho, t_jet, curve, k, box, meta):
     s = 1.0 / fiber.ambient_radius()
     dim, amb = chart.dim, (k - 1) + fiber.ambient_dim
 
-    def jet_fn(X):
+    def jet_fn(X, order):
         nrow = X.shape[0]
         *lead, (sig, dsig, d2sig, d3sig) = t_jet(X[:, 0])
         e, de, d2e = curve(X[:, 1])
-        vf, jf, hf = fiber_jet(fiber, X[:, 2:])
+        vf, jf, *hf = fiber_jet(fiber, X[:, 2:], order)
         c0, f0 = len(lead), k - 1     # first rows of the curve and the fiber
         v = np.empty((nrow, amb))
         j = np.zeros((nrow, amb, dim))
-        h = np.zeros((nrow, amb, dim, dim))
-        for a, (w, dw, d2w) in enumerate(lead):
-            v[:, a], j[:, a, 0], h[:, a, 0, 0] = w, dw, d2w
-
+        h = np.zeros((nrow, amb, dim, dim)) if order == 2 else None
+        for a, (w, dw, _) in enumerate(lead):
+            v[:, a], j[:, a, 0] = w, dw
         v[:, c0:f0] = dsig[:, None] * e
         j[:, c0:f0, 0] = d2sig[:, None] * e
         j[:, c0:f0, 1] = dsig[:, None] * de
+        ssig, sdsig, sd2sig = s * sig, s * dsig, s * d2sig
+        v[:, f0:] = ssig[:, None] * vf
+        j[:, f0:, 0] = sdsig[:, None] * vf
+        j[:, f0:, 2:] = ssig[:, None, None] * jf
+        if h is None:
+            return v, j
+
+        for a, (_, _, d2w) in enumerate(lead):
+            h[:, a, 0, 0] = d2w
         h[:, c0:f0, 0, 0] = d3sig[:, None] * e
         h[:, c0:f0, 0, 1] = h[:, c0:f0, 1, 0] = d2sig[:, None] * de
         h[:, c0:f0, 1, 1] = dsig[:, None] * d2e
-
-        sig, dsig, d2sig = s * sig, s * dsig, s * d2sig
-        v[:, f0:] = sig[:, None] * vf
-        j[:, f0:, 0] = dsig[:, None] * vf
-        j[:, f0:, 2:] = sig[:, None, None] * jf
-        h[:, f0:, 0, 0] = d2sig[:, None] * vf
-        h[:, f0:, 0, 2:] = h[:, f0:, 2:, 0] = dsig[:, None, None] * jf
-        h[:, f0:, 2:, 2:] = sig[:, None, None, None] * hf
+        h[:, f0:, 0, 0] = sd2sig[:, None] * vf
+        h[:, f0:, 0, 2:] = h[:, f0:, 2:, 0] = sdsig[:, None, None] * jf
+        h[:, f0:, 2:, 2:] = ssig[:, None, None, None] * hf[0]
         return v, j, h
 
     return Immersion(

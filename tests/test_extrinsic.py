@@ -48,8 +48,8 @@ def count_calls(monkeypatch, owner, name):
 
 def poisoned(imm, bad, radius=0.01):
     """imm with a NaN jet at every row within radius of the point bad."""
-    def jet_fn(X, fn=imm.jet_fn):
-        out = fn(X)
+    def jet_fn(X, order, fn=imm.jet_fn):
+        out = fn(X, order)
         hit = np.all(np.abs(X - bad) < radius, axis=1)
         for a in out:
             a[hit] = np.nan
@@ -541,6 +541,23 @@ class TestNormalForms:
         with pytest.raises(BadDimension):
             extrinsic.classify_at(imm, pts[:2])
 
+    def test_batched_slots_are_the_rows_own(self):
+        # classify_rows reads every row's slots from one batched eigenbasis;
+        # they and the operators in it are each row's own to the byte, so
+        # its forms are the pairs' one at a time
+        imm = immersions.build_immersion("schwarzschild", 4)
+        for seed in range(30):
+            pe = extrinsic.extrinsics_at(
+                imm, geometry.sample_points(imm, 10, seed=seed))
+            kappa, same, ap = extrinsic._principal_curvatures(pe.alpha)
+            for r in range(10):
+                one = extrinsic._principal_curvatures(pe.alpha[r:r + 1])
+                for got, want in zip((kappa, same, ap), one):
+                    assert np.array_equal(got[r:r + 1], want), seed
+            forms = extrinsic.classify_rows(imm, pe.x)
+            assert forms == [extrinsic.shape_operator_normal_form(*a)
+                             for a in pe.alpha], seed
+
     def test_classify_needs_dim_four(self):
         imm, x = schw_point(5)
         with pytest.raises(BadDimension):
@@ -762,8 +779,10 @@ def leaf_rotated(imm, rate):
     angle rate * x_L, L the last chart axis; J is unchanged, so Gauss,
     realization and the umbilical algebra still hold, but eta turns along
     the leaf. Codimension 2 only."""
-    def jet_fn(X, fn=imm.jet_fn):
-        v, J, H = fn(X)
+    def jet_fn(X, order, fn=imm.jet_fn):
+        if order == 1:
+            return fn(X, order)   # v and J are the true ones
+        v, J, H = fn(X, order)
         d = J.shape[2]
         E = np.linalg.qr(J, mode="complete")[0][:, :, d:]   # normal frame
         # K turns the normal plane by a right angle, with (J, w, K w)
@@ -782,18 +801,19 @@ def leaf_stretched(imm, k):
     """imm in the chart x_L -> x_L + k x_L^2 of its last axis: the same
     immersed points, with a leaf metric g_LL that varies along the leaf,
     so Gamma^e_LL alpha_eL = (d_L g_LL / 2) eta no longer vanishes."""
-    def jet_fn(X, fn=imm.jet_fn):
+    def jet_fn(X, order, fn=imm.jet_fn):
         Y = X.copy()
         Y[:, -1] += k * X[:, -1] ** 2
-        v, J, H = fn(Y)
+        jet = [a.copy() for a in fn(Y, order)]
+        J = jet[1]
         s = (1.0 + 2.0 * k * X[:, -1])[:, None]   # d y_L / d x_L
-        H = H.copy()
-        H[:, :, -1, :] *= s[:, :, None]
-        H[:, :, :, -1] *= s[:, :, None]
-        H[:, :, -1, -1] += 2.0 * k * J[:, :, -1]
-        J = J.copy()
+        if order == 2:
+            H = jet[2]
+            H[:, :, -1, :] *= s[:, :, None]
+            H[:, :, :, -1] *= s[:, :, None]
+            H[:, :, -1, -1] += 2.0 * k * J[:, :, -1]
         J[:, :, -1] *= s
-        return v, J, H
+        return tuple(jet)
     return dataclasses.replace(imm, jet_fn=jet_fn)
 
 
@@ -843,8 +863,10 @@ def normal_scaled(imm, k):
     times the true one at every point, so the frame algebra, realization
     and, on a Ricci-flat member, Gauss still hold, but H is no longer the
     Hessian of one map."""
-    def jet_fn(X, fn=imm.jet_fn):
-        v, J, H = fn(X)
+    def jet_fn(X, order, fn=imm.jet_fn):
+        if order == 1:
+            return fn(X, order)   # v and J are the true ones
+        v, J, H = fn(X, order)
         Q = np.linalg.qr(J)[0]   # tangent frame
         Hn = H - np.einsum("nxt,nyt,nyij->nxij", Q, Q, H)
         return v, J, H + (k - 1.0) * Hn
@@ -904,8 +926,8 @@ class TestBatching:
         calls = []
         jet = immersions.Immersion.jet
 
-        def sized(self, X):
-            out = jet(self, X)
+        def sized(self, X, order=2):
+            out = jet(self, X, order)
             calls.append((len(X), max(a.size for a in out)))
             return out
 

@@ -204,6 +204,10 @@ class TestCurvatureEngine:
             gm.metric_jet_fd(chart, np.array([1.0, 2.0, 3.0]))
 
 
+def pullback(family, n, m=None):
+    return gm.PullbackChart(immersions.build_immersion(family, n, m=m))
+
+
 class HiddenJet:
     """A chart's metric without its jet, so the stencils take its Ricci."""
 
@@ -248,13 +252,12 @@ class TestMetricJet:
 
     def test_blocks_match_row_by_row(self, monkeypatch):
         # point counts that are not multiples of the block (81 points at
-        # dim 5 and 29 at dim 7 exact, 6 at dim 5 by finite differences); rho
-        # is off by one so the residual is O(1) and a relative bound means
-        # something
+        # dim 5 and 29 at dim 7 exact, 16 at dim 5 by finite differences);
+        # rho is off by one so the residual is O(1) and a relative bound
+        # means something
         cases = ((family_chart("round", 5), 5.0, 100),
                  (family_chart("extra-codim", 7, m=2), 1.0, 35),
-                 (gm.PullbackChart(immersions.schwarzschild_immersion(5)),
-                  1.0, 7))
+                 (pullback("schwarzschild", 5), 1.0, 18))
         # every coordinate plane, so the sectional range is the full one
         monkeypatch.setattr(gm, "_MAX_PLANES", 100)
         for chart, rho, n in cases:
@@ -287,14 +290,26 @@ class TestMetricJet:
     @pytest.mark.parametrize("chart,n", [
         (family_chart("round", 5), 100),
         (family_chart("extra-codim", 7, m=2), 35),
-        (gm.PullbackChart(immersions.schwarzschild_immersion(5)), 8),
+        (pullback("schwarzschild", 5), 20),
         (HiddenJet(family_chart("extra-codim", 7, m=2)), 13),
-    ], ids=["exact-dim5", "exact-dim7", "pullback-dim5", "hidden-jet-dim7"])
+        # a pullback's jet peaks by its own parts: the sphere's recursion,
+        # Schwarzschild n4's profile samples, extra-codim's wide J; blocks
+        # of 38, 17, 5, 37 and 4 points
+        (pullback("sphere", 4), 45),
+        (pullback("sphere", 5), 20),
+        (pullback("sphere", 7), 7),
+        (pullback("schwarzschild", 4), 45),
+        (pullback("extra-codim", 7, m=2), 7),
+    ], ids=["exact-dim5", "exact-dim7", "pullback-dim5", "hidden-jet-dim7",
+            "pullback-sphere-n4", "pullback-sphere-n5", "pullback-sphere-n7",
+            "pullback-schwarzschild-n4", "pullback-extra-codim-n7-m2"])
     def test_blocks_stay_within_budget(self, monkeypatch, chart, n):
         # every block-sized array alive at a block's peak counts against the
         # budget, so no call's memory peak outgrows it; a chart with a jet
         # runs the exact pass alone and any other the stencils alone, each
-        # over several blocks that cover every point once
+        # over several blocks that cover every point once. A first call's
+        # lazy imports are no block's memory, so one point goes first
+        gm.verify_einstein(chart, 1.0, n_points=1, seed=3)
         calls = {"exact": [], "fd": []}
         exact, fd = gm.diagonal_curvature, gm.curvature_from_jet
 
@@ -324,6 +339,27 @@ class TestMetricJet:
         assert len(sizes) >= 2
         # the charts with a jet have a closed form to meet; the others none
         assert math.isnan(rep.oracle_max) != has_jet
+
+    @pytest.mark.parametrize("family,n,m,count", [
+        ("schwarzschild", 5, None, 40), ("extra-codim", 7, 2, 12)])
+    def test_pullback_report_does_not_depend_on_blocks(
+            self, monkeypatch, family, n, m, count):
+        # the pullback's blocks are sized for speed within the budget; what
+        # it reports must be the same to the byte at any block size
+        chart = pullback(family, n, m=m)
+
+        def report():
+            rep = gm.verify_einstein(chart, 0.0, n_points=count, seed=1)
+            return len(gm._blocks(chart, count)), json.dumps(rep.as_dict())
+
+        blocks, want = report()
+        base = gm._BLOCK_ELEMENTS
+        for scale in (0.25, 4):
+            monkeypatch.setattr(gm, "_BLOCK_ELEMENTS", int(scale * base))
+            got_blocks, got = report()
+            assert got_blocks != blocks
+            assert (got_blocks > blocks) == (scale < 1)
+            assert got == want
 
     @pytest.mark.parametrize("chart,per_point", [
         (family_chart("extra-codim", 7, m=2), 1),

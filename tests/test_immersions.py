@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from warpgeo import extrinsic
 from warpgeo import geometry as gm
 from warpgeo import immersions as im
 from warpgeo.errors import (
@@ -531,6 +532,78 @@ class TestBuilderDispatch:
         immr = im.build_immersion("schwarzschild", 5)
         with pytest.raises(BadDimension):
             immr.jet(np.zeros((1, 4)))
+
+
+# every immersion family's members, the perturbed flat composite last
+_ORDER_MEMBERS = [
+    ("sphere", 3, None, None), ("sphere", 5, None, None),
+    ("sphere", 7, None, None), ("clifford", 5, None, 1.0),
+    ("clifford", 6, None, 2.0)] + [
+    (family, n, m, None) for family, n, m in _WARPED_MEMBERS] + ["perturbed"]
+
+
+def recording(imm):
+    """imm with a jet_fn that records the order of every call."""
+    orders = []
+
+    def jet_fn(X, order, fn=imm.jet_fn):
+        orders.append(order)
+        return fn(X, order)
+    return dataclasses.replace(imm, jet_fn=jet_fn), orders
+
+
+class TestJetOrder:
+    @pytest.mark.parametrize("member", _ORDER_MEMBERS, ids=lambda m: (
+        m if isinstance(m, str) else
+        "%s-n%d" % m[:2] + ("-m%d" % m[2] if m[2] else "")))
+    def test_order_one_is_the_value_and_jacobian(self, member):
+        # order 1 forms no Hessian at any level, and its v and J are the
+        # order-2 call's to the byte
+        if member == "perturbed":
+            imm = perturbed_flat_composite()
+        else:
+            family, n, m, rho = member
+            imm = im.build_immersion(family, n, m=m, rho=rho)
+        for count in (1, 24, 204):
+            X = gm.sample_points(imm, count, seed=count)
+            first, second = imm.jet(X, 1), imm.jet(X)
+            assert len(first) == 2 and len(second) == 3
+            for got, want in zip(first, second):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_other_orders_rejected(self, order):
+        imm = im.build_immersion("schwarzschild", 5)
+        X = gm.sample_points(imm, 2)
+        with pytest.raises(BadRange):
+            imm.jet(X, order)
+        with pytest.raises(BadRange):
+            im.fiber_jet(imm.meta["fiber"], X[:, 2:], order)
+        with pytest.raises(BadRange):
+            im.sphere_jet(X[:, 2:], order=order)
+
+    def test_sphere_and_fiber_jets_by_order(self, rng):
+        fib = gm.offset_torus_fiber(7, 2)
+        Y = rng.uniform(0.5, 2.5, size=(9, fib.dim))
+        for jet in (lambda o: im.sphere_jet(Y, order=o),
+                    lambda o: im.fiber_jet(fib, Y, o)):
+            first, second = jet(1), jet(2)
+            assert len(first) == 2 and len(second) == 3
+            for got, want in zip(first, second):
+                assert np.array_equal(got, want)
+
+    def test_metric_and_values_ask_order_one(self):
+        # the pullback's stencils and the exports read v or J alone
+        imm, orders = recording(im.build_immersion("schwarzschild", 5))
+        gm.verify_einstein(gm.PullbackChart(imm), 0.0, n_points=3)
+        im.points_csv(imm, count=4)
+        im.surface_obj(imm, res=3)
+        assert len(orders) >= 3 and set(orders) == {1}
+
+    def test_extrinsics_ask_order_two(self):
+        imm, orders = recording(im.build_immersion("schwarzschild", 5))
+        extrinsic.extrinsic_scan(imm, n_points=3)
+        assert len(orders) >= 2 and set(orders) == {2}
 
 
 class TestExport:
