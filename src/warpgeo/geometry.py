@@ -6,8 +6,9 @@ implementations live here: products of round spheres, warped products over a
 rotational base, and pullbacks of explicit immersions. The first two are
 diagonal; their metric_jet gives the diagonal with its first and second
 derivatives in closed form (the warp's from one dense-output call, the
-fiber's from its sin^2 products), and diagonal_curvature contracts that in
-d**3 entries a point. Their ricci_diag gives O'Neill's Ricci from the warp's
+fiber's from its sin^2 products), and diagonal_curvature contracts that
+with d2f its one array of d**3 entries a point, every Christoffel product a
+d x d matrix of df. Their ricci_diag gives O'Neill's Ricci from the warp's
 samples and the fiber's Ricci constants, never the jet, as the oracle of
 that pass. A pullback, which has neither, gets the dense jet from
 metric_jet_fd, d**2 + d + 1 stencil rows a point at the one step _FD_STEP,
@@ -121,13 +122,14 @@ class FiberSpec:
         carries = np.triu(factor[:, None] == factor, 1)
         return carries, carries.any(axis=1)
 
-    def metric_diag_jet(self, Y, f):
+    def metric_diag_jet(self, Y, f, out=None):
         """First and second angle derivatives of f = metric_diag(Y).
 
         Each entry of f is r^2 times the sin^2 of the earlier angles of its
         factor, so d_a f_i = 2 cot y_a f_i, d_a d_a f_i = (2 cot^2 y_a - 2) f_i
         and d_a d_b f_i = 4 cot y_a cot y_b f_i where f_i carries the angles.
-        Returns df[:, a, i] and d2f[:, a, b, i]; a NaN in f reaches both.
+        Returns df[:, a, i] and d2f[:, a, b, i], the latter written into out
+        if given; a NaN in f reaches both.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         carries, polar = self._carries
@@ -135,7 +137,7 @@ class FiberSpec:
         c[:, polar] = 2.0 * np.cos(Y[:, polar]) / np.sin(Y[:, polar])
         cf = c[:, :, None] * carries * f[:, None, :]
         cm = c[:, :, None] * carries
-        d2f = cm[:, :, None, :] * cf[:, None, :, :]
+        d2f = np.multiply(cm[:, :, None, :], cf[:, None, :, :], out=out)
         idx = np.arange(self.dim)
         d2f[:, idx, idx, :] = (0.5 * c * c - 2.0)[:, :, None] * carries * f[:, None, :]
         return cf, d2f
@@ -220,9 +222,10 @@ class ProductChart:
     def metric_jet(self, X):
         """Diagonal jet (f, df, d2f) at rows X: f is metric_batch's diagonal,
         df[:, a, i] = d_a f_i and d2f[:, a, b, i] = d_a d_b f_i, multiples of
-        f, so whatever metric_batch returns, a NaN included, reaches all."""
+        f, so whatever metric_batch returns, a NaN included, reaches all; f
+        is a copy, so the d x d metrics die here."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        f = np.diagonal(self.metric_batch(X), axis1=1, axis2=2)
+        f = np.diagonal(self.metric_batch(X), axis1=1, axis2=2).copy()
         return (f, *self.fiber.metric_diag_jet(X, f))
 
     def ricci_diag(self, X):
@@ -278,23 +281,25 @@ class WarpedChart:
 
         phi'' and phi''' come with phi and phi' from samples_at, which takes
         them from the structural equation; theta enters no metric entry.
+        The fiber's second derivatives are written into the jet's block and
+        scaled there, before the smaller arrays exist.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         diag, (phi, dphi, d2phi, d3phi), f = self._diag(X)
-        df, d2f = self.fiber.metric_diag_jet(X[:, 2:], f)
         n, d = diag.shape
         pp = (phi * phi)[:, None, None]
+        dd = np.zeros((n, d, d, d))
+        df = self.fiber.metric_diag_jet(X[:, 2:], f, out=dd[:, 2:, 2:, 2:])[0]
+        dd[:, 2:, 2:, 2:] *= pp[..., None]
         mixed = (2.0 * phi * dphi)[:, None, None] * df   # d_t d_a (phi^2 f)
         ddiag = np.zeros((n, d, d))
         ddiag[:, 0, 1] = 2.0 * dphi * d2phi
         ddiag[:, 0, 2:] = (2.0 * phi * dphi)[:, None] * f
         ddiag[:, 2:, 2:] = pp * df
-        dd = np.zeros((n, d, d, d))
         dd[:, 0, 0, 1] = 2.0 * (d2phi * d2phi + dphi * d3phi)
         dd[:, 0, 0, 2:] = (2.0 * (dphi * dphi + phi * d2phi))[:, None] * f
         dd[:, 0, 2:, 2:] = mixed
         dd[:, 2:, 0, 2:] = mixed
-        dd[:, 2:, 2:, 2:] = pp[..., None] * d2f
         return diag, ddiag, dd
 
     def ricci_diag(self, X):
@@ -345,8 +350,9 @@ def _on_diagonal(a):
 
 # Element budget of one block of points, counting every array alive at its
 # peak, so memory stays flat in the dimension and the sample size. Codazzi
-# counts three arrays a point of its displaced Hessians' size, which its
-# measured peaks fit (see codazzi_residual).
+# counts three arrays a point of its displaced Hessians' size and Gauss
+# 7 d**3, which their measured peaks fit (see codazzi_residual and
+# extrinsic.gauss_ricci_residual).
 _BLOCK_ELEMENTS = 5 * 2 ** 14
 
 
@@ -362,8 +368,12 @@ def _blocks(chart, n):
     """Slices splitting n points of chart into blocks within the budget.
 
     An exact block peaks in diagonal_curvature, as tracemalloc reads it, at
-    5.3 to 6.3 d**3 entries a point (dims 5 to 8) plus one ufunc buffer of
-    np.getbufsize() entries, and counts 8 d**3. A finite-difference block
+    d**3 + 5.8 to 7 d**2 entries a point (dims 5 to 8), and counts d**3 + 11
+    d**2 (204 points at dim 5, 92 at dim 7) to leave room for the finished
+    blocks' Ricci rows and numpy's buffered ufunc loops, whose up to three
+    np.getbufsize() arrays a call are 0.29 of the budget at any block size.
+    A pass peaks at 0.77 to 0.81 of it over one full block and 0.85 to 0.94
+    over several, at dims 4 to 8. A finite-difference block
     peaks at d**4 + 6 d**3 in curvature_from_jet and counts 2 d**4 + 8 d**3
     (blocks sized to a bare peak outgrow the sizes glibc reuses), after the
     chart's d**2 + d + 1 stencil rows a point of d**2. A pullback's row
@@ -377,7 +387,7 @@ def _blocks(chart, n):
     """
     d = chart.dim
     if hasattr(chart, "metric_jet"):
-        return _block_slices(n, 8 * d ** 3)
+        return _block_slices(n, d ** 3 + 11 * d * d)
     imm = getattr(chart, "immersion", None)
     row = (imm.ambient_dim + 2 * d) * d if imm else d * d
     return _block_slices(n, 2 * d ** 4 + 8 * d ** 3 + (d * d + d + 1) * row)
@@ -491,33 +501,52 @@ def riemann_entries(dg, d2g, gamma, a, b, c, d):
 
 def diagonal_curvature(f, df, d2f, I, J):
     """(ricci, ricci_sym_defect, sectionals of the planes (I, J)) of a
-    diagonal jet as metric_jet gives it, in arrays of d**3 entries a point:
-    curvature_from_jet's terms at g^ac = delta_ac / f_a, T1_bd = d2f[b, d, d]
-    / f_d and T2_bd = d2f[b, d, b] / f_b (not T1's transpose, so a skew jet
-    shows), and riemann_entries' R_IJIJ = -(d2f[J, J, I] + d2f[I, I, J]) / 2
-    + Gamma_{p,JI} Gamma^p_IJ - Gamma_{p,JJ} Gamma^p_II over f_I f_J.
+    diagonal jet as metric_jet gives it: curvature_from_jet's terms at g^ac
+    = delta_ac / f_a, T1_bd = d2f[b, d, d] / f_d and T2_bd = d2f[b, d, b] /
+    f_b (not T1's transpose, so a skew jet shows), and riemann_entries'
+    R_IJIJ over f_I f_J. d2f is its one array of d**3 entries a point: with
+    D = df, w = 1 / f and 2 Gamma_{p,bc} = delta_pc D_bp + delta_pb D_cp -
+    delta_bc D_pb, the Christoffel products are symmetric d x d matrices,
+
+        4 Q1_bd = (D W^2 D^T)_bd - 2 w_b w_d D_db D_bd
+                  + 2 delta_bd w_b sum_a w_a D_ab^2,
+        2 Q2_bd = D_bd v_d + D_db v_b - delta_bd sum_p D_pb v_p,
+            v_p = w_p (w_p D_pp - sum_a w_a D_pa / 2) = w_p u_p,
+        4 sum_p (Gamma_{p,JI} Gamma^p_IJ - Gamma_{p,JJ} Gamma^p_II)
+            = w_I D_JI^2 + w_J D_IJ^2 + 2 (w_J D_JJ D_JI + w_I D_II D_IJ)
+              - (D^T W D)_JI,
+
+    so Ricci's symmetry defect is the T terms' alone.
     """
     n, d = f.shape
     w = 1.0 / f                                   # g^aa
-    low = _lowered(_on_diagonal(df))
-    gamma = low * w[:, :, None, None]
-    ric = np.diagonal(d2f, axis1=2, axis2=3) * w[:, None, :]          # T1
-    ric += np.diagonal(d2f, axis1=1, axis2=3).transpose(0, 2, 1) * w[..., None]
-    ric -= (d2f @ w[:, None, :, None])[..., 0]                        # T3
-    t4 = np.diagonal(d2f, axis1=1, axis2=2) @ w[..., None]
-    ric -= _on_diagonal(t4[..., 0])
+    wc = w[..., None]
+    y = df * w[:, None, :]                        # y[:, x, c] = D_xc w_c
+    yt = y.transpose(0, 2, 1)
+    yd = np.diagonal(y, axis1=1, axis2=2)
+    t4 = np.diagonal(d2f, axis1=1, axis2=2)      # t4[:, i, a] = d2f[:, a, a, i]
+    # 4 R_IJIJ f_I f_J at [:, I, J]; m is rebound so few d x d arrays live
+    m = (y + 2.0 * yd[..., None]) * df - 2.0 * t4
+    m = m + m.transpose(0, 2, 1)
+    m -= df.transpose(0, 2, 1) @ (wc * df)
+    secs = m[:, I, J] / (4.0 * f[:, I] * f[:, J])
+    m = np.diagonal(d2f, axis1=2, axis2=3) * w[:, None, :]            # T1
+    m += np.diagonal(d2f, axis1=1, axis2=3).transpose(0, 2, 1) * wc
+    m -= (d2f.reshape(n, d * d, d) @ wc).reshape(n, d, d)             # T3
+    m *= 0.5
+    defect = np.max(np.abs(m - m.transpose(0, 2, 1)), axis=(1, 2))
+    # Ric = (m + m^T + diag) / 2, m adding Q1 - Q2 but for their delta_bd
+    # terms (Q2's as D_bd v_d), diag those and T4, doubled; y @ a copy of
+    # y^T, as numpy's batched y @ y^T takes a slower symmetric path
+    u = yd - 0.5 * y.sum(axis=2)
+    diag = (wc * (df * (y + u[..., None]) - t4.transpose(0, 2, 1))).sum(axis=1)
+    m -= y * u[:, None, :]
+    m += 0.25 * (y @ yt.copy())
+    m -= 0.5 * y * yt
+    ric = m + m.transpose(0, 2, 1)
+    ric.reshape(n, d * d)[:, ::d + 1] += diag
     ric *= 0.5
-    # Q1 = g^ac Gamma_{p,bc} Gamma^p_ad, Q2 = Gamma_{p,bd} g^ac Gamma^p_ac
-    m = (low * w[:, None, None, :]).transpose(0, 2, 1, 3).reshape(n, d, -1)
-    ric += m @ gamma.reshape(n, -1, d)
-    v = np.diagonal(gamma, axis1=2, axis2=3) @ w[..., None]
-    ric -= (np.swapaxes(v, 1, 2) @ low.reshape(n, d, -1)).reshape(n, d, d)
-    ric_t = ric.transpose(0, 2, 1)
-    defect = np.max(np.abs(ric - ric_t), axis=(1, 2))
-    secs = (np.sum(low[:, :, J, I] * gamma[:, :, I, J]
-                   - low[:, :, J, J] * gamma[:, :, I, I], axis=1)
-            - 0.5 * (d2f[:, J, J, I] + d2f[:, I, I, J])) / (f[:, I] * f[:, J])
-    return 0.5 * (ric + ric_t), defect, secs
+    return ric, defect, secs
 
 
 @dataclass
@@ -803,14 +832,16 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
         scale = 1.0 + _row_max(g)
         return (_row_max(ric - rho * g) / scale, sym, secs.ravel(), ric, scale)
 
-    stats = [block(pts[s]) for s in _blocks(chart, len(pts))]
     # numpy reductions propagate NaN, where max(0.0, nan) would drop it;
-    # n_points counts the rows evaluated, not the rows asked for
-    resids, syms, secs, ric, scale = (np.concatenate(s) for s in zip(*stats))
+    # n_points counts the rows evaluated, not the rows asked for. The
+    # blocks' own arrays die once joined, and the closed form comes off
+    # Ricci's diagonal in place, so the oracle adds one d x d array a point
+    resids, syms, secs, ric, scale = (np.concatenate(s) for s in zip(*(
+        block(pts[s]) for s in _blocks(chart, len(pts)))))
     oracle = math.nan
     if hasattr(chart, "ricci_diag"):
-        closed = _on_diagonal(chart.ricci_diag(pts))
-        oracle = np.max(_row_max(ric - closed) / scale)
+        ric.reshape(len(ric), d * d)[:, ::d + 1] -= chart.ricci_diag(pts)
+        oracle = np.max(_row_max(ric) / scale)
     return CurvatureReport(
         label=getattr(chart, "label", chart.__class__.__name__),
         dim=d, rho=rho, n_points=len(resids),

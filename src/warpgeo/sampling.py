@@ -28,8 +28,8 @@ def unit_box(count, dim, seed=0):
     pts = np.zeros((count, dim))
     while k.any():
         f /= base
-        pts += f * (k % base)
-        k //= base
+        k, digit = np.divmod(k, base)            # one pass for both
+        pts += f * digit
     shift = np.random.default_rng(seed).random(dim)
     return np.mod(pts + shift, 1.0)
 

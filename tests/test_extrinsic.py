@@ -944,3 +944,30 @@ class TestBatching:
         # every array alive at a block's peak counts, not the largest alone,
         # and the blocks are not sized so far under the budget as to waste it
         assert 4 * geometry._BLOCK_ELEMENTS <= peak <= 8 * geometry._BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("family,n,m,count", [
+        ("schwarzschild", 5, None, 120), ("flat-torus-composite", 7, 2, 41),
+        ("sphere", 4, None, 250)])
+    def test_gauss_blocks_stay_within_budget(self, monkeypatch, family, n, m,
+                                             count):
+        # Gauss's blocks count 7 d**3 a point, not the exact pass's count:
+        # blocks of 93 and 27 points at dim 5, 34 and 7 at dim 7, 182 and 68
+        # on the sphere n4
+        imm = immersions.build_immersion(family, n, m=m)
+        pe = extrinsic.extrinsics_at(
+            imm, geometry.sample_points(imm, count, seed=5))
+        sizes, jet = [], imm.chart.metric_jet
+
+        def sized(X):
+            sizes.append(len(X))
+            return jet(X)
+
+        monkeypatch.setattr(imm.chart, "metric_jet", sized)
+        tracemalloc.start()
+        try:
+            extrinsic.gauss_ricci_residual(imm, pe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) == count and len(sizes) == 2
+        assert 4 * geometry._BLOCK_ELEMENTS <= peak <= 8 * geometry._BLOCK_ELEMENTS

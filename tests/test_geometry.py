@@ -251,12 +251,12 @@ class TestMetricJet:
                 assert 3.5 < coarse / fine < 4.5, chart.label
 
     def test_blocks_match_row_by_row(self, monkeypatch):
-        # point counts that are not multiples of the block (81 points at
-        # dim 5 and 29 at dim 7 exact, 16 at dim 5 by finite differences);
+        # point counts that are not multiples of the block (204 points at
+        # dim 5 and 92 at dim 7 exact, 16 at dim 5 by finite differences);
         # rho is off by one so the residual is O(1) and a relative bound
         # means something
-        cases = ((family_chart("round", 5), 5.0, 100),
-                 (family_chart("extra-codim", 7, m=2), 1.0, 35),
+        cases = ((family_chart("round", 5), 5.0, 250),
+                 (family_chart("extra-codim", 7, m=2), 1.0, 120),
                  (pullback("schwarzschild", 5), 1.0, 18))
         # every coordinate plane, so the sectional range is the full one
         monkeypatch.setattr(gm, "_MAX_PLANES", 100)
@@ -288,8 +288,9 @@ class TestMetricJet:
             assert rep.ricci_sym_max == pytest.approx(max(syms), abs=1e-14)
 
     @pytest.mark.parametrize("chart,n", [
-        (family_chart("round", 5), 100),
-        (family_chart("extra-codim", 7, m=2), 35),
+        # exact blocks of 204 and 92 points, so two blocks each
+        (family_chart("round", 5), 250),
+        (family_chart("extra-codim", 7, m=2), 120),
         (pullback("schwarzschild", 5), 20),
         (HiddenJet(family_chart("extra-codim", 7, m=2)), 13),
         # a pullback's jet peaks by its own parts: the sphere's recursion,
@@ -339,6 +340,26 @@ class TestMetricJet:
         assert len(sizes) >= 2
         # the charts with a jet have a closed form to meet; the others none
         assert math.isnan(rep.oracle_max) != has_jet
+
+    @pytest.mark.parametrize("family,n,m,blocks", [
+        ("round", 5, None, 1), ("extra-codim", 7, 2, 3)])
+    def test_exact_pass_takes_few_blocks(self, monkeypatch, family, n, m,
+                                         blocks):
+        # each block pays a whole metric_jet call, so the exact count a
+        # point sets the pass's cost: 200 points, the dense benchmark's
+        # sample, take one block at dim 5 and three at dim 7 (three and
+        # seven at 8 d**3 a point)
+        chart = family_chart(family, n, m=m)
+        sizes, core = [], gm.diagonal_curvature
+
+        def counted(f, *rest):
+            sizes.append(len(f))
+            return core(f, *rest)
+
+        monkeypatch.setattr(gm, "diagonal_curvature", counted)
+        assert gm.verify_einstein(chart, 1.0, n_points=200).n_points == 200
+        assert sum(sizes) == 200
+        assert len(sizes) <= blocks
 
     @pytest.mark.parametrize("family,n,m,count", [
         ("schwarzschild", 5, None, 40), ("extra-codim", 7, 2, 12)])
@@ -520,19 +541,78 @@ def diagonal_jets():
                         rng.normal(size=(5, 6, 6, 6))), id="random-diagonal")
 
 
-@pytest.mark.parametrize("jet", diagonal_jets())
-def test_diagonal_core_matches_dense(jet):
-    # the diagonal core against the dense one on the expanded jet: Ricci,
-    # its symmetry defect, and the sectionals of every coordinate plane
+def dense_gaps(jet):
+    """The diagonal core against the dense one on the expanded jet: Ricci,
+    its symmetry defect, and the sectionals of every coordinate plane, each
+    gap relative to 1 + the dense one's largest entry."""
     I, J = np.triu_indices(jet[0].shape[1], 1)
     g, dg, d2g = dense(jet)
     gamma, ric, defect = gm.curvature_from_jet(g, dg, d2g)
     secs = (gm.riemann_entries(dg, d2g, gamma, I, J, I, J)
             / (g[:, I, I] * g[:, J, J]))
-    got = gm.diagonal_curvature(*jet, I, J)
-    for got, want in zip(got, (ric, defect, secs)):
+    gaps = []
+    for got, want in zip(gm.diagonal_curvature(*jet, I, J), (ric, defect, secs)):
         assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+        gaps.append(np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))))
+    return gaps
+
+
+@pytest.mark.parametrize("jet", diagonal_jets())
+def test_diagonal_core_matches_dense(jet):
+    assert max(dense_gaps(jet)) <= 1e-12
+
+
+def _ww_share(w, df):
+    """Q1's -2 w_b w_d D_db D_bd / 4, as Ricci carries it."""
+    return -0.5 * np.einsum("nb,nd,ndb,nbd->nbd", w, w, df, df)
+
+
+def _q1_delta_share(w, df):
+    """Q1's 2 delta_bd w_b sum_a w_a D_ab^2 / 4."""
+    diag = 0.5 * w * np.einsum("na,nab->nb", w, df * df)
+    return diag[..., None] * np.eye(w.shape[1])
+
+
+def _q2_delta_share(w, df):
+    """-Q2's delta_bd sum_p D_pb v_p / 2."""
+    v = w * (w * np.einsum("npp->np", df)
+             - 0.5 * np.einsum("na,npa->np", w, df))
+    return 0.5 * np.einsum("npb,np->nb", df, v)[..., None] * np.eye(w.shape[1])
+
+
+@pytest.mark.parametrize("share", [_ww_share, _q1_delta_share, _q2_delta_share],
+                         ids=["q1-ww", "q1-delta", "q2-delta"])
+def test_each_quadratic_term_is_checked(capsys, monkeypatch, share):
+    # a core without one of the d x d terms of its Q1 or Q2 fails the dense
+    # comparison on the random jet, and the oracle of each `report` member
+    # whose jet has that term nonzero; q1-ww vanishes on every member's
+    # jet, whose f_b never varies along a coordinate d whose f_d varies
+    # along b, so only the random jet can show it
+    core, verify = gm.diagonal_curvature, gm.verify_einstein
+    nonzero = {}
+
+    def dropped(f, df, d2f, I, J):
+        ric, defect, secs = core(f, df, d2f, I, J)
+        return ric - share(1.0 / f, df), defect, secs
+
+    def recorded(chart, rho, **kw):
+        rep = verify(chart, rho, **kw)
+        f, df, _ = chart.metric_jet(rep.points)
+        nonzero[rep.label] = bool(np.any(share(1.0 / f, df)))
+        return rep
+
+    monkeypatch.setattr(gm, "diagonal_curvature", dropped)
+    (random_jet,) = [p.values[0] for p in diagonal_jets()
+                     if p.id == "random-diagonal"]
+    assert dense_gaps(random_jet)[0] > 1e-3
+    monkeypatch.setattr(gm, "verify_einstein", recorded)
+    cli.main(["report", "--seed", "0"])
+    doc = json.loads(capsys.readouterr().out)
+    status = {c["name"]: c["status"] for c in doc["checks"]}
+    assert len(nonzero) == 11
+    for label, shows in nonzero.items():
+        assert status["oracle-" + label] == ("fail" if shows else "pass")
+    assert any(nonzero.values()) == (share is not _ww_share)
 
 
 class SkewedJet:
