@@ -2,8 +2,9 @@
 
 ``rk4_warp`` is the fixed-step RK4 integrator, a sequential scalar loop.
 ``hermite_eval`` is the quintic Hermite dense-output evaluator, written as
-array code: every query point goes through the same formulas, in the same
-order of operations, in one numpy pass.
+array code: every query point reads the two nodes of its own cell and goes
+through the same Horner steps, in the same order of operations, in one
+numpy pass that keeps a few doubles a query and no table of the solution.
 """
 
 import numpy as np
@@ -64,38 +65,53 @@ def hermite_eval(t, t_lo, step, phi, dphi, d2phi, query):
     starting at t_lo with spacing step; t is the node array (used only for
     its length). Query points must lie within [t[0], t[-1]]. Returns
     (phi_q, dphi_q).
+
+    Each query reads the two nodes of its own cell, p0, p1 with v = h phi'
+    and a = h**2 phi'' (h = step), and evaluates the cell's quintic in
+    Horner form at tau in [0, 1],
+
+        p0 + tau (v0 + tau (a0/2 + tau (c3 + tau (c4 + tau c5)))),
+
+    with c3, c4, c5 from the node data through dp = p1 - p0; phi' is the
+    derivative of the same polynomial over h. Every array holds one double
+    a query and the Horner steps work in place.
     """
     idx = ((query - t_lo) / step).astype(np.int64)
     np.clip(idx, 0, t.shape[0] - 2, out=idx)
-    tau = (query - (t_lo + idx * step)) / step
+    tau = query - (t_lo + idx * step)
+    tau /= step
     p0 = phi[idx]
-    p1 = phi[idx + 1]
     v0 = dphi[idx] * step
-    v1 = dphi[idx + 1] * step
-    a0 = d2phi[idx] * step * step
-    a1 = d2phi[idx + 1] * step * step
-
-    t2 = tau * tau
-    t3 = t2 * tau
-    t4 = t3 * tau
-    t5 = t4 * tau
-
-    h0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-    h1 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-    h2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-    h3 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-    h4 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-    h5 = 0.5 * t3 - t4 + 0.5 * t5
-
-    dh0 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
-    dh1 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
-    dh2 = tau - 4.5 * t2 + 6.0 * t3 - 2.5 * t4
-    dh3 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
-    dh4 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
-    dh5 = 1.5 * t2 - 4.0 * t3 + 2.5 * t4
-
-    out_p = h0 * p0 + h1 * v0 + h2 * a0 + h3 * p1 + h4 * v1 + h5 * a1
-    out_d = (
-        dh0 * p0 + dh1 * v0 + dh2 * a0 + dh3 * p1 + dh4 * v1 + dh5 * a1
-    ) / step
+    a0 = d2phi[idx] * (step * step)
+    idx += 1
+    dp = phi[idx] - p0
+    v1 = dphi[idx] * step
+    a1 = d2phi[idx] * (step * step)
+    del idx
+    c3 = 10.0 * dp - 6.0 * v0 - 4.0 * v1 - 1.5 * a0 + 0.5 * a1
+    c4 = -15.0 * dp + 8.0 * v0 + 7.0 * v1 + 1.5 * a0 - a1
+    c5 = 6.0 * dp - 3.0 * v0 - 3.0 * v1 - 0.5 * a0 + 0.5 * a1
+    del dp, v1, a1
+    out_d = 5.0 * c5
+    out_d *= tau
+    out_d += 4.0 * c4
+    out_d *= tau
+    out_d += 3.0 * c3
+    out_d *= tau
+    out_d += a0
+    out_d *= tau
+    out_d += v0
+    out_d /= step
+    out_p = c5
+    out_p *= tau
+    out_p += c4
+    out_p *= tau
+    out_p += c3
+    out_p *= tau
+    a0 *= 0.5
+    out_p += a0
+    out_p *= tau
+    out_p += v0
+    out_p *= tau
+    out_p += p0
     return out_p, out_d

@@ -278,8 +278,10 @@ def gauss_ricci_residual(imm, pe):
         g, dg = geometry._on_diagonal(f), geometry._on_diagonal(df)
         J = pe.J[s]
         dgi = pe.H[s].transpose(0, 2, 3, 1) @ J[:, None]   # H_ki^T J_j
+        # J^T J, like N^T N below, multiplies a copy of the transpose, as
+        # numpy's batched A^T @ A on a view of A takes a slower path
         gap = np.maximum(
-            geometry._row_max(np.swapaxes(J, 1, 2) @ J - g),
+            geometry._row_max(np.swapaxes(J, 1, 2).copy() @ J - g),
             np.max(np.abs(dgi + np.swapaxes(dgi, 2, 3) - dg), axis=(1, 2, 3)))
         return (geometry.diagonal_curvature(f, df, d2f, [], [])[0],
                 gap / (1.0 + geometry._row_max(g)))
@@ -328,8 +330,8 @@ def codazzi_residual(imm, pe):
         leaf[rows] = dH[:, -1, :, -1, -1]
         defect = dH - np.swapaxes(dH, 1, 3)
         del dH
-        defect = (np.swapaxes(N, 1, 2) @ N)[:, None] @ defect.reshape(
-            m, d, amb, d * d)
+        PiN = np.swapaxes(N, 1, 2).copy() @ N
+        defect = PiN[:, None] @ defect.reshape(m, d, amb, d * d)
         codazzi[rows] = np.max(np.abs(defect, out=defect), axis=(1, 2, 3))
         del defect   # before the next block's jet
     return codazzi / (2.0 * _STEP), dupin_residual(pe, leaf / (2.0 * _STEP))
@@ -392,7 +394,7 @@ def profile_normal_shape_residual(imm, pe):
     delta[:, 2] = b * np.cos(th)
     delta[:, 3:] = c[:, None] * pe.v[:, 3:] / s.phi[:, None]
     M = np.einsum("nx,nxij->nij", delta, pe.H)
-    S = np.linalg.solve(np.swapaxes(pe.J, 1, 2) @ pe.J, M)
+    S = np.linalg.solve(np.swapaxes(pe.J, 1, 2).copy() @ pe.J, M)
     want = np.zeros_like(S)
     idx = np.arange(imm.dim)
     want[:, idx, idx] = -(c / s.phi)[:, None]

@@ -10,7 +10,8 @@ fiber's from its sin^2 products), and diagonal_curvature contracts that
 with d2f its one array of d**3 entries a point, every Christoffel product a
 d x d matrix of df. Their ricci_diag gives O'Neill's Ricci from the warp's
 samples and the fiber's Ricci constants, never the jet, as the oracle of
-that pass. A pullback, which has neither, gets the dense jet from
+that pass, block by block from the samples the block's jet carries. A
+pullback, which has neither, gets the dense jet from
 metric_jet_fd, d**2 + d + 1 stencil rows a point at the one step _FD_STEP,
 each J^T J of its immersion's order-1 jet (no Hessian), which
 curvature_from_jet contracts in d**4 entries a point.
@@ -220,18 +221,18 @@ class ProductChart:
         return _on_diagonal(self.fiber.metric_diag(X))
 
     def metric_jet(self, X):
-        """Diagonal jet (f, df, d2f) at rows X: f is metric_batch's diagonal,
+        """Diagonal jet (f, df, d2f) at rows X: f = fiber.metric_diag(X),
         df[:, a, i] = d_a f_i and d2f[:, a, b, i] = d_a d_b f_i, multiples of
-        f, so whatever metric_batch returns, a NaN included, reaches all; f
-        is a copy, so the d x d metrics die here."""
+        f, so a NaN in f reaches all. Its parts are (None, f)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        f = np.diagonal(self.metric_batch(X), axis1=1, axis2=2).copy()
-        return (f, *self.fiber.metric_diag_jet(X, f))
+        f = self.fiber.metric_diag(X)
+        return DiagonalJet(f, *self.fiber.metric_diag_jet(X, f), (None, f))
 
-    def ricci_diag(self, X):
-        """Closed-form Ricci diagonal at rows X, mu_i g on factor i."""
-        mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
-        return mu * self.fiber.metric_diag(X)
+    def ricci_diag(self, X, parts=None):
+        """Closed-form Ricci diagonal at rows X, mu_i g on factor i; parts,
+        a metric_jet's of the same rows, saves evaluating the fiber again."""
+        f = self.fiber.metric_diag(X) if parts is None else parts[1]
+        return np.repeat(self.fiber.factor_constants, self.fiber.dims) * f
 
 
 @dataclass
@@ -282,10 +283,12 @@ class WarpedChart:
         phi'' and phi''' come with phi and phi' from samples_at, which takes
         them from the structural equation; theta enters no metric entry.
         The fiber's second derivatives are written into the jet's block and
-        scaled there, before the smaller arrays exist.
+        scaled there, before the smaller arrays exist. Its parts are the
+        warp sample and the fiber's diagonal, what ricci_diag reads.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        diag, (phi, dphi, d2phi, d3phi), f = self._diag(X)
+        diag, s, f = self._diag(X)
+        phi, dphi, d2phi, d3phi = s
         n, d = diag.shape
         pp = (phi * phi)[:, None, None]
         dd = np.zeros((n, d, d, d))
@@ -300,18 +303,24 @@ class WarpedChart:
         dd[:, 0, 0, 2:] = (2.0 * (dphi * dphi + phi * d2phi))[:, None] * f
         dd[:, 0, 2:, 2:] = mixed
         dd[:, 2:, 0, 2:] = mixed
-        return diag, ddiag, dd
+        return DiagonalJet(diag, ddiag, dd, (s, f))
 
-    def ricci_diag(self, X):
+    def ricci_diag(self, X, parts=None):
         """O'Neill's Ricci diagonal at rows X, which reads no jet: Ric = a g
         on the base, a = -phi'''/phi' - (n-2) phi''/phi, and (mu_i - w)/phi^2
-        g on fiber factor i of Ricci constant mu_i, w = _fiber_need(n, 0)."""
-        diag, s, f = self._diag(np.atleast_2d(np.asarray(X, dtype=float)))
+        g on fiber factor i of Ricci constant mu_i, w = _fiber_need(n, 0).
+        parts, a metric_jet's of the same rows, is the warp sample and the
+        fiber's diagonal; without it the warp is sampled here."""
+        if parts is None:
+            parts = self._diag(np.atleast_2d(np.asarray(X, dtype=float)))[1:]
+        s, f = parts
         a = -s.d3phi / s.dphi - (self.dim - 2.0) * s.d2phi / s.phi
-        diag[:, :2] *= a[:, None]
+        out = np.empty((len(f), self.dim))
+        out[:, 0] = a
+        out[:, 1] = s.dphi * s.dphi * a
         mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
-        diag[:, 2:] = (mu - _fiber_need(self.dim, 0.0, s)[:, None]) * f
-        return diag
+        out[:, 2:] = (mu - _fiber_need(self.dim, 0.0, s)[:, None]) * f
+        return out
 
 
 @dataclass
@@ -335,6 +344,19 @@ class PullbackChart:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         J = self.immersion.jet(X, 1)[1]
         return np.swapaxes(J, 1, 2) @ J
+
+
+class DiagonalJet(tuple):
+    """The jet (f, df, d2f) of a diagonal metric at rows X, unpacked as a
+    triple. parts, the (warp sample or None, fiber diagonal) of the same
+    rows, is what the chart's closed-form ricci_diag reads, so a pass
+    samples the warp once a block; a jet rebuilt as a plain tuple has none,
+    and ricci_diag then takes its own."""
+
+    def __new__(cls, f, df, d2f, parts):
+        jet = super().__new__(cls, (f, df, d2f))
+        jet.parts = parts
+        return jet
 
 
 def _on_diagonal(a):
@@ -367,23 +389,17 @@ def _block_slices(n, per_point):
 def _blocks(chart, n):
     """Slices splitting n points of chart into blocks within the budget.
 
-    An exact block peaks in diagonal_curvature, as tracemalloc reads it, at
-    d**3 + 5.8 to 7 d**2 entries a point (dims 5 to 8), and counts d**3 + 11
-    d**2 (204 points at dim 5, 92 at dim 7) to leave room for the finished
-    blocks' Ricci rows and numpy's buffered ufunc loops, whose up to three
-    np.getbufsize() arrays a call are 0.29 of the budget at any block size.
-    A pass peaks at 0.77 to 0.81 of it over one full block and 0.85 to 0.94
-    over several, at dims 4 to 8. A finite-difference block
-    peaks at d**4 + 6 d**3 in curvature_from_jet and counts 2 d**4 + 8 d**3
+    A block counts the entries alive at its peak, a point at a time. An
+    exact block counts d**3 + 11 d**2: the d**3 of the jet's d2f, which
+    diagonal_curvature reads, and d x d arrays for the Christoffel products,
+    Ricci and its residual, with room for numpy's buffered ufunc loops. A
+    finite-difference block counts 2 d**4 + 8 d**3 for curvature_from_jet
     (blocks sized to a bare peak outgrow the sizes glibc reuses), after the
-    chart's d**2 + d + 1 stencil rows a point of d**2. A pullback's row
-    counts (ambient + 2 d) d: its order-1 jet's J and their Gram matrices,
-    (ambient + d) d, and d**2 for what the jet keeps alive beside them,
-    the level below of the fiber's sphere recursion (d**2 on the round
-    sphere) or the profile's dense-output samples. A pass over full blocks
-    peaks, as tracemalloc reads it, at 0.69 to 0.93 of the budget on the
-    pullback of every immersion family at dims 4 to 8, the most on
-    Schwarzschild n4, whose three Hermite samples a row outweigh its J.
+    chart's d**2 + d + 1 stencil rows a point. A pullback's row counts
+    (ambient + 2 d) d, its order-1 jet's J and their Gram matrices and d**2
+    for what the jet keeps alive beside them; any other chart's, its metric
+    of d**2. The tests hold a pass's tracemalloc peak within the budget and
+    at half of it or more.
     """
     d = chart.dim
     if hasattr(chart, "metric_jet"):
@@ -806,8 +822,9 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
     (provenance "analytic-jet"), else from curvature_from_jet of
     metric_jet_fd ("finite-difference"). oracle_max is the largest
     |Ric - Ric_closed| / (1 + max |g|) of those Ricci rows against the
-    chart's closed form ricci_diag, one call over the whole sample, and NaN
-    on a chart without one.
+    chart's closed form ricci_diag, taken block by block, and NaN on a chart
+    without one. A block's ricci_diag reads the parts its metric_jet
+    carries, so the warp is sampled once a block.
     """
     pts = sample_points(chart, n_points, seed=seed)
     d = chart.dim
@@ -817,31 +834,36 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
                                                  replace=False)
         I, J = I[sel], J[sel]
     jet = getattr(chart, "metric_jet", None)
+    closed = hasattr(chart, "ricci_diag")
 
     def block(X):
         # one block's arrays die when this returns, before the next block's
+        m, parts = len(X), None
         if jet:
-            f, df, d2f = jet(X)
+            out = jet(X)
+            f, df, d2f = out
+            parts = getattr(out, "parts", None)
             ric, sym, secs = diagonal_curvature(f, df, d2f, I, J)
-            g = _on_diagonal(f)
+            scale = 1.0 + np.max(np.abs(f), axis=1)
+            resid = ric.copy()
+            resid.reshape(m, d * d)[:, ::d + 1] -= rho * f
         else:
             g, dg, d2g = metric_jet_fd(chart, X)
             gamma, ric, sym = curvature_from_jet(g, dg, d2g)
             secs = (riemann_entries(dg, d2g, gamma, I, J, I, J)
                     / (g[:, I, I] * g[:, J, J] - g[:, I, J] ** 2))
-        scale = 1.0 + _row_max(g)
-        return (_row_max(ric - rho * g) / scale, sym, secs.ravel(), ric, scale)
+            scale = 1.0 + _row_max(g)
+            resid = ric - rho * g
+        gap = np.full(m, math.nan)
+        if closed:
+            ric.reshape(m, d * d)[:, ::d + 1] -= chart.ricci_diag(X, parts)
+            gap = _row_max(ric) / scale
+        return _row_max(resid) / scale, sym, secs.ravel(), gap
 
     # numpy reductions propagate NaN, where max(0.0, nan) would drop it;
-    # n_points counts the rows evaluated, not the rows asked for. The
-    # blocks' own arrays die once joined, and the closed form comes off
-    # Ricci's diagonal in place, so the oracle adds one d x d array a point
-    resids, syms, secs, ric, scale = (np.concatenate(s) for s in zip(*(
+    # n_points counts the rows evaluated, not the rows asked for
+    resids, syms, secs, gaps = (np.concatenate(s) for s in zip(*(
         block(pts[s]) for s in _blocks(chart, len(pts)))))
-    oracle = math.nan
-    if hasattr(chart, "ricci_diag"):
-        ric.reshape(len(ric), d * d)[:, ::d + 1] -= chart.ricci_diag(pts)
-        oracle = np.max(_row_max(ric) / scale)
     return CurvatureReport(
         label=getattr(chart, "label", chart.__class__.__name__),
         dim=d, rho=rho, n_points=len(resids),
@@ -850,5 +872,5 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
         sectional_max=float(np.max(secs, initial=-math.inf)),
         provenance="analytic-jet" if jet else "finite-difference",
         chart_rows=len(resids) * (1 if jet else len(_stencil(d, _FD_STEP)[0])),
-        oracle_max=float(oracle), points=pts,
+        oracle_max=float(np.max(gaps)), points=pts,
     )

@@ -7,6 +7,8 @@ seeded Cranley-Patterson rotation gives the seed dependence without
 disturbing the equidistribution.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import BadDimension, BadRange
@@ -16,13 +18,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _HALTON_SKIP = 20
 
 
-def unit_box(count, dim, seed=0):
-    """count points in [0,1)^dim: Halton plus a seeded rotation mod 1."""
-    if dim > len(_PRIMES):
-        raise BadDimension("dimension %d exceeds supported maximum" % dim)
-    if seed < 0:
-        raise BadRange("seed must be nonnegative, got %d" % seed)
-    # radical inverses of the indices from _HALTON_SKIP, a digit a step
+@functools.lru_cache(maxsize=32)
+def _halton(count, dim):
+    """Radical inverses of the indices from _HALTON_SKIP in the first dim
+    primes, a digit a step; built once per (count, dim), read-only."""
     k = np.arange(_HALTON_SKIP, _HALTON_SKIP + count)[:, None].repeat(dim, 1)
     base, f = np.array(_PRIMES[:dim]), np.ones(dim)
     pts = np.zeros((count, dim))
@@ -30,8 +29,18 @@ def unit_box(count, dim, seed=0):
         f /= base
         k, digit = np.divmod(k, base)            # one pass for both
         pts += f * digit
+    pts.flags.writeable = False
+    return pts
+
+
+def unit_box(count, dim, seed=0):
+    """count points in [0,1)^dim: Halton plus a seeded rotation mod 1."""
+    if dim > len(_PRIMES):
+        raise BadDimension("dimension %d exceeds supported maximum" % dim)
+    if seed < 0:
+        raise BadRange("seed must be nonnegative, got %d" % seed)
     shift = np.random.default_rng(seed).random(dim)
-    return np.mod(pts + shift, 1.0)
+    return np.mod(_halton(count, dim) + shift, 1.0)
 
 
 def box(count, bounds, seed=0):

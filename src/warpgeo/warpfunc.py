@@ -169,11 +169,12 @@ class WarpSolution:
     def samples_at(self, ts):
         """The WarpSample of rows at arbitrary points inside the interval.
 
-        Interpolation is quintic Hermite on the stored grid; the second and
-        third derivatives are then recomputed from the structural equation
-        rather than differentiated numerically, so they inherit the accuracy
-        of (phi, phi'). A query outside the interval, or not finite, raises
-        OutOfDomain.
+        Interpolation is quintic Hermite on the stored grid, each query's
+        cell polynomial in Horner form from the cell's two nodes
+        (_kernels.hermite_eval); the second and third derivatives are then
+        recomputed from the structural equation rather than differentiated
+        numerically, so they inherit the accuracy of (phi, phi'). A query
+        outside the interval, or not finite, raises OutOfDomain.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         lo, hi = self.t_min, self.t_max

@@ -606,7 +606,7 @@ class TestReport:
         assert len(members) == 11
         assert rows == want and sum(rows.values()) == 236
         assert (calls["box"], calls["extrinsics_at"]) == (16, 5)
-        # and its closed form once over the whole sample
+        # and its closed form once a block, one block a member at 20 points
         assert calls["ricci_diag"] == 11
 
     @pytest.mark.parametrize("seed", [4, 8, 9, 10, 13, 25])

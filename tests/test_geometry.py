@@ -361,6 +361,34 @@ class TestMetricJet:
         assert sum(sizes) == 200
         assert len(sizes) <= blocks
 
+    @pytest.mark.parametrize("family,n,m,blocks", [
+        ("round", 5, None, 1), ("extra-codim", 7, 2, 3),
+        ("flat-torus-composite", 7, 2, 3)])
+    def test_warp_is_sampled_once_a_block(self, monkeypatch, family, n, m,
+                                          blocks):
+        # the block's jet carries its warp sample to the closed form, so
+        # the oracle samples the warp no second time, and meets the closed
+        # form over the whole sample to the bit
+        chart, rho = gm.chart_for_family(family, n, m=m)
+        calls, sample = [], wf.WarpSolution.samples_at
+
+        def counted(self, ts):
+            calls.append(len(ts))
+            return sample(self, ts)
+
+        monkeypatch.setattr(wf.WarpSolution, "samples_at", counted)
+        rep = gm.verify_einstein(chart, rho, n_points=200)
+        assert len(gm._blocks(chart, 200)) == len(calls) == blocks
+        assert sum(calls) == 200
+        f, df, d2f = chart.metric_jet(rep.points)
+        ric = gm.diagonal_curvature(f, df, d2f, [], [])[0]
+        idx = np.arange(chart.dim)
+        ric[:, idx, idx] -= chart.ricci_diag(rep.points)
+        scale = 1.0 + np.max(np.abs(f), axis=1)
+        want = np.max(np.max(np.abs(ric), axis=(1, 2)) / scale)
+        assert rep.oracle_max == want
+        assert len(calls) == blocks + 2
+
     @pytest.mark.parametrize("family,n,m,count", [
         ("schwarzschild", 5, None, 40), ("extra-codim", 7, 2, 12)])
     def test_pullback_report_does_not_depend_on_blocks(
@@ -801,9 +829,13 @@ class TestChartGuards:
             gm.sample_points(chart, 4)
 
     def test_nan_metric_fails_closed(self):
-        class NaNChart(gm.ProductChart):
-            def metric_batch(self, X):
-                return np.full_like(super().metric_batch(X), np.nan)
+        # a NaN metric from the fiber, which the exact jet reads directly
+        class NaNFiber(gm.FiberSpec):
+            def metric_diag(self, Y):
+                return np.full_like(super().metric_diag(Y), np.nan)
+
+        def NaNChart(fiber):
+            return gm.ProductChart(NaNFiber(fiber.dims, fiber.radii))
 
         class NaNJetChart(gm.ProductChart):
             def metric_jet(self, X):

@@ -1,5 +1,8 @@
-"""The numpy Hermite kernel must agree with the scalar loop bit for bit, and
-the RK4 kernel with the loop that wrote every node into preallocated arrays."""
+"""The numpy Hermite kernel must agree with its scalar Horner loop bit for
+bit, and the RK4 kernel with the loop that wrote every node into
+preallocated arrays."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from warpgeo import warpfunc as wf
 
 
 def _hermite_loop(t, t_lo, step, phi, dphi, d2phi, query):
-    """Reference: the kernel's formulas, one query point at a time."""
+    """Reference: the cell's quintic in Horner form, one query point at a
+    time, in the kernel's order of operations."""
     m = query.shape[0]
     out_p = np.empty(m)
     out_d = np.empty(m)
@@ -23,38 +27,35 @@ def _hermite_loop(t, t_lo, step, phi, dphi, d2phi, query):
             idx = n_nodes - 2
         tau = (x - (t_lo + idx * step)) / step
         p0 = phi[idx]
-        p1 = phi[idx + 1]
         v0 = dphi[idx] * step
+        a0 = d2phi[idx] * (step * step)
+        dp = phi[idx + 1] - p0
         v1 = dphi[idx + 1] * step
-        a0 = d2phi[idx] * step * step
-        a1 = d2phi[idx + 1] * step * step
+        a1 = d2phi[idx + 1] * (step * step)
 
-        t2 = tau * tau
-        t3 = t2 * tau
-        t4 = t3 * tau
-        t5 = t4 * tau
+        c3 = 10.0 * dp - 6.0 * v0 - 4.0 * v1 - 1.5 * a0 + 0.5 * a1
+        c4 = -15.0 * dp + 8.0 * v0 + 7.0 * v1 + 1.5 * a0 - a1
+        c5 = 6.0 * dp - 3.0 * v0 - 3.0 * v1 - 0.5 * a0 + 0.5 * a1
 
-        h0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-        h1 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-        h2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-        h3 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-        h4 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-        h5 = 0.5 * t3 - t4 + 0.5 * t5
-
-        dh0 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
-        dh1 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
-        dh2 = tau - 4.5 * t2 + 6.0 * t3 - 2.5 * t4
-        dh3 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
-        dh4 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
-        dh5 = 1.5 * t2 - 4.0 * t3 + 2.5 * t4
-
-        out_p[k] = (
-            h0 * p0 + h1 * v0 + h2 * a0 + h3 * p1 + h4 * v1 + h5 * a1
-        )
-        out_d[k] = (
-            dh0 * p0 + dh1 * v0 + dh2 * a0 + dh3 * p1 + dh4 * v1 + dh5 * a1
-        ) / step
+        out_p[k] = ((((c5 * tau + c4) * tau + c3) * tau + 0.5 * a0) * tau
+                    + v0) * tau + p0
+        out_d[k] = (((((5.0 * c5) * tau + 4.0 * c4) * tau + 3.0 * c3) * tau
+                     + a0) * tau + v0) / step
     return out_p, out_d
+
+
+def test_hermite_loop_is_the_quintic_hermite_interpolant():
+    # the Horner coefficients meet value, slope and curvature at both nodes
+    # of a cell, the six conditions that fix the quintic
+    t, h = np.array([0.0, 1.0]), 1e-6
+    phi, dphi, d2phi = np.array([0.3, -1.1]), np.array([2.0, 0.7]), \
+        np.array([-5.0, 3.0])
+    p, d = _hermite_loop(t, 0.0, 1.0, phi, dphi, d2phi,
+                         np.array([0.0, h, 1.0 - h, 1.0]))
+    assert p[[0, 3]] == pytest.approx(phi, abs=1e-13)
+    assert d[[0, 3]] == pytest.approx(dphi, abs=1e-13)
+    curvature = np.array([d[1] - d[0], d[3] - d[2]]) / h
+    assert curvature == pytest.approx(d2phi, abs=1e-4)
 
 
 def _rk4_loop(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
@@ -145,6 +146,22 @@ def test_hermite_paths_identical():
             pb, db = _hermite_loop(*args, q)
             assert np.array_equal(pa, pb), (kind, name)
             assert np.array_equal(da, db), (kind, name)
+
+
+@pytest.mark.parametrize("count", [200, 2000])
+def test_hermite_keeps_few_doubles_a_query(count):
+    # the Horner steps work in place on arrays of one double a query
+    sol = _solution("forward")
+    args = (sol.t, float(sol.t[0]), sol.step, sol.phi, sol.dphi, sol.d2phi)
+    q = np.random.default_rng(3).uniform(sol.t_min, sol.t_max, count)
+    K.hermite_eval(*args, q)
+    tracemalloc.start()
+    try:
+        K.hermite_eval(*args, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 8 * count
 
 
 @pytest.mark.parametrize("kind", ["forward", "backward", "floor"] + [

@@ -40,3 +40,29 @@ def test_unit_box_guards():
         sampling.unit_box(4, len(sampling._PRIMES) + 1)
     with pytest.raises(BadRange):
         sampling.unit_box(4, 3, seed=-1)
+
+
+@pytest.mark.parametrize("count", [1, 7, 200])
+@pytest.mark.parametrize("dim", [1, 5, len(sampling._PRIMES)])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_cached_table_is_the_digit_loop(count, dim, seed):
+    # the table is built once per (count, dim); the seed's shift is not
+    want = np.stack([halton_reference(count, b)
+                     for b in sampling._PRIMES[:dim]], 1)
+    shift = np.random.default_rng(seed).random(dim)
+    for _ in range(2):
+        assert np.array_equal(sampling.unit_box(count, dim, seed=seed),
+                              np.mod(want + shift, 1.0))
+    table = sampling._halton(count, dim)
+    assert sampling._halton(count, dim) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.5
+
+
+def test_guards_run_before_the_cache():
+    sampling._halton.cache_clear()
+    for dim, seed, error in ((len(sampling._PRIMES) + 1, 0, BadDimension),
+                             (3, -1, BadRange)):
+        with pytest.raises(error):
+            sampling.unit_box(4, dim, seed=seed)
+    assert sampling._halton.cache_info().currsize == 0
