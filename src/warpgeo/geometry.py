@@ -350,8 +350,10 @@ class DiagonalJet(tuple):
     """The jet (f, df, d2f) of a diagonal metric at rows X, unpacked as a
     triple. parts, the (warp sample or None, fiber diagonal) of the same
     rows, is what the chart's closed-form ricci_diag reads, so a pass
-    samples the warp once a block; a jet rebuilt as a plain tuple has none,
-    and ricci_diag then takes its own."""
+    samples the warp once a block. A chart with both metric_jet and
+    ricci_diag returns one; ricci_diag samples the warp itself only when
+    called without parts, as verify_einstein calls it on a chart with no
+    metric_jet."""
 
     def __new__(cls, f, df, d2f, parts):
         jet = super().__new__(cls, (f, df, d2f))
@@ -842,7 +844,8 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
         if jet:
             out = jet(X)
             f, df, d2f = out
-            parts = getattr(out, "parts", None)
+            if closed:
+                parts = out.parts
             ric, sym, secs = diagonal_curvature(f, df, d2f, I, J)
             scale = 1.0 + np.max(np.abs(f), axis=1)
             resid = ric.copy()

@@ -488,9 +488,10 @@ class TestMetricJet:
         # jets of both chart kinds, with the metric itself unchanged
         for cls in (gm.ProductChart, gm.WarpedChart):
             def scaled(self, X, jet=cls.metric_jet):
-                f, df, d2f = jet(self, X)
+                out = jet(self, X)
+                f, df, d2f = out
                 d2f[:, 0, 0] *= 1.01
-                return f, df, d2f
+                return gm.DiagonalJet(f, df, d2f, out.parts)
 
             monkeypatch.setattr(cls, "metric_jet", scaled)
         assert_report_fails_every_oracle(capsys)
@@ -839,8 +840,9 @@ class TestChartGuards:
 
         class NaNJetChart(gm.ProductChart):
             def metric_jet(self, X):
-                return tuple(np.full_like(a, np.nan)
-                             for a in super().metric_jet(X))
+                jet = super().metric_jet(X)
+                return gm.DiagonalJet(*(np.full_like(a, np.nan) for a in jet),
+                                      jet.parts)
 
         class NaNNoJetChart:
             # the finite-difference path: a chart with no metric_jet

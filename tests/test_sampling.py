@@ -61,3 +61,13 @@ def test_cached_table_is_the_digit_loop(count, dim, seed):
     with pytest.raises(ValueError):
         table[0, 0] = 0.5
 
+
+
+def test_large_tables_are_not_kept():
+    # a table above _HALTON_KEPT_ENTRIES is built for the call alone
+    sampling._halton.cache_clear()
+    count = sampling._HALTON_KEPT_ENTRIES // 5
+    sampling.unit_box(count + 1, 5)
+    assert sampling._halton.cache_info().currsize == 0
+    sampling.unit_box(count, 5)
+    assert sampling._halton.cache_info().currsize == 1
