@@ -268,13 +268,14 @@ def gauss_ricci_residual(imm, pe):
     independent routes: the left side is the immersion's jets and frame
     algebra, the right side never sees the ambient space (the chart's
     diagonal jet through geometry.diagonal_curvature, one metric_jet call
-    a block). Ricci cannot see a round factor's radius, so the same jet,
-    made dense to compare, gives realization:
+    a block, whose closed-form Ricci goes unread). Ricci cannot see a round
+    factor's radius, so the same jet, made dense to compare, gives
+    realization:
     the worst of |J^T J - g| and |d_k (J^T J) - d_k g| over 1 + max |g|, with
     d_k (J^T J)_ij = H_ki^T J_j + J_i^T H_kj from the jet pe holds.
     """
     def block(s):
-        f, df, d2f = imm.chart.metric_jet(pe.x[s])
+        f, df, d2f, _ = imm.chart.metric_jet(pe.x[s])
         g, dg = geometry._on_diagonal(f), geometry._on_diagonal(df)
         J = pe.J[s]
         dgi = pe.H[s].transpose(0, 2, 3, 1) @ J[:, None]   # H_ki^T J_j
@@ -286,8 +287,8 @@ def gauss_ricci_residual(imm, pe):
         return (geometry.diagonal_curvature(f, df, d2f, [], [])[0],
                 gap / (1.0 + geometry._row_max(g)))
 
-    # d2f, dg, H^T J and its symmetrized sum peak at 5.3 to 5.8 d**3 a point
-    # (tracemalloc), so a block counts 7 d**3: 0.73 to 0.84 of the budget
+    # a block counts 7 d**3 a point for d2f, dg, H^T J and its symmetrized
+    # sum; the tests hold its tracemalloc peak within [1/2, 1] of the budget
     ric, realization = (np.concatenate(a) for a in zip(*(
         block(s) for s in geometry._block_slices(len(pe.x), 7 * imm.dim ** 3))))
     ric_int = np.swapaxes(pe.B, 1, 2) @ ric @ pe.B
@@ -316,9 +317,8 @@ def codazzi_residual(imm, pe):
     E = np.stack([_STEP * np.eye(d), -_STEP * np.eye(d)], 1).reshape(-1, d)
     codazzi, leaf = np.empty(n), np.empty((n, amb))
     # a block counts three arrays a point of the displaced Hessians' size;
-    # tracemalloc reads the live set's peak, in the block's jet call, at
-    # 2.2 to 3.4 of them, the ufuncs' fixed buffers included: 0.57 to 1.0
-    # of the budget on a full block of any family at dims 4 to 8
+    # the tests hold the live set's tracemalloc peak, in the block's jet
+    # call with the ufuncs' fixed buffers, within [1/2, 1] of the budget
     for rows in geometry._block_slices(n, 3 * 2 * d * amb * d * d):
         N = pe.N[rows]
         m = len(N)

@@ -1,19 +1,18 @@
 """Intrinsic curvature checks on coordinate charts.
 
-A chart is anything with a dim, a sample_box of shape (dim, 2), and a
-metric_batch taking (N, dim) points to (N, dim, dim) metric matrices. Three
+A chart has a dim, a sample_box of shape (dim, 2), and a metric_batch
+taking (N, dim) points to (N, dim, dim) metric matrices. Three
 implementations live here: products of round spheres, warped products over a
 rotational base, and pullbacks of explicit immersions. The first two are
-diagonal; their metric_jet gives the diagonal with its first and second
-derivatives in closed form (the warp's from one dense-output call, the
-fiber's from its sin^2 products), and diagonal_curvature contracts that
-with d2f its one array of d**3 entries a point, every Christoffel product a
-d x d matrix of df. Their ricci_diag gives O'Neill's Ricci from the warp's
-samples and the fiber's Ricci constants, never the jet, as the oracle of
-that pass, block by block from the samples the block's jet carries. A
-pullback, which has neither, gets the dense jet from
-metric_jet_fd, d**2 + d + 1 stencil rows a point at the one step _FD_STEP,
-each J^T J of its immersion's order-1 jet (no Hessian), which
+diagonal and exact: their metric_jet gives the diagonal with its first and
+second derivatives in closed form (the warp's from one dense-output call,
+the fiber's from its sin^2 products), and with them O'Neill's Ricci
+diagonal from the same warp sample and fiber diagonal, never from the
+derivatives, as the oracle of the pass. diagonal_curvature contracts the
+jet with d2f its one array of d**3 entries a point, every Christoffel
+product a d x d matrix of df. A pullback, which has no jet, gets the dense
+jet from metric_jet_fd, d**2 + d + 1 stencil rows a point at the one step
+_FD_STEP, each J^T J of its immersion's order-1 jet (no Hessian), which
 curvature_from_jet contracts in d**4 entries a point.
 verify_einstein only measures; the command line judges by the family row.
 
@@ -221,18 +220,14 @@ class ProductChart:
         return _on_diagonal(self.fiber.metric_diag(X))
 
     def metric_jet(self, X):
-        """Diagonal jet (f, df, d2f) at rows X: f = fiber.metric_diag(X),
+        """Diagonal jet (f, df, d2f, ric) at rows X: f = fiber.metric_diag(X),
         df[:, a, i] = d_a f_i and d2f[:, a, b, i] = d_a d_b f_i, multiples of
-        f, so a NaN in f reaches all. Its parts are (None, f)."""
+        f, so a NaN in f reaches all; ric is the closed-form Ricci diagonal,
+        mu_i f on factor i of Ricci constant mu_i."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         f = self.fiber.metric_diag(X)
-        return DiagonalJet(f, *self.fiber.metric_diag_jet(X, f), (None, f))
-
-    def ricci_diag(self, X, parts=None):
-        """Closed-form Ricci diagonal at rows X, mu_i g on factor i; parts,
-        a metric_jet's of the same rows, saves evaluating the fiber again."""
-        f = self.fiber.metric_diag(X) if parts is None else parts[1]
-        return np.repeat(self.fiber.factor_constants, self.fiber.dims) * f
+        mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
+        return (f, *self.fiber.metric_diag_jet(X, f), mu * f)
 
 
 @dataclass
@@ -283,8 +278,11 @@ class WarpedChart:
         phi'' and phi''' come with phi and phi' from samples_at, which takes
         them from the structural equation; theta enters no metric entry.
         The fiber's second derivatives are written into the jet's block and
-        scaled there, before the smaller arrays exist. Its parts are the
-        warp sample and the fiber's diagonal, what ricci_diag reads.
+        scaled there, before the smaller arrays exist. ric, the fourth
+        array, is O'Neill's Ricci diagonal from the warp sample and the
+        fiber's diagonal alone: Ric = a g on the base, a = -phi'''/phi' -
+        (n-2) phi''/phi, and (mu_i - w)/phi^2 g on fiber factor i of Ricci
+        constant mu_i, w = _fiber_need(n, 0).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         diag, s, f = self._diag(X)
@@ -303,24 +301,13 @@ class WarpedChart:
         dd[:, 0, 0, 2:] = (2.0 * (dphi * dphi + phi * d2phi))[:, None] * f
         dd[:, 0, 2:, 2:] = mixed
         dd[:, 2:, 0, 2:] = mixed
-        return DiagonalJet(diag, ddiag, dd, (s, f))
-
-    def ricci_diag(self, X, parts=None):
-        """O'Neill's Ricci diagonal at rows X, which reads no jet: Ric = a g
-        on the base, a = -phi'''/phi' - (n-2) phi''/phi, and (mu_i - w)/phi^2
-        g on fiber factor i of Ricci constant mu_i, w = _fiber_need(n, 0).
-        parts, a metric_jet's of the same rows, is the warp sample and the
-        fiber's diagonal; without it the warp is sampled here."""
-        if parts is None:
-            parts = self._diag(np.atleast_2d(np.asarray(X, dtype=float)))[1:]
-        s, f = parts
-        a = -s.d3phi / s.dphi - (self.dim - 2.0) * s.d2phi / s.phi
-        out = np.empty((len(f), self.dim))
-        out[:, 0] = a
-        out[:, 1] = s.dphi * s.dphi * a
+        a = -d3phi / dphi - (d - 2.0) * d2phi / phi
+        ric = np.empty((n, d))
+        ric[:, 0] = a
+        ric[:, 1] = dphi * dphi * a
         mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
-        out[:, 2:] = (mu - _fiber_need(self.dim, 0.0, s)[:, None]) * f
-        return out
+        ric[:, 2:] = (mu - _fiber_need(d, 0.0, s)[:, None]) * f
+        return diag, ddiag, dd, ric
 
 
 @dataclass
@@ -344,21 +331,6 @@ class PullbackChart:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         J = self.immersion.jet(X, 1)[1]
         return np.swapaxes(J, 1, 2) @ J
-
-
-class DiagonalJet(tuple):
-    """The jet (f, df, d2f) of a diagonal metric at rows X, unpacked as a
-    triple. parts, the (warp sample or None, fiber diagonal) of the same
-    rows, is what the chart's closed-form ricci_diag reads, so a pass
-    samples the warp once a block. A chart with both metric_jet and
-    ricci_diag returns one; ricci_diag samples the warp itself only when
-    called without parts, as verify_einstein calls it on a chart with no
-    metric_jet."""
-
-    def __new__(cls, f, df, d2f, parts):
-        jet = super().__new__(cls, (f, df, d2f))
-        jet.parts = parts
-        return jet
 
 
 def _on_diagonal(a):
@@ -657,8 +629,8 @@ class Family:
 
 
 # sectional spread the round and flat space forms may show. Their exact
-# jets leave only rounding and dense-output error (round-n5 at most 1.1e-10
-# and flat-n5 6.2e-12 over report seeds 0-29), not a stencil's truncation
+# jets leave only rounding and dense-output error, orders of magnitude
+# below it, not a stencil's truncation
 TOL_SPREAD_FLAT = 1e-4
 
 # warp presets shared by several rows: params of n, chart t-range, t_end
@@ -785,7 +757,7 @@ class CurvatureReport:
     sectional_max: float
     provenance: str   # "analytic-jet" or "finite-difference"
     chart_rows: int   # rows asked of metric_jet, or of metric_batch if none
-    oracle_max: float      # NaN on a chart without a closed-form Ricci
+    oracle_max: float      # NaN on the finite-difference path
     points: np.ndarray     # the sample; as_dict leaves out these two
 
     @property
@@ -824,9 +796,9 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
     (provenance "analytic-jet"), else from curvature_from_jet of
     metric_jet_fd ("finite-difference"). oracle_max is the largest
     |Ric - Ric_closed| / (1 + max |g|) of those Ricci rows against the
-    chart's closed form ricci_diag, taken block by block, and NaN on a chart
-    without one. A block's ricci_diag reads the parts its metric_jet
-    carries, so the warp is sampled once a block.
+    closed-form diagonal Ric_closed that the same metric_jet call returns,
+    block by block, so the warp is sampled once a block; it is NaN on the
+    finite-difference path, which has no closed form.
     """
     pts = sample_points(chart, n_points, seed=seed)
     d = chart.dim
@@ -836,20 +808,18 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
                                                  replace=False)
         I, J = I[sel], J[sel]
     jet = getattr(chart, "metric_jet", None)
-    closed = hasattr(chart, "ricci_diag")
 
     def block(X):
         # one block's arrays die when this returns, before the next block's
-        m, parts = len(X), None
+        m = len(X)
         if jet:
-            out = jet(X)
-            f, df, d2f = out
-            if closed:
-                parts = out.parts
+            f, df, d2f, closed = jet(X)
             ric, sym, secs = diagonal_curvature(f, df, d2f, I, J)
             scale = 1.0 + np.max(np.abs(f), axis=1)
             resid = ric.copy()
             resid.reshape(m, d * d)[:, ::d + 1] -= rho * f
+            ric.reshape(m, d * d)[:, ::d + 1] -= closed
+            gap = _row_max(ric) / scale
         else:
             g, dg, d2g = metric_jet_fd(chart, X)
             gamma, ric, sym = curvature_from_jet(g, dg, d2g)
@@ -857,10 +827,7 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
                     / (g[:, I, I] * g[:, J, J] - g[:, I, J] ** 2))
             scale = 1.0 + _row_max(g)
             resid = ric - rho * g
-        gap = np.full(m, math.nan)
-        if closed:
-            ric.reshape(m, d * d)[:, ::d + 1] -= chart.ricci_diag(X, parts)
-            gap = _row_max(ric) / scale
+            gap = np.full(m, math.nan)
         return _row_max(resid) / scale, sym, secs.ravel(), gap
 
     # numpy reductions propagate NaN, where max(0.0, nan) would drop it;

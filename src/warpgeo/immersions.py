@@ -27,7 +27,6 @@ import numpy as np
 from . import geometry, sampling, serialize, warpfunc
 from .errors import BadDimension, BadRange, OutOfDomain, SingularChartPoint
 
-_TOL_TURNING = 1e-6
 _TOL_MARGIN = 1e-10
 
 
@@ -191,7 +190,7 @@ class ProfileTable:
         n = len(ts)
         end, node, mid = ([col[k:k + n] for col in cols] for k in (0, n, 2 * n))
         phi, dphi, d2phi, d3phi = end
-        if np.any(np.abs(dphi) < _TOL_TURNING):
+        if np.any(np.abs(dphi) < geometry._TOL_WARP_TURNING):
             raise SingularChartPoint("profile radius phi' vanishes")
         m = warpfunc.embeddability_margin(dphi, d2phi)
         if np.any(m < _TOL_MARGIN):

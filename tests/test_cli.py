@@ -593,8 +593,15 @@ class TestReport:
         count(geometry.ProductChart, "metric_jet")
         count(sampling, "box")
         count(extrinsic, "extrinsics_at")
-        count(geometry.WarpedChart, "ricci_diag")
-        count(geometry.ProductChart, "ricci_diag")
+        count(warpfunc.WarpSolution, "samples_at")
+        sampled, suite = [], cli._suite_intrinsic
+
+        def intrinsic(*args):
+            before = calls["samples_at"]
+            suite(*args)
+            sampled.append(calls["samples_at"] - before)
+
+        monkeypatch.setattr(cli, "_suite_intrinsic", intrinsic)
         code, doc = run(capsys, "report", "--seed", "0")
         assert code == 0
         members = [c["name"][len("oracle-"):] for c in doc["checks"]
@@ -606,8 +613,10 @@ class TestReport:
         assert len(members) == 11
         assert rows == want and sum(rows.values()) == 236
         assert (calls["box"], calls["extrinsics_at"]) == (16, 5)
-        # and its closed form once a block, one block a member at 20 points
-        assert calls["ricci_diag"] == 11
+        # the warp is sampled once a block, one block a warped member at 20
+        # points (8), and once more by each defect row's fiber-constant
+        # check (2); the oracle reads the block's own sample
+        assert sampled == [10]
 
     @pytest.mark.parametrize("seed", [4, 8, 9, 10, 13, 25])
     def test_passes_at_seeds_the_stencils_failed(self, capsys, seed):

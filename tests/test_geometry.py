@@ -231,8 +231,12 @@ class TestMetricJet:
     def test_jet_is_the_metric_and_its_stencil_limit(self, monkeypatch):
         for chart in every_family_chart():
             X = gm.sample_points(chart, 6, seed=1)
-            g, dg, d2g = dense(chart.metric_jet(X))
+            jet = chart.metric_jet(X)
+            g, dg, d2g = dense(jet[:3])
             assert np.array_equal(g, chart.metric_batch(X)), chart.label
+            # and the closed-form Ricci diagonal, one finite row a point
+            assert jet[3].shape == (6, chart.dim), chart.label
+            assert np.all(np.isfinite(jet[3])), chart.label
             gaps = []
             # the mixed entries (a != b) alone too, which the diagonal
             # corners give, so the axis entries cannot hide their error
@@ -269,7 +273,7 @@ class TestMetricJet:
             resids, syms, secs = [], [], []
             for x in gm.sample_points(chart, n, seed=3):
                 if jet:
-                    f, df, d2f = jet(x[None])
+                    f, df, d2f, _ = jet(x[None])
                     ric, sym, sec = gm.diagonal_curvature(f, df, d2f, I, J)
                     g = gm._on_diagonal(f)
                 else:
@@ -366,9 +370,9 @@ class TestMetricJet:
         ("flat-torus-composite", 7, 2, 3)])
     def test_warp_is_sampled_once_a_block(self, monkeypatch, family, n, m,
                                           blocks):
-        # the block's jet carries its warp sample to the closed form, so
-        # the oracle samples the warp no second time, and meets the closed
-        # form over the whole sample to the bit
+        # the block's jet returns the closed form from its own warp
+        # sample, so the oracle samples the warp no second time, and the
+        # pass meets the jet's closed form over the whole sample to the bit
         chart, rho = gm.chart_for_family(family, n, m=m)
         calls, sample = [], wf.WarpSolution.samples_at
 
@@ -380,14 +384,14 @@ class TestMetricJet:
         rep = gm.verify_einstein(chart, rho, n_points=200)
         assert len(gm._blocks(chart, 200)) == len(calls) == blocks
         assert sum(calls) == 200
-        f, df, d2f = chart.metric_jet(rep.points)
+        f, df, d2f, closed = chart.metric_jet(rep.points)
         ric = gm.diagonal_curvature(f, df, d2f, [], [])[0]
         idx = np.arange(chart.dim)
-        ric[:, idx, idx] -= chart.ricci_diag(rep.points)
+        ric[:, idx, idx] -= closed
         scale = 1.0 + np.max(np.abs(f), axis=1)
         want = np.max(np.max(np.abs(ric), axis=(1, 2)) / scale)
         assert rep.oracle_max == want
-        assert len(calls) == blocks + 2
+        assert len(calls) == blocks + 1
 
     @pytest.mark.parametrize("family,n,m,count", [
         ("schwarzschild", 5, None, 40), ("extra-codim", 7, 2, 12)])
@@ -446,7 +450,7 @@ class TestMetricJet:
         rep = gm.verify_einstein(chart, rho, n_points=8, seed=2)
         pts = gm.sample_points(chart, 8, seed=2)
         assert np.array_equal(rep.points, pts)
-        f, df, d2f = chart.metric_jet(pts)
+        f, df, d2f, _ = chart.metric_jet(pts)
         exact = gm.diagonal_curvature(f, df, d2f, [], [])[0]
         scale = 1.0 + np.max(np.abs(f), axis=1)
 
@@ -489,9 +493,8 @@ class TestMetricJet:
         for cls in (gm.ProductChart, gm.WarpedChart):
             def scaled(self, X, jet=cls.metric_jet):
                 out = jet(self, X)
-                f, df, d2f = out
-                d2f[:, 0, 0] *= 1.01
-                return gm.DiagonalJet(f, df, d2f, out.parts)
+                out[2][:, 0, 0] *= 1.01
+                return out
 
             monkeypatch.setattr(cls, "metric_jet", scaled)
         assert_report_fails_every_oracle(capsys)
@@ -530,7 +533,7 @@ def member_jets():
         for n, m, rho in row.report:
             chart = family_chart(family, n, m=m, rho=rho)
             X = gm.sample_points(chart, 9, seed=4)
-            yield pytest.param(chart.metric_jet(X), id=chart.label)
+            yield pytest.param(chart.metric_jet(X)[:3], id=chart.label)
 
 
 def reference_jets():
@@ -626,7 +629,7 @@ def test_each_quadratic_term_is_checked(capsys, monkeypatch, share):
 
     def recorded(chart, rho, **kw):
         rep = verify(chart, rho, **kw)
-        f, df, _ = chart.metric_jet(rep.points)
+        f, df, _, _ = chart.metric_jet(rep.points)
         nonzero[rep.label] = bool(np.any(share(1.0 / f, df)))
         return rep
 
@@ -660,10 +663,10 @@ class SkewedJet:
         return self.base.metric_batch(X)
 
     def metric_jet(self, X):
-        f, df, d2f = self.base.metric_jet(X)
-        d2f[:, 0, 1, 0] += self.eps
-        d2f[:, 0, 1, 2] += self.eps
-        return f, df, d2f
+        jet = self.base.metric_jet(X)
+        jet[2][:, 0, 1, 0] += self.eps
+        jet[2][:, 0, 1, 2] += self.eps
+        return jet
 
 
 def test_asymmetric_derivative_pair_fails_closed():
@@ -840,9 +843,8 @@ class TestChartGuards:
 
         class NaNJetChart(gm.ProductChart):
             def metric_jet(self, X):
-                jet = super().metric_jet(X)
-                return gm.DiagonalJet(*(np.full_like(a, np.nan) for a in jet),
-                                      jet.parts)
+                return tuple(np.full_like(a, np.nan)
+                             for a in super().metric_jet(X))
 
         class NaNNoJetChart:
             # the finite-difference path: a chart with no metric_jet
