@@ -401,7 +401,7 @@ def _extrinsic_checks(rep, row, expect_u=None, label=None):
         add("umbilical-dimension", "udim",
             0.0 if rep.u_dim_mode == expect_u else 1.0, 0.5, "frame-algebra")
     add("gauss-equation", "gauss", rep.gauss_max, TOLERANCES["tol_gauss"],
-        "analytic-jet")
+        "closed-form-oracle")
     add("realization", "realization", rep.realization_max,
         TOLERANCES["tol_pullback_quadrature" if row.warp
                    else "tol_pullback_analytic"], "analytic-jet")

@@ -9,17 +9,20 @@ normal forms unchanged.
 
 The checks split into pointwise algebra (flat normal bundle, umbilical
 substructure, normal forms of shape-operator pairs) and differential
-identities (Gauss against the exact curvature of the chart the immersion
-realizes, realization against that chart's metric and its first
-derivatives, Codazzi, parallelism of the umbilical normal along its
-leaves).
+identities (Gauss against the closed-form Ricci of the chart the
+immersion realizes, O'Neill's from the warp and the fiber's constants,
+realization against that chart's metric and its first derivatives,
+Codazzi, parallelism of the umbilical normal along its leaves).
 Every stage takes the whole sample as rows: extrinsics_at evaluates the
 immersion's jet once for all of them and keeps it with the frames and the
 second fundamental form, and each check returns one residual per row.
 The pointwise algebra has one principal-curvature path: one batched eigh
 of a fixed generic combination of each row's shape operators gives their
-common eigenbasis, and umbilical_structure groups its principal curvature
-vectors; the flat-normal, umbilical and normal-form stages all read it.
+common eigenbasis, checked against the rows' commutators, and
+umbilical_structure groups its principal curvature vectors; the
+flat-normal, umbilical and normal-form stages all read it, the first
+through the commutators it was checked against, so each pointwise
+invariant is computed once a scan.
 Codazzi evaluates the immersion again only at the points its stencil
 adds, in blocks within geometry's element budget, and differences only
 their Hessians: in flat ambient space its Christoffel terms cancel, so no
@@ -29,6 +32,7 @@ single point is a batch of one row.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -116,6 +120,19 @@ def extrinsics_at(imm, X):
     return Extrinsics(x=X, v=v, J=J, H=H, Q=Q, N=N, B=B, alpha=alpha)
 
 
+@functools.lru_cache(maxsize=8)
+def _normal_pairs(c):
+    """The pairs A < B of c normal directions in triu_indices order, and
+    the weights sqrt(prime_k) - 1 of the generic combination of c shape
+    operators; built once per codimension, all read-only."""
+    A, B = np.triu_indices(c, 1)
+    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, p)))
+    w = np.sqrt(list(itertools.islice(primes, c))) - 1.0
+    for a in (A, B, w):
+        a.flags.writeable = False
+    return A, B, w
+
+
 def flat_normal_residual(alpha):
     """Largest commutator entry among shape-operator pairs, per row.
 
@@ -123,7 +140,7 @@ def flat_normal_residual(alpha):
     bundle is flat exactly when all shape operators commute, so this is the
     full flatness test.
     """
-    A, B = np.triu_indices(alpha.shape[1], 1)
+    A, B, _ = _normal_pairs(alpha.shape[1])
     comm = alpha[:, A] @ alpha[:, B] - alpha[:, B] @ alpha[:, A]
     return np.max(np.abs(comm), axis=(1, 2, 3), initial=0.0)
 
@@ -138,24 +155,25 @@ def _principal_curvatures(alpha):
     rational relation ties those weights, so distinct principal curvature
     vectors get distinct combined eigenvalues unless a point is built to
     make them collide. Returns kappa (rows, d, codim), the diagonals of
-    V^T alpha_c V in ascending combined order; the operators in that basis
-    (rows, codim, d, d); and whether neighbours in that order are equal to
-    _TOL_GROUP (rows, d - 1). A row that is not finite is zeroed for eigh
-    and comes out NaN. Raises NotFlatNormal when a finite row's operators
-    fail to commute, when the basis leaves them off-diagonal, or when
-    neighbours that differ share a combined eigenvalue, all at
-    _TOL_EIGENBASIS relative to the row's largest entry.
+    V^T alpha_c V in ascending combined order; whether neighbours in that
+    order are equal to _TOL_GROUP (rows, d - 1); the operators in that
+    basis (rows, codim, d, d); and flat_normal_residual of the rows (rows,).
+    A row that is not finite is zeroed for eigh and the commutator and
+    comes out NaN. Raises NotFlatNormal when a finite row's operators fail
+    to commute, when the basis leaves them off-diagonal, or when neighbours
+    that differ share a combined eigenvalue, all at _TOL_EIGENBASIS
+    relative to the row's largest entry.
     """
     alpha = np.asarray(alpha, dtype=float)
-    c, d = alpha.shape[1:3]
+    d = alpha.shape[2]
     bad = ~np.all(np.isfinite(alpha), axis=(1, 2, 3))
     a = np.where(bad[:, None, None, None], 0.0, alpha)
     tol = _TOL_EIGENBASIS * np.maximum(1.0, np.max(np.abs(a), axis=(1, 2, 3)))
-    if np.any(flat_normal_residual(a) > tol):
+    flat = flat_normal_residual(a)
+    if np.any(flat > tol):
         raise NotFlatNormal(
             "shape operators do not commute; no common eigenbasis")
-    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, p)))
-    w = np.sqrt(list(itertools.islice(primes, c))) - 1.0
+    w = _normal_pairs(alpha.shape[1])[2]
     lam, V = np.linalg.eigh(np.einsum("c,ncij->nij", w, a))
     ap = np.swapaxes(V, 1, 2)[:, None] @ a @ V[:, None]
     kappa = np.swapaxes(np.diagonal(ap, axis1=2, axis2=3), 1, 2)
@@ -171,8 +189,8 @@ def _principal_curvatures(alpha):
             "across distinct principal curvature vectors, or the operators "
             "commute only to tolerance"
         )
-    ap[bad] = math.nan   # kappa is a view of ap's diagonals
-    return kappa, same, ap
+    ap[bad] = flat[bad] = math.nan   # kappa is a view of ap's diagonals
+    return kappa, same, ap, flat
 
 
 @dataclass
@@ -183,14 +201,17 @@ class UmbilicalStructure:
     principal curvature vectors in ascending combined order; labels (rows,
     d) numbers the groups of equal vectors from 0 in that order, -1 on a
     row that is not finite; u (rows, d) marks U, the largest group (the
-    first of equal size), and eta (rows, codim) its common vector.
-    residuals (rows, 4) is None without rho and NaN on rows not split.
+    first of equal size), and eta (rows, codim) its common vector. flat
+    (rows,) is the flat_normal_residual the grouping was checked against,
+    NaN on a row that is not finite. residuals (rows, 4) is None without
+    rho and NaN on rows not split.
     """
 
     kappa: np.ndarray
     labels: np.ndarray
     u: np.ndarray
     eta: np.ndarray
+    flat: np.ndarray
     residuals: np.ndarray
 
     @property
@@ -223,7 +244,7 @@ def umbilical_structure(alpha, rho=None):
     K(U-perp) computed from the Gauss equation. A row that is not finite
     has no grouping: kappa, eta and its residuals are NaN and U is empty.
     """
-    kappa, same, ap = _principal_curvatures(alpha)
+    kappa, same, ap, flat = _principal_curvatures(alpha)
     rows, d = kappa.shape[:2]
     labels = np.concatenate(
         [np.zeros((rows, 1), dtype=int), np.cumsum(~same, axis=1)], axis=1)
@@ -234,7 +255,7 @@ def umbilical_structure(alpha, rho=None):
     labels[bad] = -1
     u[bad] = False
     um = UmbilicalStructure(kappa=kappa, labels=labels, u=u, eta=eta,
-                            residuals=None)
+                            flat=flat, residuals=None)
     if rho is not None:
         # every dot product of the complement's entries alpha_11, alpha_22,
         # alpha_12 and eta
@@ -264,18 +285,18 @@ def gauss_ricci(alpha):
 def gauss_ricci_residual(imm, pe):
     """Gauss and realization residuals of imm against imm.chart, per row.
 
-    Gauss sets extrinsic Ricci against the chart's intrinsic Ricci by
+    Gauss sets extrinsic Ricci against the chart's closed-form Ricci by
     independent routes: the left side is the immersion's jets and frame
-    algebra, the right side never sees the ambient space (the chart's
-    diagonal jet through geometry.diagonal_curvature, one metric_jet call
-    a block, whose closed-form Ricci goes unread). Ricci cannot see a round
-    factor's radius, so the same jet, made dense to compare, gives
-    realization:
+    algebra, the right side, B^T diag(ric) B, is the fourth array of one
+    metric_jet call a block, O'Neill's Ricci from the warp samples and the
+    fiber's Ricci constants, which never sees the ambient space or the
+    metric's derivatives. Ricci cannot see a round factor's radius, so the
+    same call's (f, df), made dense to compare, gives realization:
     the worst of |J^T J - g| and |d_k (J^T J) - d_k g| over 1 + max |g|, with
     d_k (J^T J)_ij = H_ki^T J_j + J_i^T H_kj from the jet pe holds.
     """
     def block(s):
-        f, df, d2f, _ = imm.chart.metric_jet(pe.x[s])
+        f, df, _, ric = imm.chart.metric_jet(pe.x[s])
         g, dg = geometry._on_diagonal(f), geometry._on_diagonal(df)
         J = pe.J[s]
         dgi = pe.H[s].transpose(0, 2, 3, 1) @ J[:, None]   # H_ki^T J_j
@@ -284,14 +305,13 @@ def gauss_ricci_residual(imm, pe):
         gap = np.maximum(
             geometry._row_max(np.swapaxes(J, 1, 2).copy() @ J - g),
             np.max(np.abs(dgi + np.swapaxes(dgi, 2, 3) - dg), axis=(1, 2, 3)))
-        return (geometry.diagonal_curvature(f, df, d2f, [], [])[0],
-                gap / (1.0 + geometry._row_max(g)))
+        return ric, gap / (1.0 + geometry._row_max(g))
 
     # a block counts 7 d**3 a point for d2f, dg, H^T J and its symmetrized
     # sum; the tests hold its tracemalloc peak within [1/2, 1] of the budget
     ric, realization = (np.concatenate(a) for a in zip(*(
         block(s) for s in geometry._block_slices(len(pe.x), 7 * imm.dim ** 3))))
-    ric_int = np.swapaxes(pe.B, 1, 2) @ ric @ pe.B
+    ric_int = np.swapaxes(pe.B, 1, 2) @ (ric[:, :, None] * pe.B)
     gauss = np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
     return gauss, realization
 
@@ -476,58 +496,51 @@ def _normal_form(d1, d2):
     the closed-form angle beta = atan2(d2_k, d1_k) zeroes that slot of the
     rotated second operator exactly, so scanning the four candidate angles
     finds the gauge with the most zeros. Two or more zeros give the epsilon
-    form, exactly one the generic form.
+    form, exactly one the generic form. The scan runs on Python floats:
+    four slots are too few for array calls to pay.
     """
-    scale = max(1.0, float(np.max(np.abs(d1))), float(np.max(np.abs(d2))))
+    d1, d2 = [float(x) for x in d1], [float(x) for x in d2]
+    tol = TOL_FORM * max(1.0, *map(abs, d1), *map(abs, d2))
 
     best = None
     for k in range(4):
         beta = math.atan2(d2[k], d1[k])
         cb, sb = math.cos(beta), math.sin(beta)
-        e1 = cb * d1 + sb * d2
-        e2 = -sb * d1 + cb * d2
-        zeros = int(np.sum(np.abs(e2) <= TOL_FORM * scale))
-        cand = (zeros, -k, beta, e1, e2)
-        if best is None or cand[:2] > best[:2]:
-            best = cand
-    zeros, _, beta, e1, e2 = best
+        e2 = [-sb * x + cb * y for x, y in zip(d1, d2)]
+        zeros = sum(abs(z) <= tol for z in e2)
+        if best is None or zeros > best[0]:
+            best = (zeros, beta, [cb * x + sb * y for x, y in zip(d1, d2)], e2)
+    zeros, beta, e1, e2 = best
 
-    order = np.argsort(-np.abs(e2), kind="stable")
-    i, j = int(order[0]), int(order[1])
-    k, l = int(order[2]), int(order[3])
+    i, j, k, l = sorted(range(4), key=lambda s: -abs(e2[s]))
     if zeros >= 2:
         pairings = {eps: _pairing(e1, k, l, i, j, eps) for eps in (1, -1)}
         eps = 1 if pairings[1] <= pairings[-1] else -1
-        a, b = float(e1[k]), float(e1[i])
-        p, q = float(e2[i]), float(e2[j])
+        a, b = e1[k], e1[i]
+        p, q = e2[i], e2[j]
         rel = abs(p * q - eps * (a * a - b * b))
-        leak = float(np.max(np.abs(e2[[k, l]])))
+        leak = max(abs(e2[k]), abs(e2[l]))
         return EpsilonForm(
             a=a, b=b, p=p, q=q, eps=eps, beta=beta,
             residual=max(pairings[eps], rel, leak),
         )
     if zeros == 1:
-        z = int(order[3])
-        slots = [int(s) for s in order[:3]]
-        dd = float(e1[z])
+        dd = e1[l]
         best_fit = None
-        for perm in itertools.permutations(slots):
-            sa, sb_, sc = perm
-            a, b, c = float(e1[sa]), float(e1[sb_]), float(e1[sc])
-            p, q, r = float(e2[sa]), float(e2[sb_]), float(e2[sc])
+        for x, y, z in itertools.permutations((i, j, k)):
+            a, b, c = e1[x], e1[y], e1[z]
+            p, q, r = e2[x], e2[y], e2[z]
             res = max(
                 abs(p * q - (a * dd - b * c)),
                 abs(p * r - (a * c - b * dd)),
                 abs(q * r - (a * b - c * dd)),
             )
-            fit = (res, perm)
-            if best_fit is None or fit[0] < best_fit[0]:
-                best_fit = fit
-                chosen = (a, b, c, dd, p, q, r)
-        a, b, c, dd, p, q, r = chosen
+            if best_fit is None or res < best_fit[0]:
+                best_fit = (res, (a, b, c, dd, p, q, r))
+        res, (a, b, c, dd, p, q, r) = best_fit
         pos = (a * dd - b * c) * (a * c - b * dd) * (a * b - c * dd) > 0.0
         return GenericForm(a=a, b=b, c=c, d=dd, p=p, q=q, r=r, beta=beta,
-                           residual=best_fit[0], positive=bool(pos))
+                           residual=res, positive=pos)
     return Unclassified(reason="no gauge produced a zero slot")
 
 
@@ -616,7 +629,6 @@ def extrinsic_scan(imm, n_points=8, seed=0):
     imm = dataclasses.replace(imm, jet_fn=counted)
     pts = geometry.sample_points(imm, n_points, seed=seed)
     pe = extrinsics_at(imm, pts)
-    flat = flat_normal_residual(pe.alpha)
     gauss, realization = gauss_ricci_residual(imm, pe)
     codazzi, dupin = codazzi_residual(imm, pe)
     um = umbilical_structure(pe.alpha, rho=imm.rho)
@@ -625,7 +637,7 @@ def extrinsic_scan(imm, n_points=8, seed=0):
                if imm.meta.get("kind") == "rotational" else [])
     return ExtrinsicReport(
         label=imm.label, dim=imm.dim, codim=imm.ambient_dim - imm.dim,
-        n_points=len(pts), flat_normal_max=float(np.max(flat)),
+        n_points=len(pts), flat_normal_max=float(np.max(um.flat)),
         gauss_max=float(np.max(gauss)),
         realization_max=float(np.max(realization)),
         codazzi_max=float(np.max(codazzi)),

@@ -373,7 +373,7 @@ class TestVerifyExtrinsic:
                         "--points", "12", "--seed", "21")
         assert code == 0
         gauss = {c["name"]: c for c in doc["checks"]}["gauss-equation"]
-        assert gauss["provenance"] == "analytic-jet"
+        assert gauss["provenance"] == "closed-form-oracle"
         assert gauss["value"] <= 1e-10
 
     def test_perturbed_clifford_fails_umbilical(self, capsys):

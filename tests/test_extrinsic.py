@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -320,6 +321,15 @@ class TestCommonEigenbasis:
         with pytest.raises(NotFlatNormal, match="commute only to tolerance"):
             extrinsic.umbilical_structure(alpha)
 
+    def test_constants_are_built_once_a_codimension(self):
+        A, B, w = extrinsic._normal_pairs(3)
+        assert extrinsic._normal_pairs(3)[0] is A
+        assert (A.tolist(), B.tolist()) == ([0, 0, 1], [1, 2, 2])
+        assert np.array_equal(w, np.sqrt([2.0, 3.0, 5.0]) - 1.0)
+        for a in (A, B, w):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
     def test_nan_row_stays_in_its_row(self):
         imm = immersions.clifford_immersion(5, 1.0)
         alpha = extrinsic.extrinsics_at(
@@ -333,10 +343,11 @@ class TestCommonEigenbasis:
         assert not np.any(um.u[1]) and np.all(um.labels[1] == -1)
         # a NaN row counts as split, so its residuals fail what reads them
         assert um.split.tolist() == [True] * 4
-        for key in ("kappa", "labels", "u", "eta", "residuals"):
+        for key in ("kappa", "labels", "u", "eta", "flat", "residuals"):
             np.testing.assert_array_equal(np.delete(getattr(um, key), 1, 0),
                                           getattr(finite, key))
         assert math.isnan(extrinsic.flat_normal_residual(alpha)[1])
+        assert math.isnan(um.flat[1])
 
 
 # members of every family row with an immersion, plus a perturbed one
@@ -549,14 +560,50 @@ class TestNormalForms:
         for seed in range(30):
             pe = extrinsic.extrinsics_at(
                 imm, geometry.sample_points(imm, 10, seed=seed))
-            kappa, same, ap = extrinsic._principal_curvatures(pe.alpha)
+            batch = extrinsic._principal_curvatures(pe.alpha)
             for r in range(10):
                 one = extrinsic._principal_curvatures(pe.alpha[r:r + 1])
-                for got, want in zip((kappa, same, ap), one):
+                for got, want in zip(batch, one, strict=True):
                     assert np.array_equal(got[r:r + 1], want), seed
             forms = extrinsic.classify_rows(imm, pe.x)
             assert forms == [extrinsic.shape_operator_normal_form(*a)
                              for a in pe.alpha], seed
+
+    def test_float_scan_is_the_array_scan(self, rng):
+        # the gauge scan on Python floats gives every field of the array
+        # scan it replaced, as a float, on the appendix's slots and on
+        # random pairs made to land in each kind
+        imm = immersions.build_immersion("schwarzschild", 4)
+        slots = [k.T for seed in range(30) for k in
+                 extrinsic._principal_curvatures(extrinsic.extrinsics_at(
+                     imm, geometry.sample_points(imm, 10, seed=seed)).alpha)[0]]
+        kinds = ["epsilon"] * len(slots)
+        for kind in ("epsilon", "generic"):
+            for _ in range(200):
+                a, b, c, d, p, q, r = rng.standard_normal(7)
+                eps = rng.choice([1.0, -1.0])
+                d1, d2 = ((np.array([b, eps * b, a, eps * a]),
+                           np.array([p, q, 0.0, 0.0])) if kind == "epsilon"
+                          else (np.array([a, b, c, d]),
+                                np.array([p, q, r, 0.0])))
+                gauge, order = rng.uniform(-math.pi, math.pi), rng.permutation(4)
+                cg, sg = math.cos(gauge), math.sin(gauge)
+                slots.append(((cg * d1 - sg * d2)[order],
+                              (sg * d1 + cg * d2)[order]))
+                kinds.append(kind)
+        # a row that is not finite has NaN slots
+        slots.append((np.full(4, np.nan), np.full(4, np.nan)))
+        kinds.append("unclassified")
+        for (d1, d2), kind in zip(slots, kinds):
+            want = normal_form_numpy(d1, d2)
+            got = extrinsic._normal_form(d1, d2)
+            assert type(got) is type(want) and want.kind == kind
+            for field in dataclasses.fields(want):
+                x, y = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(y, str):
+                    assert x == y
+                else:
+                    assert float(x) == float(y), (field.name, x, y)
 
     def test_classify_needs_dim_four(self):
         imm, x = schw_point(5)
@@ -566,6 +613,55 @@ class TestNormalForms:
     def test_shape_guard(self):
         with pytest.raises(BadDimension):
             extrinsic.shape_operator_normal_form(np.eye(3), np.eye(3))
+
+
+def normal_form_numpy(d1, d2):
+    """The gauge scan on 4-element arrays that _normal_form replaced."""
+    scale = max(1.0, float(np.max(np.abs(d1))), float(np.max(np.abs(d2))))
+    best = None
+    for k in range(4):
+        beta = math.atan2(d2[k], d1[k])
+        cb, sb = math.cos(beta), math.sin(beta)
+        e1 = cb * d1 + sb * d2
+        e2 = -sb * d1 + cb * d2
+        zeros = int(np.sum(np.abs(e2) <= extrinsic.TOL_FORM * scale))
+        cand = (zeros, -k, beta, e1, e2)
+        if best is None or cand[:2] > best[:2]:
+            best = cand
+    zeros, _, beta, e1, e2 = best
+    order = np.argsort(-np.abs(e2), kind="stable")
+    i, j = int(order[0]), int(order[1])
+    k, l = int(order[2]), int(order[3])
+    if zeros >= 2:
+        pairings = {eps: extrinsic._pairing(e1, k, l, i, j, eps)
+                    for eps in (1, -1)}
+        eps = 1 if pairings[1] <= pairings[-1] else -1
+        a, b = float(e1[k]), float(e1[i])
+        p, q = float(e2[i]), float(e2[j])
+        rel = abs(p * q - eps * (a * a - b * b))
+        leak = float(np.max(np.abs(e2[[k, l]])))
+        return extrinsic.EpsilonForm(a=a, b=b, p=p, q=q, eps=eps, beta=beta,
+                                     residual=max(pairings[eps], rel, leak))
+    if zeros == 1:
+        z = int(order[3])
+        dd = float(e1[z])
+        best_fit = None
+        for perm in itertools.permutations(int(s) for s in order[:3]):
+            sa, sb_, sc = perm
+            a, b, c = float(e1[sa]), float(e1[sb_]), float(e1[sc])
+            p, q, r = float(e2[sa]), float(e2[sb_]), float(e2[sc])
+            res = max(abs(p * q - (a * dd - b * c)),
+                      abs(p * r - (a * c - b * dd)),
+                      abs(q * r - (a * b - c * dd)))
+            if best_fit is None or res < best_fit[0]:
+                best_fit = (res, perm)
+                chosen = (a, b, c, dd, p, q, r)
+        a, b, c, dd, p, q, r = chosen
+        pos = (a * dd - b * c) * (a * c - b * dd) * (a * b - c * dd) > 0.0
+        return extrinsic.GenericForm(a=a, b=b, c=c, d=dd, p=p, q=q, r=r,
+                                     beta=beta, residual=best_fit[0],
+                                     positive=bool(pos))
+    return extrinsic.Unclassified(reason="no gauge produced a zero slot")
 
 
 class TestDupin:
@@ -742,6 +838,21 @@ def codazzi_reference(imm, pe, h=extrinsic._STEP):
 CODAZZI_MEMBERS = sorted({case + (None,) for case in BATCH_CASES} | {
     (family, n, m, rho) for family, row in geometry.FAMILIES.items()
     for n, m, rho in row.scan}, key=str)
+
+
+@pytest.mark.parametrize("family,n,m,rho", CODAZZI_MEMBERS)
+def test_scan_computes_each_invariant_once(monkeypatch, family, n, m, rho):
+    # Gauss reads the chart's closed-form Ricci, so the scan runs no
+    # intrinsic curvature core, and it reports the one commutator the
+    # common eigenbasis was checked against
+    imm = immersions.build_immersion(family, n, m=m, rho=rho)
+    pe = extrinsic.extrinsics_at(imm, geometry.sample_points(imm, 12, seed=5))
+    flat = extrinsic.flat_normal_residual(pe.alpha)
+    cores = count_calls(monkeypatch, geometry, "diagonal_curvature")
+    commutators = count_calls(monkeypatch, extrinsic, "flat_normal_residual")
+    rep = extrinsic.extrinsic_scan(imm, n_points=12, seed=5)
+    assert cores == [0] and commutators == [1]
+    assert rep.flat_normal_max == np.max(flat)
 
 
 @pytest.mark.parametrize("family,n,m,rho", CODAZZI_MEMBERS)

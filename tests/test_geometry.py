@@ -499,6 +499,31 @@ class TestMetricJet:
             monkeypatch.setattr(cls, "metric_jet", scaled)
         assert_report_fails_every_oracle(capsys)
 
+    def test_wrong_closed_form_fails_gauss_and_every_oracle(self, capsys,
+                                                            monkeypatch):
+        # the fiber factors' Ricci constants 1% too large in the closed form
+        # alone: ric itself on a product chart, the share mu_i f_i of fiber
+        # entry i on a warped one (whose Ricci-flat members have fiber
+        # entries of zero, which scaling would leave as they are). Gauss
+        # reads the closed form, so every member report scans fails it
+        for cls, k in ((gm.ProductChart, 0), (gm.WarpedChart, 2)):
+            def wrong(self, X, jet=cls.metric_jet, k=k):
+                f, df, d2f, ric = jet(self, X)
+                mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
+                fiber = self.fiber.metric_diag(np.atleast_2d(X)[:, k:])
+                ric[:, k:] += 0.01 * mu * fiber
+                return f, df, d2f, ric
+
+            monkeypatch.setattr(cls, "metric_jet", wrong)
+        code = cli.main(["report", "--seed", "0"])
+        doc = json.loads(capsys.readouterr().out)
+        status = {c["name"]: c["status"] for c in doc["checks"]}
+        gauss = [name for name in status if name.startswith("gauss-")]
+        oracles = [name for name in status if name.startswith("oracle-")]
+        scanned = sum(len(row.scan) for row in gm.FAMILIES.values())
+        assert code == 1 and len(gauss) == scanned == 4 and len(oracles) == 11
+        assert all(status[name] == "fail" for name in gauss + oracles)
+
 
 def assert_report_fails_every_oracle(capsys):
     code = cli.main(["report", "--seed", "0"])
