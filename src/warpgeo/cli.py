@@ -245,9 +245,9 @@ def _intrinsic_checks(rep, row, chart, floor=None, label=None):
     """The checks of one intrinsic pass, chosen by its family row and not
     by what the pass found, as _extrinsic_checks chooses. A defect row, or
     a member report expects to miss by floor, asks the Einstein residual
-    to reach that floor, and a defect row adds the smallest gap between
-    the fiber's Ricci constant and the (n-3) eps the warp needs, over the
-    sample from one samples_at call; any other member bounds the residual
+    to reach that floor, and a defect row adds the gap between the
+    fiber's Ricci constant and the (n-3) eps the warp needs, read from the
+    warp's parameters alone; any other member bounds the residual
     and, where the row says, the sectional spread. Every member adds
     Ricci's symmetry and the gap to the chart's closed-form Ricci, which
     fails on a chart without one.
@@ -272,10 +272,8 @@ def _intrinsic_checks(rep, row, chart, floor=None, label=None):
             add("sectional-spread", "spread", rep.sectional_spread, bound,
                 rep.provenance, mode)
     if row.defect_floor is not None:
-        t = rep.points[:, 0]
-        gap = geometry.fiber_constant_residual(
-            chart.warp.params, chart.warp.samples_at(t), chart.fiber)
-        add("fiber-constant", "fiber-constant", np.min(np.abs(gap)),
+        gap = geometry.fiber_constant_residual(chart.warp.params, chart.fiber)
+        add("fiber-constant", "fiber-constant", abs(gap),
             row.defect_floor, "structural-equation", "min")
     add("ricci-symmetry", "ricci-sym", rep.ricci_sym_max,
         TOLERANCES["tol_ricci_sym"], rep.provenance)

@@ -332,9 +332,9 @@ def codazzi_residual(imm, pe):
     they are done. Returns (codazzi, dupin), one value per row each.
     """
     n, d, amb = len(pe.x), imm.dim, imm.ambient_dim
-    # rows 2a and 2a + 1 of a point's stencil displace it by +_STEP and
-    # -_STEP along axis a
-    E = np.stack([_STEP * np.eye(d), -_STEP * np.eye(d)], 1).reshape(-1, d)
+    # the axis rows of geometry's stencil: rows 2a and 2a + 1 displace a
+    # point by +_STEP and -_STEP along axis a
+    E = geometry._stencil(d, _STEP)[0][1:2 * d + 1]
     codazzi, leaf = np.empty(n), np.empty((n, amb))
     # a block counts three arrays a point of the displaced Hessians' size;
     # the tests hold the live set's tracemalloc peak, in the block's jet

@@ -35,8 +35,6 @@ _TOL_WARP_TURNING = 1e-6
 # step of the finite-difference stencils, which run only on a chart without
 # an exact jet, and a third of the sample's margin inside a chart's box
 _FD_STEP = 1e-3
-# coordinate planes whose sectional curvature verify_einstein samples
-_MAX_PLANES = 10
 # distance of the sampled non-final fiber angles from their poles
 _ANGLE_PAD = 0.4
 
@@ -100,18 +98,14 @@ class FiberSpec:
         out = np.empty_like(Y)
         o = 0
         for d, r in zip(self.dims, self.radii):
-            block = Y[:, o:o + d]
-            if d > 1:
-                s = np.sin(block[:, : d - 1])
-                if np.any(np.abs(s) < _TOL_POLE):
-                    raise SingularChartPoint(
-                        "fiber angle within %g of a coordinate pole" % _TOL_POLE
-                    )
-                run = np.cumprod(s * s, axis=1)
-                out[:, o] = r * r
-                out[:, o + 1:o + d] = r * r * run
-            else:
-                out[:, o] = r * r
+            # a circle factor has no polar angle, so s is empty
+            s = np.sin(Y[:, o:o + d - 1])
+            if np.any(np.abs(s) < _TOL_POLE):
+                raise SingularChartPoint(
+                    "fiber angle within %g of a coordinate pole" % _TOL_POLE
+                )
+            out[:, o] = r * r
+            out[:, o + 1:o + d] = r * r * np.cumprod(s * s, axis=1)
             o += d
         return out
 
@@ -282,7 +276,7 @@ class WarpedChart:
         array, is O'Neill's Ricci diagonal from the warp sample and the
         fiber's diagonal alone: Ric = a g on the base, a = -phi'''/phi' -
         (n-2) phi''/phi, and (mu_i - w)/phi^2 g on fiber factor i of Ricci
-        constant mu_i, w = _fiber_need(n, 0).
+        constant mu_i, w = _fiber_need(n, s).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         diag, s, f = self._diag(X)
@@ -306,7 +300,7 @@ class WarpedChart:
         ric[:, 0] = a
         ric[:, 1] = dphi * dphi * a
         mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
-        ric[:, 2:] = (mu - _fiber_need(d, 0.0, s)[:, None]) * f
+        ric[:, 2:] = (mu - _fiber_need(d, s)[:, None]) * f
         return diag, ddiag, dd, ric
 
 
@@ -575,26 +569,26 @@ def _row_max(a):
 
 # -- the fiber constant the warp needs ----------------------------------------
 
-def _fiber_need(n, rho, s):
-    """rho phi^2 + 2 phi phi'' + (n-3) phi'^2 at warp samples s, summed in
-    this order: the fiber's Ricci constant an n-dim Einstein warp needs."""
-    return rho * s.phi ** 2 + 2.0 * s.phi * s.d2phi + (n - 3.0) * s.dphi ** 2
+def _fiber_need(n, s):
+    """phi (Delta phi) + (n-3) |grad phi|^2 = 2 phi phi'' + (n-3) phi'^2 at
+    warp samples s, summed in this order: what O'Neill's formula takes off
+    the fiber's Ricci constant on an n-dim warped product."""
+    return 2.0 * s.phi * s.d2phi + (n - 3.0) * s.dphi ** 2
 
 
-def fiber_constant_residual(params, sample, fiber):
+def fiber_constant_residual(params, fiber):
     """Mismatch between the fiber's Ricci constant and what the warp needs.
 
     The warped product is Einstein only if the fiber carries
-    Ric_F = mu g_F with mu = rho phi^2 + phi (Delta phi) + (n-3)|grad phi|^2,
-    which along base geodesics reads rho phi^2 + 2 phi phi'' + (n-3) phi'^2
-    and collapses to (n-3) eps on solutions. Nonzero output is exactly the
-    obstruction to Einstein-ness for a mismatched fiber.
+    Ric_F = mu g_F with mu = rho phi^2 + _fiber_need, which the structural
+    equation collapses to (n-3) eps at every state, so mu is read from the
+    warp's parameters and no sample can move it. Nonzero output is exactly
+    the obstruction to Einstein-ness for a mismatched fiber.
     """
-    mu = _fiber_need(params.n, params.rho, sample)
     k = fiber.einstein_constant
     if k is None:
         raise BadRange("fiber is not Einstein; no constant to compare")
-    return mu - k
+    return (params.n - 3.0) * params.eps - k
 
 
 # -- the family table ----------------------------------------------------------
@@ -609,7 +603,8 @@ class Family:
     row without one is charted as the fiber itself. base names the
     immersion: "rotational" (the warp's profile curve), a composite base of
     immersions._BASES, "product" (the fiber's own embedding), or None.
-    rho(n) is the Einstein constant; None means the caller supplies it.
+    A row with a warp has Einstein constant warp(n).rho; rho(n) gives a
+    row without one its constant, and None means the caller supplies it.
     The fields from perturbable on serve the command line and `report`.
     """
 
@@ -640,10 +635,6 @@ _LINEAR = dict(warp=lambda n: warpfunc.linear_params(n, t0=0.3),
                t_range=(0.5, 2.5), t_end=2.5 + 0.2)
 
 
-def _zero(n):
-    return 0.0
-
-
 def _n_minus_1(n):
     return float(n - 1)
 
@@ -661,35 +652,35 @@ FAMILIES = {
     "schwarzschild": Family(
         warp=warpfunc.schwarzschild_params, t_range=(0.35, 1.6),
         t_end=1.6 + 0.2, fiber=lambda n, m, rho: round_fiber(n - 2),
-        rho=_zero, base="rotational", spread=("min", 1e-2), u_dim_codim2=True,
+        base="rotational", spread=("min", 1e-2), u_dim_codim2=True,
         report=((5, None, None), (6, None, None)),
         scan=((4, None, None), (5, None, None), (6, None, None))),
     # round n-sphere as a warped product, phi = sin t
     "round": Family(
-        **_SIN, fiber=lambda n, m, rho: round_fiber(n - 2), rho=_n_minus_1,
+        **_SIN, fiber=lambda n, m, rho: round_fiber(n - 2),
         spread=("max", TOL_SPREAD_FLAT), report=((5, None, None),)),
     # flat R^n as a warped product, phi = t
     "flat": Family(
-        **_LINEAR, fiber=lambda n, m, rho: round_fiber(n - 2), rho=_zero,
+        **_LINEAR, fiber=lambda n, m, rho: round_fiber(n - 2),
         spread=("max", TOL_SPREAD_FLAT), report=((5, None, None),)),
     # phi = t over a flat base with the offset torus; Ricci-flat
     "flat-torus-composite": Family(
         **_LINEAR, fiber=lambda n, m, rho: offset_torus_fiber(n, m),
-        rho=_zero, base="flat", needs_m=True, report=((7, 2, None),)),
+        base="flat", needs_m=True, report=((7, 2, None),)),
     # the eps-matched warp over the unit-sum torus, codimension 3
     "extra-codim": Family(
         warp=warpfunc.extra_codim_params, t_range=(0.35, 1.6),
         t_end=1.6 + 0.2, fiber=lambda n, m, rho: unit_torus_fiber(n, m),
-        rho=_zero, base="rotational", needs_m=True, report=((7, 2, None),)),
+        base="rotational", needs_m=True, report=((7, 2, None),)),
     # unit-sum torus fibers: Ricci constant n-4 where the warp needs n-3,
     # so these are immersed warped products that are not Einstein
     "round-torus-composite": Family(
         **_SIN, fiber=lambda n, m, rho: unit_torus_fiber(n, m),
-        rho=_n_minus_1, base="sphere", needs_m=True, defect_floor=0.2,
+        base="sphere", needs_m=True, defect_floor=0.2,
         report=((7, 2, None),)),
     "cylinder-torus-composite": Family(
         **_LINEAR, fiber=lambda n, m, rho: unit_torus_fiber(n, m),
-        rho=_zero, base="cylinder", needs_m=True, defect_floor=0.05,
+        base="cylinder", needs_m=True, defect_floor=0.05,
         report=((7, 2, None),)),
     # round S^n in R^{n+1}, the totally umbilical control case
     "sphere": Family(
@@ -721,7 +712,9 @@ def chart_for_family(family, n, m=None, rho=None, perturb=0.0):
                        % (family, ", ".join(FAMILIES)))
     if row.needs_m and m is None:
         raise BadRange("%s needs m" % family)
-    if row.rho is not None:
+    if row.warp is not None:
+        rho = row.warp(n).rho
+    elif row.rho is not None:
         rho = row.rho(n)
     elif rho is None:
         raise BadRange("%s needs rho" % family)
@@ -798,15 +791,13 @@ def verify_einstein(chart, rho, n_points=24, seed=0):
     |Ric - Ric_closed| / (1 + max |g|) of those Ricci rows against the
     closed-form diagonal Ric_closed that the same metric_jet call returns,
     block by block, so the warp is sampled once a block; it is NaN on the
-    finite-difference path, which has no closed form.
+    finite-difference path, which has no closed form. sectional_min and
+    sectional_max run over every coordinate plane (i, j), i < j, at every
+    point: the exact path forms them all in the same d x d array.
     """
     pts = sample_points(chart, n_points, seed=seed)
     d = chart.dim
     I, J = np.triu_indices(d, 1)
-    if len(I) > _MAX_PLANES:
-        sel = np.random.default_rng(seed).choice(len(I), _MAX_PLANES,
-                                                 replace=False)
-        I, J = I[sel], J[sel]
     jet = getattr(chart, "metric_jet", None)
 
     def block(X):

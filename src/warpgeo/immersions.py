@@ -330,11 +330,11 @@ def clifford_immersion(n, rho):
 # -- warped composites -----------------------------------------------------------
 
 _BASES = {
-    # sigma-jet, curve, base ambient dim, u sample range, base curvature;
-    # the bases are (u, t), (cos t sin u, cos t cos u, sin t), (sin u, cos u, t)
-    "flat": (_linear, _line, 2, (-3.0, 3.0), 0.0),
-    "sphere": (_sin, _circle, 3, (0.0, 2.0 * math.pi), 1.0),
-    "cylinder": (_linear, _circle, 3, (0.0, 2.0 * math.pi), 0.0),
+    # sigma-jet, curve, base ambient dim, u sample range; the bases are
+    # (u, t), (cos t sin u, cos t cos u, sin t), (sin u, cos u, t)
+    "flat": (_linear, _line, 2, (-3.0, 3.0)),
+    "sphere": (_sin, _circle, 3, (0.0, 2.0 * math.pi)),
+    "cylinder": (_linear, _circle, 3, (0.0, 2.0 * math.pi)),
 }
 
 
@@ -347,17 +347,19 @@ def warped_composite(base_kind, chart, rho):
     the fiber's ambient radius, so the warped-product structure appears
     exactly when s R = 1, which is how s is calibrated. The realized
     WarpedChart gives the fiber and t-range; its warp phi is the base's
-    sigma.
+    sigma, and the warp's parameters give the base curvature.
     """
     if base_kind not in _BASES:
         raise BadRange("unknown base kind %r" % base_kind)
-    sigma_jet, curve, k, u_rng, base_k = _BASES[base_kind]
+    sigma_jet, curve, k, u_rng = _BASES[base_kind]
     box = chart.sample_box
     box[1] = u_rng      # the base's own u range, not the chart's theta range
     return _warped_product(
         chart, rho, lambda T: (sigma_jet(T),), curve, k, box,
         {"kind": "composite", "base": base_kind, "fiber": chart.fiber,
-         "s": 1.0 / chart.fiber.ambient_radius(), "base_curvature": base_k},
+         "s": 1.0 / chart.fiber.ambient_radius(),
+         "base_curvature": warpfunc.constant_curvature_value(
+             chart.warp.params)},
     )
 
 

@@ -278,8 +278,7 @@ def schwarzschild_params(n):
     for the rotational profile to close smoothly at its pole.
     """
     b = (n - 3.0) / 2.0
-    return WarpParams(n=n, eps=1.0, rho=0.0, t0=0.0, phi0=b, dphi0=0.0,
-                      c=-(b ** (n - 3.0)))
+    return WarpParams(n=n, eps=1.0, rho=0.0, t0=0.0, phi0=b, dphi0=0.0)
 
 
 def sin_params(n, t0=math.pi / 2.0):

@@ -614,9 +614,18 @@ class TestReport:
         assert rows == want and sum(rows.values()) == 236
         assert (calls["box"], calls["extrinsics_at"]) == (16, 5)
         # the warp is sampled once a block, one block a warped member at 20
-        # points (8), and once more by each defect row's fiber-constant
-        # check (2); the oracle reads the block's own sample
-        assert sampled == [10]
+        # points (8); the oracle reads the block's own sample, and each
+        # defect row's fiber-constant check the warp's parameters
+        assert sampled == [8]
+
+    def test_spread_reads_every_plane(self, capsys):
+        # at seed 4 the widest of the dim-6 chart's 15 coordinate planes
+        # set the spread; any 10 of them may read a third of it
+        code, doc = run(capsys, "report", "--seed", "4")
+        assert code == 0
+        spread = {c["name"]: c for c in doc["checks"]}[
+            "spread-schwarzschild-n6"]
+        assert spread["value"] >= 2.5
 
     @pytest.mark.parametrize("seed", [4, 8, 9, 10, 13, 25])
     def test_passes_at_seeds_the_stencils_failed(self, capsys, seed):

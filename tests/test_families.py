@@ -19,8 +19,15 @@ N, M, RHO = 7, 2, 2.0
 
 
 def _member(row):
+    # --rho only where the row neither has a warp nor fixes rho itself
     return {"m": M if row.needs_m else None,
-            "rho": RHO if row.rho is None else None}
+            "rho": RHO if row.warp is None and row.rho is None else None}
+
+
+def _rho(row):
+    if row.warp is not None:
+        return row.warp(N).rho
+    return RHO if row.rho is None else row.rho(N)
 
 
 @pytest.mark.parametrize("family", list(geometry.FAMILIES))
@@ -28,7 +35,7 @@ def test_row_is_the_whole_family(family, monkeypatch, capsys, tmp_path):
     row = geometry.FAMILIES[family]
     member = _member(row)
     label = "%s-n%d" % (family, N) + ("-m%d" % M if row.needs_m else "")
-    rho = RHO if row.rho is None else row.rho(N)
+    rho = _rho(row)
 
     chart, chart_rho = geometry.chart_for_family(family, N, **member)
     assert (chart.label, chart_rho) == (label, rho)
@@ -62,6 +69,17 @@ def test_row_is_the_whole_family(family, monkeypatch, capsys, tmp_path):
         base = os.path.join(str(tmp_path), copy + label[len(family):])
         for ext in (".csv", ".obj", ".json"):
             assert os.path.exists(base + ext)
+
+
+def test_warped_rows_read_rho_from_their_warp():
+    warped = [k for k, row in geometry.FAMILIES.items() if row.warp]
+    assert len(warped) == 7
+    for family in warped:
+        row = geometry.FAMILIES[family]
+        assert row.rho is None, family
+        chart, rho = geometry.chart_for_family(
+            family, N, m=M if row.needs_m else None)
+        assert rho == chart.warp.params.rho == row.warp(N).rho, family
 
 
 def test_shared_warp_is_read_only():

@@ -254,7 +254,7 @@ class TestMetricJet:
             for coarse, fine in zip(*gaps):
                 assert 3.5 < coarse / fine < 4.5, chart.label
 
-    def test_blocks_match_row_by_row(self, monkeypatch):
+    def test_blocks_match_row_by_row(self):
         # point counts that are not multiples of the block (204 points at
         # dim 5 and 92 at dim 7 exact, 16 at dim 5 by finite differences);
         # rho is off by one so the residual is O(1) and a relative bound
@@ -262,8 +262,6 @@ class TestMetricJet:
         cases = ((family_chart("round", 5), 5.0, 250),
                  (family_chart("extra-codim", 7, m=2), 1.0, 120),
                  (pullback("schwarzschild", 5), 1.0, 18))
-        # every coordinate plane, so the sectional range is the full one
-        monkeypatch.setattr(gm, "_MAX_PLANES", 100)
         for chart, rho, n in cases:
             rep = gm.verify_einstein(chart, rho, n_points=n, seed=3)
             assert rep.n_points == n
@@ -762,6 +760,20 @@ class TestEinsteinCharts:
         k_ode = base_curvature(sample_at(chart.warp, x[0]))
         assert pc.sectional(0, 1) == pytest.approx(k_ode, rel=1e-4)
 
+    @pytest.mark.parametrize("family, n, m", [("schwarzschild", 6, None),
+                                              ("extra-codim", 7, 2)])
+    def test_sectional_range_covers_every_plane(self, family, n, m):
+        # 15 and 21 coordinate planes: the reported range is that of all
+        # of them, as diagonal_curvature gives it over the whole sample
+        chart = family_chart(family, n, m=m)
+        I, J = np.triu_indices(chart.dim, 1)
+        for seed in range(10):
+            rep = gm.verify_einstein(chart, 0.0, n_points=200, seed=seed)
+            f, df, d2f, _ = chart.metric_jet(rep.points)
+            secs = gm.diagonal_curvature(f, df, d2f, I, J)[2]
+            assert rep.sectional_min == np.min(secs)
+            assert rep.sectional_max == np.max(secs)
+
     def test_flat_torus_composite_is_einstein_not_flat(self):
         rep = gm.verify_einstein(
             family_chart("flat-torus-composite", 7, m=2), rho=0.0, n_points=8)
@@ -806,34 +818,37 @@ class TestMismatchedFiberCharts:
         n = 7
         p = wf.WarpParams(n=n, eps=1.0, rho=float(n - 1), t0=0.15,
                           phi0=math.sin(0.15), dphi0=math.cos(0.15))
-        sol = wf.integrate(p, 1.5, step=1e-3)
         fib = gm.unit_torus_fiber(n, 2)
+        r = gm.fiber_constant_residual(p, fib)
+        assert r == pytest.approx(1.0, abs=1e-9)
+        # the need it reads from the parameters is the sampled one: the
+        # structural equation makes rho phi^2 + 2 phi phi'' + (n-3) phi'^2
+        # equal (n-3) eps at every state
+        sol = wf.integrate(p, 1.5, step=1e-3)
         for t in (0.4, 0.8, 1.2):
-            r = gm.fiber_constant_residual(p, sample_at(sol, t), fib)
-            assert r == pytest.approx(1.0, abs=1e-9)
+            s = sample_at(sol, t)
+            need = p.rho * s.phi ** 2 + gm._fiber_need(n, s)
+            assert need - fib.einstein_constant == pytest.approx(r, abs=1e-9)
 
     def test_matched_fibers_have_zero_residual(self):
         n = 7
         lin = wf.linear_params(n, t0=0.3)
-        sol = wf.integrate(lin, 2.0, step=1e-3)
         fib = gm.offset_torus_fiber(n, 2)
-        assert gm.fiber_constant_residual(lin, sample_at(sol, 1.0), fib) == pytest.approx(
+        assert gm.fiber_constant_residual(lin, fib) == pytest.approx(
             0.0, abs=1e-10
         )
         pex = wf.extra_codim_params(n)
-        solex = wf.integrate(pex, 1.5, step=1e-3)
         fibu = gm.unit_torus_fiber(n, 2)
-        assert gm.fiber_constant_residual(
-            pex, sample_at(solex, 0.9), fibu
-        ) == pytest.approx(0.0, abs=1e-9)
+        assert gm.fiber_constant_residual(pex, fibu) == pytest.approx(
+            0.0, abs=1e-9
+        )
 
     def test_not_einstein_fiber_rejected(self):
         n = 7
         lin = wf.linear_params(n, t0=0.3)
-        sol = wf.integrate(lin, 2.0, step=1e-3)
         lop = gm.FiberSpec(dims=(2, 3), radii=(1.0, 1.3))
         with pytest.raises(BadRange):
-            gm.fiber_constant_residual(lin, sample_at(sol, 1.0), lop)
+            gm.fiber_constant_residual(lin, lop)
 
     def test_perturbed_clifford_detected(self):
         r1, r2 = gm.clifford_radii(5, 1.0)
