@@ -307,23 +307,22 @@ _BUILD_DEFAULTS = {
 
 
 def _immersion_spec(imm):
-    meta = {}
-    for key, val in imm.meta.items():
-        if key == "fiber":
-            meta[key] = {"dims": list(val.dims),
-                         "radii": [float(r) for r in val.radii],
-                         "offset": float(val.offset)}
-        elif key == "warp":
-            meta[key] = {
-                "params": val.params.as_dict(),
-                "t_min": val.t_min,
-                "t_max": val.t_max,
-                "step": val.step,
-            }
-        elif key == "profile":
-            continue
-        else:
-            meta[key] = val
+    """The build record, derived from the immersion's chart and base."""
+    fiber = imm.chart.fiber
+    meta = {"kind": imm.base,
+            "fiber": {"dims": list(fiber.dims),
+                      "radii": [float(r) for r in fiber.radii],
+                      "offset": float(fiber.offset)}}
+    if imm.base == "rotational":
+        sol = imm.chart.warp
+        meta["warp"] = {"params": sol.params.as_dict(), "t_min": sol.t_min,
+                        "t_max": sol.t_max, "step": sol.step}
+    elif imm.base != "product":
+        # s is the inverse fiber radius _warped_product calibrates with
+        meta.update(kind="composite", base=imm.base,
+                    s=1.0 / fiber.ambient_radius(),
+                    base_curvature=warpfunc.constant_curvature_value(
+                        imm.chart.warp.params))
     return {
         "schema_version": SCHEMA_VERSION,
         "label": imm.label,

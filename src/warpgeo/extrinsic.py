@@ -403,10 +403,10 @@ def profile_normal_shape_residual(imm, pe):
     Exact identity for every rotational immersion here, independent of the
     warp family; the residual is pure roundoff.
     """
-    if imm.meta.get("kind") != "rotational":
+    if imm.base != "rotational":
         raise BadRange("profile normal exists only for rotational immersions")
     t, th = pe.x[:, 0], pe.x[:, 1]
-    s = imm.meta["warp"].samples_at(t)
+    s = imm.chart.warp.samples_at(t)
     a, b, c = profile_delta(s)
     delta = np.zeros((len(t), imm.ambient_dim))
     delta[:, 0] = a
@@ -610,7 +610,7 @@ class ExtrinsicReport:
         return dataclasses.asdict(self)
 
 
-def extrinsic_scan(imm, n_points=8, seed=0):
+def extrinsic_scan(imm, n_points, seed=0):
     """Run every applicable extrinsic check over a quasi-random sample.
 
     Each stage evaluates the whole sample at once. The umbilical residuals
@@ -634,7 +634,7 @@ def extrinsic_scan(imm, n_points=8, seed=0):
     um = umbilical_structure(pe.alpha, rho=imm.rho)
     umb = np.flatnonzero(um.split)
     profile = (profile_normal_shape_residual(imm, pe)
-               if imm.meta.get("kind") == "rotational" else [])
+               if imm.base == "rotational" else [])
     return ExtrinsicReport(
         label=imm.label, dim=imm.dim, codim=imm.ambient_dim - imm.dim,
         n_points=len(pts), flat_normal_max=float(np.max(um.flat)),

@@ -705,17 +705,19 @@ def family_warp(row, n):
 
 
 def chart_for_family(family, n, m=None, rho=None, perturb=0.0):
-    """The chart of one member of a family, with its Einstein constant."""
+    """The chart of one member of a family, with its Einstein constant:
+    rho is given for a row that leaves it to the caller, and only then."""
     row = FAMILIES.get(family)
     if row is None:
         raise BadRange("unknown family %r; known families: %s"
                        % (family, ", ".join(FAMILIES)))
     if row.needs_m and m is None:
         raise BadRange("%s needs m" % family)
-    if row.warp is not None:
-        rho = row.warp(n).rho
-    elif row.rho is not None:
-        rho = row.rho(n)
+    if row.warp is not None or row.rho is not None:
+        if rho is not None:
+            raise BadRange("%s sets its own rho; none can be given with it"
+                           % family)
+        rho = row.warp(n).rho if row.warp is not None else row.rho(n)
     elif rho is None:
         raise BadRange("%s needs rho" % family)
     label = "%s-n%d" % (family, n) + ("-m%d" % m if row.needs_m else "")
@@ -780,7 +782,7 @@ def sample_points(chart, n_points, seed=0):
     return sampling.box(n_points, box, seed=seed)
 
 
-def verify_einstein(chart, rho, n_points=24, seed=0):
+def verify_einstein(chart, rho, n_points, seed=0):
     """Sample the chart and measure its Einstein defect pointwise; it
     judges nothing.
 

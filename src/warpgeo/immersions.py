@@ -8,7 +8,7 @@ values and Jacobians alone, forming no Hessian at any level, for the
 pullback metric and the exports; order 2 adds the Hessians, and the
 2-jets feed the extrinsic stage, where second fundamental forms are read
 off directly. Each immersion carries the geometry chart it realizes, in
-the same coordinates.
+the same coordinates, and the name of its base.
 
 Ambient layout: every base surface has the form (lead(t), sigma'(t) e(u),
 sigma(t)), with e the unit circle (sin u, cos u) or, for the flat base, the
@@ -20,7 +20,7 @@ and s = 1.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +114,10 @@ def fiber_jet(fiber, Y, order=2):
 class Immersion:
     """Explicit map with exact 2-jets over a rectangular coordinate box; its
     J^T J is the metric of chart, a geometry chart in the same coordinates.
-    jet_fn(X, order) gives the jet of order 1 or 2 at rows X."""
+    jet_fn(X, order) gives the jet of order 1 or 2 at rows X. The chart
+    holds the fiber and, on a warped product, the warp; base names the
+    family row's base surface: "product", "rotational" or a composite base
+    of _BASES."""
 
     label: str
     dim: int
@@ -123,7 +126,7 @@ class Immersion:
     jet_fn: callable
     rho: float
     chart: object
-    meta: dict = field(default_factory=dict)
+    base: str
 
     def jet(self, X, order=2):
         """The map's jet at rows X of shape (N, dim): values v (N, ambient)
@@ -138,9 +141,6 @@ class Immersion:
                 "expected %d coordinates, got %d" % (self.dim, X.shape[1])
             )
         return self.jet_fn(X, order)
-
-    def value_batch(self, X):
-        return self.jet(X, 1)[0]
 
 
 # -- profile curve -------------------------------------------------------------
@@ -228,9 +228,10 @@ def _linear(T):
     return T, np.ones_like(T), zero, zero
 
 
-def _warped_product(chart, rho, t_jet, curve, k, box, meta):
+def _warped_product(chart, rho, t_jet, curve, k, box, base):
     """The immersion (lead(t), sigma'(t) e(u), s sigma(t) h2(y)) of chart,
-    the composite over the base surface (lead, sigma' e, sigma) in R^k.
+    the composite over the base surface (lead, sigma' e, sigma) in R^k
+    that base names.
 
     t_jet(T) gives the 2-jets (w, w', w'') of the lead coordinates, then
     sigma's 3-jet (sigma, sigma', sigma'', sigma'''); curve(U) gives
@@ -276,7 +277,7 @@ def _warped_product(chart, rho, t_jet, curve, k, box, meta):
 
     return Immersion(
         label=chart.label, dim=dim, ambient_dim=amb, sample_box=box,
-        jet_fn=jet_fn, rho=rho, chart=chart, meta=meta,
+        jet_fn=jet_fn, rho=rho, chart=chart, base=base,
     )
 
 
@@ -290,14 +291,10 @@ def rotational_immersion(chart, rho):
     Realizes the WarpedChart dt^2 + phi'^2 dtheta^2 + phi^2 g_F exactly,
     since psi'^2 = 1 - phi'^2 - phi''^2.
     """
-    sol, fiber = chart.warp, chart.fiber
-    if abs(fiber.ambient_radius() - 1.0) > 1e-12:
+    if abs(chart.fiber.ambient_radius() - 1.0) > 1e-12:
         raise BadRange("rotational construction needs the fiber on the unit sphere")
-    table = ProfileTable(sol)
-    return _warped_product(
-        chart, rho, table.jet, _circle, 4, chart.sample_box,
-        {"kind": "rotational", "warp": sol, "fiber": fiber, "profile": table},
-    )
+    return _warped_product(chart, rho, ProfileTable(chart.warp).jet, _circle,
+                           4, chart.sample_box, "rotational")
 
 
 def schwarzschild_immersion(n):
@@ -318,7 +315,7 @@ def immersion_from_fiber(fiber, label, rho):
     return Immersion(
         label=label, dim=fiber.dim, ambient_dim=fiber.ambient_dim,
         sample_box=chart.sample_box, jet_fn=functools.partial(fiber_jet, fiber),
-        rho=rho, chart=chart, meta={"kind": "product", "fiber": fiber},
+        rho=rho, chart=chart, base="product",
     )
 
 
@@ -346,21 +343,17 @@ def warped_composite(base_kind, chart, rho):
     pullback is g_base + (s^2 R^2 - 1) dsigma^2 + (s sigma)^2 g_F with R
     the fiber's ambient radius, so the warped-product structure appears
     exactly when s R = 1, which is how s is calibrated. The realized
-    WarpedChart gives the fiber and t-range; its warp phi is the base's
-    sigma, and the warp's parameters give the base curvature.
+    WarpedChart gives the fiber and t-range, and its warp phi is the
+    base's sigma; the base curvature is the one the warp's parameters
+    give, warpfunc.constant_curvature_value(chart.warp.params).
     """
     if base_kind not in _BASES:
         raise BadRange("unknown base kind %r" % base_kind)
     sigma_jet, curve, k, u_rng = _BASES[base_kind]
     box = chart.sample_box
     box[1] = u_rng      # the base's own u range, not the chart's theta range
-    return _warped_product(
-        chart, rho, lambda T: (sigma_jet(T),), curve, k, box,
-        {"kind": "composite", "base": base_kind, "fiber": chart.fiber,
-         "s": 1.0 / chart.fiber.ambient_radius(),
-         "base_curvature": warpfunc.constant_curvature_value(
-             chart.warp.params)},
-    )
+    return _warped_product(chart, rho, lambda T: (sigma_jet(T),), curve, k,
+                           box, base_kind)
 
 
 def flat_base_composite(n, m):
@@ -370,11 +363,11 @@ def flat_base_composite(n, m):
 
 # -- mesh export -----------------------------------------------------------------
 
-def points_csv(imm, count=512, seed=0):
+def points_csv(imm, count, seed=0):
     """CSV text of a quasi-random coordinate sample with its ambient images,
     one row per point."""
     X = sampling.box(count, imm.sample_box, seed=seed)
-    V = imm.value_batch(X)
+    V = imm.jet(X, 1)[0]
     cols = ["x%d" % i for i in range(imm.dim)]
     cols += ["f%d" % a for a in range(imm.ambient_dim)]
     lines = [",".join(cols)]
@@ -384,7 +377,7 @@ def points_csv(imm, count=512, seed=0):
     return "\n".join(lines) + "\n"
 
 
-def surface_obj(imm, res=32):
+def surface_obj(imm, res):
     """Wavefront mesh text of the first two coordinates' slice, projected to
     the first three ambient axes.
 
@@ -403,7 +396,7 @@ def surface_obj(imm, res=32):
     uu, vv = np.meshgrid(u, v, indexing="ij")
     X[:, coords[0]] = uu.ravel()
     X[:, coords[1]] = vv.ravel()
-    V = imm.value_batch(X)
+    V = imm.jet(X, 1)[0]
     lines = ["# %s slice coords=%s axes=%s" % (imm.label, coords, axes)]
     for r in range(V.shape[0]):
         lines.append("v %s %s %s" % tuple(

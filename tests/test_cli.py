@@ -166,6 +166,28 @@ def test_no_evidence_is_config_error(capsys, argv):
     assert code == 3
 
 
+_OWN_RHO = [k for k, row in geometry.FAMILIES.items()
+            if row.warp is not None or row.rho is not None]
+
+
+@pytest.mark.parametrize("command", ["verify-intrinsic", "verify-extrinsic",
+                                     "build"])
+@pytest.mark.parametrize("family", _OWN_RHO)
+def test_rho_for_a_row_that_sets_its_own_is_config_error(capsys, tmp_path,
+                                                         command, family):
+    # every warped row takes rho from its warp and sphere from n; a --rho
+    # beside them would be dropped without a word
+    argv = [command, "--family", family, "--n", "7", "--rho", "3"]
+    if geometry.FAMILIES[family].needs_m:
+        argv += ["--m", "2"]
+    if command == "build":
+        argv += ["--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s sets its own rho" % family)
+    assert os.listdir(str(tmp_path)) == []
+
+
 @pytest.mark.parametrize("argv,config", [
     (["verify-intrinsic", "--family", "round", "--n", "abc"], None),
     (["verify-intrinsic", "--family", "round", "--n", "5", "--bogus", "1"],
@@ -270,9 +292,10 @@ class TestConfigFile:
             "rho": 1.0, "points": 6,
         }))
         code, doc = run(capsys, "verify-intrinsic", "--config", str(cfg),
-                        "--family", "schwarzschild")
+                        "--n", "6", "--rho", "2")
         assert code == 0
-        assert doc["label"].startswith("schwarzschild")
+        assert doc["label"] == "clifford-n6"
+        assert doc["rho"] == 2.0
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -316,16 +339,44 @@ class TestBuild:
         assert spec["meta"]["kind"] == "rotational"
         assert spec["ambient_dim"] == 7
 
-    def test_composite_records_calibration(self, capsys, tmp_path):
-        code, _ = run(capsys, "build", "--family", "round-torus-composite",
-                      "--n", "7", "--m", "2", "--out", str(tmp_path),
-                      "--count", "16", "--res", "6")
+    @pytest.mark.parametrize("family", [
+        k for k, row in geometry.FAMILIES.items() if row.base is not None])
+    def test_spec_is_derived_from_chart_and_base(self, capsys, tmp_path,
+                                                 family):
+        # the record holds the fiber for every base; a rotational base adds
+        # the chart's warp, a composite base its name, the s that makes
+        # s R = 1 and the base curvature its warp's parameters give
+        row = geometry.FAMILIES[family]
+        member = {"m": 2 if row.needs_m else None,
+                  "rho": 2.0 if row.warp is None and row.rho is None
+                  else None}
+        argv = ["build", "--family", family, "--n", "7", "--out",
+                str(tmp_path), "--count", "4", "--res", "3"]
+        argv += ["--m", "2"] if member["m"] else []
+        argv += ["--rho", "2"] if member["rho"] else []
+        code, _ = run(capsys, *argv)
         assert code == 0
-        with open(os.path.join(str(tmp_path),
-                               "round-torus-composite-n7-m2.json")) as fh:
-            spec = json.load(fh)
-        assert spec["meta"]["s"] == 1.0
-        assert spec["meta"]["base_curvature"] == 1.0
+        imm = immersions.build_immersion(family, 7, **member)
+        with open(os.path.join(str(tmp_path), imm.label + ".json")) as fh:
+            meta = json.load(fh)["meta"]
+        fiber = imm.chart.fiber
+        assert meta.pop("fiber") == {"dims": list(fiber.dims),
+                                     "radii": list(fiber.radii),
+                                     "offset": fiber.offset}
+        if row.base == "product":
+            assert meta == {"kind": "product"}
+        elif row.base == "rotational":
+            sol = imm.chart.warp
+            assert meta == {"kind": "rotational", "warp": {
+                "params": sol.params.as_dict(), "t_min": sol.t_min,
+                "t_max": sol.t_max, "step": sol.step}}
+        else:
+            assert (meta["kind"], meta["base"]) == ("composite", row.base)
+            assert meta["s"] * fiber.ambient_radius() == pytest.approx(
+                1.0, abs=1e-14)
+            assert meta["base_curvature"] == warpfunc.constant_curvature_value(
+                imm.chart.warp.params)
+            assert set(meta) == {"kind", "base", "s", "base_curvature"}
 
     def test_clifford_product_csv(self, capsys, tmp_path):
         code, _ = run(capsys, "build", "--family", "clifford", "--n", "5",

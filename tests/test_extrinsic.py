@@ -218,7 +218,7 @@ class TestUmbilicalStructure:
         um = extrinsic.umbilical_structure(pe.alpha, rho=0.0)
         assert um.u_dim.tolist() == [n - 2]
         assert group_sizes(um) == (n - 2, 1, 1)
-        sol = imm.meta["warp"]
+        sol = imm.chart.warp
         s = sample_at(sol, x[0])
         w = math.sqrt(1.0 - s.dphi ** 2)
         assert abs(np.linalg.norm(um.eta[0]) - w / s.phi) < 1e-10
@@ -420,13 +420,13 @@ class TestGaussEquation:
     def test_sectional_of_rotational_planes(self, n):
         imm, x = schw_point(n)
         pe = extrinsic.extrinsics_at(imm, x)
-        s = sample_at(imm.meta["warp"], x[0])
+        s = sample_at(imm.chart.warp, x[0])
         base = gauss_sectional(pe.alpha[0], 0, 1)
         assert abs(base - (n - 2.0) * s.d2phi / s.phi) < 1e-11
         mixed = gauss_sectional(pe.alpha[0], 0, 2)
         assert abs(mixed - (-s.d2phi / s.phi)) < 1e-12
         if n > 4:
-            c = imm.meta["warp"].params.c
+            c = imm.chart.warp.params.c
             fib = gauss_sectional(pe.alpha[0], 2, 3)
             assert abs(fib - (-c / s.phi ** (n - 1.0))) < 1e-12
 
@@ -491,7 +491,7 @@ class TestNormalForms:
         assert form.kind == "epsilon"
         assert form.eps == 1
         assert form.residual < 1e-10
-        s = sample_at(imm.meta["warp"], x[0])
+        s = sample_at(imm.chart.warp, x[0])
         w2 = 1.0 - s.dphi ** 2
         k1sq = s.d2phi ** 2 / w2
         k2sq = w2 / s.phi ** 2
@@ -1016,7 +1016,7 @@ class TestBatching:
         checks = [(codazzi_rows, 1e-12, 0.0),
                   (gauss_rows, 0.0, 1e-12), (realization_rows, 0.0, 1e-12),
                   (dupin_rows, 0.0, 1e-11)]
-        if imm.meta["kind"] == "rotational":
+        if imm.base == "rotational":
             checks.append((extrinsic.profile_normal_shape_residual, 0.0, 1e-11))
         for fn, rel, tol in checks:
             batched = fn(imm, pe)

@@ -44,9 +44,10 @@ def test_row_is_the_whole_family(family, monkeypatch, capsys, tmp_path):
             immersions.build_immersion(family, N, **member)
     else:
         imm = immersions.build_immersion(family, N, **member)
-        assert (imm.label, imm.rho, imm.dim) == (label, rho, chart.dim)
-        if row.base == "rotational":
-            assert chart.warp is imm.meta["warp"]
+        assert (imm.label, imm.rho, imm.dim, imm.base) == (
+            label, rho, chart.dim, row.base)
+        if row.warp is not None:
+            assert chart.warp is imm.chart.warp
 
     # the same row under a new name needs no edit anywhere else
     copy = family + "-copy"
@@ -84,7 +85,7 @@ def test_warped_rows_read_rho_from_their_warp():
 
 def test_shared_warp_is_read_only():
     chart, _ = geometry.chart_for_family("schwarzschild", 5)
-    assert chart.warp is immersions.schwarzschild_immersion(5).meta["warp"]
+    assert chart.warp is immersions.schwarzschild_immersion(5).chart.warp
     with pytest.raises(ValueError):
         chart.warp.phi[0] = 1.0
 

@@ -114,13 +114,13 @@ class TestProfileTable:
 
     def test_psi_starts_at_zero_and_increases(self):
         immr = im.schwarzschild_immersion(5)
-        table = immr.meta["profile"]
+        table = im.ProfileTable(immr.chart.warp)
         assert table.psi[0] == 0.0
         assert np.all(np.diff(table.psi) >= 0.0)
 
     def test_psi_derivative_consistency(self):
         immr = im.schwarzschild_immersion(5)
-        table = immr.meta["profile"]
+        table = im.ProfileTable(immr.chart.warp)
         h = 1e-5
         for t in (0.5, 0.9, 1.4):
             (psi, dpsi, d2psi), _ = table.jet(np.array([t - h, t, t + h]))
@@ -133,7 +133,7 @@ class TestProfileTable:
         # phi'(3e-6) is about 3e-6, past the turning guard, but the margin
         # 1 - phi'^2 - phi''^2 is below 1e-10
         immr = im.schwarzschild_immersion(5)
-        table = immr.meta["profile"]
+        table = im.ProfileTable(immr.chart.warp)
         with pytest.raises(SingularChartPoint, match="margin"):
             table.jet(np.array([3e-6]))
 
@@ -141,8 +141,8 @@ class TestProfileTable:
         from warpgeo import warpfunc as wf
 
         immr = im.schwarzschild_immersion(5)
-        table = immr.meta["profile"]
-        sol = immr.meta["warp"]
+        table = im.ProfileTable(immr.chart.warp)
+        sol = immr.chart.warp
         X = immr.sample_box.mean(axis=1) + np.zeros((3, immr.dim))
         X[:, 0] = (0.5, 0.9, 1.4)
         t = X[:, 0]
@@ -159,7 +159,7 @@ class TestProfileTable:
         v, j, h = immr.jet(X)
         assert calls == [9]
         st = np.sin(X[:, 1])
-        vf = im.fiber_jet(immr.meta["fiber"], X[:, 2:])[0]
+        vf = im.fiber_jet(immr.chart.fiber, X[:, 2:])[0]
         assert np.array_equal(v[:, 0], psi)
         assert np.array_equal(v[:, 1], dphi * st)
         assert np.array_equal(v[:, 3:], phi[:, None] * vf)
@@ -182,7 +182,7 @@ class TestProfileTable:
 def rotational_jet_reference(imm, X):
     """The rotational 2-jet written out block by block, before the map
     became the composite over its profile surface."""
-    table, fiber = imm.meta["profile"], imm.meta["fiber"]
+    table, fiber = im.ProfileTable(imm.chart.warp), imm.chart.fiber
     nrow, dim, amb = X.shape[0], imm.dim, imm.ambient_dim
     t, th = X[:, 0], X[:, 1]
     (psi, dpsi, d2psi), (phi, dphi, d2phi, d3phi) = table.jet(t)
@@ -290,11 +290,12 @@ def two_column_jet_reference(imm, X):
     by its full 2-jet, sigma's derivatives taken in both base coordinates,
     as the warped products were assembled before sigma became a function
     of t alone."""
-    fiber = imm.meta["fiber"]
-    if imm.meta["kind"] == "rotational":
-        vb, jb, hb = _profile_base_jet(imm.meta["profile"], X[:, 0], X[:, 1])
+    fiber = imm.chart.fiber
+    if imm.base == "rotational":
+        vb, jb, hb = _profile_base_jet(im.ProfileTable(imm.chart.warp),
+                                       X[:, 0], X[:, 1])
     else:
-        vb, jb, hb = _BASE_JETS[imm.meta["base"]](X[:, 0], X[:, 1])
+        vb, jb, hb = _BASE_JETS[imm.base](X[:, 0], X[:, 1])
     s = 1.0 / fiber.ambient_radius()
     k, nrow = vb.shape[1], X.shape[0]
     vf, jf, hf = im.fiber_jet(fiber, X[:, 2:])
@@ -341,7 +342,7 @@ def test_warped_product_equals_two_column_reference(member):
     # value for value (signed zeros aside), at 24 and 204 rows
     if member == "perturbed":
         imm = perturbed_flat_composite()
-        assert imm.meta["s"] != 1.0
+        assert 1.0 / imm.chart.fiber.ambient_radius() != 1.0
     else:
         family, n, m = member
         imm = im.build_immersion(family, n, m=m)
@@ -391,9 +392,8 @@ class TestRotationalImmersions:
     def test_axis_distance_invariant(self, rng):
         immr = im.schwarzschild_immersion(5)
         X = gm.sample_points(family_chart("schwarzschild", 5), 6, seed=4)
-        V = immr.value_batch(X)
-        phi = immr.meta["warp"].samples_at(X[:, 0])[0]
-        dphi = immr.meta["warp"].samples_at(X[:, 0])[1]
+        V = immr.jet(X, 1)[0]
+        phi, dphi = immr.chart.warp.samples_at(X[:, 0])[:2]
         # fiber block norm is phi, profile circle radius is phi'
         assert np.max(np.abs(np.linalg.norm(V[:, 3:], axis=1) - phi)) < 1e-12
         assert np.max(np.abs(np.linalg.norm(V[:, 1:3], axis=1) - np.abs(dphi))) < 1e-12
@@ -469,10 +469,12 @@ class TestComposites:
             assert dev < 1e-10
 
     def test_calibration_hits_unit_product(self):
+        # s R = 1 puts the fiber block s sigma h2(y), every row after the
+        # flat base's u, at distance sigma = t from the origin
         immc = im.flat_base_composite(7, 2)
-        s = immc.meta["s"]
-        r = immc.meta["fiber"].ambient_radius()
-        assert s * r == pytest.approx(1.0, abs=1e-14)
+        X = gm.sample_points(immc, 8, seed=2)
+        V = immc.jet(X, 1)[0]
+        assert np.max(np.abs(np.linalg.norm(V[:, 1:], axis=1) - X[:, 0])) < 1e-14
 
     def test_flat_composite_is_einstein(self):
         chart = gm.PullbackChart(im.flat_base_composite(7, 2), label="pb")
@@ -578,7 +580,7 @@ class TestJetOrder:
         with pytest.raises(BadRange):
             imm.jet(X, order)
         with pytest.raises(BadRange):
-            im.fiber_jet(imm.meta["fiber"], X[:, 2:], order)
+            im.fiber_jet(imm.chart.fiber, X[:, 2:], order)
         with pytest.raises(BadRange):
             im.sphere_jet(X[:, 2:], order=order)
 
@@ -635,4 +637,4 @@ class TestExport:
         # the circle S^1 in R^2 has no third ambient axis to project to
         circle = im.build_immersion("sphere", 1)
         with pytest.raises(BadRange):
-            im.surface_obj(circle)
+            im.surface_obj(circle, res=4)
