@@ -11,11 +11,14 @@ The checks split into pointwise algebra (flat normal bundle, umbilical
 substructure, normal forms of shape-operator pairs) and differential
 identities (Gauss against the closed-form Ricci of the chart the
 immersion realizes, O'Neill's from the warp and the fiber's constants,
-realization against that chart's metric and its first derivatives,
-Codazzi, parallelism of the umbilical normal along its leaves).
+realization against that chart's metric diagonal and its first
+derivatives, Codazzi, parallelism of the umbilical normal along its
+leaves).
 Every stage takes the whole sample as rows: extrinsics_at evaluates the
 immersion's jet once for all of them and keeps it with the frames and the
-second fundamental form, and each check returns one residual per row.
+second fundamental form, and with the warp sample the jet was built from
+when that is the chart's own warp at the rows' t; each check returns one
+residual per row.
 The pointwise algebra has one principal-curvature path: one batched eigh
 of a fixed generic combination of each row's shape operators gives their
 common eigenbasis, checked against the rows' commutators, and
@@ -27,8 +30,12 @@ Codazzi evaluates the immersion again only at the points its stencil
 adds, in blocks within geometry's element budget, and differences only
 their Hessians: in flat ambient space its Christoffel terms cancel, so no
 inverse, Christoffel symbol or alpha is formed there. Dupin reads the same
-differences along the leaf; Gauss evaluates the immersion not at all. A
-single point is a batch of one row.
+differences along the leaf. Gauss and realization evaluate the immersion
+not at all: one order-1 metric_jet call a block gives them the chart's
+diagonal, its first derivatives and its closed-form Ricci, no d2f, from
+the jet's warp sample where the scan holds one, and the profile check
+reads that sample too, so a rotational scan samples its warp once a jet
+call. A single point is a batch of one row.
 """
 
 import dataclasses
@@ -71,7 +78,9 @@ class Extrinsics:
     per normal frame vector. Q holds the tangent frame in ambient
     coordinates, N the normal frame, B the change of basis from frame to
     chart indices; v, J, H is the immersion's jet at x, which the
-    differential checks reuse.
+    differential checks reuse. warp is the WarpSample of the chart's warp at
+    the rows' t that the jet was built from, or None when the jet sampled
+    no warp or a warp other than the chart's.
     """
 
     x: np.ndarray
@@ -82,6 +91,7 @@ class Extrinsics:
     N: np.ndarray
     B: np.ndarray
     alpha: np.ndarray
+    warp: warpfunc.WarpSample = None
 
     @property
     def dim(self):
@@ -101,7 +111,11 @@ def extrinsics_at(imm, X):
     reads it reports NaN.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    v, J, H = imm.jet(X, 2)
+    jet = imm.jet(X, 2)
+    v, J, H = jet
+    # the jet's sample stands in for the chart's warp only if it is a
+    # sample of that warp
+    own = jet.warp is not None and jet.warp is getattr(imm.chart, "warp", None)
     d = J.shape[2]
     Qc, R = np.linalg.qr(J, mode="complete")
     s = np.sign(np.diagonal(R, axis1=1, axis2=2))
@@ -117,7 +131,8 @@ def extrinsics_at(imm, X):
     a_chart = np.einsum("nca,naij->ncij", N, H)
     alpha = np.swapaxes(B, 1, 2)[:, None] @ a_chart @ B[:, None]
     alpha = 0.5 * (alpha + np.swapaxes(alpha, 2, 3))
-    return Extrinsics(x=X, v=v, J=J, H=H, Q=Q, N=N, B=B, alpha=alpha)
+    return Extrinsics(x=X, v=v, J=J, H=H, Q=Q, N=N, B=B, alpha=alpha,
+                      warp=jet.sample if own else None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,30 +302,43 @@ def gauss_ricci_residual(imm, pe):
 
     Gauss sets extrinsic Ricci against the chart's closed-form Ricci by
     independent routes: the left side is the immersion's jets and frame
-    algebra, the right side, B^T diag(ric) B, is the fourth array of one
-    metric_jet call a block, O'Neill's Ricci from the warp samples and the
-    fiber's Ricci constants, which never sees the ambient space or the
-    metric's derivatives. Ricci cannot see a round factor's radius, so the
-    same call's (f, df), made dense to compare, gives realization:
-    the worst of |J^T J - g| and |d_k (J^T J) - d_k g| over 1 + max |g|, with
-    d_k (J^T J)_ij = H_ki^T J_j + J_i^T H_kj from the jet pe holds.
+    algebra, the right side, B^T diag(ric) B, is the last array of one
+    order-1 metric_jet call a block, O'Neill's Ricci from the warp sample
+    and the fiber's Ricci constants, which never sees the ambient space or
+    the metric's derivatives. That call reads pe.warp, the jet's own
+    sample of the chart's warp, and samples the warp itself only where pe
+    holds none, as on a composite, whose jet reads a closed-form sigma.
+    Ricci cannot see a round factor's radius, so the same call's diagonal
+    f and its derivatives df give realization: the worst of |J^T J - g|
+    and |d_k (J^T J) - d_k g| over 1 + max |g|, g = diag f, with
+    d_k (J^T J)_ij = H_ki^T J_j + J_i^T H_kj from the jet pe holds; the
+    diagonals are set against f and df, every other entry against 0.
     """
+    idx = np.arange(imm.dim)
+
     def block(s):
-        f, df, _, ric = imm.chart.metric_jet(pe.x[s])
-        g, dg = geometry._on_diagonal(f), geometry._on_diagonal(df)
+        warp = (None if pe.warp is None
+                else warpfunc.WarpSample(*(c[s] for c in pe.warp)))
+        f, df, ric = imm.chart.metric_jet(pe.x[s], 1, warp)
         J = pe.J[s]
-        dgi = pe.H[s].transpose(0, 2, 3, 1) @ J[:, None]   # H_ki^T J_j
         # J^T J, like N^T N below, multiplies a copy of the transpose, as
         # numpy's batched A^T @ A on a view of A takes a slower path
-        gap = np.maximum(
-            geometry._row_max(np.swapaxes(J, 1, 2).copy() @ J - g),
-            np.max(np.abs(dgi + np.swapaxes(dgi, 2, 3) - dg), axis=(1, 2, 3)))
-        return ric, gap / (1.0 + geometry._row_max(g))
+        gram = np.swapaxes(J, 1, 2).copy() @ J
+        gram[:, idx, idx] -= f
+        dgi = pe.H[s].transpose(0, 2, 3, 1) @ J[:, None]   # H_ki^T J_j
+        dgram = dgi + np.swapaxes(dgi, 2, 3)
+        del dgi
+        dgram[:, :, idx, idx] -= df
+        gap = np.maximum(geometry._row_max(gram),
+                         np.max(np.abs(dgram), axis=(1, 2, 3)))
+        return ric, gap / (1.0 + np.max(np.abs(f), axis=1))
 
-    # a block counts 7 d**3 a point for d2f, dg, H^T J and its symmetrized
-    # sum; the tests hold its tracemalloc peak within [1/2, 1] of the budget
+    # a block counts 4 d**3 a point: H^T J and its symmetrized sum, then
+    # the sum and its absolute value, with room for the d x d arrays and
+    # the copies matmul makes; the tests hold its tracemalloc peak within
+    # [1/2, 1] of the budget
     ric, realization = (np.concatenate(a) for a in zip(*(
-        block(s) for s in geometry._block_slices(len(pe.x), 7 * imm.dim ** 3))))
+        block(s) for s in geometry._block_slices(len(pe.x), 4 * imm.dim ** 3))))
     ric_int = np.swapaxes(pe.B, 1, 2) @ (ric[:, :, None] * pe.B)
     gauss = np.max(np.abs(gauss_ricci(pe.alpha) - ric_int), axis=(1, 2))
     return gauss, realization
@@ -398,7 +426,8 @@ def profile_delta(s):
 
 def profile_normal_shape_residual(imm, pe):
     """Deviation of A_delta from its block form phi'' I_2 (+) -(w^2/phi) I,
-    per row, with the warp sampled at every row in one samples_at call.
+    per row, at the warp sample pe.warp, the jet's own, or where pe holds
+    none at one samples_at call of the chart's warp.
 
     Exact identity for every rotational immersion here, independent of the
     warp family; the residual is pure roundoff.
@@ -406,7 +435,7 @@ def profile_normal_shape_residual(imm, pe):
     if imm.base != "rotational":
         raise BadRange("profile normal exists only for rotational immersions")
     t, th = pe.x[:, 0], pe.x[:, 1]
-    s = imm.chart.warp.samples_at(t)
+    s = imm.chart.warp.samples_at(t) if pe.warp is None else pe.warp
     a, b, c = profile_delta(s)
     delta = np.zeros((len(t), imm.ambient_dim))
     delta[:, 0] = a

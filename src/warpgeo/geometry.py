@@ -4,9 +4,10 @@ A chart has a dim, a sample_box of shape (dim, 2), and a metric_batch
 taking (N, dim) points to (N, dim, dim) metric matrices. Three
 implementations live here: products of round spheres, warped products over a
 rotational base, and pullbacks of explicit immersions. The first two are
-diagonal and exact: their metric_jet gives the diagonal with its first and
-second derivatives in closed form (the warp's from one dense-output call,
-the fiber's from its sin^2 products), and with them O'Neill's Ricci
+diagonal and exact: their metric_jet gives the diagonal with its first
+derivatives, and at order 2 its second, in closed form (the warp's from
+one dense-output call, or from a sample the caller already holds, the
+fiber's from its sin^2 products), and with them O'Neill's Ricci
 diagonal from the same warp sample and fiber diagonal, never from the
 derivatives, as the oracle of the pass. diagonal_curvature contracts the
 jet with d2f its one array of d**3 entries a point, every Christoffel
@@ -116,20 +117,23 @@ class FiberSpec:
         carries = np.triu(factor[:, None] == factor, 1)
         return carries, carries.any(axis=1)
 
-    def metric_diag_jet(self, Y, f, out=None):
-        """First and second angle derivatives of f = metric_diag(Y).
+    def metric_diag_jet(self, Y, f, out=None, order=2):
+        """Angle derivatives of f = metric_diag(Y) to order 1 or 2.
 
         Each entry of f is r^2 times the sin^2 of the earlier angles of its
         factor, so d_a f_i = 2 cot y_a f_i, d_a d_a f_i = (2 cot^2 y_a - 2) f_i
         and d_a d_b f_i = 4 cot y_a cot y_b f_i where f_i carries the angles.
-        Returns df[:, a, i] and d2f[:, a, b, i], the latter written into out
-        if given; a NaN in f reaches both.
+        Returns (df,) at order 1 and (df, d2f) at order 2, df[:, a, i] and
+        d2f[:, a, b, i], the latter written into out if given; a NaN in f
+        reaches both.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         carries, polar = self._carries
         c = np.zeros_like(Y)                    # 2 cot y_a on polar angles
         c[:, polar] = 2.0 * np.cos(Y[:, polar]) / np.sin(Y[:, polar])
         cf = c[:, :, None] * carries * f[:, None, :]
+        if order == 1:
+            return (cf,)
         cm = c[:, :, None] * carries
         d2f = np.multiply(cm[:, :, None, :], cf[:, None, :, :], out=out)
         idx = np.arange(self.dim)
@@ -213,15 +217,17 @@ class ProductChart:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return _on_diagonal(self.fiber.metric_diag(X))
 
-    def metric_jet(self, X):
-        """Diagonal jet (f, df, d2f, ric) at rows X: f = fiber.metric_diag(X),
-        df[:, a, i] = d_a f_i and d2f[:, a, b, i] = d_a d_b f_i, multiples of
-        f, so a NaN in f reaches all; ric is the closed-form Ricci diagonal,
-        mu_i f on factor i of Ricci constant mu_i."""
+    def metric_jet(self, X, order=2, sample=None):
+        """Diagonal jet at rows X, (f, df, d2f, ric) at order 2 and (f, df,
+        ric) at order 1: f = fiber.metric_diag(X), df[:, a, i] = d_a f_i and
+        d2f[:, a, b, i] = d_a d_b f_i, multiples of f, so a NaN in f reaches
+        all; ric is the closed-form Ricci diagonal, mu_i f on factor i of
+        Ricci constant mu_i. sample, a warp's, is WarpedChart.metric_jet's
+        and unused here: a product has no warp."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         f = self.fiber.metric_diag(X)
         mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
-        return (f, *self.fiber.metric_diag_jet(X, f), mu * f)
+        return (f, *self.fiber.metric_diag_jet(X, f, order=order), mu * f)
 
 
 @dataclass
@@ -249,9 +255,11 @@ class WarpedChart:
         box.extend(self.fiber.angle_box())
         return np.asarray(box, dtype=float)
 
-    def _diag(self, X):
-        """Diagonal at rows X, with the warp samples and the fiber diagonal."""
-        s = self.warp.samples_at(X[:, 0])
+    def _diag(self, X, s=None):
+        """Diagonal at rows X, with the warp samples s, drawn here unless
+        given, and the fiber diagonal."""
+        if s is None:
+            s = self.warp.samples_at(X[:, 0])
         if np.any(np.abs(s.dphi) < _TOL_WARP_TURNING):
             raise SingularChartPoint(
                 "chart degenerates at a turning point of the warp"
@@ -266,41 +274,49 @@ class WarpedChart:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return _on_diagonal(self._diag(X)[0])
 
-    def metric_jet(self, X):
-        """ProductChart's diagonal jet, from one dense-output call of the warp.
+    def metric_jet(self, X, order=2, sample=None):
+        """ProductChart's diagonal jet, from one dense-output call of the
+        warp, or from none when sample, the warp's WarpSample at X[:, 0],
+        is given.
 
         phi'' and phi''' come with phi and phi' from samples_at, which takes
         them from the structural equation; theta enters no metric entry.
-        The fiber's second derivatives are written into the jet's block and
-        scaled there, before the smaller arrays exist. ric, the fourth
-        array, is O'Neill's Ricci diagonal from the warp sample and the
-        fiber's diagonal alone: Ric = a g on the base, a = -phi'''/phi' -
-        (n-2) phi''/phi, and (mu_i - w)/phi^2 g on fiber factor i of Ricci
-        constant mu_i, w = _fiber_need(n, s).
+        At order 2 the fiber's second derivatives are written into the
+        jet's block and scaled there, before the smaller arrays exist; order
+        1 forms no d2f. ric, the last array, is O'Neill's Ricci diagonal
+        from the warp sample and the fiber's diagonal alone: Ric = a g on
+        the base, a = -phi'''/phi' - (n-2) phi''/phi, and (mu_i - w)/phi^2 g
+        on fiber factor i of Ricci constant mu_i, w = _fiber_need(n, s).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        diag, s, f = self._diag(X)
+        diag, s, f = self._diag(X, sample)
         phi, dphi, d2phi, d3phi = s
         n, d = diag.shape
         pp = (phi * phi)[:, None, None]
-        dd = np.zeros((n, d, d, d))
-        df = self.fiber.metric_diag_jet(X[:, 2:], f, out=dd[:, 2:, 2:, 2:])[0]
-        dd[:, 2:, 2:, 2:] *= pp[..., None]
-        mixed = (2.0 * phi * dphi)[:, None, None] * df   # d_t d_a (phi^2 f)
+        if order == 2:
+            dd = np.zeros((n, d, d, d))
+            df = self.fiber.metric_diag_jet(X[:, 2:], f,
+                                            out=dd[:, 2:, 2:, 2:])[0]
+            dd[:, 2:, 2:, 2:] *= pp[..., None]
+        else:
+            df = self.fiber.metric_diag_jet(X[:, 2:], f, order=1)[0]
         ddiag = np.zeros((n, d, d))
         ddiag[:, 0, 1] = 2.0 * dphi * d2phi
         ddiag[:, 0, 2:] = (2.0 * phi * dphi)[:, None] * f
         ddiag[:, 2:, 2:] = pp * df
-        dd[:, 0, 0, 1] = 2.0 * (d2phi * d2phi + dphi * d3phi)
-        dd[:, 0, 0, 2:] = (2.0 * (dphi * dphi + phi * d2phi))[:, None] * f
-        dd[:, 0, 2:, 2:] = mixed
-        dd[:, 2:, 0, 2:] = mixed
         a = -d3phi / dphi - (d - 2.0) * d2phi / phi
         ric = np.empty((n, d))
         ric[:, 0] = a
         ric[:, 1] = dphi * dphi * a
         mu = np.repeat(self.fiber.factor_constants, self.fiber.dims)
         ric[:, 2:] = (mu - _fiber_need(d, s)[:, None]) * f
+        if order == 1:
+            return diag, ddiag, ric
+        mixed = (2.0 * phi * dphi)[:, None, None] * df   # d_t d_a (phi^2 f)
+        dd[:, 0, 0, 1] = 2.0 * (d2phi * d2phi + dphi * d3phi)
+        dd[:, 0, 0, 2:] = (2.0 * (dphi * dphi + phi * d2phi))[:, None] * f
+        dd[:, 0, 2:, 2:] = mixed
+        dd[:, 2:, 0, 2:] = mixed
         return diag, ddiag, dd, ric
 
 
@@ -341,7 +357,7 @@ def _on_diagonal(a):
 # Element budget of one block of points, counting every array alive at its
 # peak, so memory stays flat in the dimension and the sample size. Codazzi
 # counts three arrays a point of its displaced Hessians' size and Gauss
-# 7 d**3, which their measured peaks fit (see codazzi_residual and
+# 4 d**3, which their measured peaks fit (see codazzi_residual and
 # extrinsic.gauss_ricci_residual).
 _BLOCK_ELEMENTS = 5 * 2 ** 14
 

@@ -110,6 +110,15 @@ def fiber_jet(fiber, Y, order=2):
 
 # -- immersion container -------------------------------------------------------
 
+class Jet(tuple):
+    """An immersion's jet, the tuple (v, J) or (v, J, H). A jet built on a
+    warp sample also keeps it: warp is the WarpSolution sampled and sample
+    its WarpSample at the rows' t, so a reader of that warp there need not
+    sample it again. Both are None on any other jet."""
+
+    warp = sample = None
+
+
 @dataclass
 class Immersion:
     """Explicit map with exact 2-jets over a rectangular coordinate box; its
@@ -131,16 +140,17 @@ class Immersion:
     def jet(self, X, order=2):
         """The map's jet at rows X of shape (N, dim): values v (N, ambient)
         and Jacobians J (N, ambient, dim) at order 1, and at order 2 also
-        Hessians H (N, ambient, dim, dim), H[:, x, a, b] = d_a d_b v_x.
-        jet_fn(X, order) computes it; order 1 forms no Hessian, and its v
-        and J are the order-2 call's to the byte."""
+        Hessians H (N, ambient, dim, dim), H[:, x, a, b] = d_a d_b v_x, as
+        a Jet. jet_fn(X, order) computes it; order 1 forms no Hessian, and
+        its v and J are the order-2 call's to the byte."""
         _check_order(order)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim:
             raise BadDimension(
                 "expected %d coordinates, got %d" % (self.dim, X.shape[1])
             )
-        return self.jet_fn(X, order)
+        out = self.jet_fn(X, order)
+        return out if isinstance(out, Jet) else Jet(out)
 
 
 # -- profile curve -------------------------------------------------------------
@@ -158,9 +168,16 @@ class ProfileTable:
         self.sol = sol
         step = sol.step
         d1 = self._dpsi(sol.dphi, sol.d2phi)
-        _, dm, d2m, _ = sol.samples_at(sol.t[:-1] + 0.5 * step)
-        inc = (step / 6.0) * (d1[:-1] + 4.0 * self._dpsi(dm, d2m) + d1[1:])
+        # the midpoints and the nodes in one call: jet reads psi' at a
+        # query's node from dpsi_node, which is what sampling the node
+        # there would give, since samples_at works element by element
+        k = len(sol.t) - 1
+        _, dm, d2m, _ = sol.samples_at(
+            np.concatenate([sol.t[:-1] + 0.5 * step, sol.t]))
+        inc = (step / 6.0) * (d1[:-1] + 4.0 * self._dpsi(dm[:k], d2m[:k])
+                              + d1[1:])
         self.psi = np.concatenate([[0.0], np.cumsum(inc)])
+        self.dpsi_node = self._dpsi(dm[k:], d2m[k:])
 
     def _dpsi(self, dphi, d2phi):
         m = warpfunc.embeddability_margin(dphi, d2phi)
@@ -173,9 +190,10 @@ class ProfileTable:
         """The profile surface's t-jet at ts, from one samples_at call:
         (psi, psi', psi'') and the warp sample (phi, phi', phi'', phi''').
 
-        The call samples the points, their grid nodes at or below and the
-        Simpson midpoints between the two. Valid where phi' and the
-        embeddability margin are bounded away from zero.
+        The call samples the points and the Simpson midpoints between each
+        point and its grid node at or below, 2 len(ts) rows; psi' at the
+        node comes from the table. Valid where phi' and the embeddability
+        margin are bounded away from zero.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if not np.all(np.isfinite(ts)):
@@ -186,9 +204,9 @@ class ProfileTable:
                       len(sol.t) - 1).astype(int)
         t_node = sol.t[idx]
         delta = ts - t_node
-        cols = sol.samples_at(np.concatenate([ts, t_node, t_node + 0.5 * delta]))
+        cols = sol.samples_at(np.concatenate([ts, t_node + 0.5 * delta]))
         n = len(ts)
-        end, node, mid = ([col[k:k + n] for col in cols] for k in (0, n, 2 * n))
+        end, mid = ([col[k:k + n] for col in cols] for k in (0, n))
         phi, dphi, d2phi, d3phi = end
         if np.any(np.abs(dphi) < geometry._TOL_WARP_TURNING):
             raise SingularChartPoint("profile radius phi' vanishes")
@@ -198,7 +216,7 @@ class ProfileTable:
                                      " margin vanishes")
         dpsi = np.sqrt(m)
         psi = self.psi[idx] + (delta / 6.0) * (
-            self._dpsi(*node[1:3]) + 4.0 * self._dpsi(*mid[1:3]) + dpsi)
+            self.dpsi_node[idx] + 4.0 * self._dpsi(*mid[1:3]) + dpsi)
         return ((psi, dpsi, -d2phi * (dphi + d3phi) / dpsi),
                 warpfunc.WarpSample(*end))
 
@@ -228,7 +246,7 @@ def _linear(T):
     return T, np.ones_like(T), zero, zero
 
 
-def _warped_product(chart, rho, t_jet, curve, k, box, base):
+def _warped_product(chart, rho, t_jet, curve, k, box, base, warp=None):
     """The immersion (lead(t), sigma'(t) e(u), s sigma(t) h2(y)) of chart,
     the composite over the base surface (lead, sigma' e, sigma) in R^k
     that base names.
@@ -238,7 +256,9 @@ def _warped_product(chart, rho, t_jet, curve, k, box, base):
     (e, e', e''), each of shape (N, c). h2 is the chart's fiber on the
     coordinates after (t, u), s its inverse ambient radius. Every base
     here has |e'| = 1, sigma'' <e, e'> = 0 and |w'|^2 + sigma''^2 |e|^2
-    + sigma'^2 = 1, so its metric is dt^2 + sigma'^2 du^2.
+    + sigma'^2 = 1, so its metric is dt^2 + sigma'^2 du^2. warp, when
+    given, is the WarpSolution whose sample t_jet returns as sigma's jet,
+    and every Jet keeps that sample.
     """
     fiber = chart.fiber
     s = 1.0 / fiber.ambient_radius()
@@ -246,7 +266,8 @@ def _warped_product(chart, rho, t_jet, curve, k, box, base):
 
     def jet_fn(X, order):
         nrow = X.shape[0]
-        *lead, (sig, dsig, d2sig, d3sig) = t_jet(X[:, 0])
+        *lead, sigma = t_jet(X[:, 0])
+        sig, dsig, d2sig, d3sig = sigma
         e, de, d2e = curve(X[:, 1])
         vf, jf, *hf = fiber_jet(fiber, X[:, 2:], order)
         c0, f0 = len(lead), k - 1     # first rows of the curve and the fiber
@@ -262,8 +283,11 @@ def _warped_product(chart, rho, t_jet, curve, k, box, base):
         v[:, f0:] = ssig[:, None] * vf
         j[:, f0:, 0] = sdsig[:, None] * vf
         j[:, f0:, 2:] = ssig[:, None, None] * jf
+        out = Jet((v, j) if h is None else (v, j, h))
+        if warp is not None:
+            out.warp, out.sample = warp, sigma
         if h is None:
-            return v, j
+            return out
 
         for a, (_, _, d2w) in enumerate(lead):
             h[:, a, 0, 0] = d2w
@@ -273,7 +297,7 @@ def _warped_product(chart, rho, t_jet, curve, k, box, base):
         h[:, f0:, 0, 0] = sd2sig[:, None] * vf
         h[:, f0:, 0, 2:] = h[:, f0:, 2:, 0] = sdsig[:, None, None] * jf
         h[:, f0:, 2:, 2:] = ssig[:, None, None, None] * hf[0]
-        return v, j, h
+        return out
 
     return Immersion(
         label=chart.label, dim=dim, ambient_dim=amb, sample_box=box,
@@ -293,8 +317,9 @@ def rotational_immersion(chart, rho):
     """
     if abs(chart.fiber.ambient_radius() - 1.0) > 1e-12:
         raise BadRange("rotational construction needs the fiber on the unit sphere")
-    return _warped_product(chart, rho, ProfileTable(chart.warp).jet, _circle,
-                           4, chart.sample_box, "rotational")
+    table = ProfileTable(chart.warp)
+    return _warped_product(chart, rho, table.jet, _circle, 4,
+                           chart.sample_box, "rotational", warp=table.sol)
 
 
 def schwarzschild_immersion(n):

@@ -3,11 +3,14 @@
 Floats are rendered with repr-faithful '%.17g' so that identical inputs
 produce byte-identical files across runs and platforms; keys are emitted in
 sorted order. Writes go through a temp file and os.replace so a crashed run
-never leaves a half-written artifact.
+never leaves a half-written artifact, and refuse a path that is there but is
+not a regular file.
 """
 
+import errno
 import math
 import os
+import stat
 import tempfile
 from json.encoder import encode_basestring
 
@@ -62,13 +65,29 @@ def to_json(obj, indent=0):
 def write_text_atomic(path, text):
     """Write text to path via a same-directory temp file and os.replace.
 
-    An OSError names path, not the directory or temp file that failed.
+    A path that exists and is not a regular file (a symlink, directory,
+    device or fifo) is refused before anything is written, since replacing
+    it would not write where it points. The file gets the mode a plain open
+    gives a new file, 0o666 less the umask, or keeps the mode of the
+    regular file it replaces. An OSError names path, not the directory or
+    temp file that failed.
     """
     tmp = None
     try:
+        try:
+            mode = os.lstat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            raise OSError(errno.EEXIST, "exists and is not a regular file")
+        if mode is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         d = os.path.dirname(os.path.abspath(path))
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -396,6 +396,70 @@ class TestGaussEquation:
         assert bad.gauss_max <= 1e-14
         assert 0.05 < bad.realization_max < 0.08
 
+    @pytest.mark.parametrize("family,n,member", [
+        ("schwarzschild", 5, {}), ("flat-torus-composite", 7, {"m": 2}),
+        ("clifford", 5, {"rho": 1.0})])
+    def test_realization_is_the_dense_comparison(self, monkeypatch, family,
+                                                 n, member):
+        # realization sets the diagonals of J^T J and of its derivatives
+        # against f and df and every other entry against 0, and must equal
+        # the dense comparison to the bit. With J and H random, against the
+        # chart's own f and df at the same points, the diagonals set the
+        # maximum. Against a chart whose f and df are those diagonals
+        # themselves only the other entries are left: those of J^T J where
+        # H is small, those of the derivatives where it is large, so
+        # leaving out either set would show
+        imm = immersions.build_immersion(family, n, **member)
+        pe = at(imm, geometry.sample_points(imm, 12, seed=3))
+        rng = np.random.default_rng(11)
+        J = rng.standard_normal(pe.J.shape)
+        H0 = rng.standard_normal(pe.H.shape)
+        f, df = imm.chart.metric_jet(pe.x)[:2]
+        cases = [(H0, f, df)]
+        idx = np.arange(imm.dim)
+        for k in (1e-3, 1e3):
+            gram, dgram = gram_and_derivatives(J, k * H0)
+            cases.append((k * H0, gram[:, idx, idx], dgram[:, :, idx, idx]))
+        jet = imm.chart.metric_jet
+        for case, (H, f, df) in enumerate(cases):
+            def chart_jet(X, order, sample, f=f, df=df):
+                return f, df, jet(X, order, sample)[2]
+
+            monkeypatch.setattr(imm.chart, "metric_jet", chart_jet)
+            gram, dgram = dense_realization(J, H, f, df)
+            got = realization_rows(imm, dataclasses.replace(pe, J=J, H=H))
+            assert np.array_equal(got, np.maximum(gram, dgram))
+            assert np.all(got > 1e-3)
+            if case:
+                assert np.all((gram > dgram) == (case == 1))
+
+    def test_warp_other_than_the_jets_fails(self, monkeypatch, capsys):
+        # the chart's warp replaced by a solution of the same equation from
+        # phi0 x 1.001, the immersion left as it is. The jet's sample is
+        # then not the chart's warp, so it stands in for nothing: Gauss and
+        # the profile check sample the chart's warp, and realization and
+        # the profile check fail as they do when nothing reads the jet's
+        # sample (at the default 6 points, 9.2e-4 and 6.8e-4)
+        def mismatched(*args, build=immersions.build_immersion, **kwargs):
+            imm = build(*args, **kwargs)
+            sol = imm.chart.warp
+            params = dataclasses.replace(sol.params, c=None,
+                                         phi0=1.001 * sol.params.phi0)
+            other = warpfunc.integrate(params, sol.t_max, step=sol.step)
+            return dataclasses.replace(imm, chart=dataclasses.replace(
+                imm.chart, warp=other))
+
+        imm = mismatched("schwarzschild", 5)
+        assert at(imm, geometry.sample_points(imm, 3)).warp is None
+        monkeypatch.setattr(immersions, "build_immersion", mismatched)
+        assert cli.main(["verify-extrinsic", "--family", "schwarzschild",
+                         "--n", "5"]) == 1
+        checks = {c["name"]: c
+                  for c in json.loads(capsys.readouterr().out)["checks"]}
+        for name in ("realization", "profile-normal-blocks"):
+            assert checks[name]["status"] == "fail"
+            assert checks[name]["value"] > 1e-4
+
     @pytest.mark.parametrize("make", [
         lambda: immersions.schwarzschild_immersion(5),
         lambda: immersions.clifford_immersion(5, 1.0),
@@ -703,24 +767,46 @@ class TestScan:
     @pytest.mark.parametrize("family,n,m,n_extrinsics,n_jets", [
         ("schwarzschild", 5, None, 1, 2),
         ("flat-torus-composite", 7, 2, 1, 4),
+        ("extra-codim", 7, 2, 1, 5),
+        ("clifford", 5, None, 1, 2),
     ])
     def test_one_evaluation_per_point(self, monkeypatch, family, n, m,
                                       n_extrinsics, n_jets):
         # the sample's own evaluation is one jet call and one extrinsics_at
         # call; Gauss reads the chart and makes none; Codazzi makes one per
-        # block, and Dupin reads Codazzi's derivative, making none
-        imm = immersions.build_immersion(family, n, m=m)
+        # block, and Dupin reads Codazzi's derivative, making none. The
+        # warp is sampled once a jet call on a rotational member, 2 rows a
+        # point, and Gauss and the profile check read the first call's
+        # sample; a composite's jet reads a closed-form sigma, so Gauss's
+        # chart call samples once; a product has no warp
+        imm = immersions.build_immersion(family, n, m=m,
+                                         rho=1.0 if family == "clifford"
+                                         else None)
         pes = count_calls(monkeypatch, extrinsic, "extrinsics_at")
         jets = count_calls(monkeypatch, immersions.Immersion, "jet")
+        sampled, samples_at = [], warpfunc.WarpSolution.samples_at
+
+        def counted(self, ts):
+            sampled.append(len(ts))
+            return samples_at(self, ts)
+
+        monkeypatch.setattr(warpfunc.WarpSolution, "samples_at", counted)
         rep = extrinsic.extrinsic_scan(imm, n_points=12)
-        per_point = 3 * 2 * n ** 3 * imm.ambient_dim   # codazzi_residual's
-        codazzi = len(geometry._block_slices(12, per_point))
+        d = imm.dim
+        per_point = 3 * 2 * d ** 3 * imm.ambient_dim   # codazzi_residual's
+        blocks = geometry._block_slices(12, per_point)
         assert pes == [1] == [n_extrinsics]
-        assert jets == [1 + codazzi] == [n_jets]
+        assert jets == [1 + len(blocks)] == [n_jets]
+        if imm.base == "rotational":
+            assert sampled == [2 * 12] + [
+                2 * 2 * d * len(range(12)[b]) for b in blocks]
+        else:
+            assert sampled == ([12] if imm.base != "product" else [])
         # the same work as one call per point: own row and Codazzi's
         # stencil, umbilical or not
-        d = rep.as_dict()
-        assert (d["jet_calls"], d["jet_rows"]) == (n_jets, 12 * (1 + 2 * n))
+        out = rep.as_dict()
+        assert (out["jet_calls"], out["jet_rows"]) == (n_jets,
+                                                       12 * (1 + 2 * d))
 
     def test_nan_commutator_propagates(self):
         alpha = np.zeros((2, 2, 3, 3))
@@ -798,6 +884,28 @@ class TestFailClosed:
                 "profile-normal-blocks"} <= failed
 
 
+def gram_and_derivatives(J, H):
+    """J^T J and its first derivatives H_ki^T J_j + J_i^T H_kj at [:, k, i,
+    j], formed as realization forms them."""
+    dgram = H.transpose(0, 2, 3, 1) @ J[:, None]
+    return np.swapaxes(J, 1, 2).copy() @ J, dgram + np.swapaxes(dgram, 2, 3)
+
+
+def dense_realization(J, H, f, df):
+    """realization's two parts by their definition: the worst of |J^T J - g|
+    and of |d(J^T J) - dg| over 1 + max |g|, with g = diag f and dg = diag
+    df dense matrices."""
+    rows, d = f.shape
+    g, dg = np.zeros((rows, d, d)), np.zeros((rows, d, d, d))
+    for i in range(d):
+        g[:, i, i] = f[:, i]
+        dg[:, :, i, i] = df[:, :, i]
+    gram, dgram = gram_and_derivatives(J, H)
+    scale = 1.0 + np.max(np.abs(g), axis=(1, 2))
+    return (np.max(np.abs(gram - g), axis=(1, 2)) / scale,
+            np.max(np.abs(dgram - dg), axis=(1, 2, 3)) / scale)
+
+
 def gauss_rows(imm, pe):
     return extrinsic.gauss_ricci_residual(imm, pe)[0]
 
@@ -850,8 +958,19 @@ def test_scan_computes_each_invariant_once(monkeypatch, family, n, m, rho):
     flat = extrinsic.flat_normal_residual(pe.alpha)
     cores = count_calls(monkeypatch, geometry, "diagonal_curvature")
     commutators = count_calls(monkeypatch, extrinsic, "flat_normal_residual")
+    dense = count_calls(monkeypatch, geometry, "_on_diagonal")
+    # and it asks the chart for (f, df, ric) alone, never for d2f
+    shapes, jet = [], type(imm.chart).metric_jet
+
+    def recorded(self, X, *args):
+        out = jet(self, X, *args)
+        shapes.append([a.shape[1:] for a in out])
+        return out
+
+    monkeypatch.setattr(type(imm.chart), "metric_jet", recorded)
     rep = extrinsic.extrinsic_scan(imm, n_points=12, seed=5)
-    assert cores == [0] and commutators == [1]
+    assert cores == [0] and commutators == [1] and dense == [0]
+    assert shapes == [[(n,), (n, n), (n,)]]
     assert rep.flat_normal_max == np.max(flat)
 
 
@@ -1057,21 +1176,21 @@ class TestBatching:
         assert 4 * geometry._BLOCK_ELEMENTS <= peak <= 8 * geometry._BLOCK_ELEMENTS
 
     @pytest.mark.parametrize("family,n,m,count", [
-        ("schwarzschild", 5, None, 120), ("flat-torus-composite", 7, 2, 41),
-        ("sphere", 4, None, 250)])
+        ("schwarzschild", 5, None, 200), ("flat-torus-composite", 7, 2, 80),
+        ("sphere", 4, None, 400)])
     def test_gauss_blocks_stay_within_budget(self, monkeypatch, family, n, m,
                                              count):
-        # Gauss's blocks count 7 d**3 a point, not the exact pass's count:
-        # blocks of 93 and 27 points at dim 5, 34 and 7 at dim 7, 182 and 68
-        # on the sphere n4
+        # Gauss's blocks count 4 d**3 a point, not the exact pass's count:
+        # blocks of 163 and 37 points at dim 5, 59 and 21 at dim 7, 320 and
+        # 80 on the sphere n4
         imm = immersions.build_immersion(family, n, m=m)
         pe = extrinsic.extrinsics_at(
             imm, geometry.sample_points(imm, count, seed=5))
         sizes, jet = [], imm.chart.metric_jet
 
-        def sized(X):
+        def sized(X, *args):
             sizes.append(len(X))
-            return jet(X)
+            return jet(X, *args)
 
         monkeypatch.setattr(imm.chart, "metric_jet", sized)
         tracemalloc.start()

@@ -1,8 +1,10 @@
 import json
+import os
+import stat
 
 import pytest
 
-from warpgeo import serialize
+from warpgeo import cli, serialize
 
 
 def test_strings_round_trip_through_json():
@@ -27,3 +29,46 @@ def test_failed_write_names_the_path_and_leaves_no_temp_file(tmp_path):
         serialize.write_text_atomic(str(target), "x")
     assert (info.value.filename, info.value.filename2) == (str(target), None)
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("command", [
+    ["report", "--seed", "0", "--out"],
+    ["warp", "--family", "schwarzschild", "--n", "5", "--t-end", "1",
+     "--csv"],
+    ["build", "--family", "sphere", "--n", "3", "--count", "4", "--res", "3",
+     "--out"],
+], ids=["report", "warp-csv", "build"])
+def test_symlink_is_refused_and_left_as_it_is(tmp_path, capsys, command):
+    # os.replace would put a regular file where the link was and leave the
+    # file it points to as it was; the writer refuses the path, so the
+    # command exits 3 and both stay as they were
+    target = tmp_path / "target"
+    target.write_text("keep")
+    out = tmp_path / "out"
+    out.mkdir()
+    build = command[0] == "build"   # writes out/<label>.csv, .obj, .json
+    link = out / "sphere-n3.csv" if build else tmp_path / "link"
+    link.symlink_to(target)
+    assert cli.main(command + [str(out if build else link)]) == 3
+    assert str(link) in capsys.readouterr().err
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "keep"
+    assert [p.name for p in out.iterdir()] == (["sphere-n3.csv"] if build
+                                               else [])
+
+
+def test_output_mode_is_what_a_plain_open_gives(tmp_path):
+    # a new file gets 0o666 less the umask, and a regular file that is
+    # replaced keeps its mode
+    path = tmp_path / "out.json"
+    old = os.umask(0o027)
+    try:
+        serialize.write_text_atomic(str(path), "x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    path.chmod(0o604)
+    serialize.write_text_atomic(str(path), "y")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o604
+    assert path.read_text() == "y"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
