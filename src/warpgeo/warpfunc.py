@@ -88,7 +88,8 @@ class WarpParams:
 
     c is derived from the initial state when omitted; when supplied it must
     agree with the state to within 1e-12 (1 + |c|) or the pair is rejected.
-    A parameter that is not finite is rejected with BadRange.
+    A parameter that is not finite is rejected with BadRange, and so is a
+    state whose derived c is not (phi0^{n-3} overflows).
     """
 
     n: int
@@ -109,7 +110,12 @@ class WarpParams:
                 raise BadRange("%s must be finite, got %r" % (name, value))
         if not self.phi0 > 0.0:
             raise NonPositiveWarp("phi0 must be positive, got %r" % (self.phi0,))
-        derived = c_from_state(self.n, self.eps, self.rho, self.phi0, self.dphi0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            derived = c_from_state(self.n, self.eps, self.rho, self.phi0,
+                                   self.dphi0)
+        if not math.isfinite(derived):
+            raise BadRange("c derived from the initial state is not finite, "
+                           "got %r" % (derived,))
         if self.c is None:
             object.__setattr__(self, "c", derived)
         elif abs(self.c - derived) > 1e-12 * (1.0 + abs(self.c)):
@@ -207,9 +213,10 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
     The per-node first-integral defect, relative to the size of the terms
     entering it (the c/phi^{n-3} term diverges on collapsing trajectories,
     so an absolute gate would be meaningless there), must stay within
-    tol_drift. A violation on a run that never approaches the floor means
-    the step was too coarse and raises StepTooLarge; on a floor-truncated
-    run the unresolved tail is trimmed off instead.
+    tol_drift; a NaN defect counts as a violation. A violation on a run
+    that never approaches the floor means the step was too coarse and
+    raises StepTooLarge; on a floor-truncated run the unresolved tail is
+    trimmed off instead.
 
     The equation divides by phi, so the integrator halts when any stage
     dips to PHI_FLOOR and returns the valid prefix with truncated=True and
@@ -240,14 +247,14 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
     ))
     rel = relative_drift(params, phi, dphi, drift)
     if hit_floor:
-        bad = np.nonzero(rel > tol_drift)[0]
+        bad = np.nonzero(~(rel <= tol_drift))[0]
         keep = int(bad[0]) if bad.size else len(t)
         if keep < 2:
             raise StepTooLarge(
                 "trajectory collapses faster than step %g resolves" % h
             )
         t, phi, dphi, drift = t[:keep], phi[:keep], dphi[:keep], drift[:keep]
-    elif float(np.max(rel)) > tol_drift:
+    elif not float(np.max(rel)) <= tol_drift:
         raise StepTooLarge(
             "relative first-integral drift %.3e exceeds tol %.3e; reduce step"
             % (float(np.max(rel)), tol_drift)

@@ -57,6 +57,12 @@ class TestWarp:
         code, _ = run(capsys, "warp", "--n", "5", "--c", "7")
         assert code == 3
 
+    def test_non_finite_c_is_config_error(self, capsys):
+        # phi0^6 overflows, so the derived c is NaN
+        assert cli.main(["warp", "--n", "9", "--phi0", "1e200",
+                         "--dphi0", "1"]) == 3
+        assert "config error: c derived" in capsys.readouterr().err
+
     def test_coarse_step_is_computation_error(self, capsys):
         code, _ = run(capsys, "warp", "--family", "schwarzschild",
                       "--n", "4", "--t-end", "20", "--step", "0.5")

@@ -2,6 +2,7 @@
 bit, and the RK4 kernel with the loop that wrote every node into
 preallocated arrays."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -164,11 +165,37 @@ def test_hermite_keeps_few_doubles_a_query(count):
     assert peak <= 20 * 8 * count
 
 
+# (params, t_end, hits the floor) for cells of the structural equation
+# beyond _solution's eps = 1, rho = 0 runs, as the warp-grid benchmark draws
+# them: rho = 1 oscillating and collapsing, eps = rho = -1 bouncing, the
+# flat eps = rho = 0 with phi' = 0 (every stage reads -0.0), a t0 of -0.0,
+# and a backward run
+_RK4_CELLS = {
+    "oscillating": (dict(n=6, eps=1.0, rho=1.0, phi0=1.0,
+                         dphi0=math.sqrt(0.4)), 5.0, False),
+    "collapsing-rho1": (dict(n=7, eps=1.0, rho=1.0, phi0=1.0,
+                             dphi0=-math.sqrt(1.0 - 1.0 / 6.0 + 0.5)),
+                        5.0, True),
+    "bouncing": (dict(n=5, eps=-1.0, rho=-1.0, phi0=2.6,
+                      dphi0=-math.sqrt(0.345)), 5.0, False),
+    "bouncing-backward": (dict(n=9, eps=-1.0, rho=-1.0, phi0=3.8,
+                               dphi0=math.sqrt(0.4)), -3.0, False),
+    "flat": (dict(n=4, eps=0.0, rho=0.0, phi0=1.0, dphi0=0.0), 1.0, False),
+    "negative-zero-t0": (dict(n=5, eps=1.0, rho=0.0, phi0=1.0, dphi0=0.5,
+                              t0=-0.0), 1.0, False),
+}
+
+
+def _bitwise_equal(got, want):
+    return np.array_equal(got, want) and \
+        np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("kind", ["forward", "backward", "floor"] + [
-    "schwarzschild-n%d" % n for n in (4, 5, 6, 7, 9)])
+    "schwarzschild-n%d" % n for n in (4, 5, 6, 7, 9)] + list(_RK4_CELLS))
 def test_rk4_matches_preallocated_loop(monkeypatch, kind):
-    # every call integrate makes, on the three runs above and on the five
-    # warps report integrates
+    # every call integrate makes, on the three runs above, on the five
+    # warps report integrates and on the cells of _RK4_CELLS
     calls = []
 
     def spy(*args):
@@ -176,14 +203,33 @@ def test_rk4_matches_preallocated_loop(monkeypatch, kind):
         return calls[-1][1]
 
     monkeypatch.setattr(wf, "rk4_warp", spy)
+    floor = kind == "floor"
     if kind.startswith("schwarzschild"):
         wf.integrate(wf.schwarzschild_params(int(kind[-1])), 5.0, 1e-3)
+    elif kind in _RK4_CELLS:
+        state, t_end, floor = _RK4_CELLS[kind]
+        wf.integrate(wf.WarpParams(**{"t0": 0.0, **state}), t_end)
     else:
         _solution(kind)
     assert len(calls) == 1
     (args, (t, phi, dphi, hit_floor)), = calls
     ts, ps, ds, count, ref_floor = _rk4_loop(*args)
     assert len(t) == count
-    assert hit_floor == ref_floor == (kind == "floor")
+    assert hit_floor == ref_floor == floor
     for got, want in ((t, ts), (phi, ps), (dphi, ds)):
-        assert np.array_equal(got, want[:count])
+        assert _bitwise_equal(got, want[:count])
+
+
+def test_rk4_holds_only_the_nodes_it_takes():
+    # a run that collapses before t = 0.42 asked for 10**6 steps: a kernel
+    # that preallocated its nodes would hold 16 MB of list slots first
+    params = wf.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0, phi0=1.0,
+                           dphi0=-np.sqrt(2.0))
+    tracemalloc.start()
+    try:
+        sol = wf.integrate(params, 1e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.truncated and len(sol.t) < 10**3
+    assert peak < 2**20

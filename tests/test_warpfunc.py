@@ -117,6 +117,14 @@ class TestParams:
         with pytest.raises(InconsistentParams):
             wf.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0, phi0=1.0, dphi0=0.0, c=-0.5)
 
+    @pytest.mark.parametrize("c", [None, 0.0])
+    def test_non_finite_derived_c_rejected(self, c):
+        # phi0^6 overflows and 0 x inf is NaN; a given c cannot vouch for it,
+        # since |c - NaN| > tol is False, and no overflow warning escapes
+        with pytest.raises(BadRange, match="c derived"):
+            wf.WarpParams(n=9, eps=1.0, rho=0.0, t0=0.0, phi0=1e200,
+                          dphi0=1.0, c=c)
+
     def test_dimension_guard(self):
         with pytest.raises(BadDimension):
             wf.WarpParams(n=3, eps=1.0, rho=0.0, t0=0.0, phi0=1.0, dphi0=0.0)
@@ -197,6 +205,30 @@ class TestIntegrate:
         exact = np.sqrt((SQ2 - sol.t) ** 2 - 1.0)
         assert np.max(np.abs(sol.phi - exact)) < 1e-7
         assert np.all(sol.phi > 0.1)
+
+    def test_nan_drift_is_a_violation(self, monkeypatch):
+        # a NaN defect must fail both gates, not slip past a > comparison
+        residual = wf.first_integral_residual
+
+        def nan_at(first):
+            def spy(*args):
+                out = residual(*args)
+                out[first:] = np.nan
+                return out
+            return spy
+
+        monkeypatch.setattr(wf, "first_integral_residual", nan_at(0))
+        with pytest.raises(StepTooLarge):
+            wf.integrate(wf.schwarzschild_params(5), 1.0, step=1e-3)
+        falling = wf.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0, phi0=1.0,
+                                dphi0=-SQ2)
+        with pytest.raises(StepTooLarge):
+            wf.integrate(falling, 2.0, step=1e-3)
+        # on a floor-truncated run the prefix before the first NaN is kept
+        monkeypatch.setattr(wf, "first_integral_residual", nan_at(7))
+        sol = wf.integrate(falling, 2.0, step=1e-3)
+        assert sol.truncated and len(sol.t) == 7
+        assert np.all(np.isfinite(sol.drift))
 
     def test_initial_state_below_floor(self):
         p = wf.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0, phi0=1e-9, dphi0=0.0)
