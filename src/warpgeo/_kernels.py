@@ -1,10 +1,14 @@
 """Hot numeric kernels of the warp solver.
 
 ``rk4_warp`` is the fixed-step RK4 integrator, a sequential scalar loop.
-Each stage divides by -2 phi rather than negating a quotient by 2 phi:
--2.0 phi is exact and IEEE division rounds symmetrically, so x / (-y) is
--(x / y) bit for bit, signed zeros included, and the loop saves four
-negations a step.
+Each stage evaluates the structural equation in the form
+
+    phi'' = ck (phi'^2 - eps) / phi + cr phi,  ck = -(n-3)/2, cr = -rho/2,
+
+which equals -((n-3)(phi'^2 - eps) + rho phi^2) / (2 phi) in exact
+arithmetic and takes 6 float operations where that one takes 8;
+warpfunc.rhs_second_order writes it in the same order of operations, so a
+stored phi'' is the kernel's first stage at its node bit for bit.
 
 ``hermite_eval`` is the quintic Hermite dense-output evaluator, written as
 array code: every query point reads the two nodes of its own cell and goes
@@ -20,45 +24,48 @@ def rk4_warp(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
     taken and whether the run hit the floor.
 
     Node k sits at t0 + k step; the trajectory stops early if any RK4 stage
-    would evaluate at or below phi_floor (the equation divides by phi). The
-    constants hoisted out of the loop are the floats its formulas would
-    compute left to right, and each stage's -(x) / (2 phi) is written
-    x / (-2 phi), the same float (see the module docstring), so every node
-    is the float the loop gives with its formulas written out in full.
+    would evaluate at or below phi_floor (the equation divides by phi).
+    Each stage is ck (d^2 - eps) / p + cr p with ck and cr hoisted (see the
+    module docstring) and each weighted sum is x + 2 (x2 + x3) + x4: 52
+    float operations a step, the four floor comparisons included, where the
+    quotient form and x + 2 x2 + 2 x3 + x4 take 62. The nodes differ from
+    the textbook loop's at rounding level only; the tests hold node k to
+    max(k, 1) eps (1 + |node|), eps the float epsilon, with the same node
+    count and floor flag.
 
     The nodes grow by append and become arrays through fromiter, so nothing
     in proportion to n_steps is allocated before the first step: a run that
     collapses early holds only the nodes it took.
     """
-    k = n - 3.0
-    m2 = -2.0
+    ck = -0.5 * (n - 3.0)
+    cr = -0.5 * rho
     half = 0.5 * step
     sixth = step / 6.0
     p, d = phi0, dphi0
     ps, ds = [p], [d]
     for _ in range(n_steps):
-        a1 = (k * (d * d - eps) + rho * p * p) / (m2 * p)
+        a1 = ck * (d * d - eps) / p + cr * p
 
         p2 = p + half * d
         d2 = d + half * a1
         if p2 <= phi_floor:
             break
-        a2 = (k * (d2 * d2 - eps) + rho * p2 * p2) / (m2 * p2)
+        a2 = ck * (d2 * d2 - eps) / p2 + cr * p2
 
         p3 = p + half * d2
         d3 = d + half * a2
         if p3 <= phi_floor:
             break
-        a3 = (k * (d3 * d3 - eps) + rho * p3 * p3) / (m2 * p3)
+        a3 = ck * (d3 * d3 - eps) / p3 + cr * p3
 
         p4 = p + step * d3
         d4 = d + step * a3
         if p4 <= phi_floor:
             break
-        a4 = (k * (d4 * d4 - eps) + rho * p4 * p4) / (m2 * p4)
+        a4 = ck * (d4 * d4 - eps) / p4 + cr * p4
 
-        p_new = p + sixth * (d + 2.0 * d2 + 2.0 * d3 + d4)
-        d_new = d + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p_new = p + sixth * (d + 2.0 * (d2 + d3) + d4)
+        d_new = d + sixth * (a1 + 2.0 * (a2 + a3) + a4)
         if p_new <= phi_floor:
             break
         p, d = p_new, d_new

@@ -395,10 +395,7 @@ def points_csv(imm, count, seed=0):
     V = imm.jet(X, 1)[0]
     cols = ["x%d" % i for i in range(imm.dim)]
     cols += ["f%d" % a for a in range(imm.ambient_dim)]
-    lines = [",".join(cols)]
-    for r in range(X.shape[0]):
-        vals = list(X[r]) + list(V[r])
-        lines.append(",".join(serialize.fmt_float(float(v)) for v in vals))
+    lines = [",".join(cols)] + serialize.fmt_rows(np.hstack((X, V)))
     return "\n".join(lines) + "\n"
 
 

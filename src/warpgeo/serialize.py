@@ -26,6 +26,17 @@ def fmt_float(x):
     return "%.17g" % x
 
 
+def fmt_rows(table):
+    """CSV lines of a 2-D float table, one a row, each value as fmt_float
+    writes it: a finite row in one '%.17g,...' % row, any other row value by
+    value through fmt_float."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[1])
+    finite = np.isfinite(table).all(axis=1).tolist()
+    return [line % tuple(row) if ok else ",".join(map(fmt_float, row))
+            for row, ok in zip(table.tolist(), finite)]
+
+
 def to_json(obj, indent=0):
     """Render obj as a JSON string with sorted keys and stable floats."""
     pad = "  " * indent

@@ -45,10 +45,18 @@ PHI_FLOOR = 1e-8
 
 
 def rhs_second_order(n, eps, rho, phi, dphi):
-    """phi'' as a function of the state, from the structural equation."""
+    """phi'' as a function of the state, from the structural equation.
+
+    Written as ck (phi'^2 - eps) / phi + cr phi, ck = -(n-3)/2, cr = -rho/2,
+    in the RK4 kernel's order of operations (_kernels.rk4_warp), so the
+    phi'' integrate stores at a node is the kernel's first stage there bit
+    for bit.
+    """
     phi = np.asarray(phi, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
-    out = -((n - 3.0) * (dphi * dphi - eps) + rho * phi * phi) / (2.0 * phi)
+    ck = -0.5 * (n - 3.0)
+    cr = -0.5 * rho
+    out = ck * (dphi * dphi - eps) / phi + cr * phi
     return out if out.ndim else float(out)
 
 
@@ -383,12 +391,9 @@ CSV_HEADER = "t,phi,dphi,d2phi,d3phi,first_integral_residual"
 
 
 def solution_csv(sol):
-    lines = [CSV_HEADER]
-    for i in range(len(sol.t)):
-        vals = (sol.t[i], sol.phi[i], sol.dphi[i], sol.d2phi[i],
-                sol.d3phi[i], sol.drift[i])
-        lines.append(",".join(serialize.fmt_float(float(v)) for v in vals))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack((sol.t, sol.phi, sol.dphi, sol.d2phi, sol.d3phi,
+                             sol.drift))
+    return "\n".join([CSV_HEADER] + serialize.fmt_rows(table)) + "\n"
 
 
 def write_solution_csv(sol, path):

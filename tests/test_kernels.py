@@ -1,6 +1,6 @@
 """The numpy Hermite kernel must agree with its scalar Horner loop bit for
-bit, and the RK4 kernel with the loop that wrote every node into
-preallocated arrays."""
+bit, and the RK4 kernel with the textbook loop that wrote every node into
+preallocated arrays to a rounding-level bound."""
 
 import math
 import tracemalloc
@@ -191,11 +191,30 @@ def _bitwise_equal(got, want):
         np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("kind", ["forward", "backward", "floor"] + [
-    "schwarzschild-n%d" % n for n in (4, 5, 6, 7, 9)] + list(_RK4_CELLS))
+_REPORT_WARPS = ["schwarzschild-n%d" % n for n in (4, 5, 6, 7, 9)]
+
+
+def _run(kind):
+    """integrate on one named run; returns the solution and whether the run
+    must hit the floor."""
+    if kind.startswith("schwarzschild"):
+        return wf.integrate(wf.schwarzschild_params(int(kind[-1])), 5.0,
+                            1e-3), False
+    if kind in _RK4_CELLS:
+        state, t_end, floor = _RK4_CELLS[kind]
+        return wf.integrate(wf.WarpParams(**{"t0": 0.0, **state}), t_end), \
+            floor
+    return _solution(kind), kind == "floor"
+
+
+@pytest.mark.parametrize("kind", ["forward", "backward", "floor"]
+                         + _REPORT_WARPS + list(_RK4_CELLS))
 def test_rk4_matches_preallocated_loop(monkeypatch, kind):
     # every call integrate makes, on the three runs above, on the five
-    # warps report integrates and on the cells of _RK4_CELLS
+    # warps report integrates and on the cells of _RK4_CELLS; the kernel's
+    # stage form and grouped weights round differently from the textbook
+    # loop, so node k is held to max(k, 1) eps (1 + |node|) and the node
+    # count and floor flag to equality
     calls = []
 
     def spy(*args):
@@ -203,21 +222,30 @@ def test_rk4_matches_preallocated_loop(monkeypatch, kind):
         return calls[-1][1]
 
     monkeypatch.setattr(wf, "rk4_warp", spy)
-    floor = kind == "floor"
-    if kind.startswith("schwarzschild"):
-        wf.integrate(wf.schwarzschild_params(int(kind[-1])), 5.0, 1e-3)
-    elif kind in _RK4_CELLS:
-        state, t_end, floor = _RK4_CELLS[kind]
-        wf.integrate(wf.WarpParams(**{"t0": 0.0, **state}), t_end)
-    else:
-        _solution(kind)
+    floor = _run(kind)[1]
     assert len(calls) == 1
     (args, (t, phi, dphi, hit_floor)), = calls
     ts, ps, ds, count, ref_floor = _rk4_loop(*args)
     assert len(t) == count
     assert hit_floor == ref_floor == floor
+    bound = np.maximum(np.arange(count), 1) * np.finfo(float).eps
     for got, want in ((t, ts), (phi, ps), (dphi, ds)):
-        assert _bitwise_equal(got, want[:count])
+        want = want[:count]
+        assert np.all(np.abs(got - want) <= bound * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("kind", _REPORT_WARPS + list(_RK4_CELLS))
+def test_stored_d2phi_is_the_kernels_stage(kind):
+    # rhs_second_order and the kernel write phi'' in one form, so the
+    # stored phi'' at a node is the kernel's first stage there, signed
+    # zeros included (flat: every stage reads -0.0)
+    sol = _run(kind)[0]
+    pp = sol.params
+    ck = -0.5 * (pp.n - 3.0)
+    cr = -0.5 * pp.rho
+    stage = [ck * (d * d - pp.eps) / p + cr * p
+             for p, d in zip(sol.phi.tolist(), sol.dphi.tolist())]
+    assert _bitwise_equal(sol.d2phi, np.array(stage))
 
 
 def test_rk4_holds_only_the_nodes_it_takes():

@@ -2,6 +2,7 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from warpgeo import cli, serialize
@@ -19,6 +20,24 @@ def test_strings_round_trip_through_json():
     text = serialize.to_json("".join(chars))
     assert all(ord(c) >= 0x20 for c in text)
     assert json.loads(text) == "".join(chars)
+
+
+def test_rows_are_formatted_as_fmt_float_formats_each_value():
+    # magnitudes from 1e-320 (subnormal) to 1e308 of either sign, -0.0, and
+    # rows holding NaN or an infinity, against the value-by-value writer
+    rng = np.random.default_rng(11)
+    table = rng.choice([-1.0, 1.0], (2000, 6)) * 10.0 ** rng.uniform(
+        -320, 308, (2000, 6))
+    table[::7, 1] = -0.0
+    table[3::11, 2] = 5e-324
+    table[5::13, 3] = np.nan
+    table[6::17, 4] = np.inf
+    table[8::19, 5] = -np.inf
+    table[9] = [0.0, -0.0, 1.0, -2.5, 1e308, -1e-320]
+    want = [",".join(serialize.fmt_float(float(v)) for v in row)
+            for row in table]
+    assert serialize.fmt_rows(table) == want
+    assert serialize.fmt_rows(np.empty((0, 3))) == []
 
 
 def test_failed_write_names_the_path_and_leaves_no_temp_file(tmp_path):

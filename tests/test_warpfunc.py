@@ -40,6 +40,17 @@ class TestAlgebra:
             -0.5, abs=1e-15
         )
 
+    @pytest.mark.parametrize("p", [
+        wf.schwarzschild_params(n) for n in range(4, 10)] + [
+        wf.extra_codim_params(n) for n in range(6, 10)],
+        ids=["schwarzschild-n%d" % n for n in range(4, 10)]
+        + ["extra-codim-n%d" % n for n in range(6, 10)])
+    def test_smooth_pole_is_exactly_one(self, p):
+        # phi''(0) = 1 closes the rotational profile at its pole; the stage
+        # form must give it to the bit, and so must the stored node
+        assert wf.rhs_second_order(p.n, p.eps, p.rho, p.phi0, p.dphi0) == 1.0
+        assert wf.integrate(p, 1e-2).d2phi[0] == 1.0
+
     def test_c_hand_values(self):
         assert wf.c_from_state(5, 1.0, 0.0, 1.0, 0.0) == -1.0
         assert wf.c_from_state(5, 1.0, 4.0, 0.5, SQ3 / 2.0) == pytest.approx(
