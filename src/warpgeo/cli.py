@@ -132,6 +132,19 @@ def _check(name, value, tol, provenance, mode="max"):
     }
 
 
+def _builder(label):
+    """An empty check list and add(full, short, value, tol, provenance,
+    mode) that appends to it: a subcommand (label None) names a check in
+    full, report by its short prefix and the member's label."""
+    checks = []
+
+    def add(full, short, value, tol, provenance, mode="max"):
+        name = full if label is None else "%s-%s" % (short, label)
+        checks.append(_check(name, value, tol, provenance, mode))
+
+    return checks, add
+
+
 def _emit(label, seed, checks, extra, out_path):
     """Write the report to out_path if given, then print it; return its
     exit code. An unwritable out_path raises before anything is printed."""
@@ -172,53 +185,68 @@ _WARP_DEFAULTS = {
 }
 
 
-def _warp_params(cfg):
-    family = cfg["family"]
+def _warp(cfg):
+    """The family row cfg selects (None without --family) and its warp,
+    integrated under the drift gate."""
+    family, row = cfg["family"], None
     if family is None:
         if cfg["n"] is None:
             raise ConfigError("warp needs --family or --n")
-        return warpfunc.WarpParams(n=cfg["n"], **{
+        params = warpfunc.WarpParams(n=cfg["n"], **{
             key: val if cfg[key] is None else cfg[key]
             for key, val in _WARP_STATE.items()})
-    given = [key for key in _WARP_STATE if cfg[key] is not None]
-    if given:
-        raise ConfigError("--family sets the warp's state; %s cannot be "
-                          "given with it" % ", ".join(given))
-    warps = {k: row.warp for k, row in geometry.FAMILIES.items() if row.warp}
-    if family not in warps:
-        raise ConfigError("unknown warp family %r; families with a warp: %s"
-                          % (family, ", ".join(warps)))
-    if cfg["n"] is None:
-        raise ConfigError("family %r needs --n" % family)
-    return warps[family](cfg["n"])
+    else:
+        given = [key for key in _WARP_STATE if cfg[key] is not None]
+        if given:
+            raise ConfigError("--family sets the warp's state; %s cannot be "
+                              "given with it" % ", ".join(given))
+        row = geometry.FAMILIES.get(family)
+        if row is None or row.warp is None:
+            warps = [k for k, r in geometry.FAMILIES.items() if r.warp]
+            raise ConfigError("unknown warp family %r; families with a warp: "
+                              "%s" % (family, ", ".join(warps)))
+        if cfg["n"] is None:
+            raise ConfigError("family %r needs --n" % family)
+        params = row.warp(cfg["n"])
+    return row, warpfunc.integrate(params, cfg["t_end"], cfg["step"],
+                                   tol_drift=TOLERANCES["tol_drift"])
+
+
+def _warp_checks(sol, row, closed_form, label=None):
+    """The checks of one warp: the first-integral drift on the scale
+    integrate gates on (the raw residual inflates near a positivity floor);
+    the identity on a Schwarzschild row, chosen by the row since its guard
+    admits a c where it misses its bound; and the n = 5 closed form if
+    closed_form asks, as a floor-truncated run misses it near the floor."""
+    checks, add = _builder(label)
+    params = sol.params
+    add("first-integral-drift", "drift",
+        float(np.max(warpfunc.relative_drift(params, sol.phi, sol.dphi,
+                                             sol.drift))),
+        TOLERANCES["tol_drift"], "first-integral")
+    if row is not None and row.warp is warpfunc.schwarzschild_params:
+        ident = warpfunc.schwarzschild_identity_residual(params, sol)
+        add("schwarzschild-identity", "identity", float(np.max(np.abs(ident))),
+            TOLERANCES["tol_identity"], "closed-form-oracle")
+    if closed_form:
+        add("closed-form-error", "closed-form",
+            warpfunc.closed_form_n5_error(sol), TOLERANCES["tol_closed_form"],
+            "closed-form-oracle")
+    return checks
 
 
 def cmd_warp(cfg):
-    params = _warp_params(cfg)
-    sol = warpfunc.integrate(params, cfg["t_end"], cfg["step"],
-                             tol_drift=TOLERANCES["tol_drift"])
-    # gate on the same scale the integrator uses; the raw residual inflates
-    # with the stiff right-hand side near a positivity floor
-    rel_drift = float(np.max(warpfunc.relative_drift(params, sol.phi, sol.dphi,
-                                                     sol.drift)))
-    checks = [
-        _check("first-integral-drift", rel_drift, TOLERANCES["tol_drift"],
-               "first-integral"),
-    ]
+    row, sol = _warp(cfg)
+    checks = _warp_checks(sol, row, cfg["compare_closed_form"])
     extra = {
-        "params": params.as_dict(),
+        "params": sol.params.as_dict(),
         "t_min": sol.t_min,
         "t_max": sol.t_max,
         "samples": len(sol.t),
         "truncated": sol.truncated,
         "max_drift": sol.max_drift,
-        "constant_curvature": warpfunc.constant_curvature_value(params),
+        "constant_curvature": warpfunc.constant_curvature_value(sol.params),
     }
-    if cfg["compare_closed_form"]:
-        checks.append(_check("closed-form-error",
-                             warpfunc.closed_form_n5_error(sol),
-                             TOLERANCES["tol_closed_form"],
-                             "closed-form-oracle"))
     if cfg["csv"]:
         warpfunc.write_solution_csv(sol, cfg["csv"])
         extra["csv"] = cfg["csv"]
@@ -250,15 +278,8 @@ def _intrinsic_checks(rep, row, chart, floor=None, label=None):
     warp's parameters alone; any other member bounds the residual
     and, where the row says, the sectional spread. Every member adds
     Ricci's symmetry and the gap to the chart's closed-form Ricci, which
-    fails on a chart without one.
-    verify-intrinsic names the checks in full, report by a short prefix
-    and the member's label."""
-    checks = []
-
-    def add(full, short, value, tol, provenance, mode="max"):
-        name = full if label is None else "%s-%s" % (short, label)
-        checks.append(_check(name, value, tol, provenance, mode))
-
+    fails on a chart without one."""
+    checks, add = _builder(label)
     if floor is None:
         floor = row.defect_floor
     if floor is not None:
@@ -379,14 +400,8 @@ def _extrinsic_checks(rep, row, expect_u=None, label=None):
     (bounded like a pullback: analytic without a warp, quadrature with
     one) and Codazzi; u_dim_codim2 adds the umbilical residuals, U's
     dimension (n-2 unless expect_u says otherwise) and Dupin; a rotational
-    base adds the profile. verify-extrinsic names the checks in full,
-    report by a short prefix and the member's label."""
-    checks = []
-
-    def add(full, short, value, tol, provenance):
-        name = full if label is None else "%s-%s" % (short, label)
-        checks.append(_check(name, value, tol, provenance))
-
+    base adds the profile."""
+    checks, add = _builder(label)
     if expect_u is None and row.u_dim_codim2:
         expect_u = rep.dim - 2
     add("flat-normal-bundle", "fnb", rep.flat_normal_max,
@@ -438,34 +453,39 @@ _CLASSIFY_DEFAULTS = {
 }
 
 
+def _appendix_checks(imm, points, seed, solve, label=None):
+    """The checks and payload of the normal forms at imm's sample: every
+    point in epsilon form with one common eps. solve = (a, b, c, d) adds the
+    solver's (p, q, r) and how far it misses pq = ad - bc, pr = ac - bd and
+    qr = ab - cd, over 1 + the largest right-hand side."""
+    checks, add = _builder(label)
+    pts = geometry.sample_points(imm, points, seed=seed)
+    forms = extrinsic.classify_rows(imm, pts)
+    kinds = sorted({form.kind for form in forms})
+    eps = sorted({form.eps for form in forms if form.kind == "epsilon"})
+    worst = float(np.max([form.residual for form in forms]))
+    uniform = 0.0 if kinds == ["epsilon"] and len(eps) == 1 else 1.0
+    add("epsilon-form-everywhere", "epsilon-form", uniform, 0.5,
+        "frame-algebra")
+    add("normal-form-residual", "normal-form", worst, TOLERANCES["tol_form"],
+        "frame-algebra")
+    payload = {"points": len(pts), "kinds": kinds, "eps": eps,
+               "max_residual": worst}
+    if solve is not None:
+        p, q, r = extrinsic.solve_normal_form_relations(*solve)
+        rhs = extrinsic.normal_form_factors(*solve)
+        miss = max(abs(p * q - rhs[0]), abs(p * r - rhs[1]),
+                   abs(q * r - rhs[2])) / (1.0 + max(map(abs, rhs)))
+        payload["solver"] = {"input": list(solve), "p": p, "q": q, "r": r}
+        add("solver-relations", "solver", miss, TOLERANCES["tol_solver"],
+            "frame-algebra")
+    return checks, payload
+
+
 def cmd_classify_appendix(cfg):
     imm = immersions.build_immersion(**_member(cfg))
-    pts = geometry.sample_points(imm, cfg["points"], seed=cfg["seed"])
-    forms = extrinsic.classify_rows(imm, pts)
-    kinds = [form.kind for form in forms]
-    eps_vals = {form.eps for form in forms if form.kind == "epsilon"}
-    worst = float(np.max([form.residual for form in forms]))
-    uniform = 0.0 if (set(kinds) == {"epsilon"} and len(eps_vals) == 1) else 1.0
-    checks = [
-        _check("epsilon-form-everywhere", uniform, 0.5, "frame-algebra"),
-        _check("normal-form-residual", worst, TOLERANCES["tol_form"],
-               "frame-algebra"),
-    ]
-    extra = {
-        "points": len(pts),
-        "kinds": sorted(set(kinds)),
-        "eps": sorted(eps_vals),
-        "max_residual": worst,
-    }
-    if cfg["solve"] is not None:
-        a, b, c, d = cfg["solve"]
-        p, q, r = extrinsic.solve_normal_form_relations(a, b, c, d)
-        # the sign of the factors' product, which itself may overflow
-        sign = np.prod(np.sign(extrinsic.normal_form_factors(a, b, c, d)))
-        extra["solver"] = {"input": cfg["solve"], "p": p, "q": q, "r": r,
-                           "positivity": sign}
-        checks.append(_check("solver-positivity", sign, 0.0,
-                             "frozen-constant", mode="min"))
+    checks, extra = _appendix_checks(imm, cfg["points"], cfg["seed"],
+                                     cfg["solve"])
     return _emit(imm.label, cfg["seed"], checks, extra, cfg["out"])
 
 
@@ -476,21 +496,6 @@ _REPORT_DEFAULTS = {
     "points": 20,
     "out": None,
 }
-
-
-def _suite_warp(checks):
-    for n in (4, 5, 6, 7, 9):
-        sol = warpfunc.integrate(warpfunc.schwarzschild_params(n), 5.0, 1e-3)
-        checks.append(_check("drift-n%d" % n, sol.max_drift,
-                             TOLERANCES["tol_drift"], "first-integral"))
-        ident = warpfunc.schwarzschild_identity_residual(sol.params, sol)
-        if n in (4, 5, 6):
-            checks.append(_check("identity-n%d" % n, float(np.max(np.abs(ident))),
-                                 TOLERANCES["tol_identity"], "closed-form-oracle"))
-        if n == 5:
-            sol5 = sol
-    checks.append(_check("closed-form-n5", warpfunc.closed_form_n5_error(sol5),
-                         TOLERANCES["tol_closed_form"], "closed-form-oracle"))
 
 
 def _suite_intrinsic(checks, seed, points):
@@ -510,36 +515,22 @@ def _suite_intrinsic(checks, seed, points):
                                         floor, label=rep.label))
 
 
-def _suite_extrinsic(checks, seed):
+def cmd_report(cfg):
+    """The four subcommands' checks, each from its subcommand's builder,
+    on fixed members named by prefix and label."""
+    checks = []
+    for n in (4, 5, 6, 7, 9):
+        row, sol = _warp(dict(_WARP_DEFAULTS, family="schwarzschild", n=n))
+        checks += _warp_checks(sol, row, n == 5, label="schwarzschild-n%d" % n)
+    _suite_intrinsic(checks, cfg["seed"], cfg["points"])
     for family, row in geometry.FAMILIES.items():
         for n, m, rho in row.scan:
             imm = immersions.build_immersion(family, n, m=m, rho=rho)
-            rep = extrinsic.extrinsic_scan(imm, n_points=4, seed=seed)
-            checks.extend(_extrinsic_checks(rep, row, label=rep.label))
-
-
-def _suite_appendix(checks, seed):
-    imm = immersions.build_immersion("schwarzschild", 4)
-    pts = geometry.sample_points(imm, 10, seed=seed)
-    forms = extrinsic.classify_rows(imm, pts)
-    ok = all(form.kind == "epsilon" and form.eps == 1 for form in forms)
-    worst = float(np.max([form.residual for form in forms]))
-    checks.append(_check("appendix-epsilon-form", 0.0 if ok else 1.0, 0.5,
-                         "frame-algebra"))
-    checks.append(_check("appendix-residual", worst, TOLERANCES["tol_form"],
-                         "frame-algebra"))
-    p, q, r = extrinsic.solve_normal_form_relations(2.0, 1.0, 1.0, 1.0)
-    err = max(abs(p - 1.0), abs(q - 1.0), abs(r - 1.0))
-    checks.append(_check("appendix-solver", err, TOLERANCES["tol_solver"],
-                         "frozen-constant"))
-
-
-def cmd_report(cfg):
-    checks = []
-    _suite_warp(checks)
-    _suite_intrinsic(checks, cfg["seed"], cfg["points"])
-    _suite_extrinsic(checks, cfg["seed"])
-    _suite_appendix(checks, cfg["seed"])
+            rep = extrinsic.extrinsic_scan(imm, n_points=4, seed=cfg["seed"])
+            checks += _extrinsic_checks(rep, row, label=rep.label)
+    imm = immersions.build_immersion(**_member(_CLASSIFY_DEFAULTS))
+    checks += _appendix_checks(imm, _CLASSIFY_DEFAULTS["points"], cfg["seed"],
+                               (2.0, 1.0, 1.0, 1.0), label=imm.label)[0]
     return _emit("full-suite", cfg["seed"], checks,
                  {"tolerances": dict(TOLERANCES)}, cfg["out"])
 

@@ -1,11 +1,11 @@
 """Second-fundamental-form analysis of explicit immersions.
 
 Everything runs in orthonormal frames from one complete QR of each exact
-Jacobian, whose first dim columns are the tangent frame and the rest the
-normal frame, so shape operators are plain symmetric matrices and every
-reported quantity is frame-checked: rotating the normal frame or
-re-spanning the tangent frame must leave residuals, group sizes, and
-normal forms unchanged.
+Jacobian, signed so that R has a positive diagonal, whose first dim
+columns are the tangent frame and the rest the normal frame, so shape
+operators are plain symmetric matrices and every reported quantity is
+frame-checked: rotating the normal frame or re-spanning the tangent frame
+must leave residuals, group sizes, and normal forms unchanged.
 
 The checks split into pointwise algebra (flat normal bundle, umbilical
 substructure, normal forms of shape-operator pairs) and differential

@@ -339,11 +339,13 @@ def closed_form_n5(c, t):
 
 def closed_form_n5_error(sol):
     """Largest gap in phi or phi' between the grid of sol and the n = 5
-    closed form with the solution's c. Other parameters raise WrongFamily."""
+    closed form with the solution's c, translated to phi^2 = (t - a)^2 - c
+    with a = t0 - phi0 phi0'. Other parameters raise WrongFamily."""
     pp = sol.params
     if pp.n != 5 or pp.rho != 0.0 or pp.eps != 1.0:
         raise WrongFamily("closed-form comparison needs n=5, rho=0, eps=1")
-    phi, dphi, _, _ = closed_form_n5(pp.c, sol.t)
+    a = pp.t0 - pp.phi0 * pp.dphi0
+    phi, dphi, _, _ = closed_form_n5(pp.c, sol.t - a)
     return max(float(np.max(np.abs(phi - sol.phi))),
                float(np.max(np.abs(dphi - sol.dphi))))
 

@@ -38,6 +38,39 @@ class TestWarp:
         assert by_name["closed-form-error"]["value"] <= 1e-9
         assert by_name["closed-form-error"]["provenance"] == "closed-form-oracle"
 
+    @pytest.mark.parametrize("state", [
+        ("--phi0", "1", "--dphi0", "0.5"),  # a = -0.5
+        ("--t0", "0.7", "--c", "-1"),       # a = 0.7
+        ("--family", "schwarzschild"),      # a = 0
+    ])
+    def test_closed_form_follows_the_translation(self, capsys, state):
+        # phi^2 = (t - a)^2 - c with a = t0 - phi0 phi0' from the state;
+        # against sqrt(t^2 - c) the first state reads 0.5
+        code, doc = run(capsys, "warp", "--n", "5", *state,
+                        "--compare-closed-form")
+        assert code == 0
+        by_name = {c["name"]: c for c in doc["checks"]}
+        assert by_name["closed-form-error"]["value"] <= 1e-13
+
+    @pytest.mark.parametrize("family,identity", [("schwarzschild", True),
+                                                 ("extra-codim", False)])
+    def test_identity_is_chosen_by_the_row(self, capsys, family, identity):
+        code, doc = run(capsys, "warp", "--family", family, "--n", "7")
+        assert code == 0
+        names = [c["name"] for c in doc["checks"]]
+        assert ("schwarzschild-identity" in names) == identity
+        # phi0 9e-10 off Schwarzschild n5: the identity's guard admits this
+        # c, yet the identity reads 1.8e-9, above tol_identity, so a check
+        # chosen by c would fail a correct run; without a row there is none
+        params = warpfunc.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0,
+                                     phi0=1.0000000009, dphi0=0.0)
+        sol = warpfunc.integrate(params, 5.0)
+        ident = warpfunc.schwarzschild_identity_residual(params, sol)
+        assert abs(ident).max() > cli.TOLERANCES["tol_identity"]
+        code, doc = run(capsys, "warp", "--n", "5", "--phi0", "1.0000000009")
+        assert code == 0
+        assert [c["name"] for c in doc["checks"]] == ["first-integral-drift"]
+
     def test_constant_curvature_reported(self, capsys):
         code, doc = run(capsys, "warp", "--c", "0", "--rho", "4",
                         "--n", "5", "--eps", "1")
@@ -505,7 +538,9 @@ class TestClassifyAppendix:
         assert doc["kinds"] == ["epsilon"]
         assert doc["max_residual"] <= 1e-6
         assert doc["solver"]["p"] == pytest.approx(1.0)
-        assert doc["solver"]["positivity"] > 0
+        relations = {c["name"]: c for c in doc["checks"]}["solver-relations"]
+        assert relations["status"] == "pass"
+        assert relations["value"] <= cli.TOLERANCES["tol_solver"]
 
     @pytest.mark.parametrize("solve,want", [
         (("1e200", "1", "1", "1"), 2),      # r1 r2 overflows: p = inf
@@ -517,16 +552,34 @@ class TestClassifyAppendix:
     ])
     def test_solver_passes_only_finite_values(self, capsys, solve, want):
         # a solver that overflows or underflows is a computation error; a
-        # pass always carries a finite p, q and r, and a positivity read
-        # from the signs of the factors, never their overflowing product
+        # pass always carries a finite p, q and r that meet the relations,
+        # even where the product of their right-hand sides overflows
         code, doc = run(capsys, "classify-appendix", "--points", "2",
                         "--solve", *solve)
         assert code == want
         if code == 0:
             assert all(math.isfinite(doc["solver"][k]) for k in "pqr")
             check = [c for c in doc["checks"]
-                     if c["name"] == "solver-positivity"]
-            assert check[0]["value"] == doc["solver"]["positivity"] == 1.0
+                     if c["name"] == "solver-relations"]
+            assert check[0]["value"] <= cli.TOLERANCES["tol_solver"]
+
+    def test_solver_relations_catch_a_swapped_solver(self, capsys,
+                                                     monkeypatch):
+        # (p, r, q) for (p, q, r): every factor positive, so a positivity
+        # check reads 1, while pq and pr miss ad - bc and ac - bd by 4
+        solve = extrinsic.solve_normal_form_relations
+
+        def swapped(*abcd):
+            p, q, r = solve(*abcd)
+            return p, r, q
+
+        monkeypatch.setattr(extrinsic, "solve_normal_form_relations", swapped)
+        code, doc = run(capsys, "classify-appendix", "--points", "2",
+                        "--solve", "3", "1", "1", "2")
+        assert code == 1
+        check = {c["name"]: c for c in doc["checks"]}["solver-relations"]
+        assert check["status"] == "fail"
+        assert check["value"] == pytest.approx(4.0 / 6.0)
 
     @pytest.mark.parametrize("value,mode", [(math.inf, "min"),
                                             (-math.inf, "max")])
@@ -553,6 +606,13 @@ class TestReport:
         assert doc["tolerances"]["tol_einstein"] == 5e-5
         names = [c["name"] for c in doc["checks"]]
         assert "defect-round-torus-composite-n7-m2" in names
+        # report opens with its five warps: drift and identity on each, and
+        # the closed form at n = 5
+        warps = ["%s-schwarzschild-n%d" % (prefix, n)
+                 for n in (4, 5, 6, 7, 9)
+                 for prefix in ("drift", "identity", "closed-form")[
+                     :2 + (n == 5)]]
+        assert names[:len(warps)] == warps
         assert "udim-schwarzschild-n4" in names
         checks = {c["name"]: c for c in doc["checks"]}
         # fiber constant n-4 against the (n-3) eps the warp needs: a gap of 1
@@ -579,7 +639,8 @@ class TestReport:
         tols = doc["tolerances"]
         assert (checks["defect-clifford-n5-perturbed"]["tolerance"]
                 == tols["tol_perturbed_defect"])
-        assert checks["appendix-solver"]["tolerance"] == tols["tol_solver"]
+        assert (checks["solver-schwarzschild-n4"]["tolerance"]
+                == tols["tol_solver"])
         assert (checks["ricci-sym-clifford-n5"]["tolerance"]
                 == tols["tol_ricci_sym"])
         assert "tol_richardson" not in tols
@@ -626,6 +687,50 @@ class TestReport:
         assert [c["status"] for c in single["checks"]] == ["fail", "pass",
                                                            "pass"]
         assert members + 1 == 11
+
+    @staticmethod
+    def _judged(checks):
+        # a check as report and a subcommand judge it, name aside
+        return [(c["status"], repr(c["value"]), c["tolerance"],
+                 c["comparison"], c["provenance"]) for c in checks]
+
+    @classmethod
+    def _member(cls, doc, prefixes, label):
+        names = {"%s-%s" % (p, label) for p in prefixes}
+        return cls._judged([c for c in doc["checks"] if c["name"] in names])
+
+    def test_warp_judges_a_member_as_report_does(self, capsys):
+        # one builder: warp --family schwarzschild at its defaults gives
+        # each of report's five warps its checks in order, with their
+        # statuses and value bytes; report asks for the closed form at n = 5
+        code, doc = run(capsys, "report", "--seed", "3")
+        assert code == 0
+        for n in (4, 5, 6, 7, 9):
+            argv = ["warp", "--family", "schwarzschild", "--n", str(n)]
+            argv += ["--compare-closed-form"] if n == 5 else []
+            code, single = run(capsys, *argv)
+            assert code == 0
+            report = self._member(doc, ("drift", "identity", "closed-form"),
+                                  "schwarzschild-n%d" % n)
+            assert report == self._judged(single["checks"])
+            assert len(report) == (3 if n == 5 else 2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_classify_appendix_judges_as_report_does(self, capsys, seed):
+        # one builder: classify-appendix at its defaults with --solve 2 1 1 1
+        # gives report's appendix checks; the sample takes eps = 1, the
+        # Schwarzschild immersion's sign, at every point
+        code, doc = run(capsys, "report", "--seed", str(seed))
+        assert code == 0
+        code, single = run(capsys, "classify-appendix", "--seed", str(seed),
+                           "--solve", "2", "1", "1", "1")
+        assert code == 0
+        report = self._member(doc, ("epsilon-form", "normal-form", "solver"),
+                              "schwarzschild-n4")
+        assert report == self._judged(single["checks"])
+        assert len(report) == 3
+        assert (single["kinds"], single["eps"]) == (["epsilon"], [1])
+        assert single["points"] == 12
 
     def test_one_sample_and_one_exact_pass_per_member(self, capsys,
                                                       monkeypatch):
