@@ -158,13 +158,17 @@ def _emit(label, seed, checks, extra, out_path):
     return 0 if overall == "pass" else 1
 
 
+# the options that select a family member, first in the defaults of every
+# command that takes one
+_MEMBER = dict.fromkeys(("family", "n", "m", "rho"))
+
+
 def _member(cfg):
     """The family member cfg selects, as keyword arguments of
     geometry.chart_for_family and immersions.build_immersion."""
     if cfg["family"] is None or cfg["n"] is None:
         raise ConfigError("--family and --n are required")
-    return {key: cfg[key]
-            for key in ("family", "n", "m", "rho", "perturb") if key in cfg}
+    return {key: cfg[key] for key in (*_MEMBER, "perturb") if key in cfg}
 
 
 # -- warp ---------------------------------------------------------------------------
@@ -258,10 +262,7 @@ def cmd_warp(cfg):
 # -- verify-intrinsic ------------------------------------------------------------------
 
 _INTRINSIC_DEFAULTS = {
-    "family": None,
-    "n": None,
-    "m": None,
-    "rho": None,
+    **_MEMBER,
     "points": 24,
     "seed": DEFAULT_SEED,
     "perturb": 0.0,
@@ -316,10 +317,7 @@ def cmd_verify_intrinsic(cfg):
 # -- build -------------------------------------------------------------------------------
 
 _BUILD_DEFAULTS = {
-    "family": None,
-    "n": None,
-    "m": None,
-    "rho": None,
+    **_MEMBER,
     "out": ".",
     "count": 512,
     "res": 32,
@@ -339,7 +337,7 @@ def _immersion_spec(imm):
         meta["warp"] = {"params": sol.params.as_dict(), "t_min": sol.t_min,
                         "t_max": sol.t_max, "step": sol.step}
     elif imm.base != "product":
-        # s is the inverse fiber radius _warped_product calibrates with
+        # s is the inverse fiber radius warped_immersion calibrates with
         meta.update(kind="composite", base=imm.base,
                     s=1.0 / fiber.ambient_radius(),
                     base_curvature=warpfunc.constant_curvature_value(
@@ -381,10 +379,7 @@ def cmd_build(cfg):
 # -- verify-extrinsic -----------------------------------------------------------------------
 
 _EXTRINSIC_DEFAULTS = {
-    "family": None,
-    "n": None,
-    "m": None,
-    "rho": None,
+    **_MEMBER,
     "points": 6,
     "seed": DEFAULT_SEED,
     "perturb": 0.0,
@@ -442,10 +437,9 @@ def cmd_verify_extrinsic(cfg):
 # -- classify-appendix -------------------------------------------------------------------------
 
 _CLASSIFY_DEFAULTS = {
+    **_MEMBER,
     "family": "schwarzschild",
     "n": 4,
-    "m": None,
-    "rho": None,
     "points": 12,
     "seed": DEFAULT_SEED,
     "solve": None,

@@ -26,8 +26,9 @@ umbilical_structure groups its principal curvature vectors; the
 flat-normal, umbilical and normal-form stages all read it, the first
 through the commutators it was checked against, so each pointwise
 invariant is computed once a scan.
-Codazzi evaluates the immersion again only at the points its stencil
-adds, in blocks within geometry's element budget, and differences only
+Codazzi builds its own displacement, each row moved by +-_STEP along
+each axis, and evaluates the immersion again only at those 2 dim points
+a row, in blocks within geometry's element budget. It differences only
 their Hessians: in flat ambient space its Christoffel terms cancel, so no
 inverse, Christoffel symbol or alpha is formed there. Dupin reads the same
 differences along the leaf. Gauss and realization evaluate the immersion
@@ -353,16 +354,16 @@ def codazzi_residual(imm, pe):
     alpha_ae Gamma^e_bc, Gamma^e_ab alpha_ec and Gamma^e_ac alpha_be, which
     as a set are symmetric in (a, b). Codazzi in flat ambient space demands
     symmetry in (a, b), so its defect is exactly PiN (d_a H_bc - d_b H_ac),
-    d the central difference at _STEP over the 2 dim points each row's
-    stencil adds: no inverse, Christoffel symbol or alpha is formed at
+    d the central difference over each row's 2 dim points +-_STEP along
+    each axis: no inverse, Christoffel symbol or alpha is formed at
     them. The rows go in blocks within geometry's element budget, one jet
     call per block, and dupin_residual reads d_L H_LL of every row once
     they are done. Returns (codazzi, dupin), one value per row each.
     """
     n, d, amb = len(pe.x), imm.dim, imm.ambient_dim
-    # the axis rows of geometry's stencil: rows 2a and 2a + 1 displace a
-    # point by +_STEP and -_STEP along axis a
-    E = geometry._stencil(d, _STEP)[0][1:2 * d + 1]
+    # rows 2a and 2a + 1 displace a point by +_STEP and -_STEP along axis a
+    step = _STEP * np.eye(d)
+    E = np.stack([step, -step], 1).reshape(-1, d)
     codazzi, leaf = np.empty(n), np.empty((n, amb))
     # a block counts three arrays a point of the displaced Hessians' size;
     # the tests hold the live set's tracemalloc peak, in the block's jet

@@ -617,8 +617,9 @@ class Family:
     warped product over t_range, its warp integrated from warp(n).t0 to
     t_end, a little past t_range so stencils stay inside the solution; a
     row without one is charted as the fiber itself. base names the
-    immersion: "rotational" (the warp's profile curve), a composite base of
-    immersions._BASES, "product" (the fiber's own embedding), or None.
+    immersion: a key of immersions._BASES, that is "rotational" (the
+    warp's profile surface) or the composite bases "flat", "sphere" and
+    "cylinder", or "product" (the fiber's own embedding), or None.
     A row with a warp has Einstein constant warp(n).rho; rho(n) gives a
     row without one its constant, and None means the caller supplies it.
     The fields from perturbable on serve the command line and `report`.
@@ -722,13 +723,15 @@ def family_warp(row, n):
 
 def chart_for_family(family, n, m=None, rho=None, perturb=0.0):
     """The chart of one member of a family, with its Einstein constant:
-    rho is given for a row that leaves it to the caller, and only then."""
+    rho is given for a row that leaves it to the caller, and only then, and
+    m for a row that needs it, and only then."""
     row = FAMILIES.get(family)
     if row is None:
         raise BadRange("unknown family %r; known families: %s"
                        % (family, ", ".join(FAMILIES)))
-    if row.needs_m and m is None:
-        raise BadRange("%s needs m" % family)
+    if row.needs_m != (m is not None):
+        raise BadRange("%s %s m" % (family, "needs" if row.needs_m
+                                    else "takes no"))
     if row.warp is not None or row.rho is not None:
         if rho is not None:
             raise BadRange("%s sets its own rho; none can be given with it"

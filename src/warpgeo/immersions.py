@@ -10,12 +10,15 @@ pullback metric and the exports; order 2 adds the Hessians, and the
 off directly. Each immersion carries the geometry chart it realizes, in
 the same coordinates, and the name of its base.
 
-Ambient layout: every base surface has the form (lead(t), sigma'(t) e(u),
-sigma(t)), with e the unit circle (sin u, cos u) or, for the flat base, the
-line u, and lead the profile's psi or nothing. Every warped product is the
-composite (lead, sigma' e, s sigma h2(y)) over its base. The rotational map
-(psi, phi' sin theta, phi' cos theta, phi F(y)) is the one with sigma = phi
-and s = 1.
+Ambient layout: a product immersion is its fiber's own embedding, and
+every warped product comes from one builder, warped_immersion, over a base
+surface of one table, _BASES. Each base has the form (lead(t), sigma'(t)
+e(u), sigma(t)), with e the unit circle (sin u, cos u) or, for the flat
+base, the line u, and the immersion is the composite (lead, sigma' e,
+s sigma h2(y)) over it. The rotational base is the profile surface, lead
+psi and sigma = phi, whose map (psi, phi' sin theta, phi' cos theta,
+phi F(y)) has s = 1; the composite bases have no lead and a closed-form
+sigma.
 """
 
 import functools
@@ -125,8 +128,7 @@ class Immersion:
     J^T J is the metric of chart, a geometry chart in the same coordinates.
     jet_fn(X, order) gives the jet of order 1 or 2 at rows X. The chart
     holds the fiber and, on a warped product, the warp; base names the
-    family row's base surface: "product", "rotational" or a composite base
-    of _BASES."""
+    family row's base surface: "product" or a key of _BASES."""
 
     label: str
     dim: int
@@ -235,31 +237,67 @@ def _line(U):
 
 
 def _sin(T):
-    """sigma = sin t with its first three derivatives."""
+    """No lead coordinate, and sigma = sin t with its first three
+    derivatives."""
     st, ct = np.sin(T), np.cos(T)
-    return st, ct, -st, -ct
+    return ((st, ct, -st, -ct),)
 
 
 def _linear(T):
-    """sigma = t with its first three derivatives."""
+    """No lead coordinate, and sigma = t with its first three derivatives."""
     zero = np.zeros_like(T)
-    return T, np.ones_like(T), zero, zero
+    return ((T, np.ones_like(T), zero, zero),)
 
 
-def _warped_product(chart, rho, t_jet, curve, k, box, base, warp=None):
-    """The immersion (lead(t), sigma'(t) e(u), s sigma(t) h2(y)) of chart,
-    the composite over the base surface (lead, sigma' e, sigma) in R^k
-    that base names.
+def _profile(chart):
+    """The profile surface's t-jet: psi, the arc-length closure of the
+    chart's warp, as the lead coordinate, and sigma = phi, the warp's own
+    sample. The fiber must sit on the unit sphere, so s = 1 and the
+    immersion realizes dt^2 + phi'^2 dtheta^2 + phi^2 g_F exactly, since
+    psi'^2 = 1 - phi'^2 - phi''^2."""
+    if abs(chart.fiber.ambient_radius() - 1.0) > 1e-12:
+        raise BadRange("rotational construction needs the fiber on the unit sphere")
+    return ProfileTable(chart.warp).jet
 
-    t_jet(T) gives the 2-jets (w, w', w'') of the lead coordinates, then
-    sigma's 3-jet (sigma, sigma', sigma'', sigma'''); curve(U) gives
-    (e, e', e''), each of shape (N, c). h2 is the chart's fiber on the
-    coordinates after (t, u), s its inverse ambient radius. Every base
-    here has |e'| = 1, sigma'' <e, e'> = 0 and |w'|^2 + sigma''^2 |e|^2
-    + sigma'^2 = 1, so its metric is dt^2 + sigma'^2 du^2. warp, when
-    given, is the WarpSolution whose sample t_jet returns as sigma's jet,
-    and every Jet keeps that sample.
+
+_BASES = {
+    # t-jet of the chart, curve, base ambient dim k, u sample range (None:
+    # the chart's own theta range); the bases are (psi, phi' sin u,
+    # phi' cos u, phi), (u, t), (cos t sin u, cos t cos u, sin t) and
+    # (sin u, cos u, t)
+    "rotational": (_profile, _circle, 4, None),
+    "flat": (lambda chart: _linear, _line, 2, (-3.0, 3.0)),
+    "sphere": (lambda chart: _sin, _circle, 3, (0.0, 2.0 * math.pi)),
+    "cylinder": (lambda chart: _linear, _circle, 3, (0.0, 2.0 * math.pi)),
+}
+
+
+def warped_immersion(chart, rho, base):
+    """The immersion (lead(t), sigma'(t) e(u), s sigma(t) h2(y)) of a
+    WarpedChart, the composite over the base surface (lead, sigma' e,
+    sigma) in R^k that base, a key of _BASES, names.
+
+    The row's t-jet gives the 2-jets (w, w', w'') of the lead coordinates,
+    then sigma's 3-jet (sigma, sigma', sigma'', sigma'''); its curve gives
+    (e, e', e''), each of shape (N, c). Every base here has |e'| = 1,
+    sigma'' <e, e'> = 0 and |w'|^2 + sigma''^2 |e|^2 + sigma'^2 = 1, so its
+    metric is dt^2 + sigma'^2 du^2. h2 is the chart's fiber on the
+    coordinates after (t, u) and s its inverse ambient radius R: the
+    pullback is g_base + (s^2 R^2 - 1) dsigma^2 + (s sigma)^2 g_F, a warped
+    product exactly when s R = 1, which is how s is calibrated. A composite
+    base's sigma is a closed form equal to the chart's warp phi, whose
+    parameters give the base curvature,
+    warpfunc.constant_curvature_value(chart.warp.params); the rotational
+    base's sigma is a sample of the chart's warp, which every Jet keeps.
     """
+    if base not in _BASES:
+        raise BadRange("%s has no immersion: unknown base %r"
+                       % (chart.label, base))
+    jet_of, curve, k, u_rng = _BASES[base]
+    t_jet = jet_of(chart)
+    box = chart.sample_box
+    if u_rng is not None:
+        box[1] = u_rng      # the base's own u range, not the chart's theta range
     fiber = chart.fiber
     s = 1.0 / fiber.ambient_radius()
     dim, amb = chart.dim, (k - 1) + fiber.ambient_dim
@@ -284,8 +322,8 @@ def _warped_product(chart, rho, t_jet, curve, k, box, base, warp=None):
         j[:, f0:, 0] = sdsig[:, None] * vf
         j[:, f0:, 2:] = ssig[:, None, None] * jf
         out = Jet((v, j) if h is None else (v, j, h))
-        if warp is not None:
-            out.warp, out.sample = warp, sigma
+        if isinstance(sigma, warpfunc.WarpSample):
+            out.warp, out.sample = chart.warp, sigma
         if h is None:
             return out
 
@@ -305,33 +343,6 @@ def _warped_product(chart, rho, t_jet, curve, k, box, base, warp=None):
     )
 
 
-# -- rotational immersions ------------------------------------------------------
-
-def rotational_immersion(chart, rho):
-    """(psi, phi' sin theta, phi' cos theta, phi F(y)) for a unit-sphere F,
-    the warped product over the profile surface with lead psi, sigma = phi
-    and s = 1.
-
-    Realizes the WarpedChart dt^2 + phi'^2 dtheta^2 + phi^2 g_F exactly,
-    since psi'^2 = 1 - phi'^2 - phi''^2.
-    """
-    if abs(chart.fiber.ambient_radius() - 1.0) > 1e-12:
-        raise BadRange("rotational construction needs the fiber on the unit sphere")
-    table = ProfileTable(chart.warp)
-    return _warped_product(chart, rho, table.jet, _circle, 4,
-                           chart.sample_box, "rotational", warp=table.sol)
-
-
-def schwarzschild_immersion(n):
-    """Ricci-flat rotational immersion of the Schwarzschild family, codim 2."""
-    return build_immersion("schwarzschild", n)
-
-
-def extra_codim_immersion(n, m):
-    """Ricci-flat rotational immersion over the unit-sum torus, codim 3."""
-    return build_immersion("extra-codim", n, m=m)
-
-
 # -- product immersions ----------------------------------------------------------
 
 def immersion_from_fiber(fiber, label, rho):
@@ -344,41 +355,21 @@ def immersion_from_fiber(fiber, label, rho):
     )
 
 
+# -- named members ---------------------------------------------------------------
+
+def schwarzschild_immersion(n):
+    """Ricci-flat rotational immersion of the Schwarzschild family, codim 2."""
+    return build_immersion("schwarzschild", n)
+
+
+def extra_codim_immersion(n, m):
+    """Ricci-flat rotational immersion over the unit-sum torus, codim 3."""
+    return build_immersion("extra-codim", n, m=m)
+
+
 def clifford_immersion(n, rho):
     """S^2(r1) x S^{n-2}(r2) in R^{n+2}, Einstein with constant rho."""
     return build_immersion("clifford", n, rho=rho)
-
-
-# -- warped composites -----------------------------------------------------------
-
-_BASES = {
-    # sigma-jet, curve, base ambient dim, u sample range; the bases are
-    # (u, t), (cos t sin u, cos t cos u, sin t), (sin u, cos u, t)
-    "flat": (_linear, _line, 2, (-3.0, 3.0)),
-    "sphere": (_sin, _circle, 3, (0.0, 2.0 * math.pi)),
-    "cylinder": (_linear, _circle, 3, (0.0, 2.0 * math.pi)),
-}
-
-
-def warped_composite(base_kind, chart, rho):
-    """Replace the last base coordinate sigma by s sigma h2(y).
-
-    The base surface h1 = (sigma'(t) e(u), sigma(t)) lands in R^k with
-    distinguished last axis; the composite is (sigma' e, s sigma h2). Its
-    pullback is g_base + (s^2 R^2 - 1) dsigma^2 + (s sigma)^2 g_F with R
-    the fiber's ambient radius, so the warped-product structure appears
-    exactly when s R = 1, which is how s is calibrated. The realized
-    WarpedChart gives the fiber and t-range, and its warp phi is the
-    base's sigma; the base curvature is the one the warp's parameters
-    give, warpfunc.constant_curvature_value(chart.warp.params).
-    """
-    if base_kind not in _BASES:
-        raise BadRange("unknown base kind %r" % base_kind)
-    sigma_jet, curve, k, u_rng = _BASES[base_kind]
-    box = chart.sample_box
-    box[1] = u_rng      # the base's own u range, not the chart's theta range
-    return _warped_product(chart, rho, lambda T: (sigma_jet(T),), curve, k,
-                           box, base_kind)
 
 
 def flat_base_composite(n, m):
@@ -441,8 +432,4 @@ def build_immersion(family, n, m=None, rho=None, perturb=0.0):
     base = geometry.FAMILIES[family].base
     if base == "product":
         return immersion_from_fiber(chart.fiber, chart.label, rho)
-    if base == "rotational":
-        return rotational_immersion(chart, rho)
-    if base in _BASES:
-        return warped_composite(base, chart, rho)
-    raise BadRange("family %r has a chart but no immersion" % family)
+    return warped_immersion(chart, rho, base)

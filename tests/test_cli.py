@@ -8,6 +8,7 @@ import pytest
 
 from warpgeo import (cli, extrinsic, geometry, immersions, sampling,
                      serialize, warpfunc)
+from warpgeo.errors import WrongFamily
 
 
 def run(capsys, *argv):
@@ -59,14 +60,14 @@ class TestWarp:
         assert code == 0
         names = [c["name"] for c in doc["checks"]]
         assert ("schwarzschild-identity" in names) == identity
-        # phi0 9e-10 off Schwarzschild n5: the identity's guard admits this
-        # c, yet the identity reads 1.8e-9, above tol_identity, so a check
-        # chosen by c would fail a correct run; without a row there is none
+        # phi0 9e-10 off Schwarzschild n5 puts c 1.8e-9 off the family's,
+        # where the identity would read 1.8e-9, above tol_identity: the
+        # guard refuses the state, and without a row there is no check
         params = warpfunc.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0,
                                      phi0=1.0000000009, dphi0=0.0)
         sol = warpfunc.integrate(params, 5.0)
-        ident = warpfunc.schwarzschild_identity_residual(params, sol)
-        assert abs(ident).max() > cli.TOLERANCES["tol_identity"]
+        with pytest.raises(WrongFamily):
+            warpfunc.schwarzschild_identity_residual(params, sol)
         code, doc = run(capsys, "warp", "--n", "5", "--phi0", "1.0000000009")
         assert code == 0
         assert [c["name"] for c in doc["checks"]] == ["first-integral-drift"]
@@ -225,6 +226,34 @@ def test_rho_for_a_row_that_sets_its_own_is_config_error(capsys, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("config error: %s sets its own rho" % family)
     assert os.listdir(str(tmp_path)) == []
+
+
+_NO_M = [k for k, row in geometry.FAMILIES.items() if not row.needs_m]
+
+
+@pytest.mark.parametrize("command", ["verify-intrinsic", "verify-extrinsic",
+                                     "build"])
+@pytest.mark.parametrize("family", _NO_M)
+def test_m_for_a_row_that_takes_none_is_config_error(capsys, tmp_path,
+                                                     command, family):
+    # an --m beside a row without needs_m would be dropped without a word
+    argv = [command, "--family", family, "--n", "7", "--m", "2"]
+    if geometry.FAMILIES[family].rho is None and \
+            geometry.FAMILIES[family].warp is None:
+        argv += ["--rho", "1"]
+    argv += ["--out", str(tmp_path if command == "build"
+                          else tmp_path / "out.json")]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: %s takes no m\n" % family
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_classify_appendix_refuses_an_m_its_family_takes_none(capsys):
+    assert cli.main(["classify-appendix", "--m", "3"]) == 3
+    assert capsys.readouterr() == ("", "config error: schwarzschild takes "
+                                   "no m\n")
 
 
 @pytest.mark.parametrize("argv,config", [

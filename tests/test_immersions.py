@@ -326,7 +326,7 @@ def perturbed_flat_composite():
     chart = dataclasses.replace(
         family_chart("flat-torus-composite", 7, m=2), fiber=bad,
         label="perturbed")
-    return im.warped_composite("flat", chart, rho=0.0)
+    return im.warped_immersion(chart, rho=0.0, base="flat")
 
 
 _WARPED_MEMBERS = [
@@ -424,7 +424,7 @@ class TestRotationalImmersions:
                                fiber=gm.FiberSpec(dims=(3,), radii=(2.0,)),
                                t_range=(0.4, 1.2), label="bad")
         with pytest.raises(BadRange):
-            im.rotational_immersion(chart, rho=0.0)
+            im.warped_immersion(chart, rho=0.0, base="rotational")
 
     def test_intrinsic_verification_on_pullback(self):
         chart = gm.PullbackChart(im.schwarzschild_immersion(5), label="pb")
@@ -513,8 +513,8 @@ class TestComposites:
 
     def test_unknown_base_rejected(self):
         with pytest.raises(BadRange):
-            im.warped_composite(
-                "torus", family_chart("flat-torus-composite", 7, m=2), 0.0)
+            im.warped_immersion(
+                family_chart("flat-torus-composite", 7, m=2), 0.0, "torus")
 
 
 class TestBuilderDispatch:

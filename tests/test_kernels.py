@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from warpgeo import _kernels as K
 from warpgeo import warpfunc as wf
 
 
@@ -143,7 +142,7 @@ def test_hermite_paths_identical():
         sol = _solution(kind)
         args = (sol.t, float(sol.t[0]), sol.step, sol.phi, sol.dphi, sol.d2phi)
         for name, q in _queries(sol).items():
-            pa, da = K.hermite_eval(*args, q)
+            pa, da = wf.hermite_eval(*args, q)
             pb, db = _hermite_loop(*args, q)
             assert np.array_equal(pa, pb), (kind, name)
             assert np.array_equal(da, db), (kind, name)
@@ -155,10 +154,10 @@ def test_hermite_keeps_few_doubles_a_query(count):
     sol = _solution("forward")
     args = (sol.t, float(sol.t[0]), sol.step, sol.phi, sol.dphi, sol.d2phi)
     q = np.random.default_rng(3).uniform(sol.t_min, sol.t_max, count)
-    K.hermite_eval(*args, q)
+    wf.hermite_eval(*args, q)
     tracemalloc.start()
     try:
-        K.hermite_eval(*args, q)
+        wf.hermite_eval(*args, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -216,9 +215,10 @@ def test_rk4_matches_preallocated_loop(monkeypatch, kind):
     # loop, so node k is held to max(k, 1) eps (1 + |node|) and the node
     # count and floor flag to equality
     calls = []
+    kernel = wf.rk4_warp   # the spy replaces it, so it must not look it up
 
     def spy(*args):
-        calls.append((args, K.rk4_warp(*args)))
+        calls.append((args, kernel(*args)))
         return calls[-1][1]
 
     monkeypatch.setattr(wf, "rk4_warp", spy)
