@@ -182,7 +182,7 @@ _WARP_DEFAULTS = {
     "n": None,
     **dict.fromkeys(_WARP_STATE),
     "t_end": 5.0,
-    "step": 1e-3,
+    "step": warpfunc.DEFAULT_STEP,
     "out": None,
     "csv": None,
     "compare_closed_form": False,

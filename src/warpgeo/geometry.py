@@ -718,7 +718,7 @@ def family_warp(row, n):
     """The row's warp solution for dimension n, integrated once per
     (params, t_end, step) and shared by every chart and immersion built
     from it; its arrays are read-only."""
-    return _shared_warp(row.warp(n), row.t_end, 1e-3)
+    return _shared_warp(row.warp(n), row.t_end, warpfunc.DEFAULT_STEP)
 
 
 def chart_for_family(family, n, m=None, rho=None, perturb=0.0):

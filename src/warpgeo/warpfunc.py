@@ -23,12 +23,15 @@ constants and the equation is insensitive to the distinction.
 Every evaluation of phi'' here, the RK4 stages of ``rk4_warp`` and
 ``rhs_second_order`` alike, uses the form
 
-    phi'' = ck (phi'^2 - eps) / phi + cr phi,  ck = -(n-3)/2, cr = -rho/2,
+    phi'' = ck ((phi'^2 - eps) / phi + r phi),  ck = -(n-3)/2, r = rho/(n-3),
 
-which equals the quotient above in exact arithmetic and takes 6 float
-operations where that one takes 8. Both write it in one order of
-operations, so a stored phi'' is the kernel's first stage at its node bit
-for bit. ``rk4_warp`` is
+which equals the quotient above in exact arithmetic. An RK4 stage computes
+only the bracket, 5 float operations, and ck rides in the step constants
+the stages are weighted by; ``rhs_second_order`` multiplies the same
+bracket by ck, so a stored phi'' is ck times the kernel's first stage at
+its node bit for bit. Where ck is a power of two (n = 4, 5, 7) the
+bracket form rounds exactly as ck (phi'^2 - eps) / phi - rho phi / 2
+does. ``rk4_warp`` is
 the fixed-step integrator, a sequential scalar loop. ``hermite_eval`` is
 the quintic Hermite dense output, written as array code: every query point
 reads the two nodes of its own cell and goes through the same Horner steps,
@@ -56,18 +59,25 @@ from .errors import (
 
 # the equation divides by phi; integration halts where a stage reaches this
 PHI_FLOOR = 1e-8
+# integrate cuts a run moving toward phi = 0 at the first node within this
+# many steps of zero at its own slope, phi <= FLOOR_STEPS |h phi'|: from
+# there one step moves phi by 1% of itself or more
+FLOOR_STEPS = 100.0
+# the warp step integrate, the warp command and every family chart default to
+DEFAULT_STEP = 1e-3
 
 
 def rhs_second_order(n, eps, rho, phi, dphi):
     """phi'' as a function of the state, from the structural equation.
 
-    In the stage form of rk4_warp (see the module docstring), so the phi''
-    integrate stores at a node is the kernel's first stage there bit for
-    bit. Takes floats or arrays of rows, as the three below do.
+    ck times rk4_warp's stage bracket (see the module docstring), so the
+    phi'' integrate stores at a node is ck times the kernel's first stage
+    there bit for bit. Takes floats or arrays of rows, as the three below
+    do.
     """
     ck = -0.5 * (n - 3.0)
-    cr = -0.5 * rho
-    return ck * (dphi * dphi - eps) / phi + cr * phi
+    r = rho / (n - 3.0)
+    return ck * ((dphi * dphi - eps) / phi + r * phi)
 
 
 def third_derivative(n, rho, phi, dphi, d2phi):
@@ -101,47 +111,53 @@ def rk4_warp(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
 
     Node k sits at t0 + k step; the trajectory stops early if any RK4 stage
     would evaluate at or below phi_floor (the equation divides by phi).
-    Each stage is ck (d^2 - eps) / p + cr p with ck and cr hoisted (see the
-    module docstring) and each weighted sum is x + 2 (x2 + x3) + x4: 52
-    float operations a step, the four floor comparisons included, where the
-    quotient form and x + 2 x2 + 2 x3 + x4 take 62. The nodes differ from
-    the textbook loop's at rounding level only; the tests hold node k to
-    max(k, 1) eps (1 + |node|), eps the float epsilon, with the same node
-    count and floor flag.
+    Each stage is the bracket (d^2 - eps) / p + r p alone, 5 float
+    operations, with r hoisted and ck folded into the step constants
+    ck step/2, ck step and ck step/6 (see the module docstring); each
+    weighted sum is x + 2 (x2 + x3) + x4. A step takes 48 float operations,
+    the four floor comparisons included, where the quotient form and
+    x + 2 x2 + 2 x3 + x4 take 62. The nodes differ from the textbook
+    loop's at rounding level only, and from a kernel with ck inside the
+    stage not at all where ck is a power of two (n = 4, 5, 7); the tests
+    hold node k to max(k, 1) eps (1 + |node|), eps the float epsilon, with
+    the same node count and floor flag.
 
     The nodes grow by append and become arrays through fromiter, so nothing
     in proportion to n_steps is allocated before the first step: a run that
     collapses early holds only the nodes it took.
     """
     ck = -0.5 * (n - 3.0)
-    cr = -0.5 * rho
+    r = rho / (n - 3.0)
     half = 0.5 * step
     sixth = step / 6.0
+    ck_half = ck * half
+    ck_step = ck * step
+    ck_sixth = ck * sixth
     p, d = phi0, dphi0
     ps, ds = [p], [d]
     for _ in range(n_steps):
-        a1 = ck * (d * d - eps) / p + cr * p
+        b1 = (d * d - eps) / p + r * p
 
         p2 = p + half * d
-        d2 = d + half * a1
+        d2 = d + ck_half * b1
         if p2 <= phi_floor:
             break
-        a2 = ck * (d2 * d2 - eps) / p2 + cr * p2
+        b2 = (d2 * d2 - eps) / p2 + r * p2
 
         p3 = p + half * d2
-        d3 = d + half * a2
+        d3 = d + ck_half * b2
         if p3 <= phi_floor:
             break
-        a3 = ck * (d3 * d3 - eps) / p3 + cr * p3
+        b3 = (d3 * d3 - eps) / p3 + r * p3
 
         p4 = p + step * d3
-        d4 = d + step * a3
+        d4 = d + ck_step * b3
         if p4 <= phi_floor:
             break
-        a4 = ck * (d4 * d4 - eps) / p4 + cr * p4
+        b4 = (d4 * d4 - eps) / p4 + r * p4
 
         p_new = p + sixth * (d + 2.0 * (d2 + d3) + d4)
-        d_new = d + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        d_new = d + ck_sixth * (b1 + 2.0 * (b2 + b3) + b4)
         if p_new <= phi_floor:
             break
         p, d = p_new, d_new
@@ -331,7 +347,7 @@ def relative_drift(params, phi, dphi, drift):
         1.0 + np.abs(params.c) / phi ** (params.n - 3.0) + dphi * dphi)
 
 
-def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
+def integrate(params, t_end, step=DEFAULT_STEP, tol_drift=1e-8):
     """Integrate the structural equation from params.t0 to t_end.
 
     Fixed-step RK4 with the step shrunk so the grid lands on t_end exactly.
@@ -343,10 +359,21 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
     raises StepTooLarge; on a floor-truncated run the unresolved tail is
     trimmed off instead.
 
-    The equation divides by phi, so the integrator halts when any stage
-    dips to PHI_FLOOR and returns the valid prefix with truncated=True and
-    halt_reason "phi_floor". An initial state at or below the floor raises
-    DomainExhausted.
+    The equation divides by phi, so a run ends where it approaches zero.
+    It is cut at the first node where phi moves toward zero (phi' h < 0)
+    and phi <= FLOOR_STEPS |h phi'|, the node from which one step moves phi
+    by 1% of itself or more, and it halts wherever an RK4 stage dips to
+    PHI_FLOOR. Either way integrate returns the prefix before that point,
+    with the drift trim applied, and truncated=True. The cut compares two
+    well-conditioned quantities at a node, which an ulp of rounding moves
+    by an ulp, so a run whose exact solution only grazes zero (the round
+    family near t = pi, whose c is 0 up to rounding) ends at one node
+    whatever the last bit of its start; the floor alone leaves to rounding
+    whether a stage reaches it before the drift gate trips. Both ends
+    report halt_reason "phi_floor", the one name the benchmark's checks
+    and the payloads' readers know for a truncated run; naming the kind
+    of end (a pole, a turning point, a collapse) is a separate change. An
+    initial state at or below the floor raises DomainExhausted.
     """
     if not 0.0 < step < math.inf:
         raise BadRange("step must be positive and finite")
@@ -367,6 +394,13 @@ def integrate(params, t_end, step=1e-3, tol_drift=1e-8):
         float(params.t0), float(params.phi0), float(params.dphi0),
         float(h), int(n_steps), PHI_FLOOR,
     )
+    # phi > 0 at every node, so this holds only where phi' h < 0, and there
+    # -FLOOR_STEPS h phi' is FLOOR_STEPS |h phi'| to the bit
+    near = np.flatnonzero(phi <= (-FLOOR_STEPS * h) * dphi)
+    if near.size:
+        cut = int(near[0])
+        t, phi, dphi = t[:cut], phi[:cut], dphi[:cut]
+        hit_floor = True
     drift = first_integral_residual(
         params.n, params.eps, params.rho, params.c, phi, dphi
     )

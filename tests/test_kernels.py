@@ -236,14 +236,14 @@ def test_rk4_matches_preallocated_loop(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", _REPORT_WARPS + list(_RK4_CELLS))
 def test_stored_d2phi_is_the_kernels_stage(kind):
-    # rhs_second_order and the kernel write phi'' in one form, so the
-    # stored phi'' at a node is the kernel's first stage there, signed
-    # zeros included (flat: every stage reads -0.0)
+    # rhs_second_order multiplies the kernel's stage bracket by ck, so the
+    # stored phi'' at a node is ck times the kernel's first stage there,
+    # signed zeros included (flat: every stage reads -0.0)
     sol = _run(kind)[0]
     pp = sol.params
     ck = -0.5 * (pp.n - 3.0)
-    cr = -0.5 * pp.rho
-    stage = [ck * (d * d - pp.eps) / p + cr * p
+    r = pp.rho / (pp.n - 3.0)
+    stage = [ck * ((d * d - pp.eps) / p + r * p)
              for p, d in zip(sol.phi.tolist(), sol.dphi.tolist())]
     assert _bitwise_equal(sol.d2phi, np.array(stage))
 

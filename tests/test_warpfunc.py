@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpgeo import geometry
 from warpgeo import warpfunc as wf
 from warpgeo.errors import (
     BadDimension,
@@ -216,6 +217,46 @@ class TestIntegrate:
         exact = np.sqrt((SQ2 - sol.t) ** 2 - 1.0)
         assert np.max(np.abs(sol.phi - exact)) < 1e-7
         assert np.all(sol.phi > 0.1)
+
+    @pytest.mark.parametrize("family", ["round", "round-torus-composite"])
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_round_halt_does_not_turn_on_rounding(self, family, n):
+        # the round warp is sin t with a c that is 0 up to the rounding of
+        # sin and cos at t0, so near t = pi it grazes zero; a one-ulp move
+        # of t0 once switched n = 9 between two node counts and
+        # StepTooLarge. The cut at phi <= FLOOR_STEPS |h phi'| ends every
+        # start at one node, about 0.1 before pi, with the drift far inside
+        # its gate
+        t0 = geometry.FAMILIES[family].warp(n).t0
+        assert t0 == 0.15 and math.ulp(t0) == 2.0 ** -55
+        for k in range(-4, 5):
+            sol = wf.integrate(wf.sin_params(n, t0=t0 + k * 2.0 ** -55), 5.0)
+            assert sol.truncated and sol.halt_reason == "phi_floor"
+            assert len(sol.t) == 2892
+            rel = wf.relative_drift(sol.params, sol.phi, sol.dphi, sol.drift)
+            assert np.max(rel) < 1e-9
+
+    def test_cut_at_first_node_near_zero_moving_toward_it(self):
+        # phi = t from 0.5 back toward 0: the cut is the first node with
+        # phi <= FLOOR_STEPS |h phi'| = 0.1, which the kept nodes all miss
+        sol = wf.integrate(wf.linear_params(5, t0=0.5), -1.0, step=1e-3)
+        assert sol.truncated and sol.halt_reason == "phi_floor"
+        h = abs(sol.step)
+        assert np.all(sol.phi > wf.FLOOR_STEPS * h * np.abs(sol.dphi))
+        assert sol.phi[-1] - h <= wf.FLOOR_STEPS * h
+        assert len(sol.t) == 400
+
+    def test_small_phi_moving_away_is_not_cut(self):
+        # the same family from phi = 1e-3, within FLOOR_STEPS steps of zero
+        # at its slope, but moving away from it
+        p = wf.linear_params(5, t0=1e-3)
+        sol = wf.integrate(p, 1.0, step=1e-3)
+        assert not sol.truncated and sol.halt_reason == "t_end"
+        assert sol.t[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(sol.phi - sol.t)) < 1e-12
+        # toward zero it is cut at its first node, which leaves no step
+        with pytest.raises(StepTooLarge):
+            wf.integrate(p, -1.0, step=1e-3)
 
     def test_nan_drift_is_a_violation(self, monkeypatch):
         # a NaN defect must fail both gates, not slip past a > comparison
