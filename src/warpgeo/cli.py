@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     InconsistentParams,
     WarpgeoError,
-    WrongFamily,
 )
 
 SCHEMA_VERSION = 1
@@ -32,7 +31,6 @@ DEFAULT_SEED = 42
 TOLERANCES = {
     "tol_drift": 1e-8,
     "tol_closed_form": 1e-9,
-    "tol_identity": 1e-9,
     "tol_einstein": 5e-5,
     # the closed form meets the exact pass within 1.4e-14 over report's
     # seeds 0-29; a flipped core term or a jet 1% off misses it by 1e-2
@@ -54,21 +52,20 @@ TOLERANCES = {
 
 # an output path that cannot be written is a configuration error too
 _CONFIG_ERRORS = (ConfigError, BadRange, BadDimension, InconsistentParams,
-                  WrongFamily, OSError)
+                  OSError)
 
 
 # -- config plumbing ---------------------------------------------------------------
 
 # the type of every option, which argparse and config files both read: a
-# bool is a switch, a tuple a fixed number of values; a config file may
-# give an int where a float is wanted, and null where the default is None
+# tuple is a fixed number of values; a config file may give an int where a
+# float is wanted, and null where the default is None
 _TYPES = {
     **dict.fromkeys(("family", "out", "csv"), str),
     **dict.fromkeys(("n", "m", "points", "seed", "count", "res",
                      "expect_u_dim"), int),
     **dict.fromkeys(("eps", "rho", "c", "phi0", "dphi0", "t0", "t_end",
                      "step", "perturb"), float),
-    "compare_closed_form": bool,
     "solve": (float,) * 4,
 }
 
@@ -79,7 +76,8 @@ def _typed(typ, val):
         ok = isinstance(val, list) and len(val) == len(typ)
         vals = [_typed(t, v) for t, v in zip(typ, val)] if ok else [None]
         return None if None in vals else vals
-    if isinstance(val, bool) != (typ is bool):
+    # JSON true is a Python int too, and no option takes it
+    if isinstance(val, bool):
         return None
     if typ is float and isinstance(val, int):
         return float(val)
@@ -185,14 +183,12 @@ _WARP_DEFAULTS = {
     "step": warpfunc.DEFAULT_STEP,
     "out": None,
     "csv": None,
-    "compare_closed_form": False,
 }
 
 
 def _warp(cfg):
-    """The family row cfg selects (None without --family) and its warp,
-    integrated under the drift gate."""
-    family, row = cfg["family"], None
+    """The warp cfg selects, integrated under the drift gate."""
+    family = cfg["family"]
     if family is None:
         if cfg["n"] is None:
             raise ConfigError("warp needs --family or --n")
@@ -212,36 +208,30 @@ def _warp(cfg):
         if cfg["n"] is None:
             raise ConfigError("family %r needs --n" % family)
         params = row.warp(cfg["n"])
-    return row, warpfunc.integrate(params, cfg["t_end"], cfg["step"],
-                                   tol_drift=TOLERANCES["tol_drift"])
+    return warpfunc.integrate(params, cfg["t_end"], cfg["step"],
+                              tol_drift=TOLERANCES["tol_drift"])
 
 
-def _warp_checks(sol, row, closed_form, label=None):
-    """The checks of one warp: the first-integral drift on the scale
-    integrate gates on (the raw residual inflates near a positivity floor);
-    the identity on a Schwarzschild row, chosen by the row since its guard
-    admits a c where it misses its bound; and the n = 5 closed form if
-    closed_form asks, as a floor-truncated run misses it near the floor."""
+def _warp_checks(sol, label=None):
+    """The checks of one warp, chosen by its parameters alone: the
+    first-integral drift on the scale integrate gates on (the raw residual
+    inflates near a positivity floor), and the n = 5 closed form wherever
+    it applies (n = 5, rho = 0, eps = 1, any c)."""
     checks, add = _builder(label)
-    params = sol.params
     add("first-integral-drift", "drift",
-        float(np.max(warpfunc.relative_drift(params, sol.phi, sol.dphi,
+        float(np.max(warpfunc.relative_drift(sol.params, sol.phi, sol.dphi,
                                              sol.drift))),
         TOLERANCES["tol_drift"], "first-integral")
-    if row is not None and row.warp is warpfunc.schwarzschild_params:
-        ident = warpfunc.schwarzschild_identity_residual(params, sol)
-        add("schwarzschild-identity", "identity", float(np.max(np.abs(ident))),
-            TOLERANCES["tol_identity"], "closed-form-oracle")
-    if closed_form:
-        add("closed-form-error", "closed-form",
-            warpfunc.closed_form_n5_error(sol), TOLERANCES["tol_closed_form"],
-            "closed-form-oracle")
+    gap = warpfunc.closed_form_n5_error(sol)
+    if gap is not None:
+        add("closed-form-error", "closed-form", gap,
+            TOLERANCES["tol_closed_form"], "closed-form-oracle")
     return checks
 
 
 def cmd_warp(cfg):
-    row, sol = _warp(cfg)
-    checks = _warp_checks(sol, row, cfg["compare_closed_form"])
+    sol = _warp(cfg)
+    checks = _warp_checks(sol)
     extra = {
         "params": sol.params.as_dict(),
         "t_min": sol.t_min,
@@ -514,8 +504,8 @@ def cmd_report(cfg):
     on fixed members named by prefix and label."""
     checks = []
     for n in (4, 5, 6, 7, 9):
-        row, sol = _warp(dict(_WARP_DEFAULTS, family="schwarzschild", n=n))
-        checks += _warp_checks(sol, row, n == 5, label="schwarzschild-n%d" % n)
+        sol = _warp(dict(_WARP_DEFAULTS, family="schwarzschild", n=n))
+        checks += _warp_checks(sol, label="schwarzschild-n%d" % n)
     _suite_intrinsic(checks, cfg["seed"], cfg["points"])
     for family, row in geometry.FAMILIES.items():
         for n, m, rho in row.scan:
@@ -558,9 +548,7 @@ def build_parser():
         p.add_argument("--config", default=None)
         for key in defaults:
             flag, typ = "--" + key.replace("_", "-"), _TYPES[key]
-            if typ is bool:
-                p.add_argument(flag, action="store_true", default=None)
-            elif isinstance(typ, tuple):
+            if isinstance(typ, tuple):
                 p.add_argument(flag, nargs=len(typ), type=typ[0], default=None)
             else:
                 p.add_argument(flag, type=typ, default=None)

@@ -42,10 +42,6 @@ class DomainExhausted(WarpgeoError):
     """Initial state is already outside the admissible domain."""
 
 
-class WrongFamily(WarpgeoError):
-    """Operation requires parameters from a specific solution family."""
-
-
 # -- charts and sampling -----------------------------------------------------
 
 class SingularChartPoint(WarpgeoError):

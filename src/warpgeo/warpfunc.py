@@ -12,9 +12,11 @@ along base geodesics. That equation has the first integral
 
 whose constant c labels the solution family. This module integrates the
 equation, evaluates the family's closed forms where they exist, and exposes
-the scalar diagnostics (the c = 0 base curvature, the embeddability margin
-and the Schwarzschild identity residual) that the rest of the package
-checks numerically.
+the scalar diagnostics (the c = 0 base curvature and the embeddability
+margin) that the rest of the package checks numerically. Which closed form
+applies is read from a warp's parameters alone: ``closed_form_n5_error``
+gives the gap to the n = 5 form wherever n = 5, rho = 0 and eps = 1, for
+every c, and None elsewhere.
 
 eps is kept as a free real number rather than an element of {-1, 0, 1}:
 fibers arising from non-round Einstein manifolds carry other normalized
@@ -54,7 +56,6 @@ from .errors import (
     NonPositiveWarp,
     OutOfDomain,
     StepTooLarge,
-    WrongFamily,
 )
 
 # the equation divides by phi; integration halts where a stage reaches this
@@ -170,13 +171,12 @@ def rk4_warp(n, eps, rho, t0, phi0, dphi0, step, n_steps, phi_floor):
     return ts, np.fromiter(ps, float, m), np.fromiter(ds, float, m), m <= n_steps
 
 
-def hermite_eval(t, t_lo, step, phi, dphi, d2phi, query):
+def hermite_eval(t_lo, step, phi, dphi, d2phi, query):
     """Quintic Hermite interpolation of (phi, phi') at query points.
 
     Nodes carry value, first and second derivative on a uniform grid
-    starting at t_lo with spacing step; t is the node array (used only for
-    its length). Query points must lie within [t[0], t[-1]]. Returns
-    (phi_q, dphi_q).
+    starting at t_lo with spacing step, one node a row of phi. Query points
+    must lie within the grid. Returns (phi_q, dphi_q).
 
     Each query reads the two nodes of its own cell, p0, p1 with v = h phi'
     and a = h**2 phi'' (h = step), and evaluates the cell's quintic in
@@ -189,7 +189,7 @@ def hermite_eval(t, t_lo, step, phi, dphi, d2phi, query):
     a query and the Horner steps work in place.
     """
     idx = ((query - t_lo) / step).astype(np.int64)
-    np.clip(idx, 0, t.shape[0] - 2, out=idx)
+    np.clip(idx, 0, phi.shape[0] - 2, out=idx)
     tau = query - (t_lo + idx * step)
     tau /= step
     p0 = phi[idx]
@@ -331,8 +331,7 @@ class WarpSolution:
                 "query outside solved interval [%g, %g]" % (lo, hi)
             )
         p, d = hermite_eval(
-            self.t, float(self.t[0]), self.step, self.phi, self.dphi,
-            self.d2phi, ts,
+            float(self.t[0]), self.step, self.phi, self.dphi, self.d2phi, ts,
         )
         pp = self.params
         d2 = rhs_second_order(pp.n, pp.eps, pp.rho, p, d)
@@ -491,10 +490,10 @@ def closed_form_n5(c, t):
 def closed_form_n5_error(sol):
     """Largest gap in phi or phi' between the grid of sol and the n = 5
     closed form with the solution's c, translated to phi^2 = (t - a)^2 - c
-    with a = t0 - phi0 phi0'. Other parameters raise WrongFamily."""
+    with a = t0 - phi0 phi0'; None unless n = 5, rho = 0 and eps = 1."""
     pp = sol.params
     if pp.n != 5 or pp.rho != 0.0 or pp.eps != 1.0:
-        raise WrongFamily("closed-form comparison needs n=5, rho=0, eps=1")
+        return None
     a = pp.t0 - pp.phi0 * pp.dphi0
     phi, dphi, _, _ = closed_form_n5(pp.c, sol.t - a)
     return max(float(np.max(np.abs(phi - sol.phi))),
@@ -516,27 +515,6 @@ def embeddability_margin(dphi, d2phi):
     Takes floats or arrays of rows.
     """
     return 1.0 - dphi * dphi - d2phi * d2phi
-
-
-def schwarzschild_identity_residual(params, sample):
-    """Defect of phi'^2 + phi''^2 = 1 - x^{n-3} + x^{2(n-2)}, x = b/phi.
-
-    Only meaningful on the generalized Schwarzschild family: other
-    parameters, a c off the family's by more than the 1e-12 (1 + |c|) that
-    WarpParams holds c to among them, raise WrongFamily.
-    """
-    n = params.n
-    b = (n - 3.0) / 2.0
-    if params.rho != 0.0 or params.eps != 1.0 or abs(
-        params.c + b ** (n - 3.0)
-    ) > 1e-12 * (1.0 + b ** (n - 3.0)):
-        raise WrongFamily(
-            "identity holds only for the Schwarzschild family "
-            "(rho=0, eps=1, c=-((n-3)/2)^{n-3})"
-        )
-    x = b / sample.phi
-    rhs = 1.0 - x ** (n - 3.0) + x ** (2.0 * (n - 2.0))
-    return sample.dphi ** 2 + sample.d2phi ** 2 - rhs
 
 
 # -- serialization -----------------------------------------------------------

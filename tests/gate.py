@@ -10,7 +10,10 @@ OUT_DIR/manifest.json. For each command it records the exit code, the
 sha256 of its stdout and of each file it writes, each check's name,
 status, value, tolerance and comparison, and the payload's top-level
 scalars (a warp's node count, its truncation, ...). Files a command writes
-go to OUT_DIR under names that no output contains.
+go to OUT_DIR under names that no output contains; a name ending in "/"
+is a directory, made empty before the command, whose files are each
+hashed. OUT_DIR reads as "OUT_DIR" in the stdout hashed, so `build`'s list
+of written paths hashes alike wherever the gate runs.
 
 `compare` prints, for two manifests, every moved exit code, check status,
 payload scalar and check value. A moved value is listed with its relative
@@ -27,6 +30,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -35,6 +39,21 @@ WARP_NS = range(4, 10)
 VERIFY_SEED = 42
 # a one-ulp move of the round warp's t0 = 0.15 (an ulp there is 2**-55)
 KNIFE_KS = range(-4, 5)
+# n = 5 states under the closed form: the README's; the translation states
+# a = t0 - phi0 phi0' = -0.5, 0.7 and 0; two collapsing runs (c > 0); and
+# one whose drift passes while its nodes miss the closed form
+N5_STATES = (
+    ("--c", "-1"),
+    ("--phi0", "1", "--dphi0", "0.5"),
+    ("--t0", "0.7", "--c", "-1"),
+    ("--family", "schwarzschild"),
+    ("--phi0", "0.5", "--dphi0", "-1.5"),
+    ("--phi0", "1", "--dphi0", "-1.2"),
+    ("--phi0", "0.09875652480916083", "--dphi0", "2.5061619136021793",
+     "--t0", "0.8255111545554434", "--t-end", "5.8255111545554434"),
+)
+BUILD_N = 7
+APPENDIX_SEEDS = range(10)
 
 
 def commands(cli, geometry):
@@ -57,6 +76,22 @@ def commands(cli, geometry):
                     "--t0", repr(t0), "--phi0", repr(math.sin(t0)),
                     "--dphi0", repr(math.cos(t0))]
             out.append(("warp round-state --n %d k=%+d" % (n, k), argv, {}))
+    for state in N5_STATES:
+        argv = ["warp", "--n", "5", *state]
+        out.append((" ".join(argv), argv, {}))
+    for family, row in geometry.FAMILIES.items():
+        if row.base is None:
+            continue
+        name = "build-%s-n%d/" % (family, BUILD_N)
+        argv = ["build", "--family", family, "--n", str(BUILD_N)]
+        argv += ["--m", "2"] if row.needs_m else []
+        argv += ["--rho", "1"] if family == "clifford" else []
+        out.append((" ".join(argv) + " --out", argv + ["--out", name],
+                    {name: None}))
+    for seed in APPENDIX_SEEDS:
+        argv = ["classify-appendix", "--solve", "2", "1", "1", "1",
+                "--seed", str(seed)]
+        out.append((" ".join(argv), argv, {}))
     for cmd in ("verify-intrinsic", "verify-extrinsic"):
         for family, row in geometry.FAMILIES.items():
             for n in WARP_NS:
@@ -79,19 +114,28 @@ def _sha(text):
 def run_one(cli, argv, files, out_dir):
     """Run one command; return its manifest entry."""
     paths = {name: os.path.join(out_dir, name) for name in files}
-    for path in paths.values():
-        if os.path.exists(path):
+    for name, path in paths.items():
+        if name.endswith("/"):
+            shutil.rmtree(path, ignore_errors=True)
+            os.makedirs(path)
+        elif os.path.exists(path):
             os.remove(path)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main([paths.get(a, a) for a in argv])
     entry = {"exit": code, "stderr": stderr.getvalue().strip(),
-             "sha256": {"stdout": _sha(stdout.getvalue())},
+             "sha256": {"stdout": _sha(stdout.getvalue().replace(
+                 out_dir, "OUT_DIR"))},
              "checks": [], "facts": {}}
+    written = []
     for name, path in paths.items():
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                entry["sha256"][name] = _sha(fh.read())
+        if name.endswith("/"):
+            written += [name + f for f in sorted(os.listdir(path))]
+        elif os.path.exists(path):
+            written.append(name)
+    for name in written:
+        with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+            entry["sha256"][name] = _sha(fh.read())
     text = stdout.getvalue().strip()
     if text:
         payload = json.loads(text)
@@ -107,6 +151,7 @@ def run(out_dir, src):
     sys.path.insert(0, src)
     from warpgeo import cli, geometry
 
+    out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"src": os.path.abspath(src), "commands": {}}
     for cid, argv, files in commands(cli, geometry):

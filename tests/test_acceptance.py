@@ -69,7 +69,11 @@ def test_criterion_3_family_identity_and_margin(capsys):
     margin_min = math.inf
     for n in (4, 5, 6):
         sol = warpfunc.integrate(warpfunc.schwarzschild_params(n), 5.0, 1e-3)
-        ident = warpfunc.schwarzschild_identity_residual(sol.params, sol)
+        # the family's slope identity phi'^2 + phi''^2 = 1 - x^{n-3} +
+        # x^{2(n-2)}, x = b / phi with b = (n-3)/2 the neck
+        x = (n - 3.0) / 2.0 / sol.phi
+        ident = sol.dphi ** 2 + sol.d2phi ** 2 - (
+            1.0 - x ** (n - 3.0) + x ** (2.0 * (n - 2.0)))
         worst_ident = max(worst_ident, float(np.max(np.abs(ident))))
         margin = warpfunc.embeddability_margin(sol.dphi, sol.d2phi)
         margin_zero = max(margin_zero, abs(float(margin[0])))

@@ -8,7 +8,6 @@ import pytest
 
 from warpgeo import (cli, extrinsic, geometry, immersions, sampling,
                      serialize, warpfunc)
-from warpgeo.errors import WrongFamily
 
 
 def run(capsys, *argv):
@@ -32,8 +31,7 @@ class TestWarp:
             assert fh.readline().startswith("t,phi,dphi")
 
     def test_closed_form_comparison(self, capsys):
-        code, doc = run(capsys, "warp", "--n", "5", "--c", "-1",
-                        "--compare-closed-form")
+        code, doc = run(capsys, "warp", "--n", "5", "--c", "-1")
         assert code == 0
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["closed-form-error"]["value"] <= 1e-9
@@ -47,30 +45,37 @@ class TestWarp:
     def test_closed_form_follows_the_translation(self, capsys, state):
         # phi^2 = (t - a)^2 - c with a = t0 - phi0 phi0' from the state;
         # against sqrt(t^2 - c) the first state reads 0.5
-        code, doc = run(capsys, "warp", "--n", "5", *state,
-                        "--compare-closed-form")
+        code, doc = run(capsys, "warp", "--n", "5", *state)
         assert code == 0
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["closed-form-error"]["value"] <= 1e-13
 
-    @pytest.mark.parametrize("family,identity", [("schwarzschild", True),
-                                                 ("extra-codim", False)])
-    def test_identity_is_chosen_by_the_row(self, capsys, family, identity):
-        code, doc = run(capsys, "warp", "--family", family, "--n", "7")
+    @pytest.mark.parametrize("argv,closed_form", [
+        (("--family", "flat", "--n", "5"), True),
+        (("--family", "round", "--n", "5"), False),      # rho = 4
+        (("--family", "schwarzschild", "--n", "7"), False),
+        (("--n", "5", "--phi0", "1.0000000009"), True),  # c off the family's
+        (("--n", "5", "--eps", "0.5"), False),
+    ])
+    def test_closed_form_is_chosen_by_the_parameters(self, capsys, argv,
+                                                     closed_form):
+        # n = 5, rho = 0, eps = 1 at any c, with or without a family row
+        code, doc = run(capsys, "warp", *argv)
         assert code == 0
-        names = [c["name"] for c in doc["checks"]]
-        assert ("schwarzschild-identity" in names) == identity
-        # phi0 9e-10 off Schwarzschild n5 puts c 1.8e-9 off the family's,
-        # where the identity would read 1.8e-9, above tol_identity: the
-        # guard refuses the state, and without a row there is no check
-        params = warpfunc.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0,
-                                     phi0=1.0000000009, dphi0=0.0)
-        sol = warpfunc.integrate(params, 5.0)
-        with pytest.raises(WrongFamily):
-            warpfunc.schwarzschild_identity_residual(params, sol)
-        code, doc = run(capsys, "warp", "--n", "5", "--phi0", "1.0000000009")
-        assert code == 0
-        assert [c["name"] for c in doc["checks"]] == ["first-integral-drift"]
+        assert [c["name"] for c in doc["checks"]] == [
+            "first-integral-drift"] + ["closed-form-error"] * closed_form
+
+    def test_closed_form_refuses_a_state_the_drift_passes(self, capsys):
+        # the drift reads 9.2e-9 of its 1e-8, but the nodes sit 7.3e-9 off
+        # the exact solution, over tol_closed_form
+        code, doc = run(capsys, "warp", "--n", "5",
+                        "--phi0", "0.09875652480916083",
+                        "--dphi0", "2.5061619136021793",
+                        "--t0", "0.8255111545554434",
+                        "--t-end", "5.8255111545554434")
+        assert code == 1
+        assert [(c["name"], c["status"]) for c in doc["checks"]] == [
+            ("first-integral-drift", "pass"), ("closed-form-error", "fail")]
 
     def test_constant_curvature_reported(self, capsys):
         code, doc = run(capsys, "warp", "--c", "0", "--rho", "4",
@@ -266,7 +271,7 @@ def test_classify_appendix_refuses_an_m_its_family_takes_none(capsys):
     (["verify-intrinsic", "--family", "round", "--n", "5"],
      {"points": "six"}),
     (["verify-intrinsic", "--family", "round", "--n", "5"], {"points": 6.5}),
-    (["warp", "--n", "5"], {"compare_closed_form": 1}),
+    (["verify-intrinsic", "--family", "round", "--n", "5"], {"points": True}),
     (["classify-appendix"], {"solve": [2, 1, "1", 1]}),
     (["classify-appendix", "--solve", "inf", "1", "1", "1"], None),
     (["classify-appendix", "--solve", "1", "nan", "1", "1"], None),
@@ -287,14 +292,17 @@ def test_classify_appendix_refuses_an_m_its_family_takes_none(capsys):
     (["verify-intrinsic", "--family", "round", "--n", "5"], {"h": 1e-3}),
     (["verify-intrinsic", "--family", "round-torus-composite", "--n", "7",
       "--m", "2"], {"expect_not_einstein": 0.2}),
+    (["warp", "--n", "5", "--compare-closed-form"], None),
+    (["warp", "--n", "5"], {"compare_closed_form": True}),
     # sampling takes no negative seed and at most 15 dimensions
     (["report", "--seed", "-1"], None),
     (["verify-intrinsic", "--family", "round", "--n", "16"], None),
 ], ids=["flag-type", "unknown-flag", "tolerance-flag", "config-n",
-        "config-points", "config-float-for-int", "config-int-for-bool",
+        "config-points", "config-float-for-int", "config-bool-for-int",
         "config-solve", "solve-inf", "solve-nan", "config-tolerance", "warp-m-flag", "warp-m-config",
         "richardson-flag", "h-flag", "expect-not-einstein-flag",
         "richardson-config", "h-config", "expect-not-einstein-config",
+        "compare-closed-form-flag", "compare-closed-form-config",
         "negative-seed", "sample-dimension"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     # a malformed flag or config value exits 3 with a config error, neither
@@ -635,12 +643,11 @@ class TestReport:
         assert doc["tolerances"]["tol_einstein"] == 5e-5
         names = [c["name"] for c in doc["checks"]]
         assert "defect-round-torus-composite-n7-m2" in names
-        # report opens with its five warps: drift and identity on each, and
-        # the closed form at n = 5
+        # report opens with its five warps: the drift on each, and the
+        # closed form at n = 5
         warps = ["%s-schwarzschild-n%d" % (prefix, n)
                  for n in (4, 5, 6, 7, 9)
-                 for prefix in ("drift", "identity", "closed-form")[
-                     :2 + (n == 5)]]
+                 for prefix in ("drift", "closed-form")[:1 + (n == 5)]]
         assert names[:len(warps)] == warps
         assert "udim-schwarzschild-n4" in names
         checks = {c["name"]: c for c in doc["checks"]}
@@ -731,18 +738,17 @@ class TestReport:
     def test_warp_judges_a_member_as_report_does(self, capsys):
         # one builder: warp --family schwarzschild at its defaults gives
         # each of report's five warps its checks in order, with their
-        # statuses and value bytes; report asks for the closed form at n = 5
+        # statuses and value bytes; the closed form comes at n = 5
         code, doc = run(capsys, "report", "--seed", "3")
         assert code == 0
         for n in (4, 5, 6, 7, 9):
-            argv = ["warp", "--family", "schwarzschild", "--n", str(n)]
-            argv += ["--compare-closed-form"] if n == 5 else []
-            code, single = run(capsys, *argv)
+            code, single = run(capsys, "warp", "--family", "schwarzschild",
+                               "--n", str(n))
             assert code == 0
-            report = self._member(doc, ("drift", "identity", "closed-form"),
+            report = self._member(doc, ("drift", "closed-form"),
                                   "schwarzschild-n%d" % n)
             assert report == self._judged(single["checks"])
-            assert len(report) == (3 if n == 5 else 2)
+            assert len(report) == (2 if n == 5 else 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_classify_appendix_judges_as_report_does(self, capsys, seed):

@@ -74,3 +74,19 @@ def test_headroom_reads_both_comparisons():
                           "comparison": "min"}) == 2.0
     assert gate.headroom({"value": 0.0, "tolerance": 1e-6,
                           "comparison": "max"}) == math.inf
+
+
+def test_run_records_built_files(tmp_path):
+    # each file a build writes is hashed, and its stdout, which lists their
+    # paths, hashes alike whatever the output directory
+    cid, argv, files = next(c for c in gate.commands(cli, geometry)
+                            if c[0] == "build --family sphere --n 7 --out")
+    a, b = (gate.run_one(cli, argv, files, str(tmp_path / d))
+            for d in ("a", "longer"))
+    assert a["exit"] == 0 and a == b
+    assert sorted(a["sha256"]) == ["build-sphere-n7/sphere-n7.%s" % ext
+                                   for ext in ("csv", "json", "obj")] + [
+        "stdout"]
+    written = (tmp_path / "a" / "build-sphere-n7" / "sphere-n7.obj").read_text(
+        encoding="utf-8")
+    assert a["sha256"]["build-sphere-n7/sphere-n7.obj"] == gate._sha(written)

@@ -11,13 +11,13 @@ import pytest
 from warpgeo import warpfunc as wf
 
 
-def _hermite_loop(t, t_lo, step, phi, dphi, d2phi, query):
+def _hermite_loop(t_lo, step, phi, dphi, d2phi, query):
     """Reference: the cell's quintic in Horner form, one query point at a
     time, in the kernel's order of operations."""
     m = query.shape[0]
     out_p = np.empty(m)
     out_d = np.empty(m)
-    n_nodes = t.shape[0]
+    n_nodes = phi.shape[0]
     for k in range(m):
         x = query[k]
         idx = int((x - t_lo) / step)
@@ -47,10 +47,10 @@ def _hermite_loop(t, t_lo, step, phi, dphi, d2phi, query):
 def test_hermite_loop_is_the_quintic_hermite_interpolant():
     # the Horner coefficients meet value, slope and curvature at both nodes
     # of a cell, the six conditions that fix the quintic
-    t, h = np.array([0.0, 1.0]), 1e-6
+    h = 1e-6
     phi, dphi, d2phi = np.array([0.3, -1.1]), np.array([2.0, 0.7]), \
         np.array([-5.0, 3.0])
-    p, d = _hermite_loop(t, 0.0, 1.0, phi, dphi, d2phi,
+    p, d = _hermite_loop(0.0, 1.0, phi, dphi, d2phi,
                          np.array([0.0, h, 1.0 - h, 1.0]))
     assert p[[0, 3]] == pytest.approx(phi, abs=1e-13)
     assert d[[0, 3]] == pytest.approx(dphi, abs=1e-13)
@@ -140,7 +140,7 @@ def _queries(sol):
 def test_hermite_paths_identical():
     for kind in ("forward", "backward", "floor"):
         sol = _solution(kind)
-        args = (sol.t, float(sol.t[0]), sol.step, sol.phi, sol.dphi, sol.d2phi)
+        args = (float(sol.t[0]), sol.step, sol.phi, sol.dphi, sol.d2phi)
         for name, q in _queries(sol).items():
             pa, da = wf.hermite_eval(*args, q)
             pb, db = _hermite_loop(*args, q)
@@ -152,7 +152,7 @@ def test_hermite_paths_identical():
 def test_hermite_keeps_few_doubles_a_query(count):
     # the Horner steps work in place on arrays of one double a query
     sol = _solution("forward")
-    args = (sol.t, float(sol.t[0]), sol.step, sol.phi, sol.dphi, sol.d2phi)
+    args = (float(sol.t[0]), sol.step, sol.phi, sol.dphi, sol.d2phi)
     q = np.random.default_rng(3).uniform(sol.t_min, sol.t_max, count)
     wf.hermite_eval(*args, q)
     tracemalloc.start()

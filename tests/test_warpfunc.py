@@ -24,7 +24,6 @@ from warpgeo.errors import (
     NonPositiveWarp,
     OutOfDomain,
     StepTooLarge,
-    WrongFamily,
 )
 from warp_samples import base_curvature, node, sample_at
 
@@ -392,19 +391,6 @@ class TestDiagnostics:
             s = node(sol, 10)
             assert wf.embeddability_margin(s.dphi, s.d2phi) == margin[10]
 
-    def test_schwarzschild_identity(self):
-        for n in (4, 5, 6):
-            p = wf.schwarzschild_params(n)
-            sol = wf.integrate(p, 2.0, step=1e-3)
-            res = wf.schwarzschild_identity_residual(p, sol)[::100]
-            assert np.max(np.abs(res)) < 1e-9
-
-    def test_identity_guards_family(self):
-        p = wf.sin_params(5)
-        sol = wf.integrate(p, 2.0, step=1e-3)
-        with pytest.raises(WrongFamily):
-            wf.schwarzschild_identity_residual(p, node(sol, 50))
-
     def test_diagnostics_cross_check_curvature(self):
         # the closed form eliminates phi' by the first integral; -phi'''/phi'
         # reads phi''' from the structural equation along the solution
@@ -445,6 +431,15 @@ class TestClosedForm:
                 assert wf.first_integral_residual(
                     5, 1.0, 0.0, c, s.phi, s.dphi
                 ) == pytest.approx(0.0, abs=1e-13)
+
+    def test_collapsing_runs_meet_the_closed_form(self):
+        # the n = 5 form holds for every c, so a collapsing run (c > 0) is
+        # held to it up to the node where integrate cuts it
+        for phi0, dphi0 in ((0.5, -1.5), (1.0, -1.2)):
+            sol = wf.integrate(wf.WarpParams(n=5, eps=1.0, rho=0.0, t0=0.0,
+                                             phi0=phi0, dphi0=dphi0), 5.0)
+            assert sol.truncated and sol.params.c > 0.0
+            assert wf.closed_form_n5_error(sol) <= 1e-9
 
 
 class TestSerialization:
